@@ -17,7 +17,8 @@ from .cli import (ExperimentReport, format_quantity, generate_random_module,
                   random_symbolic_module, serialize_module,
                   serialize_symbolic, stability_experiment)
 from .diagrams import (PersistenceDiagram, SymbolicModule, act,
-                       decompose, diagram_contains, interval_image)
+                       annihilating_sequence, decompose, diagram_contains,
+                       interval_image)
 from .linalg import (DEFAULT_PRIME, FiniteDiagram, Matrix, block_diag,
                      cokernel, diagram_colimit, diagram_limit, hstack,
                      inverse, is_invertible, is_prime, kernel_basis, rank,
@@ -25,9 +26,8 @@ from .linalg import (DEFAULT_PRIME, FiniteDiagram, Matrix, block_diag,
 from .reflection_distance import (ReflectionDistance, cost, min_steps,
                                   reflection_distance)
 from .reflections import (COLIMIT, LIMIT, ReflectionOp, ReflectionSequence,
-                          all_ops, annihilating_sequence, apply,
-                          apply_sequence, apply_to_morphism, check_applicable,
-                          ops_at)
+                          all_ops, apply, apply_sequence, apply_to_morphism,
+                          check_applicable, ops_at)
 from .zigzag_core import (BACKWARD, BACKWARD_FLOW, EXTROVERSION, FORWARD,
                           FORWARD_FLOW, INTROVERSION, Morphism, Orientation,
                           REVERSAL, SINK, SOURCE, ZigzagModule, arrow_reverse,

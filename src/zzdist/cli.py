@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bottleneck import bottleneck_distance
-from .diagrams import PersistenceDiagram, SymbolicModule, act, decompose
+from .diagrams import (PersistenceDiagram, SymbolicModule, act, annihilating_sequence,
+                       decompose)
 from .linalg import DEFAULT_PRIME, Matrix, _check_prime, is_invertible
 from .reflection_distance import reflection_distance
-from .reflections import (COLIMIT, LIMIT, ReflectionOp, annihilating_sequence,
-                          apply, check_applicable)
+from .reflections import COLIMIT, LIMIT, ReflectionOp, apply, check_applicable
 from .zigzag_core import BACKWARD, FORWARD, Orientation, ZigzagModule, conjugate, synthesize
 
 _BOUNDARY_WORDS = {FORWARD: "forward", BACKWARD: "backward"}
@@ -109,6 +109,8 @@ def parse_module_data(obj) -> ZigzagModule | SymbolicModule:
                 f"map {i + 1} must be a flat list of integers")
         _expect(len(flat) == rows * cols,
                 f"map {i + 1} has {len(flat)} entries, expected {rows}x{cols}={rows * cols}")
+        # entries live in GF(p); reducing here keeps huge integers out of int64
+        flat = [x % p for x in flat]
         maps.append(Matrix.from_rows([flat[r * cols:(r + 1) * cols] for r in range(rows)],
                                      p, cols=cols))
     return ZigzagModule(tau, tuple(dims), tuple(maps))

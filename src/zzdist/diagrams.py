@@ -4,8 +4,9 @@ A persistence diagram is the multiset of interval supports in a
 module's decomposition into interval summands.  ``decompose`` extracts
 it from a concrete module by exact rank bookkeeping; ``interval_image``
 and ``act`` push diagrams through reflections without touching matrices
-at all, deriving the required movement rules from the concrete functor
-once per local situation and caching them.
+at all, by a closed-form rule for where each interval goes, and
+``annihilating_sequence`` uses them to build a run that empties a
+module.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .linalg import FiniteDiagram, diagram_colimit, diagram_limit, rank
-from .reflections import LIMIT, ReflectionOp, apply, check_applicable
-from .zigzag_core import (EXTROVERSION, FORWARD, INTROVERSION, Orientation,
-                          ZigzagModule, interval_module, transform_type)
+from .reflections import (LIMIT, ReflectionOp, ReflectionSequence, check_applicable,
+                          ops_at)
+from .zigzag_core import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, Orientation,
+                          ZigzagModule, transform_type)
 
 
 @dataclass(frozen=True)
@@ -152,65 +154,46 @@ def decompose(V: ZigzagModule) -> PersistenceDiagram:
     return PersistenceDiagram(n, tuple(pts))
 
 
-# Derived movement rules: key -> None (interval annihilated) or (db, dd).
-# A reflection only rearranges the three window slots, so the image of an
-# interval depends only on the op, the arrow directions inside the window,
-# and where the interval's ends sit relative to k; offsets are clamped to
-# +-2 because nothing distinguishes farther ends.  Filling is idempotent,
-# so concurrent readers are safe.
-_IMAGE_RULES: dict[tuple, tuple[int, int] | None] = {}
-
-
-def _rule_key(op: ReflectionOp, tau: Orientation, b: int, d: int) -> tuple:
-    k, n = op.k, tau.n
-    pos = "first" if k == 1 else ("last" if k == n else "mid")
-    left = tau.dirs[k - 2] if k >= 2 else None
-    right = tau.dirs[k - 1] if k <= n - 1 else None
-
-    def clamp(x: int) -> int:
-        return max(-2, min(2, x))
-
-    return (op.kind, op.boundary_dir, pos, left, right, clamp(b - k), clamp(d - k))
-
-
-def _derive_rule(op: ReflectionOp, tau: Orientation, b: int, d: int) -> tuple[int, int] | None:
-    image = decompose(apply(op, interval_module(tau, b, d)))
-    if len(image.points) == 0:
-        if b != d:
-            raise AssertionError(f"reflection annihilated [{b}, {d}], which spans two positions")
-        return None
-    if len(image.points) != 1:
-        raise AssertionError(f"reflection of an interval decomposed into {len(image.points)} "
-                             "pieces; expected at most one")
-    (b2, d2), = image.points
-    if abs(b2 - b) + abs(d2 - d) > 1:
-        raise AssertionError(f"reflection moved [{b}, {d}] to [{b2}, {d2}], further than one step")
-    return (b2 - b, d2 - d)
-
-
 def interval_image(op: ReflectionOp, tau: Orientation, b: int, d: int) -> tuple[int, int] | None:
     """Where a reflection sends the interval [b, d], or None if it dies.
 
-    The image is reported raw: a one-position image is returned, not
-    dropped.  Rules are derived on first use by running the concrete
-    functor on the corresponding interval module and decomposing.
+    This is the action of a reflection functor on an interval module
+    (Bernstein-Gelfand-Ponomarev).  A limit makes k a source and a
+    colimit makes it a sink, so each arrow at k (the phantom
+    ``boundary_dir`` arrow at an end) that points the other way is
+    rebuilt.  A rebuilt left arrow lets an interval ending at k-1 grow
+    to k and pushes one starting at k to k+1; a rebuilt right arrow
+    mirrors this; [k, k] dies if either arrow is rebuilt.  The image is
+    reported raw: a one-position image is returned, not dropped.
     """
     check_applicable(op, tau.n)
     if not 1 <= b <= d <= tau.n:
         raise ValueError(f"interval [{b}, {d}] out of range 1..{tau.n}")
-    key = _rule_key(op, tau, b, d)
-    if key not in _IMAGE_RULES:
-        _IMAGE_RULES[key] = _derive_rule(op, tau, b, d)
-    delta = _IMAGE_RULES[key]
-    if delta is None:
-        return None
-    return (b + delta[0], d + delta[1])
+    k, n = op.k, tau.n
+    left = tau.dirs[k - 2] if k >= 2 else op.boundary_dir
+    right = tau.dirs[k - 1] if k <= n - 1 else op.boundary_dir
+    limit = op.kind == LIMIT
+    left_rebuilt = (left == FORWARD) == limit
+    right_rebuilt = (right == BACKWARD) == limit
+    if b == d == k:
+        return None if left_rebuilt or right_rebuilt else (b, d)
+    if left_rebuilt:
+        if d == k - 1:
+            return (b, k)
+        if b == k:
+            return (k + 1, d)
+    if right_rebuilt:
+        if b == k + 1:
+            return (k, d)
+        if d == k:
+            return (b, k - 1)
+    return (b, d)
 
 
 def act(op: ReflectionOp, S: SymbolicModule) -> SymbolicModule:
     """Push a symbolic module through a reflection.
 
-    Every interval moves by its derived rule, annihilated intervals
+    Every interval moves by ``interval_image``, annihilated intervals
     disappear, and one-position intervals are sanitized away afterwards,
     matching how reflection runs are costed.
     """
@@ -219,3 +202,33 @@ def act(op: ReflectionOp, S: SymbolicModule) -> SymbolicModule:
     images = (interval_image(op, S.tau, b, d) for (b, d) in S.diagram)
     pts = tuple(img for img in images if img is not None)
     return SymbolicModule(new_tau, PersistenceDiagram(S.n, pts).remove_simple())
+
+
+def annihilating_sequence(V: ZigzagModule) -> ReflectionSequence:
+    """A reflection run that empties the module.
+
+    Repeatedly take the lexicographically largest surviving interval
+    [b, d] and walk its right end down: at each position j from d to b+1
+    pick the first reflection at j whose action shortens [b, j] to
+    [b, j-1].  The final one-position remnant is a simple summand and is
+    dropped by the sanitizing step built into the symbolic action.  Each
+    pass kills every copy of the chosen interval while moving others at
+    most sideways, so the point count strictly drops and the loop ends.
+    """
+    n = V.n
+    state = SymbolicModule(V.tau, decompose(V).remove_simple())
+    chosen: list[ReflectionOp] = []
+    while state.diagram.points:
+        before = len(state.diagram.points)
+        b, d = max(state.diagram.points)
+        for j in range(d, b, -1):
+            for op in ops_at(n, j):
+                if interval_image(op, state.tau, b, j) == (b, j - 1):
+                    break
+            else:
+                raise AssertionError(f"no reflection at {j} shortens [{b}, {j}]")
+            chosen.append(op)
+            state = act(op, state)
+        if len(state.diagram.points) >= before:
+            raise AssertionError("annihilation pass failed to reduce the point count")
+    return ReflectionSequence(tuple(chosen))

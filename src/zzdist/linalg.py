@@ -40,7 +40,8 @@ def is_prime(p: int) -> bool:
 
 
 def _check_prime(p: int) -> int:
-    if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p) or p > _MAX_PRIME:
+    # the bound goes first: trial division of a huge p would not finish
+    if not isinstance(p, int) or isinstance(p, bool) or p > _MAX_PRIME or not is_prime(p):
         raise ValueError(f"field order must be a prime <= {_MAX_PRIME}, got {p!r}")
     return p
 

@@ -4,19 +4,17 @@ Two modules are close when short runs of reflections carry each into a
 summand of the other, up to reversing invertible arrows and ignoring
 one-position summands.  The search runs over symbolic states: an
 orientation normalized at every flippable arrow plus a sanitized
-diagram.  Breadth-first search is the reference algorithm; a best-first
-variant with an admissible lower bound is available behind a flag and
-must agree with it.
+diagram.  Breadth-first search finds the fewest steps together with a
+witness run; successor lists and finished searches are shared across
+calls.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import math
 from dataclasses import dataclass
 
-from .diagrams import PersistenceDiagram, SymbolicModule, act
+from .bottleneck import _check_p
+from .diagrams import SymbolicModule, act
 from .reflections import ReflectionSequence, all_ops
 from .zigzag_core import canonical_type, is_summand_upto_equiv
 
@@ -26,12 +24,6 @@ _StateKey = tuple[tuple[str, ...], tuple[tuple[int, int], ...]]
 # fills are idempotent
 _SUCCESSORS: dict[_StateKey, tuple] = {}
 _SEARCHES: dict[tuple, tuple[int, ReflectionSequence]] = {}
-
-
-def _check_p(p: float) -> float:
-    if not (isinstance(p, (int, float)) and not isinstance(p, bool) and p >= 1):
-        raise ValueError(f"p must be a real number >= 1 or infinity, got {p!r}")
-    return float(p)
 
 
 def cost(seq: ReflectionSequence, p: float = 1) -> float:
@@ -129,61 +121,9 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Reflec
     return result
 
 
-def _lower_bound(S: SymbolicModule, target_points: tuple[tuple[int, int], ...]) -> int:
-    """Steps needed from this state, never overestimating.
-
-    Every interval must either shrink to one position (at least its
-    length in steps, since a step moves each end at most one) or land
-    exactly on some interval of the target; one step advances every
-    interval at most one unit, so the worst single interval bounds the
-    whole run.
-    """
-    worst = 0
-    for (b, d) in S.diagram.points:
-        need = d - b
-        for (b2, d2) in target_points:
-            need = min(need, abs(b - b2) + abs(d - d2))
-        worst = max(worst, need)
-    return worst
-
-
-def _search_best_first(source: SymbolicModule, target: SymbolicModule) -> int:
-    if source.n != target.n:
-        raise ValueError(f"length mismatch: {source.n} vs {target.n}")
-    start = _canonical(source)
-
-    def is_goal(S: SymbolicModule) -> bool:
-        return is_summand_upto_equiv(S.tau, S.diagram, target.tau, target.diagram)
-
-    tie = itertools.count()
-    tpts = target.diagram.points
-    best: dict[_StateKey, int] = {_key(start): 0}
-    heap = [(_lower_bound(start, tpts), next(tie), 0, start)]
-    while heap:
-        _, _, g, S = heapq.heappop(heap)
-        if g > best.get(_key(S), math.inf):
-            continue
-        if is_goal(S):
-            return g
-        for _, T in _successors(S):
-            tk = _key(T)
-            ng = g + 1
-            if ng < best.get(tk, math.inf):
-                best[tk] = ng
-                heapq.heappush(heap, (ng + _lower_bound(T, tpts), next(tie), ng, T))
-    raise AssertionError("search space exhausted; the empty module should be a goal")
-
-
-def min_steps(source: SymbolicModule, target: SymbolicModule, *,
-              best_first: bool = False) -> int:
+def min_steps(source: SymbolicModule, target: SymbolicModule) -> int:
     """Fewest reflections after which the source sits inside the target
-    as a summand up to reversing invertible arrows.
-
-    ``best_first`` switches to the guided search; both algorithms return
-    the same value on every input.
-    """
-    if best_first:
-        return _search_best_first(source, target)
+    as a summand up to reversing invertible arrows."""
     return _search(source, target)[0]
 
 
@@ -209,9 +149,8 @@ def reflection_distance(V: SymbolicModule, W: SymbolicModule, p: float = 1) -> R
     the maximum of the two minimal lengths, raised to 1/p; zero stays
     exactly zero for every p.
     """
-    p = _check_p(p)
-    s_vw, run_vw = _search(V, W)
-    s_wv, run_wv = _search(W, V)
-    steps = max(s_vw, s_wv)
-    value = 0.0 if steps == 0 else float(steps) ** (1.0 / p)
-    return ReflectionDistance(value, steps, run_vw, run_wv)
+    _check_p(p)  # reject a bad p before searching
+    run_vw = _search(V, W)[1]
+    run_wv = _search(W, V)[1]
+    longer = max(run_vw, run_wv, key=len)
+    return ReflectionDistance(cost(longer, p), len(longer), run_vw, run_wv)

@@ -8,8 +8,8 @@ end position the missing neighbour is a zero space whose phantom arrow
 the caller orients explicitly.
 
 Reflections act on morphisms too (the induced map is solved for through
-the universal property), and composing enough of them annihilates any
-module; ``annihilating_sequence`` builds such a sequence.
+the universal property).  The symbolic action on persistence diagrams,
+and the annihilating runs built from it, live in ``diagrams``.
 """
 
 from __future__ import annotations
@@ -199,35 +199,3 @@ def apply_sequence(seq: ReflectionSequence, V: ZigzagModule) -> ZigzagModule:
     for op in seq:
         V = apply(op, V)
     return V
-
-
-def annihilating_sequence(V: ZigzagModule) -> ReflectionSequence:
-    """A reflection run that empties the module.
-
-    Repeatedly take the lexicographically largest surviving interval
-    [b, d] and walk its right end down: at each position j from d to b+1
-    pick the first reflection at j whose action shortens [b, j] to
-    [b, j-1].  The final one-position remnant is a simple summand and is
-    dropped by the sanitizing step built into the symbolic action.  Each
-    pass kills every copy of the chosen interval while moving others at
-    most sideways, so the point count strictly drops and the loop ends.
-    """
-    from .diagrams import SymbolicModule, act, decompose, interval_image
-
-    n = V.n
-    state = SymbolicModule(V.tau, decompose(V).remove_simple())
-    chosen: list[ReflectionOp] = []
-    while state.diagram.points:
-        before = len(state.diagram.points)
-        b, d = max(state.diagram.points)
-        for j in range(d, b, -1):
-            for op in ops_at(n, j):
-                if interval_image(op, state.tau, b, j) == (b, j - 1):
-                    break
-            else:
-                raise AssertionError(f"no reflection at {j} shortens [{b}, {j}]")
-            chosen.append(op)
-            state = act(op, state)
-        if len(state.diagram.points) >= before:
-            raise AssertionError("annihilation pass failed to reduce the point count")
-    return ReflectionSequence(tuple(chosen))

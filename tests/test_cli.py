@@ -52,6 +52,9 @@ def test_parse_rejects_malformed(tmp_path):
         {"n": 3, "type": ">>", "diagram": [[1, 2, 0]]},
         {"n": 3, "type": ">>", "matrices": {"field_prime": 4, "dims": [1, 1, 1],
                                             "maps": [[1], [1]]}},
+        # a prime far above the bound must be rejected without trial division
+        {"n": 3, "type": ">>", "matrices": {"field_prime": 2 ** 61 - 1, "dims": [1, 1, 1],
+                                            "maps": [[1], [1]]}},
         {"n": 3, "type": ">>", "matrices": {"field_prime": 2, "dims": [1, 1],
                                             "maps": [[1], [1]]}},
         {"n": 3, "type": ">>", "matrices": {"field_prime": 2, "dims": [1, 1, 1],
@@ -175,9 +178,22 @@ def test_field_prime_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ZZ_FIELD_PRIME", "5")
     assert main(["synthesize", d]) == 0
     assert json.loads(capsys.readouterr().out)["matrices"]["field_prime"] == 5
-    monkeypatch.setenv("ZZ_FIELD_PRIME", "6")
-    assert main(["synthesize", d]) == 2
-    assert "ZZ_FIELD_PRIME" in capsys.readouterr().err
+    for bad in ("6", str(2 ** 61 - 1)):
+        monkeypatch.setenv("ZZ_FIELD_PRIME", bad)
+        assert main(["synthesize", d]) == 2
+        assert "ZZ_FIELD_PRIME" in capsys.readouterr().err
+
+
+def test_huge_matrix_entries_are_reduced_mod_p(tmp_path, capsys):
+    def module(entry):
+        return write(tmp_path, f"m{entry}.json", {"n": 3, "type": "><", "matrices": {
+            "field_prime": 2, "dims": [1, 1, 1], "maps": [[entry], [1]]}})
+
+    assert main(["decompose", module(1)]) == 0
+    want = capsys.readouterr().out
+    for entry in (2 ** 70 + 1, 10 ** 29 + 1):
+        assert main(["decompose", module(entry)]) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_random_symbolic_module_bounds():

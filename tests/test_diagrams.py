@@ -94,13 +94,14 @@ def test_symbolic_module_validation():
 
 
 def test_interval_image_matches_concrete_reflection():
-    for n in (2, 3, 4):
+    # the closed-form rule must not depend on the field
+    for p, n in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)]:
         for t in all_dirs(n):
             ori = Orientation(t)
             for op in all_ops(n):
                 for (b, d) in all_intervals(n):
                     got = interval_image(op, ori, b, d)
-                    want = decompose(apply(op, interval_module(ori, b, d)))
+                    want = decompose(apply(op, interval_module(ori, b, d, p)))
                     if got is None:
                         assert want.points == ()
                         assert b == d

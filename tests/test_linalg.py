@@ -154,6 +154,9 @@ def test_is_prime_and_field_validation():
     assert [q for q in range(20) if is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19]
     with pytest.raises(ValueError):
         Matrix.zero(1, 1, 1)
+    # 2^61 - 1 is prime but over the bound, which is checked before trial division
+    with pytest.raises(ValueError, match="prime <="):
+        Matrix.zero(1, 1, 2 ** 61 - 1)
 
 
 def test_limit_fixed_diagrams():

@@ -125,14 +125,6 @@ def test_triangle_inequality():
         assert ac <= ab + bc + 1e-12
 
 
-def test_best_first_matches_breadth_first():
-    rng = random.Random(127)
-    for _ in range(40):
-        n = rng.randint(2, 5)
-        V, W = random_symbolic(rng, n, 3), random_symbolic(rng, n, 3)
-        assert min_steps(V, W, best_first=True) == min_steps(V, W)
-
-
 def test_witness_sequences_realize_the_search():
     rng = random.Random(131)
     for _ in range(25):
