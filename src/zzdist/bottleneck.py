@@ -5,7 +5,9 @@ other, at most once each; its cost is the largest of the matched
 distances and the penalties charged for leaving an interval unmatched.
 Every achievable cost is one of finitely many candidate values, so the
 distance is computed exactly by scanning candidates in increasing order
-and testing feasibility with augmenting paths.
+and testing feasibility with augmenting paths, searched with an explicit
+stack so that long paths cannot hit the recursion limit.  The witness
+merges two one-sided matchings (Mendelsohn and Dulmage, 1958).
 """
 
 from __future__ import annotations
@@ -83,9 +85,10 @@ def matching_cost(S, T, M: Matching, p: float = math.inf) -> float:
     if M.n_source != len(s) or M.n_target != len(t):
         raise ValueError(f"matching is {M.n_source}x{M.n_target}, "
                          f"diagrams have {len(s)} and {len(t)} points")
+    coimage, image = M.coimage, M.image
     vals = [_point_dist(s[i], t[j], p) for (i, j) in M.pairs]
-    vals.extend(_penalty(s[i], p) for i in range(len(s)) if i not in M.coimage)
-    vals.extend(_penalty(t[j], p) for j in range(len(t)) if j not in M.image)
+    vals.extend(_penalty(s[i], p) for i in range(len(s)) if i not in coimage)
+    vals.extend(_penalty(t[j], p) for j in range(len(t)) if j not in image)
     return max(vals, default=0.0)
 
 
@@ -93,25 +96,36 @@ def _saturate(required: Sequence[int], neighbours: Sequence[Sequence[int]],
               ) -> dict[int, int] | None:
     """Match every required left vertex into the right side, or None.
 
-    Plain augmenting-path matching; only required vertices are roots, so
-    the coimage of the result is exactly ``required`` when it succeeds.
+    Augmenting-path matching with an explicit stack, so path length is
+    not bounded by the recursion limit.  Each popped left vertex takes a
+    free neighbour before any matched one is displaced.  Only required
+    vertices are roots, so the coimage of the result is exactly
+    ``required`` when it succeeds.
     """
+    match_left: dict[int, int] = {}
     match_right: dict[int, int] = {}
-
-    def augment(i: int, seen: set[int]) -> bool:
-        for j in neighbours[i]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if j not in match_right or augment(match_right[j], seen):
-                match_right[j] = i
-                return True
-        return False
-
-    for i in required:
-        if not augment(i, set()):
+    for root in required:
+        via: dict[int, int] = {}  # right vertex -> the left vertex that reached it
+        stack, free = [root], None
+        while stack and free is None:
+            i = stack.pop()
+            for j in neighbours[i]:
+                if j in via:
+                    continue
+                via[j] = i
+                if j not in match_right:
+                    free = j
+                    break
+                stack.append(match_right[j])
+        if free is None:
             return None
-    return {i: j for (j, i) in match_right.items()}
+        j = free
+        while j is not None:
+            i = via[j]
+            j_next = match_left.get(i)
+            match_left[i], match_right[j] = j, i
+            j = j_next
+    return match_left
 
 
 def combine_matchings(f: Matching, g: Matching) -> Matching:
@@ -119,64 +133,25 @@ def combine_matchings(f: Matching, g: Matching) -> Matching:
     matching S -> T that keeps the coimage of f matched and the coimage
     of g covered, using only pairs drawn from f and g.
 
-    Alternating f/g steps split S and T into disjoint orbits: chains
-    that start on either side and end on either side, and cycles.  A
-    chain starting in S contributes its f-pairs, a chain starting in T
-    its g-pairs, and a cycle either (f is used); every element of
-    coim(f) and coim(g) then sits inside a matched pair.
+    Start from f.  A target t of g left uncovered is taken by s = g(t),
+    which frees the f-target t' of s; the walk goes on from t' while t'
+    lies in the coimage of g.  Since f and g are injective the walk
+    follows one path of f and g, and each source is moved at most once.
     """
     if f.n_target != g.n_source or f.n_source != g.n_target:
         raise ValueError(f"shape mismatch: f is {f.n_source}x{f.n_target}, "
                          f"g is {g.n_source}x{g.n_target}")
-    fmap = dict(f.pairs)
+    match = dict(f.pairs)
+    owner = {j: i for (i, j) in f.pairs}
     gmap = dict(g.pairs)
-    fmap_inv = {j: i for (i, j) in f.pairs}
-    gmap_inv = {i: j for (j, i) in g.pairs}
-
-    def succ(node):
-        side, x = node
-        if side == "s":
-            return ("t", fmap[x]) if x in fmap else None
-        return ("s", gmap[x]) if x in gmap else None
-
-    def pred(node):
-        side, x = node
-        if side == "s":
-            return ("t", gmap_inv[x]) if x in gmap_inv else None
-        return ("s", fmap_inv[x]) if x in fmap_inv else None
-
-    nodes = [("s", i) for i in range(f.n_source)] + [("t", j) for j in range(f.n_target)]
-    visited: set = set()
-    pairs: list[tuple[int, int]] = []
-    for origin in nodes:
-        if origin in visited:
-            continue
-        node = origin
-        cycle = False
-        while True:
-            prev = pred(node)
-            if prev is None:
-                break
-            if prev == origin:
-                cycle = True
-                break
-            node = prev
-        start = origin if cycle else node
-        chain = [start]
-        visited.add(start)
-        cur = start
-        while True:
-            nxt = succ(cur)
-            if nxt is None or nxt == start:
-                break
-            chain.append(nxt)
-            visited.add(nxt)
-            cur = nxt
-        if cycle or chain[0][0] == "s":
-            pairs.extend((x, fmap[x]) for (side, x) in chain if side == "s" and x in fmap)
-        else:
-            pairs.extend((gmap[x], x) for (side, x) in chain if side == "t" and x in gmap)
-    return Matching(f.n_source, f.n_target, tuple(pairs))
+    for t in gmap:
+        while t in gmap and t not in owner:
+            s = gmap[t]
+            freed = match.get(s)
+            match[s], owner[t] = t, s
+            owner.pop(freed, None)
+            t = freed
+    return Matching(f.n_source, f.n_target, tuple(match.items()))
 
 
 def optimal_matching(S, T, p: float = math.inf) -> tuple[float, Matching]:

@@ -15,6 +15,7 @@ are entirely adequate and keep the arithmetic exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +26,8 @@ DEFAULT_PRIME = 2
 _MAX_PRIME = 1 << 20
 
 
+# every Matrix checks its field, and a program uses only a few fields
+@lru_cache(maxsize=64)
 def is_prime(p: int) -> bool:
     """True when ``p`` is a prime number."""
     if p < 2:
@@ -254,11 +257,6 @@ def _cokernel_array(a: np.ndarray, p: int) -> np.ndarray:
     return _kernel_array(a.T, p).T
 
 
-def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    R, pivots = _rref(M.data, M.p)
-    return Matrix(M.p, R), tuple(pivots)
-
-
 def rank(M: Matrix) -> int:
     return _rank_array(M.data, M.p)
 
@@ -350,14 +348,13 @@ def _offsets(dims: Sequence[int]) -> list[int]:
     return off
 
 
-def _limit_arrays(dims: Sequence[int], arrows, p: int) -> tuple[int, list[np.ndarray], np.ndarray]:
+def _limit_arrays(dims: Sequence[int], arrows, p: int) -> tuple[int, list[np.ndarray]]:
     """Limit of a diagram given as raw arrays.
 
     The limit is the subspace of the direct sum of all spaces cut out by
     one block of constraints per arrow f: A -> B, namely x_B = f(x_A).
-    Returns ``(dim, legs, basis)`` where ``basis`` has the limit basis as
-    columns inside the direct sum and ``legs[j]`` is the coordinate
-    projection of that basis onto slot j.
+    Returns ``(dim, legs)`` where ``legs[j]`` is the coordinate projection
+    onto slot j of the limit basis, taken as columns inside the direct sum.
     """
     off = _offsets(dims)
     total = off[-1]
@@ -372,16 +369,16 @@ def _limit_arrays(dims: Sequence[int], arrows, p: int) -> tuple[int, list[np.nda
     C %= p
     K = _kernel_array(C, p)
     legs = [K[off[j]:off[j] + dims[j], :] for j in range(len(dims))]
-    return int(K.shape[1]), legs, K
+    return int(K.shape[1]), legs
 
 
-def _colimit_arrays(dims: Sequence[int], arrows, p: int) -> tuple[int, list[np.ndarray], np.ndarray]:
+def _colimit_arrays(dims: Sequence[int], arrows, p: int) -> tuple[int, list[np.ndarray]]:
     """Colimit of a diagram given as raw arrays.
 
     The colimit is the quotient of the direct sum by the span of one block
     of relations per arrow f: A -> B, one column per generator e of A,
-    namely inj_A(e) - inj_B(f(e)).  Returns ``(dim, legs, proj)`` where
-    ``proj`` maps the direct sum onto the colimit and ``legs[j]`` is proj
+    namely inj_A(e) - inj_B(f(e)).  Returns ``(dim, legs)`` where
+    ``legs[j]`` is the projection of the direct sum onto the colimit,
     restricted to slot j.
     """
     off = _offsets(dims)
@@ -397,7 +394,7 @@ def _colimit_arrays(dims: Sequence[int], arrows, p: int) -> tuple[int, list[np.n
     R %= p
     P = _cokernel_array(R, p)
     legs = [P[:, off[j]:off[j] + dims[j]] for j in range(len(dims))]
-    return int(P.shape[0]), legs, P
+    return int(P.shape[0]), legs
 
 
 def diagram_limit(D: FiniteDiagram) -> tuple[int, tuple[Matrix, ...]]:
@@ -407,7 +404,7 @@ def diagram_limit(D: FiniteDiagram) -> tuple[int, tuple[Matrix, ...]]:
     arrow of the diagram.
     """
     raw = [(s, t, M.data) for (s, t, M) in D.arrows]
-    dim, legs, _ = _limit_arrays(D.spaces, raw, D.p)
+    dim, legs = _limit_arrays(D.spaces, raw, D.p)
     return dim, tuple(Matrix(D.p, L) for L in legs)
 
 
@@ -418,5 +415,5 @@ def diagram_colimit(D: FiniteDiagram) -> tuple[int, tuple[Matrix, ...]]:
     arrow of the diagram.
     """
     raw = [(s, t, M.data) for (s, t, M) in D.arrows]
-    dim, legs, _ = _colimit_arrays(D.spaces, raw, D.p)
+    dim, legs = _colimit_arrays(D.spaces, raw, D.p)
     return dim, tuple(Matrix(D.p, L) for L in legs)

@@ -166,16 +166,8 @@ class ZigzagModule:
         return self.maps[0].p
 
 
-def _empty_map(direction: str, dim_left: int, dim_right: int, p: int) -> Matrix:
-    if direction == FORWARD:
-        return Matrix.zero(dim_right, dim_left, p)
-    return Matrix.zero(dim_left, dim_right, p)
-
-
 def zero_module(tau: Orientation, p: int = DEFAULT_PRIME) -> ZigzagModule:
-    n = tau.n
-    maps = tuple(_empty_map(tau.dirs[i], 0, 0, p) for i in range(n - 1))
-    return ZigzagModule(tau, (0,) * n, maps)
+    return synthesize(tau, (), p)
 
 
 def interval_module(tau: Orientation, b: int, d: int, p: int = DEFAULT_PRIME) -> ZigzagModule:
@@ -184,17 +176,7 @@ def interval_module(tau: Orientation, b: int, d: int, p: int = DEFAULT_PRIME) ->
     One-dimensional on the support with identity maps strictly inside it,
     zero elsewhere.
     """
-    n = tau.n
-    if not 1 <= b <= d <= n:
-        raise ValueError(f"interval [{b}, {d}] out of range 1..{n}")
-    dims = tuple(1 if b <= i <= d else 0 for i in range(1, n + 1))
-    maps = []
-    for i in range(1, n):
-        if b <= i and i + 1 <= d:
-            maps.append(Matrix.identity(1, p))
-        else:
-            maps.append(_empty_map(tau.dirs[i - 1], dims[i - 1], dims[i], p))
-    return ZigzagModule(tau, dims, tuple(maps))
+    return synthesize(tau, ((b, d),), p)
 
 
 def direct_sum(V: ZigzagModule, W: ZigzagModule) -> ZigzagModule:

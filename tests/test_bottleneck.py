@@ -9,6 +9,7 @@ from helpers import (brute_force_bottleneck, diagonal_penalty, point_dist,
 
 from zzdist import (Matching, PersistenceDiagram, bottleneck_distance,
                     combine_matchings, matching_cost, optimal_matching)
+from zzdist.bottleneck import _saturate
 
 
 def pd(n, pts):
@@ -119,6 +120,17 @@ def test_optimal_matching_witness_realizes_threshold():
             for j, y in enumerate(T.points):
                 if diagonal_penalty(y, p) > eta:
                     assert j in M.image
+
+
+def test_saturate_long_augmenting_path():
+    # every root but the last takes its own vertex; the last one then has to
+    # shift the whole chain by one, along an augmenting path of length n
+    n = 5000
+    neighbours = [[0, n]] + [[i, i - 1] for i in range(1, n - 1)] + [[n - 2]]
+    m = _saturate(range(n), neighbours)
+    assert m is not None and sorted(m) == list(range(n))
+    assert len(set(m.values())) == n
+    assert all(m[i] in neighbours[i] for i in m)
 
 
 def test_combine_empty():

@@ -161,6 +161,14 @@ def test_cmd_distance(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cmd_distance_many_copies(tmp_path, capsys):
+    # 1100 copies against 1101: the extra copy pays its penalty (20 - 3) / 2
+    a = write(tmp_path, "a.json", {"n": 24, "type": ">" * 23, "diagram": [[3, 20, 1100]]})
+    b = write(tmp_path, "b.json", {"n": 24, "type": ">" * 23, "diagram": [[3, 20, 1101]]})
+    assert main(["distance", a, b, "--metric", "bottleneck", "--p", "inf"]) == 0
+    assert capsys.readouterr().out.strip() == "8.5"
+
+
 def test_cmd_gen_deterministic(tmp_path, capsys):
     argv = ["gen", "--n", "5", "--max-points", "3", "--seed", "7"]
     assert main(argv) == 0
