@@ -337,9 +337,7 @@ def _cmd_reflect(args) -> int:
 
 
 def _cmd_annihilate(args) -> int:
-    m = parse_module_file(args.file)
-    V = _as_concrete(m, _field_prime())
-    seq = annihilating_sequence(V)
+    seq = annihilating_sequence(_as_symbolic(parse_module_file(args.file)))
     sys.stdout.write(_dump({"length": len(seq), "ops": [_op_to_dict(op) for op in seq]}))
     return 0
 
@@ -434,6 +432,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (InputError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
+        return 2
+    except MemoryError:
+        sys.stderr.write("error: input too large to hold in memory\n")
         return 2
 
 

@@ -11,8 +11,8 @@ module.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator
 
 from .linalg import FiniteDiagram, diagram_colimit, diagram_limit, rank
@@ -27,7 +27,8 @@ class PersistenceDiagram:
     """A multiset of intervals [b, d] inside positions 1..n.
 
     ``points`` is kept expanded (one entry per copy) and sorted, so equal
-    diagrams compare and hash equal.
+    diagrams compare and hash equal.  It is the only multiset form:
+    counts group its runs, and containment walks it as a subsequence.
     """
 
     n: int
@@ -52,13 +53,9 @@ class PersistenceDiagram:
             pts.extend([(b, d)] * m)
         return cls(n, tuple(pts))
 
-    def counter(self) -> Counter:
-        return Counter(self.points)
-
     def counts(self) -> tuple[tuple[int, int, int], ...]:
         """Sorted (b, d, multiplicity) triples."""
-        c = self.counter()
-        return tuple((b, d, c[(b, d)]) for (b, d) in sorted(c))
+        return tuple((b, d, sum(1 for _ in run)) for (b, d), run in groupby(self.points))
 
     def remove_simple(self) -> "PersistenceDiagram":
         """Drop every one-position interval; idempotent."""
@@ -75,8 +72,8 @@ def diagram_contains(inner: PersistenceDiagram, outer: PersistenceDiagram) -> bo
     """Whether every interval of ``inner`` occurs in ``outer`` at least as often."""
     if inner.n != outer.n:
         raise ValueError(f"length mismatch: {inner.n} vs {outer.n}")
-    co = outer.counter()
-    return all(co.get(pt, 0) >= m for pt, m in inner.counter().items())
+    rest = iter(outer.points)
+    return all(pt in rest for pt in inner.points)
 
 
 @dataclass(frozen=True)
@@ -148,10 +145,7 @@ def decompose(V: ZigzagModule) -> PersistenceDiagram:
         if covering != V.dims[i - 1]:
             raise AssertionError(f"decomposition covers dimension {covering} at position {i}, "
                                  f"module has {V.dims[i - 1]}")
-    pts: list[tuple[int, int]] = []
-    for (b, d), m in sorted(mult.items()):
-        pts.extend([(b, d)] * m)
-    return PersistenceDiagram(n, tuple(pts))
+    return PersistenceDiagram.from_counts(n, ((b, d, m) for (b, d), m in mult.items()))
 
 
 def interval_image(op: ReflectionOp, tau: Orientation, b: int, d: int) -> tuple[int, int] | None:
@@ -193,19 +187,22 @@ def interval_image(op: ReflectionOp, tau: Orientation, b: int, d: int) -> tuple[
 def act(op: ReflectionOp, S: SymbolicModule) -> SymbolicModule:
     """Push a symbolic module through a reflection.
 
-    Every interval moves by ``interval_image``, annihilated intervals
-    disappear, and one-position intervals are sanitized away afterwards,
-    matching how reflection runs are costed.
+    Every interval moves by ``interval_image``; annihilated intervals
+    disappear and one-position images are sanitized away, matching how
+    reflection runs are costed.
     """
     check_applicable(op, S.n)
     new_tau = transform_type(S.tau, EXTROVERSION if op.kind == LIMIT else INTROVERSION, op.k)
     images = (interval_image(op, S.tau, b, d) for (b, d) in S.diagram)
-    pts = tuple(img for img in images if img is not None)
-    return SymbolicModule(new_tau, PersistenceDiagram(S.n, pts).remove_simple())
+    pts = tuple(img for img in images if img is not None and img[0] != img[1])
+    return SymbolicModule(new_tau, PersistenceDiagram(S.n, pts))
 
 
-def annihilating_sequence(V: ZigzagModule) -> ReflectionSequence:
+def annihilating_sequence(V: ZigzagModule | SymbolicModule) -> ReflectionSequence:
     """A reflection run that empties the module.
+
+    A concrete module is decomposed first; a symbolic one is used as it
+    stands, so no matrices are built or reduced.
 
     Repeatedly take the lexicographically largest surviving interval
     [b, d] and walk its right end down: at each position j from d to b+1
@@ -216,7 +213,8 @@ def annihilating_sequence(V: ZigzagModule) -> ReflectionSequence:
     most sideways, so the point count strictly drops and the loop ends.
     """
     n = V.n
-    state = SymbolicModule(V.tau, decompose(V).remove_simple())
+    diagram = V.diagram if isinstance(V, SymbolicModule) else decompose(V)
+    state = SymbolicModule(V.tau, diagram.remove_simple())
     chosen: list[ReflectionOp] = []
     while state.diagram.points:
         before = len(state.diagram.points)

@@ -133,22 +133,22 @@ class Matrix:
         self._require_same_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch for product: {self.shape} @ {other.shape}")
-        return Matrix(self.p, (self.data @ other.data) % self.p)
+        return Matrix(self.p, self.data @ other.data)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._require_same_field(other)
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch for sum: {self.shape} + {other.shape}")
-        return Matrix(self.p, (self.data + other.data) % self.p)
+        return Matrix(self.p, self.data + other.data)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._require_same_field(other)
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch for difference: {self.shape} - {other.shape}")
-        return Matrix(self.p, (self.data - other.data) % self.p)
+        return Matrix(self.p, self.data - other.data)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.p, (-self.data) % self.p)
+        return Matrix(self.p, -self.data)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Matrix) and self.p == other.p
@@ -230,10 +230,6 @@ def _rref(a: np.ndarray, p: int, pivot_limit: int | None = None) -> tuple[np.nda
     return R, pivots
 
 
-def _rank_array(a: np.ndarray, p: int) -> int:
-    return len(_rref(a, p)[1])
-
-
 def _kernel_array(a: np.ndarray, p: int) -> np.ndarray:
     """Columns form a basis of the right null space of ``a`` mod ``p``."""
     R, pivots = _rref(a, p)
@@ -258,7 +254,7 @@ def _cokernel_array(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def rank(M: Matrix) -> int:
-    return _rank_array(M.data, M.p)
+    return len(_rref(M.data, M.p)[1])
 
 
 def kernel_basis(M: Matrix) -> Matrix:
@@ -348,72 +344,50 @@ def _offsets(dims: Sequence[int]) -> list[int]:
     return off
 
 
-def _limit_arrays(dims: Sequence[int], arrows, p: int) -> tuple[int, list[np.ndarray]]:
-    """Limit of a diagram given as raw arrays.
-
-    The limit is the subspace of the direct sum of all spaces cut out by
-    one block of constraints per arrow f: A -> B, namely x_B = f(x_A).
-    Returns ``(dim, legs)`` where ``legs[j]`` is the coordinate projection
-    onto slot j of the limit basis, taken as columns inside the direct sum.
-    """
-    off = _offsets(dims)
-    total = off[-1]
-    rows = sum(dims[t] for (_, t, _) in arrows)
-    C = np.zeros((rows, total), dtype=np.int64)
-    r = 0
-    for (s, t, a) in arrows:
-        dt, ds = dims[t], dims[s]
-        C[r:r + dt, off[t]:off[t] + dt] += np.eye(dt, dtype=np.int64)
-        C[r:r + dt, off[s]:off[s] + ds] -= a
-        r += dt
-    C %= p
-    K = _kernel_array(C, p)
-    legs = [K[off[j]:off[j] + dims[j], :] for j in range(len(dims))]
-    return int(K.shape[1]), legs
-
-
-def _colimit_arrays(dims: Sequence[int], arrows, p: int) -> tuple[int, list[np.ndarray]]:
-    """Colimit of a diagram given as raw arrays.
-
-    The colimit is the quotient of the direct sum by the span of one block
-    of relations per arrow f: A -> B, one column per generator e of A,
-    namely inj_A(e) - inj_B(f(e)).  Returns ``(dim, legs)`` where
-    ``legs[j]`` is the projection of the direct sum onto the colimit,
-    restricted to slot j.
-    """
-    off = _offsets(dims)
-    total = off[-1]
-    cols = sum(dims[s] for (s, _, _) in arrows)
-    R = np.zeros((total, cols), dtype=np.int64)
-    c = 0
-    for (s, t, a) in arrows:
-        dt, ds = dims[t], dims[s]
-        R[off[s]:off[s] + ds, c:c + ds] += np.eye(ds, dtype=np.int64)
-        R[off[t]:off[t] + dt, c:c + ds] -= a
-        c += ds
-    R %= p
-    P = _cokernel_array(R, p)
-    legs = [P[:, off[j]:off[j] + dims[j]] for j in range(len(dims))]
-    return int(P.shape[0]), legs
-
-
 def diagram_limit(D: FiniteDiagram) -> tuple[int, tuple[Matrix, ...]]:
     """Limit of a finite diagram with its legs.
 
-    ``legs[j]`` maps the limit into space j; the legs commute with every
-    arrow of the diagram.
+    The limit is the subspace of the direct sum of all spaces cut out by
+    one block of constraints per arrow f: A -> B, namely x_B = f(x_A).
+    ``legs[j]`` maps the limit into space j (the coordinate projection
+    onto slot j); the legs commute with every arrow of the diagram.
     """
-    raw = [(s, t, M.data) for (s, t, M) in D.arrows]
-    dim, legs = _limit_arrays(D.spaces, raw, D.p)
-    return dim, tuple(Matrix(D.p, L) for L in legs)
+    dims, p = D.spaces, D.p
+    off = _offsets(dims)
+    rows = sum(dims[t] for (_, t, _) in D.arrows)
+    C = np.zeros((rows, off[-1]), dtype=np.int64)
+    r = 0
+    for (s, t, M) in D.arrows:
+        dt, ds = dims[t], dims[s]
+        C[r:r + dt, off[t]:off[t] + dt] += np.eye(dt, dtype=np.int64)
+        C[r:r + dt, off[s]:off[s] + ds] -= M.data
+        r += dt
+    C %= p
+    K = _kernel_array(C, p)
+    return int(K.shape[1]), tuple(Matrix(p, K[off[j]:off[j] + dims[j], :])
+                                  for j in range(len(dims)))
 
 
 def diagram_colimit(D: FiniteDiagram) -> tuple[int, tuple[Matrix, ...]]:
     """Colimit of a finite diagram with its legs.
 
-    ``legs[j]`` maps space j into the colimit; the legs commute with every
-    arrow of the diagram.
+    The colimit is the quotient of the direct sum by the span of one block
+    of relations per arrow f: A -> B, one column per generator e of A,
+    namely inj_A(e) - inj_B(f(e)).  ``legs[j]`` maps space j into the
+    colimit (the projection of the direct sum, restricted to slot j); the
+    legs commute with every arrow of the diagram.
     """
-    raw = [(s, t, M.data) for (s, t, M) in D.arrows]
-    dim, legs = _colimit_arrays(D.spaces, raw, D.p)
-    return dim, tuple(Matrix(D.p, L) for L in legs)
+    dims, p = D.spaces, D.p
+    off = _offsets(dims)
+    cols = sum(dims[s] for (s, _, _) in D.arrows)
+    R = np.zeros((off[-1], cols), dtype=np.int64)
+    c = 0
+    for (s, t, M) in D.arrows:
+        dt, ds = dims[t], dims[s]
+        R[off[s]:off[s] + ds, c:c + ds] += np.eye(ds, dtype=np.int64)
+        R[off[t]:off[t] + dt, c:c + ds] -= M.data
+        c += ds
+    R %= p
+    P = _cokernel_array(R, p)
+    return int(P.shape[0]), tuple(Matrix(p, P[:, off[j]:off[j] + dims[j]])
+                                  for j in range(len(dims)))

@@ -74,21 +74,20 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Reflec
     def is_goal(S: SymbolicModule) -> bool:
         return is_summand_upto_equiv(S.tau, S.diagram, target.tau, target.diagram)
 
-    if is_goal(start):
-        result = (0, ReflectionSequence(()))
-        _SEARCHES[cache_key] = result
-        return result
+    def inputs() -> str:
+        return (f"source {source.tau} {list(source.diagram.counts())}, "
+                f"target {target.tau} {list(target.diagram.counts())}")
 
     cap = _depth_cap(start)
     # key -> (parent key, op); the start maps to None
     parents: dict[_StateKey, tuple[_StateKey, object] | None] = {_key(start): None}
     frontier = [start]
     depth = 0
-    goal_key = None
+    goal_key = _key(start) if is_goal(start) else None
     while goal_key is None:
         depth += 1
         if depth > cap:
-            raise AssertionError(f"search exceeded its depth bound {cap}")
+            raise AssertionError(f"search exceeded its depth bound {cap}; {inputs()}")
         layer: list[SymbolicModule] = []
         for S in frontier:
             sk = _key(S)
@@ -106,7 +105,8 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Reflec
         if goal_key is None:
             frontier = layer
             if not frontier:
-                raise AssertionError("search space exhausted; the empty module should be a goal")
+                raise AssertionError("search space exhausted; the empty module should be "
+                                     f"a goal; {inputs()}")
 
     ops = []
     walk = goal_key
@@ -115,7 +115,7 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Reflec
         ops.append(op)
     ops.reverse()
     if len(ops) != depth:
-        raise AssertionError("witness length disagrees with search depth")
+        raise AssertionError(f"witness length disagrees with search depth; {inputs()}")
     result = (depth, ReflectionSequence(tuple(ops)))
     _SEARCHES[cache_key] = result
     return result

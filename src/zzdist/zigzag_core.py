@@ -11,7 +11,6 @@ preorder it generates on decomposed modules.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -352,25 +351,21 @@ def canonical_type(tau: Orientation, points: Iterable[tuple[int, int]]) -> Orien
     return Orientation(tuple(dirs))
 
 
-def _counter(points: Iterable[tuple[int, int]]) -> Counter:
-    return Counter(tuple(pt) for pt in points)
-
-
 def is_summand_upto_equiv(tau_v: Orientation, diagram_v, tau_w: Orientation, diagram_w) -> bool:
     """Whether the (tau_v, diagram_v) module embeds as a summand of the
     (tau_w, diagram_w) module after reversing invertible arrows.
 
     Requires the first diagram to be contained in the second as a multiset
     and every position where the types disagree to be flippable for the
-    first diagram.
+    first diagram.  The diagrams are ``PersistenceDiagram`` values, whose
+    sorted ``points`` make containment a subsequence walk.
     """
     if tau_v.n != tau_w.n:
         raise ValueError(f"length mismatch: {tau_v.n} vs {tau_w.n}")
     if diagram_v.n != tau_v.n or diagram_w.n != tau_w.n:
         raise ValueError("diagram length does not match orientation length")
-    cv, cw = _counter(diagram_v), _counter(diagram_w)
-    for pt, mult in cv.items():
-        if cw.get(pt, 0) < mult:
-            return False
+    rest = iter(diagram_w.points)
+    if not all(pt in rest for pt in diagram_v.points):
+        return False
     disagree = {k for k in range(1, tau_v.n) if tau_v.dirs[k - 1] != tau_w.dirs[k - 1]}
-    return disagree <= flippable_positions(cv.elements(), tau_v.n)
+    return disagree <= flippable_positions(diagram_v.points, tau_v.n)

@@ -147,6 +147,26 @@ def test_cmd_annihilate(tmp_path, capsys):
         assert ("boundary_dir" in op) == (op["index"] in (1, 4))
 
 
+def test_cmd_annihilate_ignores_multiplicity(tmp_path, capsys):
+    # each pass kills every copy of the chosen interval at once
+    runs = []
+    for m in (1, 1000):
+        d = write(tmp_path, f"d{m}.json", {"n": 4, "type": "><>", "diagram": [[1, 4, m]]})
+        assert main(["annihilate", d]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0])["length"] == 3
+
+
+def test_huge_multiplicity_exits_2(tmp_path, capsys):
+    d = write(tmp_path, "d.json", {"n": 5, "type": "><><", "diagram": [[1, 4, 10 ** 18]]})
+    for command in ("decompose", "annihilate"):
+        assert main([command, d]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_cmd_distance(tmp_path, capsys):
     v = write(tmp_path, "v.json", {"n": 4, "type": "><>", "diagram": [[1, 3, 1]]})
     o = write(tmp_path, "o.json", {"n": 4, "type": "><>", "diagram": []})

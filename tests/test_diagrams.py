@@ -45,6 +45,10 @@ def test_from_counts_round_trip():
     for _ in range(30):
         D = random_symbolic(rng, rng.randint(2, 6), 5).diagram
         assert PersistenceDiagram.from_counts(D.n, D.counts()) == D
+    D = pd(5, [(2, 4), (1, 1), (2, 4), (5, 5), (2, 4), (1, 1), (1, 5)])
+    assert D.counts() == ((1, 1, 2), (1, 5, 1), (2, 4, 3), (5, 5, 1))
+    assert PersistenceDiagram.from_counts(5, D.counts()) == D
+    assert PersistenceDiagram.from_counts(5, [(2, 4, 3), (1, 1, 2), (5, 5, 1), (1, 5, 1)]) == D
 
 
 def test_remove_simple():
@@ -60,6 +64,17 @@ def test_diagram_contains():
     assert diagram_contains(pd(3, []), big)
     assert not diagram_contains(pd(3, [(1, 3)]), big)
     assert not diagram_contains(pd(3, [(1, 2)] * 3), big)
+    # repeated points, checked against multiset counts
+    rng = random.Random(67)
+    for _ in range(400):
+        n = rng.randint(2, 4)
+        pool = [(b, d) for b in range(1, n + 1) for d in range(b, n + 1)]
+        inner = pd(n, [rng.choice(pool) for _ in range(rng.randint(0, 6))])
+        outer = pd(n, [rng.choice(pool) for _ in range(rng.randint(0, 8))])
+        if rng.random() < 0.5:
+            outer = pd(n, outer.points + inner.points[:rng.randint(0, len(inner))])
+        ci, co = Counter(inner.points), Counter(outer.points)
+        assert diagram_contains(inner, outer) == all(co[x] >= m for x, m in ci.items())
 
 
 def test_decompose_zero_and_interval():

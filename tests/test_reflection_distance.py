@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import math
 import random
 
@@ -141,3 +142,19 @@ def test_witness_sequences_realize_the_search():
             assert is_summand_upto_equiv(state.tau, state.diagram, dst.tau, dst.diagram)
         assert got.steps == max(len(got.forward), len(got.backward))
         assert got.value == (0.0 if got.steps == 0 else float(got.steps))
+
+
+def test_search_failures_name_both_inputs(monkeypatch):
+    # the package attribute of the same name is the function, not the module
+    rd = importlib.import_module("zzdist.reflection_distance")
+    monkeypatch.setattr(rd, "_SEARCHES", {})
+    monkeypatch.setattr(rd, "_depth_cap", lambda start: 0)
+    with pytest.raises(AssertionError, match=r"depth bound 0; "
+                       r"source >< \[\(1, 3, 1\)\], target >< \[\]"):
+        rd.min_steps(sym("><", [(1, 3)]), sym("><", []))
+    monkeypatch.undo()
+    monkeypatch.setattr(rd, "_SEARCHES", {})
+    monkeypatch.setattr(rd, "is_summand_upto_equiv", lambda *args: False)
+    with pytest.raises(AssertionError, match=r"exhausted.*; "
+                       r"source > \[\], target < \[\(1, 2, 2\)\]"):
+        rd.min_steps(sym(">", []), sym("<", [(1, 2), (1, 2)]))

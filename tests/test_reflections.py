@@ -392,3 +392,16 @@ def test_annihilating_sequence_random_modules():
         for op in seq:
             state = act(op, state)
         assert state.diagram.points == ()
+
+
+def test_annihilating_sequence_symbolic_matches_concrete():
+    rng = random.Random(107)
+    for _ in range(60):
+        p = rng.choice((2, 3, 5))
+        S = random_symbolic(rng, rng.randint(2, 6), 6)
+        if S.diagram.points and rng.random() < 0.5:
+            # repeat some points so whole runs of copies must die together
+            extra = tuple(rng.choice(S.diagram.points) for _ in range(3))
+            S = SymbolicModule(S.tau, PersistenceDiagram(S.n, S.diagram.points + extra))
+        V = synthesize(S.tau, S.diagram.points, p)
+        assert annihilating_sequence(S) == annihilating_sequence(V)
