@@ -3,17 +3,23 @@
 A matching pairs up some intervals of one diagram with intervals of the
 other, at most once each; its cost is the largest of the matched
 distances and the penalties charged for leaving an interval unmatched.
-Every achievable cost is one of finitely many candidate values, so the
-distance is computed exactly by scanning candidates in increasing order
-and testing feasibility with augmenting paths, searched with an explicit
-stack so that long paths cannot hit the recursion limit.  The witness
-merges two one-sided matchings (Mendelsohn and Dulmage, 1958).
+Every achievable cost is one of finitely many candidate values, and
+whether a matching within a value exists is monotone in the value, so
+the distance is found exactly by binary search over the sorted
+candidates (Efrat, Itai and Katz, 2001; Kerber, Morozov and Nigmetov,
+2017).  Points are counted: each test is a capacitated flow on the
+distinct points, whose supplies and capacities are multiplicities, so
+its cost does not grow with them.  Augmenting paths are searched with an
+explicit queue, so long paths cannot hit the recursion limit.  The
+witness merges two one-sided matchings (Mendelsohn and Dulmage, 1958).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Sequence
 
 
@@ -62,14 +68,23 @@ def _check_p(p: float) -> float:
 
 def _points(D) -> tuple[tuple[int, int], ...]:
     pts = D.points if hasattr(D, "points") else D
-    return tuple((int(b), int(d)) for (b, d) in pts)
+    return tuple([(int(b), int(d)) for (b, d) in pts])
 
 
 def _point_dist(a: tuple[int, int], b: tuple[int, int], p: float) -> float:
     db, dd = abs(a[0] - b[0]), abs(a[1] - b[1])
     if math.isinf(p):
         return float(max(db, dd))
-    return float(db ** p + dd ** p) ** (1.0 / p)
+    try:
+        total = float(db ** p + dd ** p)
+    except OverflowError:
+        total = math.inf
+    if total < math.inf:
+        return total ** (1.0 / p)
+    # for large p the powers overflow; scaling by the larger difference
+    # keeps both terms at most 1
+    m = max(db, dd)
+    return m * ((db / m) ** p + (dd / m) ** p) ** (1.0 / p)
 
 
 def _penalty(pt: tuple[int, int], p: float) -> float:
@@ -85,6 +100,12 @@ def matching_cost(S, T, M: Matching, p: float = math.inf) -> float:
     if M.n_source != len(s) or M.n_target != len(t):
         raise ValueError(f"matching is {M.n_source}x{M.n_target}, "
                          f"diagrams have {len(s)} and {len(t)} points")
+    return _matching_cost(s, t, M, p)
+
+
+def _matching_cost(s: Sequence[tuple[int, int]], t: Sequence[tuple[int, int]],
+                   M: Matching, p: float) -> float:
+    """``matching_cost`` for points, p and shapes already checked."""
     coimage, image = M.coimage, M.image
     vals = [_point_dist(s[i], t[j], p) for (i, j) in M.pairs]
     vals.extend(_penalty(s[i], p) for i in range(len(s)) if i not in coimage)
@@ -92,40 +113,93 @@ def matching_cost(S, T, M: Matching, p: float = math.inf) -> float:
     return max(vals, default=0.0)
 
 
-def _saturate(required: Sequence[int], neighbours: Sequence[Sequence[int]],
-              ) -> dict[int, int] | None:
-    """Match every required left vertex into the right side, or None.
+def _saturate(supply: dict[int, int], capacity: Sequence[int],
+              neighbours: Sequence[Sequence[int]]) -> dict[int, dict[int, int]] | None:
+    """Place every unit of supply on the right side within capacity, or None.
 
-    Augmenting-path matching with an explicit stack, so path length is
-    not bounded by the recursion limit.  Each popped left vertex takes a
-    free neighbour before any matched one is displaced.  Only required
-    vertices are roots, so the coimage of the result is exactly
-    ``required`` when it succeeds.
+    ``supply`` maps each required left vertex to its units, ``capacity[j]``
+    is how many units right vertex j takes, and ``neighbours[i]`` lists
+    the right vertices left vertex i may use.  On success returns
+    ``flow[i] = {j: units}`` for every required i.  Augmenting paths are
+    searched breadth-first with an explicit queue, so path length is not
+    bounded by the recursion limit, and each one carries as many units as
+    it can, so the number of augmentations does not grow with the
+    supplies (Edmonds and Karp, 1972).  A left vertex that keeps unplaced
+    units when no path is left shows a violated Hall condition.
     """
-    match_left: dict[int, int] = {}
-    match_right: dict[int, int] = {}
-    for root in required:
-        via: dict[int, int] = {}  # right vertex -> the left vertex that reached it
-        stack, free = [root], None
-        while stack and free is None:
-            i = stack.pop()
-            for j in neighbours[i]:
-                if j in via:
-                    continue
-                via[j] = i
-                if j not in match_right:
-                    free = j
+    room = list(capacity)
+    flow: dict[int, dict[int, int]] = {i: {} for i in supply}
+    into: list[dict[int, int]] = [{} for _ in room]  # j -> {i: units i sends to j}
+    for root, need in supply.items():
+        for j in neighbours[root]:  # free room first, then augmenting paths
+            if not need:
+                break
+            units = min(need, room[j])
+            if units:
+                flow[root][j] = into[j][root] = units
+                room[j] -= units
+                need -= units
+        while need:
+            via_right: dict[int, int] = {}  # right vertex -> left vertex that reached it
+            via_left: dict[int, int | None] = {root: None}  # left -> right vertex it frees
+            queue, end = [root], None
+            for i in queue:  # the queue grows while it is read
+                for j in neighbours[i]:
+                    if j in via_right:
+                        continue
+                    via_right[j] = i
+                    if room[j]:
+                        end = j
+                        break
+                    for k in into[j]:
+                        if k not in via_left:
+                            via_left[k] = j
+                            queue.append(k)
+                if end is not None:
                     break
-                stack.append(match_right[j])
-        if free is None:
-            return None
-        j = free
-        while j is not None:
-            i = via[j]
-            j_next = match_left.get(i)
-            match_left[i], match_right[j] = j, i
-            j = j_next
-    return match_left
+            if end is None:
+                return None
+            path = []  # (left vertex, right vertex it takes, right vertex it frees)
+            j = end
+            while j is not None:
+                i = via_right[j]
+                path.append((i, j, via_left[i]))
+                j = via_left[i]
+            units = min(need, room[end], *(flow[i][back] for (i, _, back) in path[:-1]))
+            for (i, gain, back) in path:
+                flow[i][gain] = into[gain][i] = flow[i].get(gain, 0) + units
+                if back is not None:
+                    rest = flow[i][back] - units
+                    if rest:
+                        flow[i][back] = into[back][i] = rest
+                    else:
+                        del flow[i][back], into[back][i]
+            room[end] -= units
+            need -= units
+    return flow
+
+
+def _group(pts: Sequence[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The distinct points, and for each the input indices of its copies."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, pt in enumerate(pts):
+        groups.setdefault(pt, []).append(i)
+    return list(groups), list(groups.values())
+
+
+def _expand(flow: dict[int, dict[int, int]], source: Sequence[Sequence[int]],
+            target: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """Index pairs for a counted flow between grouped points; the copies of
+    each target group are handed out in order."""
+    used = [0] * len(target)
+    pairs: list[tuple[int, int]] = []
+    for i, row in flow.items():
+        copies = iter(source[i])
+        for j, units in row.items():
+            k = used[j]
+            pairs.extend(zip(islice(copies, units), target[j][k:k + units]))
+            used[j] = k + units
+    return pairs
 
 
 def combine_matchings(f: Matching, g: Matching) -> Matching:
@@ -159,36 +233,49 @@ def optimal_matching(S, T, p: float = math.inf) -> tuple[float, Matching]:
 
     Candidate costs are the pairwise distances and the penalties; the
     smallest candidate at which every too-expensive-to-drop interval of
-    either diagram can be matched within the candidate is the distance.
+    either diagram can be matched within the candidate is the distance,
+    found by binary search.  ``Matching`` indices refer to positions in
+    the inputs as given, which need not be sorted.
     """
     p = _check_p(p)
     s, t = _points(S), _points(T)
-    dist = [[_point_dist(a, b, p) for b in t] for a in s]
-    pen_s = [_penalty(a, p) for a in s]
-    pen_t = [_penalty(b, p) for b in t]
-    candidates = {0.0}
-    candidates.update(v for row in dist for v in row)
-    candidates.update(pen_s)
-    candidates.update(pen_t)
-    for eta in sorted(candidates):
-        req_s = [i for i in range(len(s)) if pen_s[i] > eta]
-        req_t = [j for j in range(len(t)) if pen_t[j] > eta]
-        allowed_s = [[j for j in range(len(t)) if dist[i][j] <= eta] for i in range(len(s))]
-        allowed_t = [[i for i in range(len(s)) if dist[i][j] <= eta] for j in range(len(t))]
-        fdict = _saturate(req_s, allowed_s)
-        if fdict is None:
-            continue
-        gdict = _saturate(req_t, allowed_t)
-        if gdict is None:
-            continue
-        f = Matching(len(s), len(t), tuple(fdict.items()))
-        g = Matching(len(t), len(s), tuple(gdict.items()))
-        M = combine_matchings(f, g)
-        realized = matching_cost(s, t, M, p)
-        if realized > eta:
-            raise AssertionError(f"combined matching costs {realized}, above threshold {eta}")
-        return eta, M
-    raise AssertionError("no feasible candidate; the largest penalty is always feasible")
+    a, copies_a = _group(s)
+    b, copies_b = _group(t)
+    dist = [[_point_dist(x, y, p) for y in b] for x in a]
+    pen_a = [_penalty(x, p) for x in a]
+    pen_b = [_penalty(y, p) for y in b]
+    # every point is either dropped or matched, so no matching costs less
+    # than `lower`; dropping every point costs `upper`
+    lower = max([min((pen, *row)) for pen, row in zip(pen_a, dist)]
+                + list(map(min, zip(pen_b, *dist))), default=0.0)
+    upper = max(pen_a + pen_b, default=0.0)
+    candidates = sorted(set(chain(pen_a, pen_b, *dist))) or [0.0]
+    # nothing has to be matched at `upper`; `lower`, tried first, is often
+    # the distance
+    lo, hi = bisect_left(candidates, lower), bisect_left(candidates, upper)
+    flows, mid = ({}, {}), lo
+    while lo < hi:
+        eta = candidates[mid]
+        req_a = {i: len(copies_a[i]) for i, pen in enumerate(pen_a) if pen > eta}
+        f = _saturate(req_a, list(map(len, copies_b)),
+                      {i: [j for j, d in enumerate(dist[i]) if d <= eta] for i in req_a})
+        req_b = {j: len(copies_b[j]) for j, pen in enumerate(pen_b) if pen > eta}
+        g = None if f is None else _saturate(
+            req_b, list(map(len, copies_a)),
+            {j: [i for i, row in enumerate(dist) if row[j] <= eta] for j in req_b})
+        if g is None:
+            lo = mid + 1
+        else:
+            hi, flows = mid, (f, g)
+        mid = (lo + hi) // 2
+    eta = candidates[hi]
+    f = Matching(len(s), len(t), tuple(_expand(flows[0], copies_a, copies_b)))
+    g = Matching(len(t), len(s), tuple(_expand(flows[1], copies_b, copies_a)))
+    M = combine_matchings(f, g)
+    realized = _matching_cost(s, t, M, p)
+    if realized > eta:
+        raise AssertionError(f"combined matching costs {realized}, above threshold {eta}")
+    return eta, M
 
 
 def bottleneck_distance(S, T, p: float = math.inf) -> float:

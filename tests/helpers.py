@@ -166,3 +166,61 @@ def brute_force_bottleneck(ps, qs, p) -> float:
         else:
             best = worst
     return best
+
+
+def saturate_unit(required, neighbours):
+    """Match every required left vertex into the right side, or None.
+
+    One unit per vertex: augmenting paths searched depth-first with an
+    explicit stack, a free neighbour taken before a matched one is
+    displaced.
+    """
+    match_left: dict[int, int] = {}
+    match_right: dict[int, int] = {}
+    for root in required:
+        via: dict[int, int] = {}  # right vertex -> the left vertex that reached it
+        stack, free = [root], None
+        while stack and free is None:
+            i = stack.pop()
+            for j in neighbours[i]:
+                if j in via:
+                    continue
+                via[j] = i
+                if j not in match_right:
+                    free = j
+                    break
+                stack.append(match_right[j])
+        if free is None:
+            return None
+        j = free
+        while j is not None:
+            i = via[j]
+            j_next = match_left.get(i)
+            match_left[i], match_right[j] = j, i
+            j = j_next
+    return match_left
+
+
+def expanded_bottleneck(ps, qs, p) -> float:
+    """Bottleneck distance by scanning every candidate in increasing order,
+    with one matching vertex per copy of a point.
+
+    The smallest candidate at which every point too expensive to drop, on
+    either side, can be matched within the candidate.
+    """
+    ps, qs = list(ps), list(qs)
+    dist = [[point_dist(x, y, p) for y in qs] for x in ps]
+    pen_s = [diagonal_penalty(x, p) for x in ps]
+    pen_t = [diagonal_penalty(y, p) for y in qs]
+    candidates = {0.0, *pen_s, *pen_t}
+    for row in dist:
+        candidates.update(row)
+    for eta in sorted(candidates):
+        req_s = [i for i, pen in enumerate(pen_s) if pen > eta]
+        req_t = [j for j, pen in enumerate(pen_t) if pen > eta]
+        allowed_s = [[j for j in range(len(qs)) if dist[i][j] <= eta] for i in range(len(ps))]
+        allowed_t = [[i for i in range(len(ps)) if dist[i][j] <= eta] for j in range(len(qs))]
+        if (saturate_unit(req_s, allowed_s) is not None
+                and saturate_unit(req_t, allowed_t) is not None):
+            return eta
+    raise AssertionError("no feasible candidate; the largest penalty is always feasible")

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import math
 import random
+import time
+from collections import Counter
 
 import pytest
-from helpers import (brute_force_bottleneck, diagonal_penalty, point_dist,
-                     random_diagram)
+from helpers import (brute_force_bottleneck, diagonal_penalty,
+                     expanded_bottleneck, point_dist, random_diagram)
 
 from zzdist import (Matching, PersistenceDiagram, bottleneck_distance,
                     combine_matchings, matching_cost, optimal_matching)
@@ -122,15 +124,90 @@ def test_optimal_matching_witness_realizes_threshold():
                     assert j in M.image
 
 
+def test_optimal_matching_matches_expanded_scan():
+    # counted flow plus binary search against one vertex per copy and a
+    # linear scan; raw sequences in shuffled order check that the witness
+    # indexes the caller's input order
+    rng = random.Random(173)
+    for trial in range(500):
+        n = rng.randint(2, 7)
+        S, T = (_repeated_points(rng, n, 4, 5) for _ in range(2))
+        if trial % 2:
+            S, T = pd(n, S), pd(n, T)
+        s = S.points if trial % 2 else S
+        t = T.points if trial % 2 else T
+        for p in (1, 2, math.inf):
+            eta, M = optimal_matching(S, T, p)
+            assert eta == expanded_bottleneck(s, t, p), (s, t, p)
+            assert matching_cost(S, T, M, p) <= eta
+            assert all(i in M.coimage for i, x in enumerate(s) if diagonal_penalty(x, p) > eta)
+            assert all(j in M.image for j, y in enumerate(t) if diagonal_penalty(y, p) > eta)
+
+
+def _repeated_points(rng, n, max_distinct, max_mult):
+    pool = [(b, d) for b in range(1, n + 1) for d in range(b, n + 1)]
+    pts = []
+    for (b, d) in rng.sample(pool, rng.randint(0, min(max_distinct, len(pool)))):
+        pts.extend([(b, d)] * rng.randint(1, max_mult))
+    rng.shuffle(pts)
+    return pts
+
+
+def test_bottleneck_large_finite_p():
+    # the powers in the l^p distance overflow a float here; the value must
+    # still lie between the l^inf and l^1 values
+    rng = random.Random(179)
+    for _ in range(60):
+        n = rng.randint(2, 12)
+        S, T = random_diagram(rng, n, 4), random_diagram(rng, n, 4)
+        d1, dinf = bottleneck_distance(S, T, 1), bottleneck_distance(S, T, math.inf)
+        for p in (1000, 10 ** 6):
+            dp = bottleneck_distance(S, T, p)
+            assert math.isfinite(dp) and dinf <= dp <= d1, (S.points, T.points, p)
+
+
+def test_bottleneck_many_copies_is_fast():
+    # 10^5 copies against 10^5 + 1: one vertex per copy would need a
+    # 10^10-entry distance table
+    S = PersistenceDiagram.from_counts(24, [(3, 20, 10 ** 5)])
+    T = PersistenceDiagram.from_counts(24, [(3, 20, 10 ** 5 + 1)])
+    start = time.perf_counter()
+    eta, M = optimal_matching(S, T, math.inf)
+    assert time.perf_counter() - start < 5.0
+    assert eta == 8.5 and matching_cost(S, T, M, math.inf) == 8.5
+
+
 def test_saturate_long_augmenting_path():
-    # every root but the last takes its own vertex; the last one then has to
+    # every root but the last fills its own vertex; the last one then has to
     # shift the whole chain by one, along an augmenting path of length n
     n = 5000
     neighbours = [[0, n]] + [[i, i - 1] for i in range(1, n - 1)] + [[n - 2]]
-    m = _saturate(range(n), neighbours)
-    assert m is not None and sorted(m) == list(range(n))
-    assert len(set(m.values())) == n
-    assert all(m[i] in neighbours[i] for i in m)
+    for units in (1, 3):
+        supply, capacity = dict.fromkeys(range(n), units), [units] * (n + 1)
+        _check_flow(_saturate(supply, capacity, neighbours), supply, capacity, neighbours)
+        # with one unit less room at the far end, the last root cannot be placed
+        capacity[n] -= 1
+        assert _saturate(supply, capacity, neighbours) is None
+
+
+def test_saturate_path_carries_its_smallest_flow():
+    # the last root fills vertex 0 and still needs 2 units; each path to free
+    # room moves one unit sent by another root, so it carries 1, not 2
+    supply, capacity, neighbours = {0: 1, 1: 1, 2: 4}, [4, 5, 5], [[0, 1], [0, 2], [0]]
+    flow = _saturate(supply, capacity, neighbours)
+    _check_flow(flow, supply, capacity, neighbours)
+    assert flow[2] == {0: 4}
+    assert _saturate({0: 1, 1: 1, 2: 5}, capacity, neighbours) is None
+
+
+def _check_flow(flow, supply, capacity, neighbours):
+    assert flow is not None and sorted(flow) == sorted(supply)
+    load = Counter()
+    for i, row in flow.items():
+        assert all(units > 0 for units in row.values()) and set(row) <= set(neighbours[i])
+        assert sum(row.values()) == supply[i]
+        load.update(row)
+    assert all(load[j] <= capacity[j] for j in load)
 
 
 def test_combine_empty():

@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import zzdist
 from zzdist import (PersistenceDiagram, SymbolicModule, ZigzagModule,
                     decompose, format_quantity, generate_random_module, main,
                     parse_module_data, random_symbolic_module,
@@ -187,6 +193,33 @@ def test_cmd_distance_many_copies(tmp_path, capsys):
     b = write(tmp_path, "b.json", {"n": 24, "type": ">" * 23, "diagram": [[3, 20, 1101]]})
     assert main(["distance", a, b, "--metric", "bottleneck", "--p", "inf"]) == 0
     assert capsys.readouterr().out.strip() == "8.5"
+    # 10^5 against 10^5 + 1: one vertex per copy would need a 10^10-entry table
+    a = write(tmp_path, "a.json", {"n": 24, "type": ">" * 23, "diagram": [[3, 20, 10 ** 5]]})
+    b = write(tmp_path, "b.json", {"n": 24, "type": ">" * 23, "diagram": [[3, 20, 10 ** 5 + 1]]})
+    start = time.perf_counter()
+    assert main(["distance", a, b, "--metric", "bottleneck", "--p", "inf"]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().out.strip() == "8.5"
+
+
+@pytest.mark.parametrize("p", ["1000", "1e6", "1e300"])
+def test_cmd_distance_large_p(tmp_path, capsys, p):
+    # the l^p powers of 3 and 2 overflow a float; matching the two intervals
+    # costs 3, less than either penalty (about 4.5 and 4)
+    v = write(tmp_path, "v.json", {"n": 12, "type": ">" * 11, "diagram": [[1, 10, 1]]})
+    w = write(tmp_path, "w.json", {"n": 12, "type": ">" * 11, "diagram": [[4, 12, 1]]})
+    assert main(["distance", v, w, "--metric", "bottleneck", "--p", p]) == 0
+    assert capsys.readouterr().out.strip() == "3"
+
+
+def test_python_m_zzdist():
+    src = str(Path(zzdist.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "zzdist", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0 and run.stdout.startswith("usage: zzdist")
+    assert "RuntimeWarning" not in run.stderr
 
 
 def test_cmd_gen_deterministic(tmp_path, capsys):
