@@ -12,10 +12,8 @@ between the two on random instances.
 
 from .bottleneck import (Matching, bottleneck_distance, combine_matchings,
                          matching_cost, optimal_matching)
-from .cli import (ExperimentReport, format_quantity, generate_random_module,
-                  main, parse_module_data, parse_module_file,
-                  random_symbolic_module, serialize_module,
-                  serialize_symbolic, stability_experiment)
+from .cli import (format_quantity, main, parse_module_data, parse_module_file,
+                  serialize_module, serialize_symbolic)
 from .diagrams import (PersistenceDiagram, SymbolicModule, act,
                        annihilating_sequence, decompose, diagram_contains,
                        interval_image)
@@ -28,6 +26,8 @@ from .reflection_distance import (ReflectionDistance, cost, min_steps,
 from .reflections import (COLIMIT, LIMIT, ReflectionOp, ReflectionSequence,
                           all_ops, apply, apply_sequence, apply_to_morphism,
                           check_applicable, ops_at)
+from .stability import (ExperimentReport, generate_random_module,
+                        random_symbolic_module, stability_experiment)
 from .zigzag_core import (BACKWARD, BACKWARD_FLOW, EXTROVERSION, FORWARD,
                           FORWARD_FLOW, INTROVERSION, Morphism, Orientation,
                           REVERSAL, SINK, SOURCE, ZigzagModule, arrow_reverse,

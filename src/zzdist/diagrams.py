@@ -19,7 +19,7 @@ from .linalg import FiniteDiagram, diagram_colimit, diagram_limit, rank
 from .reflections import (LIMIT, ReflectionOp, ReflectionSequence, check_applicable,
                           ops_at)
 from .zigzag_core import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, Orientation,
-                          ZigzagModule, transform_type)
+                          ZigzagModule, _contains, transform_type)
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,7 @@ def diagram_contains(inner: PersistenceDiagram, outer: PersistenceDiagram) -> bo
     """Whether every interval of ``inner`` occurs in ``outer`` at least as often."""
     if inner.n != outer.n:
         raise ValueError(f"length mismatch: {inner.n} vs {outer.n}")
-    rest = iter(outer.points)
-    return all(pt in rest for pt in inner.points)
+    return _contains(inner.points, outer.points)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,11 @@
 
 Two modules are close when short runs of reflections carry each into a
 summand of the other, up to reversing invertible arrows and ignoring
-one-position summands.  The search runs over symbolic states: an
-orientation normalized at every flippable arrow plus a sanitized
-diagram.  Breadth-first search finds the fewest steps together with a
-witness run; successor lists and finished searches are shared across
-calls.
+one-position summands.  The search runs over plain state tuples: the
+directions of an orientation normalized at every flippable arrow, plus
+the sorted diagram without its one-position intervals.  Breadth-first
+search finds the fewest steps together with a witness run; successor
+lists are shared across calls, and each search keeps nothing else.
 """
 
 from __future__ import annotations
@@ -14,16 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bottleneck import _check_p
-from .diagrams import SymbolicModule, act
-from .reflections import ReflectionSequence, all_ops
-from .zigzag_core import canonical_type, is_summand_upto_equiv
+from .diagrams import PersistenceDiagram, SymbolicModule, act
+from .reflections import ReflectionOp, ReflectionSequence, all_ops
+from .zigzag_core import Orientation, _embeds, canonical_type
 
-_StateKey = tuple[tuple[str, ...], tuple[tuple[int, int], ...]]
+_State = tuple[tuple[str, ...], tuple[tuple[int, int], ...]]
 
-# successor lists depend only on the state, so they are shared globally;
-# fills are idempotent
-_SUCCESSORS: dict[_StateKey, tuple] = {}
-_SEARCHES: dict[tuple, tuple[int, ReflectionSequence]] = {}
+# successor lists depend only on the state, so one table serves every
+# search; fills are idempotent
+_SUCCESSORS: dict[_State, tuple[tuple[ReflectionOp, _State], ...]] = {}
 
 
 def cost(seq: ReflectionSequence, p: float = 1) -> float:
@@ -38,87 +37,68 @@ def cost(seq: ReflectionSequence, p: float = 1) -> float:
     return float(length) ** (1.0 / p)
 
 
-def _canonical(S: SymbolicModule) -> SymbolicModule:
-    diagram = S.diagram.remove_simple()
-    return SymbolicModule(canonical_type(S.tau, diagram.points), diagram)
+def _state(S: SymbolicModule) -> _State:
+    """The search state of S: canonical directions and sanitized points."""
+    points = tuple(pt for pt in S.diagram.points if pt[0] != pt[1])
+    return canonical_type(S.tau, points).dirs, points
 
 
-def _key(S: SymbolicModule) -> _StateKey:
-    return (S.tau.dirs, S.diagram.points)
-
-
-def _successors(S: SymbolicModule):
-    key = _key(S)
-    cached = _SUCCESSORS.get(key)
+def _successors(state: _State) -> tuple[tuple[ReflectionOp, _State], ...]:
+    cached = _SUCCESSORS.get(state)
     if cached is None:
-        cached = tuple((op, _canonical(act(op, S))) for op in all_ops(S.n))
-        _SUCCESSORS[key] = cached
+        dirs, points = state
+        S = SymbolicModule(Orientation(dirs), PersistenceDiagram(len(dirs) + 1, points))
+        cached = _SUCCESSORS[state] = tuple((op, _state(act(op, S))) for op in all_ops(S.n))
     return cached
 
 
-def _depth_cap(start: SymbolicModule) -> int:
-    return start.n * max(1, len(start.diagram.points))
+def _depth_cap(start: _State) -> int:
+    dirs, points = start
+    return (len(dirs) + 1) * max(1, len(points))
 
 
 def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, ReflectionSequence]:
     """Fewest reflections carrying source into a summand of target, with
-    a witness run realizing the minimum."""
+    a witness run realizing the minimum; goals are tested as states are
+    generated, so the first goal found lies on the shallowest layer.
+    """
     if source.n != target.n:
         raise ValueError(f"length mismatch: {source.n} vs {target.n}")
-    start = _canonical(source)
-    cache_key = (_key(start), target.tau.dirs, target.diagram.points)
-    hit = _SEARCHES.get(cache_key)
-    if hit is not None:
-        return hit
-
-    def is_goal(S: SymbolicModule) -> bool:
-        return is_summand_upto_equiv(S.tau, S.diagram, target.tau, target.diagram)
+    start = _state(source)
+    dirs_w, points_w = target.tau.dirs, target.diagram.points
+    if _embeds(*start, dirs_w, points_w):
+        return 0, ReflectionSequence(())
 
     def inputs() -> str:
         return (f"source {source.tau} {list(source.diagram.counts())}, "
                 f"target {target.tau} {list(target.diagram.counts())}")
 
     cap = _depth_cap(start)
-    # key -> (parent key, op); the start maps to None
-    parents: dict[_StateKey, tuple[_StateKey, object] | None] = {_key(start): None}
+    # state -> (parent state, op); the start maps to None
+    parents: dict[_State, tuple[_State, ReflectionOp] | None] = {start: None}
     frontier = [start]
-    depth = 0
-    goal_key = _key(start) if is_goal(start) else None
-    while goal_key is None:
-        depth += 1
-        if depth > cap:
-            raise AssertionError(f"search exceeded its depth bound {cap}; {inputs()}")
-        layer: list[SymbolicModule] = []
+    for depth in range(1, cap + 1):
+        layer: list[_State] = []
         for S in frontier:
-            sk = _key(S)
             for op, T in _successors(S):
-                tk = _key(T)
-                if tk in parents:
+                if T in parents:
                     continue
-                parents[tk] = (sk, op)
-                if is_goal(T):
-                    goal_key = tk
-                    break
-                layer.append(T)
-            if goal_key is not None:
-                break
-        if goal_key is None:
-            frontier = layer
-            if not frontier:
-                raise AssertionError("search space exhausted; the empty module should be "
-                                     f"a goal; {inputs()}")
-
-    ops = []
-    walk = goal_key
-    while parents[walk] is not None:
-        walk, op = parents[walk]
-        ops.append(op)
-    ops.reverse()
-    if len(ops) != depth:
-        raise AssertionError(f"witness length disagrees with search depth; {inputs()}")
-    result = (depth, ReflectionSequence(tuple(ops)))
-    _SEARCHES[cache_key] = result
-    return result
+                parents[T] = (S, op)
+                if not _embeds(*T, dirs_w, points_w):
+                    layer.append(T)
+                    continue
+                ops = []  # the witness, read back from the goal
+                while parents[T] is not None:
+                    T, op = parents[T]
+                    ops.append(op)
+                if len(ops) != depth:
+                    raise AssertionError(f"witness length disagrees with search depth; {inputs()}")
+                return depth, ReflectionSequence(tuple(reversed(ops)))
+        if not layer:
+            raise AssertionError("search space exhausted; the empty module should be "
+                                 f"a goal; {inputs()}")
+        frontier = layer
+    raise AssertionError(f"search exceeded its depth bound {cap}; {inputs()}")
 
 
 def min_steps(source: SymbolicModule, target: SymbolicModule) -> int:

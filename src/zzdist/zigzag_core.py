@@ -12,10 +12,9 @@ preorder it generates on decomposed modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .linalg import (DEFAULT_PRIME, Matrix, block_diag, inverse, is_invertible,
-                     _check_prime)
+from .linalg import DEFAULT_PRIME, Matrix, block_diag, inverse, is_invertible
 
 FORWARD = ">"
 BACKWARD = "<"
@@ -364,8 +363,18 @@ def is_summand_upto_equiv(tau_v: Orientation, diagram_v, tau_w: Orientation, dia
         raise ValueError(f"length mismatch: {tau_v.n} vs {tau_w.n}")
     if diagram_v.n != tau_v.n or diagram_w.n != tau_w.n:
         raise ValueError("diagram length does not match orientation length")
-    rest = iter(diagram_w.points)
-    if not all(pt in rest for pt in diagram_v.points):
+    return _embeds(tau_v.dirs, diagram_v.points, tau_w.dirs, diagram_w.points)
+
+
+def _contains(inner: tuple, outer: tuple) -> bool:
+    """Multiset containment of two sorted point tuples, as a subsequence walk."""
+    rest = iter(outer)
+    return all(pt in rest for pt in inner)
+
+
+def _embeds(dirs_v: tuple, points_v: tuple, dirs_w: tuple, points_w: tuple) -> bool:
+    """``is_summand_upto_equiv`` on direction and sorted point tuples, unvalidated."""
+    if not _contains(points_v, points_w):
         return False
-    disagree = {k for k in range(1, tau_v.n) if tau_v.dirs[k - 1] != tau_w.dirs[k - 1]}
-    return disagree <= flippable_positions(diagram_v.points, tau_v.n)
+    disagree = {k for k in range(1, len(dirs_v) + 1) if dirs_v[k - 1] != dirs_w[k - 1]}
+    return disagree <= flippable_positions(points_v, len(dirs_v) + 1)

@@ -12,7 +12,8 @@ import math
 import random
 
 from zzdist import (BACKWARD, FORWARD, Matrix, Orientation,
-                    PersistenceDiagram, SymbolicModule, ZigzagModule,
+                    PersistenceDiagram, SymbolicModule, ZigzagModule, act,
+                    all_ops, canonical_type, is_summand_upto_equiv,
                     synthesize)
 
 
@@ -224,3 +225,33 @@ def expanded_bottleneck(ps, qs, p) -> float:
                 and saturate_unit(req_t, allowed_t) is not None):
             return eta
     raise AssertionError("no feasible candidate; the largest penalty is always feasible")
+
+
+def bfs_min_steps(source: SymbolicModule, target: SymbolicModule) -> int:
+    """Fewest reflections carrying source into a summand of target.
+
+    Plain breadth-first search over ``SymbolicModule`` values built by the
+    public ``act`` and ``canonical_type``, with the public
+    ``is_summand_upto_equiv`` tested on whole layers; nothing is memoized
+    and nothing outlives the call.
+    """
+    def canonical(S: SymbolicModule) -> SymbolicModule:
+        D = S.diagram.remove_simple()
+        return SymbolicModule(canonical_type(S.tau, D.points), D)
+
+    layer = [canonical(source)]
+    seen = set(layer)
+    depth = 0
+    while layer:
+        if any(is_summand_upto_equiv(S.tau, S.diagram, target.tau, target.diagram)
+               for S in layer):
+            return depth
+        nxt = []
+        for S in layer:
+            for op in all_ops(S.n):
+                T = canonical(act(op, S))
+                if T not in seen:
+                    seen.add(T)
+                    nxt.append(T)
+        layer, depth = nxt, depth + 1
+    raise AssertionError("no goal reachable; the empty module always is one")

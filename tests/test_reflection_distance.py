@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from helpers import all_dirs, all_intervals, random_symbolic
+from helpers import all_dirs, all_intervals, bfs_min_steps, random_symbolic
 
 from zzdist import (COLIMIT, LIMIT, Orientation, PersistenceDiagram,
                     ReflectionOp, ReflectionSequence, SymbolicModule, act,
@@ -147,14 +147,50 @@ def test_witness_sequences_realize_the_search():
 def test_search_failures_name_both_inputs(monkeypatch):
     # the package attribute of the same name is the function, not the module
     rd = importlib.import_module("zzdist.reflection_distance")
-    monkeypatch.setattr(rd, "_SEARCHES", {})
     monkeypatch.setattr(rd, "_depth_cap", lambda start: 0)
     with pytest.raises(AssertionError, match=r"depth bound 0; "
                        r"source >< \[\(1, 3, 1\)\], target >< \[\]"):
         rd.min_steps(sym("><", [(1, 3)]), sym("><", []))
     monkeypatch.undo()
-    monkeypatch.setattr(rd, "_SEARCHES", {})
-    monkeypatch.setattr(rd, "is_summand_upto_equiv", lambda *args: False)
+    monkeypatch.setattr(rd, "_embeds", lambda *args: False)
     with pytest.raises(AssertionError, match=r"exhausted.*; "
                        r"source > \[\], target < \[\(1, 2, 2\)\]"):
         rd.min_steps(sym(">", []), sym("<", [(1, 2), (1, 2)]))
+
+
+def _seeded_pairs(seed: int, count: int, max_n: int, max_points: int):
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        n = rng.randint(2, max_n)
+        V, W = random_symbolic(rng, n, max_points), random_symbolic(rng, n, max_points)
+        if rng.random() < 0.5:
+            W = SymbolicModule(V.tau, W.diagram)
+        pairs.append((V, W))
+    return pairs
+
+
+def test_min_steps_matches_memo_free_bfs():
+    for V, W in _seeded_pairs(137, 150, 5, 2):
+        assert min_steps(V, W) == bfs_min_steps(V, W), (V, W)
+        assert min_steps(W, V) == bfs_min_steps(W, V), (W, V)
+
+
+def test_search_is_independent_of_the_successor_memo(monkeypatch):
+    rd = importlib.import_module("zzdist.reflection_distance")
+    monkeypatch.setattr(rd, "_SUCCESSORS", {})
+    pairs = _seeded_pairs(139, 150, 6, 2)
+
+    def runs(V, W):
+        got = rd.reflection_distance(V, W, 1)
+        return got.steps, got.forward.ops, got.backward.ops
+
+    cold = []
+    for V, W in pairs:
+        rd._SUCCESSORS.clear()
+        cold.append(runs(V, W))
+    for V, W in pairs:
+        runs(V, W)
+    warm = [runs(V, W) for V, W in reversed(pairs)]
+    assert rd._SUCCESSORS
+    assert warm[::-1] == cold
