@@ -2,11 +2,11 @@
 
 A persistence diagram is the multiset of interval supports in a
 module's decomposition into interval summands.  ``decompose`` extracts
-it from a concrete module by exact rank bookkeeping; ``interval_image``
-and ``act`` push diagrams through reflections without touching matrices
-at all, by a closed-form rule for where each interval goes, and
-``annihilating_sequence`` uses them to build a run that empties a
-module.
+it from a concrete module's segment ranks, one section sweep per birth
+(colimits by duality); ``interval_image`` and ``act`` push diagrams
+through reflections without matrices, by a closed-form rule for where
+each interval goes, and ``annihilating_sequence`` uses them to build a
+run that empties a module.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Iterator
 
-from .linalg import FiniteDiagram, diagram_colimit, diagram_limit, rank
+from .linalg import segment_ranks
 from .reflections import (LIMIT, ReflectionOp, ReflectionSequence, check_applicable,
                           ops_at)
 from .zigzag_core import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, Orientation,
@@ -92,58 +92,40 @@ class SymbolicModule:
         return self.tau.n
 
 
-def _segment_rank(V: ZigzagModule, b: int, d: int) -> int:
-    """Rank of the canonical limit-to-colimit map of the slice b..d.
-
-    This counts the interval summands whose support contains all of
-    [b, d]: such a summand contributes an isomorphism slice, while any
-    summand missing part of [b, d] contributes zero.  The composite is
-    taken through the leftmost slot; any slot gives the same rank.
-    """
-    dims = V.dims[b - 1:d]
-    arrows = []
-    for i in range(b, d):
-        M = V.maps[i - 1]
-        if V.tau.dirs[i - 1] == FORWARD:
-            arrows.append((i - b, i - b + 1, M))
-        else:
-            arrows.append((i - b + 1, i - b, M))
-    D = FiniteDiagram(V.p, tuple(dims), tuple(arrows))
-    _, lim_legs = diagram_limit(D)
-    _, col_legs = diagram_colimit(D)
-    return rank(col_legs[0] @ lim_legs[0])
-
-
 def decompose(V: ZigzagModule) -> PersistenceDiagram:
     """The multiset of interval supports in V's interval decomposition.
 
-    Multiplicities come from inclusion-exclusion over segment ranks:
-    m(b, d) = rk(b, d) - rk(b-1, d) - rk(b, d+1) + rk(b-1, d+1), with rk
-    taken as zero outside 1..n.  Negative intermediate values cannot
-    occur for honest inputs and raise immediately.
+    rk(b, d), the rank of the canonical map from the limit to the colimit
+    of the slice b..d, counts the summands whose support contains [b, d].
+    ``segment_ranks`` finds them all with one sweep per birth b over small
+    arrays (the limit side on V, the colimit side on its dual, since
+    colim(D)* = lim(D*)); no slice diagram is built.  Multiplicities come
+    from inclusion-exclusion: m(b, d) = rk(b, d) - rk(b-1, d) - rk(b, d+1)
+    + rk(b-1, d+1), with rk taken as zero outside 1..n.  Negative values
+    and a wrong covering cannot occur for honest inputs; both raise at
+    once and name the module.
     """
     n = V.n
-    rk: dict[tuple[int, int], int] = {}
-    for b in range(1, n + 1):
-        for d in range(b, n + 1):
-            rk[(b, d)] = _segment_rank(V, b, d)
+    rk = segment_ranks(V.p, V.dims, [d == FORWARD for d in V.tau.dirs],
+                       [M.data for M in V.maps])
+    where = f"type {V.tau.to_string()!r}, dims {list(V.dims)}, p={V.p}"
 
     def get(b: int, d: int) -> int:
-        return rk.get((b, d), 0)
+        return rk.get((b - 1, d - 1), 0)
 
     mult: dict[tuple[int, int], int] = {}
     for b in range(1, n + 1):
         for d in range(b, n + 1):
             m = get(b, d) - get(b - 1, d) - get(b, d + 1) + get(b - 1, d + 1)
             if m < 0:
-                raise AssertionError(f"negative multiplicity {m} at [{b}, {d}]")
+                raise AssertionError(f"negative multiplicity {m} at [{b}, {d}] ({where})")
             if m:
                 mult[(b, d)] = m
     for i in range(1, n + 1):
         covering = sum(m for ((b, d), m) in mult.items() if b <= i <= d)
         if covering != V.dims[i - 1]:
             raise AssertionError(f"decomposition covers dimension {covering} at position {i}, "
-                                 f"module has {V.dims[i - 1]}")
+                                 f"module has {V.dims[i - 1]} ({where})")
     return PersistenceDiagram.from_counts(n, ((b, d, m) for (b, d), m in mult.items()))
 
 

@@ -1,5 +1,5 @@
 """Exact linear algebra over a prime field, plus limits and colimits of
-finite diagrams of vector spaces.
+finite diagrams of vector spaces and the segment ranks of a zigzag.
 
 All computation happens on integer matrices reduced modulo a prime ``p``
 (default 2).  Row reduction is the single workhorse: rank, kernel and
@@ -391,3 +391,44 @@ def diagram_colimit(D: FiniteDiagram) -> tuple[int, tuple[Matrix, ...]]:
     P = _cokernel_array(R, p)
     return int(P.shape[0]), tuple(Matrix(p, P[:, off[j]:off[j] + dims[j]])
                                   for j in range(len(dims)))
+
+
+def _extend(S: np.ndarray, db: int, forward: bool, M: np.ndarray, p: int) -> np.ndarray:
+    """Sections over b..d+1 from a basis ``S`` of the (x_b, x_d) over b..d."""
+    top, bot = S[:db], S[db:]
+    if forward:
+        R, pivots = _rref((np.vstack([top, M @ bot]) % p).T, p)
+        return R[:len(pivots)].T
+    K = _kernel_array(np.hstack([bot, -M]), p)  # pairs (c, x_{d+1}) with X_d c = M x_{d+1}
+    k = S.shape[1]
+    return np.vstack([top @ K[:k] % p, K[k:]])
+
+
+def segment_ranks(p: int, dims: Sequence[int], forward: Sequence[bool],
+                  maps: Sequence[np.ndarray]) -> dict[tuple[int, int], int]:
+    """Nonzero ranks of the limit-to-colimit map of every slice b..d of a zigzag.
+
+    Positions are 0-based; ``maps[i]`` goes from position i to i+1 when
+    ``forward[i]``, else back.  For each birth b one sweep to the right
+    carries a basis of the pairs (x_b, x_d) that extend to a section over
+    b..d: a forward arrow f sends it to (x_b, f x_d), and a backward arrow
+    g to the (x_b, y) with g y = x_d, a kernel that keeps the basis
+    independent.  The x_b block spans the image of the limit leg at b.
+    The same sweep over the dual zigzag (maps transposed, arrows reversed)
+    spans the annihilator of the kernel of the colimit leg at b, because
+    colim(D)* = lim(D*); the rank of their pairing is rk(b, d).  It never
+    grows with d, so a sweep stops at the first zero.
+    """
+    sides = ((forward, maps), ([not f for f in forward], [M.T for M in maps]))
+    out: dict[tuple[int, int], int] = {}
+    for b, db in enumerate(dims):
+        X = Y = np.vstack([np.eye(db, dtype=np.int64)] * 2)
+        for d in range(b, len(dims)):
+            if d > b:
+                X, Y = (_extend(S, db, fwd[d - 1], ms[d - 1], p)
+                        for S, (fwd, ms) in zip((X, Y), sides))
+            r = len(_rref(Y[:db].T @ X[:db], p)[1])
+            if r == 0:
+                break
+            out[(b, d)] = r
+    return out

@@ -257,6 +257,18 @@ def test_huge_matrix_entries_are_reduced_mod_p(tmp_path, capsys):
         assert capsys.readouterr().out == want
 
 
+def test_gen_then_decompose_n24_is_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ZZ_FIELD_PRIME", raising=False)
+    assert main(["gen", "--n", "24", "--max-points", "24", "--seed", "3"]) == 0
+    path = tmp_path / "m24.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["decompose", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["n"] == 24 and out["type"] == ">><<>><<>><<<>>><>>>><>"
+    assert out["diagram"] == [[4, 5, 1], [5, 16, 1], [5, 20, 1], [7, 15, 1],
+                              [13, 24, 1], [16, 22, 1], [19, 22, 1], [23, 24, 1]]
+
+
 def test_random_symbolic_module_bounds():
     rng = random.Random(3)
     for _ in range(50):

@@ -4,12 +4,14 @@ import random
 from collections import Counter
 
 import pytest
-from helpers import all_dirs, all_intervals, random_symbolic, synthesized_pair
+from helpers import (all_dirs, all_intervals, random_symbolic, segment_rank_decompose,
+                     synthesized_pair)
 
 from zzdist import (COLIMIT, LIMIT, Orientation, PersistenceDiagram,
-                    ReflectionOp, SymbolicModule, act, all_ops, apply,
-                    decompose, diagram_contains, interval_image,
-                    interval_module, synthesize, transform_type, zero_module)
+                    ReflectionOp, SymbolicModule, act, all_ops, apply, decompose,
+                    diagram_contains, diagrams, generate_random_module,
+                    interval_image, interval_module, synthesize, transform_type,
+                    zero_module)
 
 
 def tau(s: str) -> Orientation:
@@ -101,6 +103,56 @@ def test_decompose_round_trip_random():
             # conservation: slot dimensions are recovered exactly
             for i in range(1, S.n + 1):
                 assert V.dims[i - 1] == sum(1 for (b, d) in got if b <= i <= d)
+
+
+def test_decompose_matches_segment_rank_oracle():
+    # scrambled modules; one draw in three reaches n = 14, the rest stop at 8
+    # so the whole-slice oracle stays cheap
+    gaps = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(2, 14 if seed % 3 == 0 else 8)
+        V = generate_random_module(n, rng.randint(0, 10), rng.choice((2, 3, 5, 7)), seed)
+        gaps += any(V.dims[i] == 0 and any(V.dims[:i]) and any(V.dims[i + 1:])
+                    for i in range(1, n - 1))
+        assert decompose(V) == segment_rank_decompose(V), (seed, V.tau.to_string(), V.dims)
+    assert gaps >= 20  # interior zero positions are covered, not just empty ends
+    # every single interval of every orientation: the answer is known exactly
+    for p in (2, 3):
+        for n in range(2, 6):
+            for t in all_dirs(n):
+                for (b, d) in all_intervals(n):
+                    assert decompose(interval_module(Orientation(t), b, d, p)).points == ((b, d),)
+
+
+def _inflate_rank(monkeypatch, key):
+    real = diagrams.segment_ranks
+
+    def inflated(*args):
+        rk = real(*args)
+        rk[key] = rk.get(key, 0) + 1
+        return rk
+
+    monkeypatch.setattr(diagrams, "segment_ranks", inflated)
+
+
+def test_decompose_invariant_failures_name_the_module(monkeypatch):
+    V = synthesize(tau("><"), ((1, 3),), 3)
+    # rk(1, 2) + 1 drives m(1, 1) to -1
+    _inflate_rank(monkeypatch, (0, 1))
+    with pytest.raises(AssertionError) as err:
+        decompose(V)
+    msg = str(err.value)
+    assert "negative multiplicity -1 at [1, 1]" in msg
+    assert "'><'" in msg and "dims [1, 1, 1]" in msg and "p=3" in msg
+    # rk(1, 1) + 1 only adds a point [1, 1], which over-covers position 1
+    monkeypatch.undo()
+    _inflate_rank(monkeypatch, (0, 0))
+    with pytest.raises(AssertionError) as err:
+        decompose(V)
+    msg = str(err.value)
+    assert "covers dimension 2 at position 1, module has 1" in msg
+    assert "'><'" in msg and "dims [1, 1, 1]" in msg and "p=3" in msg
 
 
 def test_symbolic_module_validation():
