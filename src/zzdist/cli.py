@@ -106,8 +106,6 @@ def parse_module_data(obj) -> ZigzagModule | SymbolicModule:
                 f"map {i + 1} must be a flat list of integers")
         _expect(len(flat) == rows * cols,
                 f"map {i + 1} has {len(flat)} entries, expected {rows}x{cols}={rows * cols}")
-        # entries live in GF(p); reducing here keeps huge integers out of int64
-        flat = [x % p for x in flat]
         maps.append(Matrix.from_rows([flat[r * cols:(r + 1) * cols] for r in range(rows)],
                                      p, cols=cols))
     return ZigzagModule(tau, tuple(dims), tuple(maps))

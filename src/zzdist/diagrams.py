@@ -98,7 +98,7 @@ def decompose(V: ZigzagModule) -> PersistenceDiagram:
     rk(b, d), the rank of the canonical map from the limit to the colimit
     of the slice b..d, counts the summands whose support contains [b, d].
     ``segment_ranks`` finds them all with one sweep per birth b over small
-    arrays (the limit side on V, the colimit side on its dual, since
+    bases (the limit side on V, the colimit side on its dual, since
     colim(D)* = lim(D*)); no slice diagram is built.  Multiplicities come
     from inclusion-exclusion: m(b, d) = rk(b, d) - rk(b-1, d) - rk(b, d+1)
     + rk(b-1, d+1), with rk taken as zero outside 1..n.  Negative values
@@ -106,8 +106,7 @@ def decompose(V: ZigzagModule) -> PersistenceDiagram:
     once and name the module.
     """
     n = V.n
-    rk = segment_ranks(V.p, V.dims, [d == FORWARD for d in V.tau.dirs],
-                       [M.data for M in V.maps])
+    rk = segment_ranks(V.p, V.dims, [d == FORWARD for d in V.tau.dirs], V.maps)
     where = f"type {V.tau.to_string()!r}, dims {list(V.dims)}, p={V.p}"
 
     def get(b: int, d: int) -> int:

@@ -203,18 +203,10 @@ def synthesize(tau: Orientation, points: Iterable[tuple[int, int]],
     dims = tuple(len(c) for c in covers)
     maps = []
     for i in range(1, n):
-        left, right = covers[i - 1], covers[i]
-        if tau.dirs[i - 1] == FORWARD:
-            a = Matrix.zero(len(right), len(left), p).data.copy()
-            for col, j in enumerate(left):
-                if j in right:
-                    a[right.index(j), col] = 1
-        else:
-            a = Matrix.zero(len(left), len(right), p).data.copy()
-            for col, j in enumerate(right):
-                if j in left:
-                    a[left.index(j), col] = 1
-        maps.append(Matrix(p, a))
+        src, tgt = covers[i - 1], covers[i]
+        if tau.dirs[i - 1] != FORWARD:
+            src, tgt = tgt, src
+        maps.append(Matrix(p, [[int(j == k) for k in src] for j in tgt], len(src)))
     return ZigzagModule(tau, dims, tuple(maps))
 
 

@@ -13,8 +13,8 @@ import random
 
 from zzdist import (BACKWARD, FORWARD, FiniteDiagram, Matrix, Orientation,
                     PersistenceDiagram, SymbolicModule, ZigzagModule, act,
-                    all_ops, canonical_type, diagram_colimit, diagram_limit,
-                    is_summand_upto_equiv, rank, synthesize)
+                    all_ops, canonical_type, cokernel, diagram_colimit,
+                    diagram_limit, is_summand_upto_equiv, rank, synthesize)
 
 
 def random_dirs(rng: random.Random, n: int) -> tuple[str, ...]:
@@ -164,6 +164,33 @@ def enumerate_limit_dim(spaces: list[int], arrows, p: int) -> int:
         dim += 1
     assert p ** dim == count
     return dim
+
+
+def relations_colimit(D: FiniteDiagram) -> tuple[int, tuple[Matrix, ...]]:
+    """Colimit of a finite diagram as a quotient by explicit relations.
+
+    The direct sum of all spaces is divided by the span of one relation
+    per arrow f: A -> B and generator e of A, namely inj_A(e) - inj_B(f(e));
+    the cokernel projection of the relation matrix, cut into one block of
+    columns per space, gives the legs.
+    """
+    offs = [0]
+    for d in D.spaces:
+        offs.append(offs[-1] + d)
+    relations = []
+    for (src, tgt, M) in D.arrows:
+        rows = M.tolists()
+        for e in range(D.spaces[src]):
+            r = [0] * offs[-1]
+            r[offs[src] + e] += 1
+            for i in range(D.spaces[tgt]):
+                r[offs[tgt] + i] -= rows[i][e]
+            relations.append(r)
+    dim, proj = cokernel(Matrix.from_rows(relations, D.p, cols=offs[-1]).transpose())
+    rows = proj.tolists()
+    return dim, tuple(Matrix.from_rows([row[offs[j]:offs[j + 1]] for row in rows], D.p,
+                                       cols=D.spaces[j])
+                      for j in range(len(D.spaces)))
 
 
 def point_dist(x, y, p) -> float:

@@ -222,6 +222,36 @@ def test_python_m_zzdist():
     assert "RuntimeWarning" not in run.stderr
 
 
+_WITHOUT_NUMPY = """
+import contextlib, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from zzdist import main
+
+def run(out, *argv):
+    with open(out, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+        code = main(list(argv))
+    if code != 0:
+        sys.exit(f"zzdist {argv[0]} exited with code {code}")
+
+mats, dia, out = sys.argv[1:]
+run(mats, "gen", "--n", "8", "--max-points", "6")
+run(out, "decompose", mats)
+run(out, "reflect", mats, "--kind", "colimit", "--index", "4")
+run(out, "synthesize", dia)
+"""
+
+
+def test_zzdist_runs_without_numpy(tmp_path):
+    src = str(Path(zzdist.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [str(tmp_path / "m.json"), write(tmp_path, "d.json", DIA), str(tmp_path / "out.json")]
+    run = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["matrices"]
+
+
 def test_cmd_gen_deterministic(tmp_path, capsys):
     argv = ["gen", "--n", "5", "--max-points", "3", "--seed", "7"]
     assert main(argv) == 0

@@ -4,7 +4,8 @@ import itertools
 import random
 
 import pytest
-from helpers import enumerate_limit_dim, minor_rank, random_matrix
+from helpers import (enumerate_limit_dim, minor_rank, random_matrix,
+                     relations_colimit)
 
 from zzdist import (FiniteDiagram, Matrix, block_diag, cokernel,
                     diagram_colimit, diagram_limit, hstack, inverse,
@@ -246,6 +247,42 @@ def test_colimit_dim_by_duality():
             rev = FiniteDiagram(p, D.spaces,
                                 tuple((t, s, M.transpose()) for (s, t, M) in D.arrows))
             assert diagram_colimit(D)[0] == diagram_limit(rev)[0]
+
+
+def test_colimit_matches_relations_oracle():
+    # the dual-limit colimit against the quotient by per-arrow relations,
+    # leg by leg; self-loops and parallel arrows included
+    rng = random.Random(53)
+    for it in range(240):
+        p = (2, 3, 5)[it % 3]
+        k = rng.randint(1, 4)
+        spaces = tuple(rng.randint(0, 3) for _ in range(k))
+        arrows = []
+        for _ in range(rng.randint(0, 5)):
+            s, t = rng.randrange(k), rng.randrange(k)
+            arrows.append((s, t, random_matrix(rng, spaces[t], spaces[s], p)))
+        D = FiniteDiagram(p, spaces, tuple(arrows))
+        assert diagram_colimit(D) == relations_colimit(D), D
+
+
+def test_empty_matrices_keep_their_shape():
+    assert Matrix.zero(0, 3) != Matrix.zero(0, 2)
+    assert Matrix.zero(3, 0) != Matrix.zero(2, 0)
+    assert Matrix.zero(0, 3) == Matrix.from_rows([], 2, cols=3)
+    assert hash(Matrix.zero(0, 3)) == hash(Matrix.from_rows([], 2, cols=3))
+    assert Matrix.zero(0, 3).transpose().shape == (3, 0)
+    assert Matrix.zero(3, 0).transpose().shape == (0, 3)
+    assert hstack([Matrix.zero(0, 2), Matrix.zero(0, 3)]).shape == (0, 5)
+    assert hstack([Matrix.zero(2, 0), Matrix.identity(2)]).shape == (2, 2)
+    assert vstack([Matrix.zero(2, 0), Matrix.zero(3, 0)]).shape == (5, 0)
+    assert vstack([Matrix.zero(0, 2), Matrix.identity(2)]).shape == (2, 2)
+    assert block_diag(Matrix.zero(0, 2), Matrix.zero(3, 0)).shape == (3, 2)
+    assert block_diag(Matrix.zero(2, 0), Matrix.zero(0, 0)).shape == (2, 0)
+    assert kernel_basis(Matrix.zero(0, 3)) == Matrix.identity(3)
+    assert kernel_basis(Matrix.zero(3, 0)).shape == (0, 0)
+    assert cokernel(Matrix.zero(0, 3)) == (0, Matrix.zero(0, 0))
+    assert cokernel(Matrix.zero(3, 0)) == (3, Matrix.identity(3))
+    assert (Matrix.zero(2, 0) @ Matrix.zero(0, 3)) == Matrix.zero(2, 3)
 
 
 def test_limit_of_slotwise_direct_sum_is_additive():
