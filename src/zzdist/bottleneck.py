@@ -11,16 +11,22 @@ candidates (Efrat, Itai and Katz, 2001; Kerber, Morozov and Nigmetov,
 distinct points, whose supplies and capacities are multiplicities, so
 its cost does not grow with them.  Augmenting paths are searched with an
 explicit queue, so long paths cannot hit the recursion limit.  The
-witness merges two one-sided matchings (Mendelsohn and Dulmage, 1958).
+distance alone is checked on the two counted flows; only
+``optimal_matching`` expands them into an index-level witness, which
+merges the two one-sided matchings (Mendelsohn and Dulmage, 1958).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Sequence
+
+from .diagrams import PersistenceDiagram
+from .zigzag_core import _int_points
 
 
 @dataclass(frozen=True)
@@ -66,9 +72,10 @@ def _check_p(p: float) -> float:
     return float(p)
 
 
-def _points(D) -> tuple[tuple[int, int], ...]:
-    pts = D.points if hasattr(D, "points") else D
-    return tuple([(int(b), int(d)) for (b, d) in pts])
+def _points(D) -> Sequence[tuple[int, int]]:
+    if isinstance(D, PersistenceDiagram):
+        return D.points  # already sorted, validated ints
+    return _int_points(D.points if hasattr(D, "points") else D)
 
 
 def _point_dist(a: tuple[int, int], b: tuple[int, int], p: float) -> float:
@@ -228,19 +235,18 @@ def combine_matchings(f: Matching, g: Matching) -> Matching:
     return Matching(f.n_source, f.n_target, tuple(match.items()))
 
 
-def optimal_matching(S, T, p: float = math.inf) -> tuple[float, Matching]:
-    """The bottleneck distance together with a matching realizing it.
+def _threshold(a: Sequence[tuple[int, int]], mult_a: Sequence[int],
+               b: Sequence[tuple[int, int]], mult_b: Sequence[int],
+               p: float) -> tuple[float, dict[int, dict[int, int]], dict[int, dict[int, int]]]:
+    """The bottleneck distance eta between distinct points ``a`` and ``b``
+    with multiplicities ``mult_a`` and ``mult_b``, and the counted flows
+    (f, g) found at eta: f places every copy of a point of a whose
+    penalty exceeds eta on b within eta, and g does the same for b.
 
     Candidate costs are the pairwise distances and the penalties; the
-    smallest candidate at which every too-expensive-to-drop interval of
-    either diagram can be matched within the candidate is the distance,
-    found by binary search.  ``Matching`` indices refer to positions in
-    the inputs as given, which need not be sorted.
+    smallest candidate at which both flows exist is the distance, found
+    by binary search.
     """
-    p = _check_p(p)
-    s, t = _points(S), _points(T)
-    a, copies_a = _group(s)
-    b, copies_b = _group(t)
     dist = [[_point_dist(x, y, p) for y in b] for x in a]
     pen_a = [_penalty(x, p) for x in a]
     pen_b = [_penalty(y, p) for y in b]
@@ -256,21 +262,46 @@ def optimal_matching(S, T, p: float = math.inf) -> tuple[float, Matching]:
     flows, mid = ({}, {}), lo
     while lo < hi:
         eta = candidates[mid]
-        req_a = {i: len(copies_a[i]) for i, pen in enumerate(pen_a) if pen > eta}
-        f = _saturate(req_a, list(map(len, copies_b)),
+        req_a = {i: mult_a[i] for i, pen in enumerate(pen_a) if pen > eta}
+        f = _saturate(req_a, mult_b,
                       {i: [j for j, d in enumerate(dist[i]) if d <= eta] for i in req_a})
-        req_b = {j: len(copies_b[j]) for j, pen in enumerate(pen_b) if pen > eta}
+        req_b = {j: mult_b[j] for j, pen in enumerate(pen_b) if pen > eta}
         g = None if f is None else _saturate(
-            req_b, list(map(len, copies_a)),
+            req_b, mult_a,
             {j: [i for i, row in enumerate(dist) if row[j] <= eta] for j in req_b})
         if g is None:
             lo = mid + 1
         else:
             hi, flows = mid, (f, g)
         mid = (lo + hi) // 2
-    eta = candidates[hi]
-    f = Matching(len(s), len(t), tuple(_expand(flows[0], copies_a, copies_b)))
-    g = Matching(len(t), len(s), tuple(_expand(flows[1], copies_b, copies_a)))
+    return candidates[hi], flows[0], flows[1]
+
+
+def _flow_cost(flow: dict[int, dict[int, int]], src: Sequence[tuple[int, int]],
+               mult: Sequence[int], dst: Sequence[tuple[int, int]], p: float) -> float:
+    """Largest distance on an edge the counted flow uses, or penalty of a
+    point of ``src`` whose copies it does not all place; 0 if none."""
+    vals = [_point_dist(src[i], dst[j], p) for i, row in flow.items() for j in row]
+    vals.extend(_penalty(x, p) for i, (x, m) in enumerate(zip(src, mult))
+                if sum(flow.get(i, {}).values()) < m)
+    return max(vals, default=0.0)
+
+
+def optimal_matching(S, T, p: float = math.inf) -> tuple[float, Matching]:
+    """The bottleneck distance together with a matching realizing it.
+
+    The counted flows of the threshold search are expanded to one index
+    pair per matched copy and merged by ``combine_matchings``.
+    ``Matching`` indices refer to positions in the inputs as given, which
+    need not be sorted.
+    """
+    p = _check_p(p)
+    s, t = _points(S), _points(T)
+    a, copies_a = _group(s)
+    b, copies_b = _group(t)
+    eta, f, g = _threshold(a, list(map(len, copies_a)), b, list(map(len, copies_b)), p)
+    f = Matching(len(s), len(t), tuple(_expand(f, copies_a, copies_b)))
+    g = Matching(len(t), len(s), tuple(_expand(g, copies_b, copies_a)))
     M = combine_matchings(f, g)
     realized = _matching_cost(s, t, M, p)
     if realized > eta:
@@ -279,5 +310,16 @@ def optimal_matching(S, T, p: float = math.inf) -> tuple[float, Matching]:
 
 
 def bottleneck_distance(S, T, p: float = math.inf) -> float:
-    """Exact bottleneck distance between two diagrams for this p."""
-    return optimal_matching(S, T, p)[0]
+    """Exact bottleneck distance between two diagrams for this p.
+
+    Works on distinct points only: the threshold search's counted flows
+    are checked directly, and no index-level matching is built.
+    """
+    p = _check_p(p)
+    ca, cb = Counter(_points(S)), Counter(_points(T))
+    a, mult_a, b, mult_b = list(ca), list(ca.values()), list(cb), list(cb.values())
+    eta, f, g = _threshold(a, mult_a, b, mult_b, p)
+    realized = max(_flow_cost(f, a, mult_a, b, p), _flow_cost(g, b, mult_b, a, p))
+    if realized > eta:
+        raise AssertionError(f"combined matching costs {realized}, above threshold {eta}")
+    return eta

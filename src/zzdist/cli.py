@@ -8,11 +8,15 @@ environment variable.
 
 Exit codes: 0 on success, 2 on bad input, 3 when a checked property is
 violated.
+
+The argument parser is built once per process, on the first call to
+``main``, and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -263,6 +267,7 @@ def _cmd_verify_stability(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="zzdist",

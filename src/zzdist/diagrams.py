@@ -19,7 +19,7 @@ from .linalg import segment_ranks
 from .reflections import (LIMIT, ReflectionOp, ReflectionSequence, check_applicable,
                           ops_at)
 from .zigzag_core import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, Orientation,
-                          ZigzagModule, _contains, transform_type)
+                          ZigzagModule, _contains, _int_points, transform_type)
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class PersistenceDiagram:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
             raise ValueError(f"ambient length must be an integer >= 2, got {self.n!r}")
-        pts = sorted((int(b), int(d)) for (b, d) in self.points)
+        pts = sorted(_int_points(self.points))
         for (b, d) in pts:
             if not 1 <= b <= d <= self.n:
                 raise ValueError(f"interval [{b}, {d}] out of range 1..{self.n}")

@@ -12,6 +12,7 @@ preorder it generates on decomposed modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable
 
 from .linalg import DEFAULT_PRIME, Matrix, block_diag, inverse, is_invertible
@@ -187,6 +188,22 @@ def direct_sum(V: ZigzagModule, W: ZigzagModule) -> ZigzagModule:
     return ZigzagModule(V.tau, dims, maps)
 
 
+def _int_points(points: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The (birth, death) pairs with exact integer endpoints.
+
+    Endpoints go through ``operator.index``, so 3.7 is refused, not
+    truncated to 3; the ValueError names the offending entry.
+    """
+    pts = list(points)
+    try:
+        return [(index(b), index(d)) for (b, d) in pts]
+    except TypeError:
+        for i, (b, d) in enumerate(pts):  # name the first offending entry
+            if not (hasattr(b, "__index__") and hasattr(d, "__index__")):
+                raise ValueError(f"entry {i} {(b, d)!r}: endpoints must be integers") from None
+        raise
+
+
 def synthesize(tau: Orientation, points: Iterable[tuple[int, int]],
                p: int = DEFAULT_PRIME) -> ZigzagModule:
     """Direct sum of interval modules, one per (birth, death) point.
@@ -195,7 +212,7 @@ def synthesize(tau: Orientation, points: Iterable[tuple[int, int]],
     directly so each summand occupies one fixed coordinate per position.
     """
     n = tau.n
-    pts = sorted((int(b), int(d)) for (b, d) in points)
+    pts = sorted(_int_points(points))
     for (b, d) in pts:
         if not 1 <= b <= d <= n:
             raise ValueError(f"interval [{b}, {d}] out of range 1..{n}")

@@ -11,6 +11,7 @@ from helpers import (brute_force_bottleneck, diagonal_penalty,
 
 from zzdist import (Matching, PersistenceDiagram, bottleneck_distance,
                     combine_matchings, matching_cost, optimal_matching)
+from zzdist import bottleneck
 from zzdist.bottleneck import _saturate
 
 
@@ -127,7 +128,8 @@ def test_optimal_matching_witness_realizes_threshold():
 def test_optimal_matching_matches_expanded_scan():
     # counted flow plus binary search against one vertex per copy and a
     # linear scan; raw sequences in shuffled order check that the witness
-    # indexes the caller's input order
+    # indexes the caller's input order, and the value path, which checks
+    # counted flows and never expands copies, must give the same value
     rng = random.Random(173)
     for trial in range(500):
         n = rng.randint(2, 7)
@@ -138,10 +140,24 @@ def test_optimal_matching_matches_expanded_scan():
         t = T.points if trial % 2 else T
         for p in (1, 2, math.inf):
             eta, M = optimal_matching(S, T, p)
-            assert eta == expanded_bottleneck(s, t, p), (s, t, p)
+            assert bottleneck_distance(S, T, p) == eta == expanded_bottleneck(s, t, p), (s, t, p)
             assert matching_cost(S, T, M, p) <= eta
             assert all(i in M.coimage for i, x in enumerate(s) if diagonal_penalty(x, p) > eta)
             assert all(j in M.image for j, y in enumerate(t) if diagonal_penalty(y, p) > eta)
+
+
+def test_bottleneck_distance_checks_the_counted_flows(monkeypatch):
+    # a flow on an edge longer than the threshold, or one that leaves a
+    # point too expensive to drop unplaced, must not pass the check
+    def far_saturate(supply, capacity, neighbours):
+        return {i: {len(capacity) - 1: units} for i, units in supply.items()}
+
+    S = pd(9, [(1, 5), (2, 9)])
+    for fake, realized in ((far_saturate, r"4\.0"), (lambda *args: {}, r"3\.5")):
+        monkeypatch.setattr(bottleneck, "_saturate", fake)
+        with pytest.raises(AssertionError,
+                           match=f"combined matching costs {realized}, above threshold 0\\.0"):
+            bottleneck_distance(S, S, math.inf)
 
 
 def _repeated_points(rng, n, max_distinct, max_mult):

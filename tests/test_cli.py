@@ -17,7 +17,7 @@ from zzdist import (PersistenceDiagram, SymbolicModule, ZigzagModule,
                     parse_module_data, random_symbolic_module,
                     serialize_module, serialize_symbolic, stability_experiment,
                     synthesize)
-from zzdist.cli import InputError, parse_module_file
+from zzdist.cli import InputError, _parser, parse_module_file
 
 
 def write(tmp_path, name, obj):
@@ -220,6 +220,48 @@ def test_python_m_zzdist():
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0 and run.stdout.startswith("usage: zzdist")
     assert "RuntimeWarning" not in run.stderr
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once; usage and input errors between two rounds of
+    # every subcommand must not change what the second round prints
+    assert _parser() is _parser()
+    d = write(tmp_path, "d.json", DIA)
+    e = write(tmp_path, "e.json", {"n": 4, "type": "<<>", "diagram": [[1, 3, 2], [2, 4, 1]]})
+    m = write(tmp_path, "m.json", serialize_module(generate_random_module(6, 4, 2, 5)))
+    commands = [
+        ["decompose", d], ["decompose", m], ["synthesize", d],
+        ["reflect", d, "--kind", "colimit", "--index", "3"],
+        ["reflect", m, "--kind", "limit", "--index", "1", "--boundary-dir", "backward"],
+        ["annihilate", d],
+        ["distance", d, e, "--metric", "reflection", "--p", "2"],
+        ["distance", d, e, "--metric", "bottleneck", "--p", "inf"],
+        ["gen", "--n", "6", "--max-points", "4", "--seed", "2"],
+        ["verify-stability", "--trials", "5", "--n", "4", "--max-points", "2", "--seed", "3"],
+    ]
+
+    def one_round():
+        results = []
+        for argv in commands:
+            code = main(argv)
+            results.append((code, capsys.readouterr().out))
+        return results
+
+    first = one_round()
+    assert all(code == 0 and out for code, out in first)
+    for usage_error in (["distance", d], ["distance", d, e, "--metric", "nope"]):
+        with pytest.raises(SystemExit) as exc:
+            main(usage_error)
+        assert exc.value.code == 2
+    assert main(["reflect", d, "--kind", "limit", "--index", "9"]) == 2
+    capsys.readouterr()
+    assert one_round() == first
+    src = str(Path(zzdist.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "zzdist", *commands[7]], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout) == first[7]
 
 
 _WITHOUT_NUMPY = """

@@ -8,10 +8,10 @@ from helpers import (all_dirs, all_intervals, random_symbolic, segment_rank_deco
                      synthesized_pair)
 
 from zzdist import (COLIMIT, LIMIT, Orientation, PersistenceDiagram,
-                    ReflectionOp, SymbolicModule, act, all_ops, apply, decompose,
-                    diagram_contains, diagrams, generate_random_module,
-                    interval_image, interval_module, synthesize, transform_type,
-                    zero_module)
+                    ReflectionOp, SymbolicModule, act, all_ops, apply, bottleneck_distance,
+                    decompose, diagram_contains, diagrams, generate_random_module,
+                    interval_image, interval_module, optimal_matching, synthesize,
+                    transform_type, zero_module)
 
 
 def tau(s: str) -> Orientation:
@@ -40,6 +40,19 @@ def test_diagram_validation():
         pd(3, [(3, 2)])
     with pytest.raises(ValueError):
         PersistenceDiagram.from_counts(3, [(1, 2, 0)])
+
+
+def test_non_integer_endpoints_are_refused():
+    # truncating would silently turn (1.9, 3.7) into (1, 3), at bottleneck
+    # distance 0 from [1, 3]
+    bad = [(1, 4), (1.9, 3.7)]
+    for build in (lambda: pd(4, bad), lambda: synthesize(tau(">>>"), bad),
+                  lambda: bottleneck_distance(bad, [(1, 3)]),
+                  lambda: optimal_matching([(1, 3)], bad)):
+        with pytest.raises(ValueError, match=r"entry 1 \(1\.9, 3\.7\)"):
+            build()
+    with pytest.raises(ValueError, match="entry 0"):
+        pd(4, [(2.0, 3)])
 
 
 def test_from_counts_round_trip():
