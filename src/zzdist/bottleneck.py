@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Sequence
 
 from .diagrams import PersistenceDiagram
-from .zigzag_core import _int_points
+from .linalg import _exact_ints
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class Matching:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple(sorted((int(i), int(j)) for (i, j) in self.pairs))
+        pairs = tuple(sorted(_exact_ints(self.pairs, "indices", True)))
         seen_s: set[int] = set()
         seen_t: set[int] = set()
         for (i, j) in pairs:
@@ -73,9 +72,7 @@ def _check_p(p: float) -> float:
 
 
 def _points(D) -> Sequence[tuple[int, int]]:
-    if isinstance(D, PersistenceDiagram):
-        return D.points  # already sorted, validated ints
-    return _int_points(D.points if hasattr(D, "points") else D)
+    return D.points if isinstance(D, PersistenceDiagram) else _exact_ints(D, "endpoints", True)
 
 
 def _point_dist(a: tuple[int, int], b: tuple[int, int], p: float) -> float:
@@ -192,6 +189,14 @@ def _group(pts: Sequence[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[
     for i, pt in enumerate(pts):
         groups.setdefault(pt, []).append(i)
     return list(groups), list(groups.values())
+
+
+def _counted(D) -> tuple[list[tuple[int, int]], list[int]]:
+    """Distinct points and multiplicities: a diagram's counts, or grouped."""
+    if isinstance(D, PersistenceDiagram):
+        return [(b, d) for (b, d, _) in D.counts()], [m for (_, _, m) in D.counts()]
+    distinct, copies = _group(_points(D))
+    return distinct, list(map(len, copies))
 
 
 def _expand(flow: dict[int, dict[int, int]], source: Sequence[Sequence[int]],
@@ -316,8 +321,7 @@ def bottleneck_distance(S, T, p: float = math.inf) -> float:
     are checked directly, and no index-level matching is built.
     """
     p = _check_p(p)
-    ca, cb = Counter(_points(S)), Counter(_points(T))
-    a, mult_a, b, mult_b = list(ca), list(ca.values()), list(cb), list(cb.values())
+    (a, mult_a), (b, mult_b) = _counted(S), _counted(T)
     eta, f, g = _threshold(a, mult_a, b, mult_b, p)
     realized = max(_flow_cost(f, a, mult_a, b, p), _flow_cost(g, b, mult_b, a, p))
     if realized > eta:

@@ -324,7 +324,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InputError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
-    except MemoryError:
+    except (MemoryError, OverflowError):  # e.g. a multiplicity too large to expand
         sys.stderr.write("error: input too large to hold in memory\n")
         return 2
 

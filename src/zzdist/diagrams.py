@@ -12,67 +12,79 @@ run that empties a module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, Iterator
 
-from .linalg import segment_ranks
+from .linalg import _exact_ints, segment_ranks
 from .reflections import (LIMIT, ReflectionOp, ReflectionSequence, check_applicable,
                           ops_at)
 from .zigzag_core import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, Orientation,
-                          ZigzagModule, _contains, _int_points, transform_type)
+                          ZigzagModule, _contains, transform_type)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PersistenceDiagram:
     """A multiset of intervals [b, d] inside positions 1..n.
 
-    ``points`` is kept expanded (one entry per copy) and sorted, so equal
-    diagrams compare and hash equal.  It is the only multiset form:
-    counts group its runs, and containment walks it as a subsequence.
+    The stored form is ``counts()``: sorted (b, d, multiplicity) triples,
+    one per distinct interval, so equal diagrams compare and hash equal
+    and no multiplicity adds cost.  ``points`` expands them, one entry per
+    copy, for callers that index copies (``synthesize``, ``optimal_matching``).
     """
 
     n: int
-    points: tuple[tuple[int, int], ...]
+    _counts: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
-            raise ValueError(f"ambient length must be an integer >= 2, got {self.n!r}")
-        pts = sorted(_int_points(self.points))
-        for (b, d) in pts:
-            if not 1 <= b <= d <= self.n:
-                raise ValueError(f"interval [{b}, {d}] out of range 1..{self.n}")
-        object.__setattr__(self, "points", tuple(pts))
+    def __init__(self, n: int, points: Iterable[tuple[int, int]]) -> None:
+        self._store(n, [(*pt, 1) for pt in _exact_ints(points, "endpoints", True)])
 
     @classmethod
     def from_counts(cls, n: int, counts: Iterable[tuple[int, int, int]]) -> "PersistenceDiagram":
-        """Build from (b, d, multiplicity) triples."""
-        pts: list[tuple[int, int]] = []
-        for (b, d, m) in counts:
+        """Build from (b, d, multiplicity) triples; repeated intervals merge."""
+        D = cls.__new__(cls)
+        D._store(n, _exact_ints(counts, "birth, death and multiplicity", True))
+        return D
+
+    def _store(self, n: int, triples: list[tuple[int, int, int]]) -> None:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+            raise ValueError(f"ambient length must be an integer >= 2, got {n!r}")
+        counts: list[tuple[int, int, int]] = []
+        for (b, d, m) in sorted(triples):  # equal intervals end up adjacent
             if m < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {m} for [{b}, {d}]")
-            pts.extend([(b, d)] * m)
-        return cls(n, tuple(pts))
+            if not 1 <= b <= d <= n:
+                raise ValueError(f"interval [{b}, {d}] out of range 1..{n}")
+            if counts and counts[-1][:2] == (b, d):
+                m += counts.pop()[2]
+            counts.append((b, d, m))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_counts", tuple(counts))
 
     def counts(self) -> tuple[tuple[int, int, int], ...]:
-        """Sorted (b, d, multiplicity) triples."""
-        return tuple((b, d, sum(1 for _ in run)) for (b, d), run in groupby(self.points))
+        """Sorted (b, d, multiplicity) triples, one per distinct interval."""
+        return self._counts
+
+    @property
+    def points(self) -> tuple[tuple[int, int], ...]:
+        """One sorted (b, d) entry per copy; a multiplicity too large to
+        hold fails at once, when its run is allocated."""
+        return tuple(pt for (b, d, m) in self._counts for pt in [(b, d)] * m)
 
     def remove_simple(self) -> "PersistenceDiagram":
         """Drop every one-position interval; idempotent."""
-        return PersistenceDiagram(self.n, tuple(pt for pt in self.points if pt[0] != pt[1]))
+        return PersistenceDiagram.from_counts(self.n, (c for c in self._counts if c[0] != c[1]))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.points)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return sum(m for (_, _, m) in self._counts)
 
 
 def diagram_contains(inner: PersistenceDiagram, outer: PersistenceDiagram) -> bool:
     """Whether every interval of ``inner`` occurs in ``outer`` at least as often."""
     if inner.n != outer.n:
         raise ValueError(f"length mismatch: {inner.n} vs {outer.n}")
-    return _contains(inner.points, outer.points)
+    return _contains(inner.counts(), outer.counts())
 
 
 @dataclass(frozen=True)
@@ -167,15 +179,16 @@ def interval_image(op: ReflectionOp, tau: Orientation, b: int, d: int) -> tuple[
 def act(op: ReflectionOp, S: SymbolicModule) -> SymbolicModule:
     """Push a symbolic module through a reflection.
 
-    Every interval moves by ``interval_image``; annihilated intervals
-    disappear and one-position images are sanitized away, matching how
-    reflection runs are costed.
+    Every distinct interval moves once by ``interval_image`` with its
+    multiplicity; annihilated intervals disappear, one-position images are
+    sanitized away, matching how reflection runs are costed, and equal
+    images merge.
     """
     check_applicable(op, S.n)
     new_tau = transform_type(S.tau, EXTROVERSION if op.kind == LIMIT else INTROVERSION, op.k)
-    images = (interval_image(op, S.tau, b, d) for (b, d) in S.diagram)
-    pts = tuple(img for img in images if img is not None and img[0] != img[1])
-    return SymbolicModule(new_tau, PersistenceDiagram(S.n, pts))
+    images = ((interval_image(op, S.tau, b, d), m) for (b, d, m) in S.diagram.counts())
+    counts = [(*img, m) for img, m in images if img is not None and img[0] != img[1]]
+    return SymbolicModule(new_tau, PersistenceDiagram.from_counts(S.n, counts))
 
 
 def annihilating_sequence(V: ZigzagModule | SymbolicModule) -> ReflectionSequence:
@@ -190,15 +203,15 @@ def annihilating_sequence(V: ZigzagModule | SymbolicModule) -> ReflectionSequenc
     [b, j-1].  The final one-position remnant is a simple summand and is
     dropped by the sanitizing step built into the symbolic action.  Each
     pass kills every copy of the chosen interval while moving others at
-    most sideways, so the point count strictly drops and the loop ends.
+    most sideways, so the distinct-interval count drops and the loop ends.
     """
     n = V.n
     diagram = V.diagram if isinstance(V, SymbolicModule) else decompose(V)
     state = SymbolicModule(V.tau, diagram.remove_simple())
     chosen: list[ReflectionOp] = []
-    while state.diagram.points:
-        before = len(state.diagram.points)
-        b, d = max(state.diagram.points)
+    while state.diagram.counts():
+        before = len(state.diagram.counts())
+        b, d, _ = state.diagram.counts()[-1]
         for j in range(d, b, -1):
             for op in ops_at(n, j):
                 if interval_image(op, state.tau, b, j) == (b, j - 1):
@@ -207,6 +220,6 @@ def annihilating_sequence(V: ZigzagModule | SymbolicModule) -> ReflectionSequenc
                 raise AssertionError(f"no reflection at {j} shortens [{b}, {j}]")
             chosen.append(op)
             state = act(op, state)
-        if len(state.diagram.points) >= before:
-            raise AssertionError("annihilation pass failed to reduce the point count")
+        if len(state.diagram.counts()) >= before:
+            raise AssertionError("annihilation pass failed to reduce the interval count")
     return ReflectionSequence(tuple(chosen))

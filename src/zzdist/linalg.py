@@ -56,6 +56,19 @@ def _check_prime(p: int) -> int:
     return p
 
 
+def _exact_ints(entries, what: str, tuples: bool = False) -> list:
+    """The entries (integers, or tuples of them if ``tuples`` is set) as
+    exact integers: ``operator.index`` refuses 1.9 rather than truncating
+    it to 1, and the ValueError names the first offending entry."""
+    out = []
+    for i, e in enumerate(entries):
+        try:
+            out.append(tuple(map(index, e)) if tuples else index(e))
+        except TypeError:
+            raise ValueError(f"entry {i} {e!r}: {what} must be integers") from None
+    return out
+
+
 def _transpose(rows: Sequence[Sequence[int]], cols: int) -> list:
     """Rows of the transpose of a ``len(rows)`` x ``cols`` matrix."""
     return list(zip(*rows)) if rows else [()] * cols
@@ -311,10 +324,12 @@ class FiniteDiagram:
 
     def __post_init__(self) -> None:
         _check_prime(self.p)
-        spaces = tuple(int(d) for d in self.spaces)
+        spaces = tuple(_exact_ints(self.spaces, "space dimensions"))
         if any(d < 0 for d in spaces):
             raise ValueError(f"space dimensions must be nonnegative, got {spaces}")
-        arrows = tuple((int(s), int(t), M) for (s, t, M) in self.arrows)
+        arrows = tuple(self.arrows)
+        ends = _exact_ints(((s, t) for (s, t, _) in arrows), "arrow endpoints", True)
+        arrows = tuple((s, t, M) for (s, t), (_, _, M) in zip(ends, arrows))
         for idx, (s, t, M) in enumerate(arrows):
             if not (0 <= s < len(spaces)) or not (0 <= t < len(spaces)):
                 raise ValueError(f"arrow {idx} endpoints ({s}, {t}) out of range")

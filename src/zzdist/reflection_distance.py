@@ -2,10 +2,10 @@
 
 Two modules are close when short runs of reflections carry each into a
 summand of the other, up to reversing invertible arrows and ignoring
-one-position summands.  The search runs over plain state tuples: the
-directions of an orientation normalized at every flippable arrow, plus
-the sorted diagram without its one-position intervals.  Breadth-first
-search finds the fewest steps together with a witness run; successor
+one-position summands.  A search state is a plain tuple: the directions
+of an orientation normalized at every flippable arrow, plus the sorted
+(b, d, multiplicity) counts of its diagram less one-position intervals.
+Breadth-first search finds the fewest steps with a witness run; successor
 lists are shared across calls, and each search keeps nothing else.
 """
 
@@ -18,7 +18,7 @@ from .diagrams import PersistenceDiagram, SymbolicModule, act
 from .reflections import ReflectionOp, ReflectionSequence, all_ops
 from .zigzag_core import Orientation, _embeds, canonical_type
 
-_State = tuple[tuple[str, ...], tuple[tuple[int, int], ...]]
+_State = tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]
 
 # successor lists depend only on the state, so one table serves every
 # search; fills are idempotent
@@ -38,23 +38,26 @@ def cost(seq: ReflectionSequence, p: float = 1) -> float:
 
 
 def _state(S: SymbolicModule) -> _State:
-    """The search state of S: canonical directions and sanitized points."""
-    points = tuple(pt for pt in S.diagram.points if pt[0] != pt[1])
-    return canonical_type(S.tau, points).dirs, points
+    """The search state of S: canonical directions and sanitized counts."""
+    counts = tuple(c for c in S.diagram.counts() if c[0] != c[1])
+    return canonical_type(S.tau, [(b, d) for (b, d, _) in counts]).dirs, counts
 
 
 def _successors(state: _State) -> tuple[tuple[ReflectionOp, _State], ...]:
     cached = _SUCCESSORS.get(state)
     if cached is None:
-        dirs, points = state
-        S = SymbolicModule(Orientation(dirs), PersistenceDiagram(len(dirs) + 1, points))
+        dirs, counts = state
+        D = PersistenceDiagram.from_counts(len(dirs) + 1, counts)
+        S = SymbolicModule(Orientation(dirs), D)
         cached = _SUCCESSORS[state] = tuple((op, _state(act(op, S))) for op in all_ops(S.n))
     return cached
 
 
 def _depth_cap(start: _State) -> int:
-    dirs, points = start
-    return (len(dirs) + 1) * max(1, len(points))
+    # ``annihilating_sequence`` reaches the empty goal: each of its passes
+    # kills every copy of one distinct interval in at most n - 1 steps
+    dirs, counts = start
+    return (len(dirs) + 1) * max(1, len(counts))
 
 
 def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, ReflectionSequence]:
@@ -65,8 +68,8 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Reflec
     if source.n != target.n:
         raise ValueError(f"length mismatch: {source.n} vs {target.n}")
     start = _state(source)
-    dirs_w, points_w = target.tau.dirs, target.diagram.points
-    if _embeds(*start, dirs_w, points_w):
+    dirs_w, counts_w = target.tau.dirs, target.diagram.counts()
+    if _embeds(*start, dirs_w, counts_w):
         return 0, ReflectionSequence(())
 
     def inputs() -> str:
@@ -84,7 +87,7 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Reflec
                 if T in parents:
                     continue
                 parents[T] = (S, op)
-                if not _embeds(*T, dirs_w, points_w):
+                if not _embeds(*T, dirs_w, counts_w):
                     layer.append(T)
                     continue
                 ops = []  # the witness, read back from the goal

@@ -12,10 +12,9 @@ preorder it generates on decomposed modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 from typing import Iterable
 
-from .linalg import DEFAULT_PRIME, Matrix, block_diag, inverse, is_invertible
+from .linalg import DEFAULT_PRIME, Matrix, _exact_ints, block_diag, inverse, is_invertible
 
 FORWARD = ">"
 BACKWARD = "<"
@@ -132,7 +131,7 @@ class ZigzagModule:
     maps: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_exact_ints(self.dims, "dimensions"))
         maps = tuple(self.maps)
         n = self.tau.n
         if len(dims) != n:
@@ -188,22 +187,6 @@ def direct_sum(V: ZigzagModule, W: ZigzagModule) -> ZigzagModule:
     return ZigzagModule(V.tau, dims, maps)
 
 
-def _int_points(points: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The (birth, death) pairs with exact integer endpoints.
-
-    Endpoints go through ``operator.index``, so 3.7 is refused, not
-    truncated to 3; the ValueError names the offending entry.
-    """
-    pts = list(points)
-    try:
-        return [(index(b), index(d)) for (b, d) in pts]
-    except TypeError:
-        for i, (b, d) in enumerate(pts):  # name the first offending entry
-            if not (hasattr(b, "__index__") and hasattr(d, "__index__")):
-                raise ValueError(f"entry {i} {(b, d)!r}: endpoints must be integers") from None
-        raise
-
-
 def synthesize(tau: Orientation, points: Iterable[tuple[int, int]],
                p: int = DEFAULT_PRIME) -> ZigzagModule:
     """Direct sum of interval modules, one per (birth, death) point.
@@ -212,7 +195,7 @@ def synthesize(tau: Orientation, points: Iterable[tuple[int, int]],
     directly so each summand occupies one fixed coordinate per position.
     """
     n = tau.n
-    pts = sorted(_int_points(points))
+    pts = sorted(_exact_ints(points, "endpoints", True))
     for (b, d) in pts:
         if not 1 <= b <= d <= n:
             raise ValueError(f"interval [{b}, {d}] out of range 1..{n}")
@@ -330,21 +313,13 @@ def flippable_positions(points: Iterable[tuple[int, int]], n: int) -> frozenset[
     """Arrow indices that are isomorphisms for a module with this diagram.
 
     Arrow k is an isomorphism exactly when every interval of the diagram
-    contains both of positions k, k+1 or neither of them.
+    contains both of positions k, k+1 or neither of them, that is, when
+    no interval ends at k or starts at k+1.
     """
-    pts = list(points)
-    out = set()
-    for k in range(1, n):
-        ok = True
-        for (b, d) in pts:
-            crosses = b <= k and d >= k + 1
-            misses = d <= k - 1 or b >= k + 2
-            if not (crosses or misses):
-                ok = False
-                break
-        if ok:
-            out.add(k)
-    return frozenset(out)
+    blocked = set()
+    for (b, d) in points:
+        blocked.update((d, b - 1))
+    return frozenset(range(1, n)).difference(blocked)
 
 
 def canonical_type(tau: Orientation, points: Iterable[tuple[int, int]]) -> Orientation:
@@ -366,24 +341,27 @@ def is_summand_upto_equiv(tau_v: Orientation, diagram_v, tau_w: Orientation, dia
     Requires the first diagram to be contained in the second as a multiset
     and every position where the types disagree to be flippable for the
     first diagram.  The diagrams are ``PersistenceDiagram`` values, whose
-    sorted ``points`` make containment a subsequence walk.
+    sorted ``counts()`` are compared one distinct interval at a time.
     """
     if tau_v.n != tau_w.n:
         raise ValueError(f"length mismatch: {tau_v.n} vs {tau_w.n}")
     if diagram_v.n != tau_v.n or diagram_w.n != tau_w.n:
         raise ValueError("diagram length does not match orientation length")
-    return _embeds(tau_v.dirs, diagram_v.points, tau_w.dirs, diagram_w.points)
+    return _embeds(tau_v.dirs, diagram_v.counts(), tau_w.dirs, diagram_w.counts())
 
 
 def _contains(inner: tuple, outer: tuple) -> bool:
-    """Multiset containment of two sorted point tuples, as a subsequence walk."""
+    """Multiset containment of sorted (b, d, m) tuples, as a subsequence walk."""
     rest = iter(outer)
-    return all(pt in rest for pt in inner)
+    for (b, d, m) in inner:
+        if next((m2 for (b2, d2, m2) in rest if b2 == b and d2 == d), 0) < m:
+            return False
+    return True
 
 
-def _embeds(dirs_v: tuple, points_v: tuple, dirs_w: tuple, points_w: tuple) -> bool:
-    """``is_summand_upto_equiv`` on direction and sorted point tuples, unvalidated."""
-    if not _contains(points_v, points_w):
+def _embeds(dirs_v: tuple, counts_v: tuple, dirs_w: tuple, counts_w: tuple) -> bool:
+    """``is_summand_upto_equiv`` on direction and (b, d, m) tuples, unvalidated."""
+    if not _contains(counts_v, counts_w):
         return False
     disagree = {k for k in range(1, len(dirs_v) + 1) if dirs_v[k - 1] != dirs_w[k - 1]}
-    return disagree <= flippable_positions(points_v, len(dirs_v) + 1)
+    return disagree <= flippable_positions([(b, d) for (b, d, _) in counts_v], len(dirs_v) + 1)

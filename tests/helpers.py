@@ -11,10 +11,12 @@ import itertools
 import math
 import random
 
-from zzdist import (BACKWARD, FORWARD, FiniteDiagram, Matrix, Orientation,
-                    PersistenceDiagram, SymbolicModule, ZigzagModule, act,
-                    all_ops, canonical_type, cokernel, diagram_colimit,
-                    diagram_limit, is_summand_upto_equiv, rank, synthesize)
+from zzdist import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, LIMIT,
+                    FiniteDiagram, Matrix, Orientation, PersistenceDiagram,
+                    SymbolicModule, ZigzagModule, act, all_ops, canonical_type,
+                    check_applicable, cokernel, diagram_colimit, diagram_limit,
+                    interval_image, is_summand_upto_equiv, rank, synthesize,
+                    transform_type)
 
 
 def random_dirs(rng: random.Random, n: int) -> tuple[str, ...]:
@@ -37,8 +39,29 @@ def random_diagram(rng: random.Random, n: int, max_points: int) -> PersistenceDi
     return PersistenceDiagram(n, random_points(rng, n, max_points))
 
 
+def random_counted(rng: random.Random, n: int, max_distinct: int,
+                   max_mult: int) -> PersistenceDiagram:
+    """Up to ``max_distinct`` distinct intervals, each with a multiplicity
+    drawn from 1..``max_mult``."""
+    pool = all_intervals(n)
+    chosen = rng.sample(pool, rng.randint(0, min(max_distinct, len(pool))))
+    return PersistenceDiagram.from_counts(n, [(b, d, rng.randint(1, max_mult))
+                                              for (b, d) in chosen])
+
+
 def random_symbolic(rng: random.Random, n: int, max_points: int) -> SymbolicModule:
     return SymbolicModule(random_orientation(rng, n), random_diagram(rng, n, max_points))
+
+
+def expanded_act(op, S: SymbolicModule) -> SymbolicModule:
+    """``act`` one copy at a time: every entry of the expanded ``points``
+    moves by ``interval_image``, and the diagram is rebuilt from the
+    surviving images, so colliding images meet as separate copies."""
+    check_applicable(op, S.n)
+    new_tau = transform_type(S.tau, EXTROVERSION if op.kind == LIMIT else INTROVERSION, op.k)
+    images = (interval_image(op, S.tau, b, d) for (b, d) in S.diagram.points)
+    pts = tuple(img for img in images if img is not None and img[0] != img[1])
+    return SymbolicModule(new_tau, PersistenceDiagram(S.n, pts))
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, p: int) -> Matrix:

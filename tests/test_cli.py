@@ -164,13 +164,24 @@ def test_cmd_annihilate_ignores_multiplicity(tmp_path, capsys):
     assert json.loads(runs[0])["length"] == 3
 
 
-def test_huge_multiplicity_exits_2(tmp_path, capsys):
-    d = write(tmp_path, "d.json", {"n": 5, "type": "><><", "diagram": [[1, 4, 10 ** 18]]})
-    for command in ("decompose", "annihilate"):
-        assert main([command, d]) == 2
+def test_huge_multiplicity_is_answered_but_not_synthesized(tmp_path, capsys):
+    # diagrams are stored counted, so 10^18 copies cost what one copy does;
+    # only synthesize needs a matrix coordinate per copy, and exits 2
+    runs = {}
+    for m in (1, 10 ** 18):
+        d = write(tmp_path, f"d{m}.json", {"n": 5, "type": "><><", "diagram": [[1, 4, m]]})
+        assert main(["decompose", d]) == 0
+        assert json.loads(capsys.readouterr().out)["diagram"] == [[1, 4, m]]
+        assert main(["annihilate", d]) == 0
+        runs[m] = capsys.readouterr().out
+    assert runs[10 ** 18] == runs[1]
+    # 10^18 copies are too many to allocate, 10^30 too many to index
+    for m in (10 ** 18, 10 ** 30):
+        d = write(tmp_path, "big.json", {"n": 5, "type": "><><", "diagram": [[1, 4, m]]})
+        assert main(["synthesize", d]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.err == "error: input too large to hold in memory\n"
 
 
 def test_cmd_distance(tmp_path, capsys):

@@ -4,14 +4,15 @@ import random
 from collections import Counter
 
 import pytest
-from helpers import (all_dirs, all_intervals, random_symbolic, segment_rank_decompose,
+from helpers import (all_dirs, all_intervals, expanded_act, random_counted,
+                     random_orientation, random_symbolic, segment_rank_decompose,
                      synthesized_pair)
 
-from zzdist import (COLIMIT, LIMIT, Orientation, PersistenceDiagram,
-                    ReflectionOp, SymbolicModule, act, all_ops, apply, bottleneck_distance,
-                    decompose, diagram_contains, diagrams, generate_random_module,
-                    interval_image, interval_module, optimal_matching, synthesize,
-                    transform_type, zero_module)
+from zzdist import (BACKWARD, COLIMIT, LIMIT, FiniteDiagram, Matching, Matrix, Orientation,
+                    PersistenceDiagram, ReflectionOp, SymbolicModule, ZigzagModule, act,
+                    all_ops, apply, bottleneck_distance, decompose, diagram_contains,
+                    diagrams, generate_random_module, interval_image, interval_module,
+                    optimal_matching, synthesize, transform_type, zero_module)
 
 
 def tau(s: str) -> Orientation:
@@ -53,6 +54,33 @@ def test_non_integer_endpoints_are_refused():
             build()
     with pytest.raises(ValueError, match="entry 0"):
         pd(4, [(2.0, 3)])
+
+
+def test_non_integer_counts_indices_and_dimensions_are_refused():
+    # each of these used to be truncated, (0.7, 1.9) to (0, 1) and 1.9 to 1,
+    # or, for a multiplicity, to fail with a TypeError
+    one = Matrix.identity(1, 2)
+    cases = [
+        (lambda: PersistenceDiagram.from_counts(4, [(2, 3, 1), (1, 3, 2.5)]),
+         r"entry 1 \(1, 3, 2\.5\): birth, death and multiplicity"),
+        (lambda: Matching(2, 2, ((0.7, 1.9),)), r"entry 0 \(0\.7, 1\.9\): indices"),
+        (lambda: ZigzagModule(tau(">"), (1.0, 1.9), (one,)), r"entry 0 1\.0: dimensions"),
+        (lambda: FiniteDiagram(2, (1.5,), ()), r"entry 0 1\.5: space dimensions"),
+        (lambda: FiniteDiagram(2, (1, 1), ((0, 1, one), (0, 1.0, one))),
+         r"entry 1 \(0, 1\.0\): arrow endpoints"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError, match=message + " must be integers"):
+            build()
+
+
+def test_from_counts_merges_and_stores_counts_only():
+    D = PersistenceDiagram.from_counts(5, [(2, 4, 10 ** 18), (1, 5, 1), (2, 4, 2)])
+    assert D.counts() == ((1, 5, 1), (2, 4, 10 ** 18 + 2))
+    assert len(D) == 10 ** 18 + 3
+    assert D == PersistenceDiagram.from_counts(5, D.counts())
+    assert hash(D) == hash(PersistenceDiagram.from_counts(5, reversed(D.counts())))
+    assert diagram_contains(D.remove_simple(), D) and not diagram_contains(D, pd(5, [(2, 4)]))
 
 
 def test_from_counts_round_trip():
@@ -206,6 +234,25 @@ def test_act_small_fixture():
     out = act(ReflectionOp(COLIMIT, 3), S)
     assert out.tau == tau(">><")
     assert out.diagram.counts() == ((1, 3, 1), (1, 4, 1))
+
+
+def test_act_merges_colliding_images():
+    # a limit at 1 with a backward boundary arrow on "<" sends both [1, 2]
+    # and [2, 2] to [1, 2]: two distinct intervals become one with two copies
+    S = SymbolicModule(tau("<"), pd(2, [(1, 2), (2, 2)]))
+    op = ReflectionOp(LIMIT, 1, BACKWARD)
+    assert [interval_image(op, S.tau, b, d) for (b, d) in S.diagram] == [(1, 2), (1, 2)]
+    assert act(op, S).diagram.counts() == ((1, 2, 2),)
+    assert act(op, S) == expanded_act(op, S)
+
+
+def test_act_matches_the_per_copy_oracle():
+    rng = random.Random(83)
+    for _ in range(500):
+        n = rng.randint(2, 7)
+        S = SymbolicModule(random_orientation(rng, n), random_counted(rng, n, 5, 3))
+        for op in all_ops(n):
+            assert act(op, S) == expanded_act(op, S), (S, op)
 
 
 def test_act_transforms_type_and_strips_simple_points():

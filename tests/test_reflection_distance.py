@@ -3,14 +3,16 @@ from __future__ import annotations
 import importlib
 import math
 import random
+import time
 
 import pytest
-from helpers import all_dirs, all_intervals, bfs_min_steps, random_symbolic
+from helpers import (all_dirs, all_intervals, bfs_min_steps, random_counted,
+                     random_orientation, random_symbolic)
 
 from zzdist import (COLIMIT, LIMIT, Orientation, PersistenceDiagram,
                     ReflectionOp, ReflectionSequence, SymbolicModule, act,
-                    canonical_type, cost, is_summand_upto_equiv, min_steps,
-                    reflection_distance)
+                    bottleneck_distance, canonical_type, cost, is_summand_upto_equiv,
+                    min_steps, reflection_distance)
 
 
 def tau(s: str) -> Orientation:
@@ -194,3 +196,26 @@ def test_search_is_independent_of_the_successor_memo(monkeypatch):
     warm = [runs(V, W) for V, W in reversed(pairs)]
     assert rd._SUCCESSORS
     assert warm[::-1] == cold
+
+
+def test_scaling_every_multiplicity_changes_no_answer():
+    # containment compares multiplicities, flippability and the images of
+    # act ignore them, and every Hall condition of the bottleneck flows is
+    # homogeneous in them: multiplying all of them by 10^12 must give the
+    # same steps, witness runs and bottleneck values, at no extra cost
+    rng = random.Random(151)
+    scale = 10 ** 12
+    start = time.perf_counter()
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        V, W = (SymbolicModule(random_orientation(rng, n), random_counted(rng, n, 3, 3))
+                for _ in range(2))
+        if rng.random() < 0.5:
+            W = SymbolicModule(V.tau, W.diagram)
+        big_v, big_w = (SymbolicModule(S.tau, PersistenceDiagram.from_counts(
+            n, [(b, d, m * scale) for (b, d, m) in S.diagram.counts()])) for S in (V, W))
+        assert reflection_distance(big_v, big_w, 1) == reflection_distance(V, W, 1), (V, W)
+        for p in (1, 2, math.inf):
+            assert (bottleneck_distance(big_v.diagram, big_w.diagram, p)
+                    == bottleneck_distance(V.diagram, W.diagram, p)), (V, W, p)
+    assert time.perf_counter() - start < 5.0
