@@ -3,22 +3,23 @@
 A persistence diagram is the multiset of interval supports in a
 module's decomposition into interval summands.  ``decompose`` extracts
 it from a concrete module's segment ranks, one section sweep per birth
-(colimits by duality); ``interval_image`` and ``act`` push diagrams
-through reflections without matrices, by a closed-form rule for where
-each interval goes, and ``annihilating_sequence`` uses them to build a
-run that empties a module.
+(colimits by duality); ``_reflect`` pushes diagrams through reflections
+without matrices, by a closed-form rule for where each interval goes,
+for ``interval_image``, ``act``, the reflection search and
+``annihilating_sequence``, which builds a run that empties a module.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .linalg import _exact_ints, segment_ranks
 from .reflections import (LIMIT, ReflectionOp, ReflectionSequence, check_applicable,
                           ops_at)
-from .zigzag_core import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, Orientation,
-                          ZigzagModule, _contains, transform_type)
+from .zigzag_core import (BACKWARD, FORWARD, Orientation, ZigzagModule, _canonical_dirs,
+                          _contains)
 
 
 @dataclass(frozen=True, init=False)
@@ -77,7 +78,11 @@ class PersistenceDiagram:
         return iter(self.points)
 
     def __len__(self) -> int:
-        return sum(m for (_, _, m) in self._counts)
+        total = sum(m for (_, _, m) in self._counts)
+        if total > sys.maxsize:
+            raise ValueError(f"{total} copies exceed the largest length Python allows; "
+                             "count them with counts()")
+        return total
 
 
 def diagram_contains(inner: PersistenceDiagram, outer: PersistenceDiagram) -> bool:
@@ -140,55 +145,70 @@ def decompose(V: ZigzagModule) -> PersistenceDiagram:
     return PersistenceDiagram.from_counts(n, ((b, d, m) for (b, d), m in mult.items()))
 
 
-def interval_image(op: ReflectionOp, tau: Orientation, b: int, d: int) -> tuple[int, int] | None:
-    """Where a reflection sends the interval [b, d], or None if it dies.
+def _reflect(op: ReflectionOp, dirs: tuple[str, ...], counts: tuple[tuple[int, int, int], ...],
+             raw: bool = False) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]:
+    """The reflection rule, unvalidated: directions and sorted (b, d, m)
+    counts after ``op``.  Unless ``raw``, one-position images are dropped
+    and every arrow left flippable is set forward, giving a search state.
 
-    This is the action of a reflection functor on an interval module
+    This is the action of reflection functors on interval modules
     (Bernstein-Gelfand-Ponomarev).  A limit makes k a source and a
     colimit makes it a sink, so each arrow at k (the phantom
     ``boundary_dir`` arrow at an end) that points the other way is
     rebuilt.  A rebuilt left arrow lets an interval ending at k-1 grow
     to k and pushes one starting at k to k+1; a rebuilt right arrow
-    mirrors this; [k, k] dies if either arrow is rebuilt.  The image is
-    reported raw: a one-position image is returned, not dropped.
+    mirrors this; [k, k] dies if either arrow is rebuilt.  Each distinct
+    interval moves once with its multiplicity, and equal images merge.
     """
+    k, n, limit = op.k, len(dirs) + 1, op.kind == LIMIT
+    left_rebuilt = ((dirs[k - 2] if k >= 2 else op.boundary_dir) == FORWARD) == limit
+    right_rebuilt = ((dirs[k - 1] if k < n else op.boundary_dir) == BACKWARD) == limit
+    images: dict[tuple[int, int], int] = {}
+    for (b, d, m) in counts:
+        if b == d == k and (left_rebuilt or right_rebuilt):
+            continue
+        if left_rebuilt and d == k - 1:
+            d = k
+        elif left_rebuilt and b == k:
+            b = k + 1
+        elif right_rebuilt and b == k + 1:
+            b = k
+        elif right_rebuilt and d == k:
+            d = k - 1
+        if raw or b != d:
+            images[b, d] = images.get((b, d), 0) + m
+    new = list(dirs)
+    if k >= 2:
+        new[k - 2] = BACKWARD if limit else FORWARD
+    if k < n:
+        new[k - 1] = FORWARD if limit else BACKWARD
+    if not raw:
+        new = _canonical_dirs(new, images)
+    return tuple(new), tuple(sorted([(b, d, m) for (b, d), m in images.items()]))
+
+
+def interval_image(op: ReflectionOp, tau: Orientation, b: int, d: int) -> tuple[int, int] | None:
+    """Where a reflection sends the interval [b, d] by ``_reflect``, or
+    None if it dies; a one-position image is returned, not dropped."""
     check_applicable(op, tau.n)
     if not 1 <= b <= d <= tau.n:
         raise ValueError(f"interval [{b}, {d}] out of range 1..{tau.n}")
-    k, n = op.k, tau.n
-    left = tau.dirs[k - 2] if k >= 2 else op.boundary_dir
-    right = tau.dirs[k - 1] if k <= n - 1 else op.boundary_dir
-    limit = op.kind == LIMIT
-    left_rebuilt = (left == FORWARD) == limit
-    right_rebuilt = (right == BACKWARD) == limit
-    if b == d == k:
-        return None if left_rebuilt or right_rebuilt else (b, d)
-    if left_rebuilt:
-        if d == k - 1:
-            return (b, k)
-        if b == k:
-            return (k + 1, d)
-    if right_rebuilt:
-        if b == k + 1:
-            return (k, d)
-        if d == k:
-            return (b, k - 1)
-    return (b, d)
+    image = _reflect(op, tau.dirs, ((b, d, 1),), raw=True)[1]
+    return image[0][:2] if image else None
 
 
 def act(op: ReflectionOp, S: SymbolicModule) -> SymbolicModule:
-    """Push a symbolic module through a reflection.
+    """Push a symbolic module through a reflection by ``_reflect``.
 
-    Every distinct interval moves once by ``interval_image`` with its
-    multiplicity; annihilated intervals disappear, one-position images are
-    sanitized away, matching how reflection runs are costed, and equal
-    images merge.
+    Annihilated intervals disappear, one-position images are sanitized
+    away, matching how reflection runs are costed, and equal images
+    merge.  The type is left as the reflection makes it, not normalized.
+    The reflection search works on the tuples and does not call this.
     """
     check_applicable(op, S.n)
-    new_tau = transform_type(S.tau, EXTROVERSION if op.kind == LIMIT else INTROVERSION, op.k)
-    images = ((interval_image(op, S.tau, b, d), m) for (b, d, m) in S.diagram.counts())
-    counts = [(*img, m) for img, m in images if img is not None and img[0] != img[1]]
-    return SymbolicModule(new_tau, PersistenceDiagram.from_counts(S.n, counts))
+    dirs, counts = _reflect(op, S.tau.dirs, S.diagram.counts(), raw=True)
+    return SymbolicModule(Orientation(dirs),
+                          PersistenceDiagram.from_counts(S.n, (c for c in counts if c[0] != c[1])))
 
 
 def annihilating_sequence(V: ZigzagModule | SymbolicModule) -> ReflectionSequence:
@@ -201,25 +221,26 @@ def annihilating_sequence(V: ZigzagModule | SymbolicModule) -> ReflectionSequenc
     [b, d] and walk its right end down: at each position j from d to b+1
     pick the first reflection at j whose action shortens [b, j] to
     [b, j-1].  The final one-position remnant is a simple summand and is
-    dropped by the sanitizing step built into the symbolic action.  Each
-    pass kills every copy of the chosen interval while moving others at
-    most sideways, so the distinct-interval count drops and the loop ends.
+    dropped, as ``act`` drops it.  Each pass kills every copy of the
+    chosen interval while moving others at most sideways, so the
+    distinct-interval count drops and the loop ends.
     """
     n = V.n
     diagram = V.diagram if isinstance(V, SymbolicModule) else decompose(V)
-    state = SymbolicModule(V.tau, diagram.remove_simple())
+    dirs, counts = V.tau.dirs, diagram.remove_simple().counts()
     chosen: list[ReflectionOp] = []
-    while state.diagram.counts():
-        before = len(state.diagram.counts())
-        b, d, _ = state.diagram.counts()[-1]
+    while counts:
+        before = len(counts)
+        b, d, _ = counts[-1]
         for j in range(d, b, -1):
             for op in ops_at(n, j):
-                if interval_image(op, state.tau, b, j) == (b, j - 1):
+                if _reflect(op, dirs, ((b, j, 1),), raw=True)[1] == ((b, j - 1, 1),):
                     break
             else:
                 raise AssertionError(f"no reflection at {j} shortens [{b}, {j}]")
             chosen.append(op)
-            state = act(op, state)
-        if len(state.diagram.counts()) >= before:
+            dirs, counts = _reflect(op, dirs, counts, raw=True)
+            counts = tuple(c for c in counts if c[0] != c[1])
+        if len(counts) >= before:
             raise AssertionError("annihilation pass failed to reduce the interval count")
     return ReflectionSequence(tuple(chosen))

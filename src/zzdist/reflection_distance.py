@@ -5,24 +5,23 @@ summand of the other, up to reversing invertible arrows and ignoring
 one-position summands.  A search state is a plain tuple: the directions
 of an orientation normalized at every flippable arrow, plus the sorted
 (b, d, multiplicity) counts of its diagram less one-position intervals.
-Breadth-first search finds the fewest steps with a witness run; successor
-lists are shared across calls, and each search keeps nothing else.
+A* search (Hart, Nilsson and Raphael, 1968) finds the fewest steps with a
+witness run, pruning runs longer than the source's annihilating run;
+successor lists come from a fixed-size memo shared across calls.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bottleneck import _check_p
-from .diagrams import PersistenceDiagram, SymbolicModule, act
+from .diagrams import SymbolicModule, _reflect, annihilating_sequence
 from .reflections import ReflectionOp, ReflectionSequence, all_ops
-from .zigzag_core import Orientation, _embeds, canonical_type
+from .zigzag_core import _canonical_dirs, _embeds
 
 _State = tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]
-
-# successor lists depend only on the state, so one table serves every
-# search; fills are idempotent
-_SUCCESSORS: dict[_State, tuple[tuple[ReflectionOp, _State], ...]] = {}
 
 
 def cost(seq: ReflectionSequence, p: float = 1) -> float:
@@ -40,30 +39,45 @@ def cost(seq: ReflectionSequence, p: float = 1) -> float:
 def _state(S: SymbolicModule) -> _State:
     """The search state of S: canonical directions and sanitized counts."""
     counts = tuple(c for c in S.diagram.counts() if c[0] != c[1])
-    return canonical_type(S.tau, [(b, d) for (b, d, _) in counts]).dirs, counts
+    return _canonical_dirs(S.tau.dirs, [(b, d) for (b, d, _) in counts]), counts
 
 
+@lru_cache(maxsize=4096)
 def _successors(state: _State) -> tuple[tuple[ReflectionOp, _State], ...]:
-    cached = _SUCCESSORS.get(state)
-    if cached is None:
-        dirs, counts = state
-        D = PersistenceDiagram.from_counts(len(dirs) + 1, counts)
-        S = SymbolicModule(Orientation(dirs), D)
-        cached = _SUCCESSORS[state] = tuple((op, _state(act(op, S))) for op in all_ops(S.n))
-    return cached
+    """Each other state one reflection away, with the first op reaching it."""
+    # a reflection at k moves nothing, and the arrows it sets stay
+    # flippable, unless an interval ends at k-1 or k or starts at k or k+1
+    near = {x for (b, d, _) in state[1] for x in (d, b - 1)}
+    first: dict[_State, ReflectionOp] = {}
+    for op in all_ops(len(state[0]) + 1):
+        if op.k - 1 in near or op.k in near:
+            first.setdefault(_reflect(op, *state), op)
+    first.pop(state, None)
+    return tuple((op, T) for T, op in first.items())
 
 
-def _depth_cap(start: _State) -> int:
-    # ``annihilating_sequence`` reaches the empty goal: each of its passes
-    # kills every copy of one distinct interval in at most n - 1 steps
-    dirs, counts = start
-    return (len(dirs) + 1) * max(1, len(counts))
+def _lower_bound(counts: tuple[tuple[int, int, int], ...], target: tuple) -> int:
+    """h: the largest, over intervals [b, d], of the fewer of d - b steps
+    to die and |b - b'| + |d - d'| to become a target interval [b', d'].
+    A reflection moves one endpoint of an interval by at most one
+    position, so h never overestimates and drops by at most one a step."""
+    worst = 0
+    for (b, d, _) in counts:
+        charge = d - b
+        for (b2, d2, _) in target:
+            charge = min(charge, abs(b - b2) + abs(d - d2))
+        worst = max(worst, charge)
+    return worst
 
 
 def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, ReflectionSequence]:
     """Fewest reflections carrying source into a summand of target, with
-    a witness run realizing the minimum; goals are tested as states are
-    generated, so the first goal found lies on the shallowest layer.
+    a witness run realizing the minimum.
+
+    The heap is ordered by (f, -g), f = g + h.  As h is consistent, popped
+    f never decreases nor exceeds the optimum, so a goal generated at
+    depth g + 1 <= f is returned at once, others (h = 0) when popped.  U
+    is worked out only once f passes h(start), where most searches end.
     """
     if source.n != target.n:
         raise ValueError(f"length mismatch: {source.n} vs {target.n}")
@@ -76,32 +90,45 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Reflec
         return (f"source {source.tau} {list(source.diagram.counts())}, "
                 f"target {target.tau} {list(target.diagram.counts())}")
 
-    cap = _depth_cap(start)
-    # state -> (parent state, op); the start maps to None
+    def witness(T: _State, depth: int) -> tuple[int, ReflectionSequence]:
+        ops = []
+        while parents[T] is not None:
+            T, op = parents[T]
+            ops.append(op)
+        if len(ops) != depth:
+            raise AssertionError(f"witness length disagrees with search depth; {inputs()}")
+        return depth, ReflectionSequence(tuple(reversed(ops)))
+
+    # best known depth of each state, and the (parent state, op) it came by
+    depth = {start: 0}
     parents: dict[_State, tuple[_State, ReflectionOp] | None] = {start: None}
-    frontier = [start]
-    for depth in range(1, cap + 1):
-        layer: list[_State] = []
-        for S in frontier:
-            for op, T in _successors(S):
-                if T in parents:
-                    continue
-                parents[T] = (S, op)
-                if not _embeds(*T, dirs_w, counts_w):
-                    layer.append(T)
-                    continue
-                ops = []  # the witness, read back from the goal
-                while parents[T] is not None:
-                    T, op = parents[T]
-                    ops.append(op)
-                if len(ops) != depth:
-                    raise AssertionError(f"witness length disagrees with search depth; {inputs()}")
-                return depth, ReflectionSequence(tuple(reversed(ops)))
-        if not layer:
-            raise AssertionError("search space exhausted; the empty module should be "
-                                 f"a goal; {inputs()}")
-        frontier = layer
-    raise AssertionError(f"search exceeded its depth bound {cap}; {inputs()}")
+    h_start, bound = _lower_bound(start[1], counts_w), None
+    heap = [(h_start, 0, start)]
+    while heap:
+        f, g, S = heapq.heappop(heap)
+        g = -g
+        if g != depth[S]:
+            continue  # queued again later with a smaller depth
+        if f > h_start:
+            bound = len(annihilating_sequence(source)) if bound is None else bound
+            if f > bound:
+                break
+        if f == g and _embeds(*S, dirs_w, counts_w):
+            return witness(S, g)
+        g += 1
+        for op, T in _successors(S):
+            if g >= depth.get(T, g + 1):
+                continue
+            f_t = g + _lower_bound(T[1], counts_w)
+            if bound is not None and f_t > bound:
+                continue
+            depth[T], parents[T] = g, (S, op)
+            if f_t == g and g <= f and _embeds(*T, dirs_w, counts_w):
+                return witness(T, g)
+            heapq.heappush(heap, (f_t, -g, T))
+    bound = len(annihilating_sequence(source)) if bound is None else bound
+    raise AssertionError(f"no goal within the depth bound {bound}, though the empty module "
+                         f"is one; {inputs()}")
 
 
 def min_steps(source: SymbolicModule, target: SymbolicModule) -> int:

@@ -12,7 +12,7 @@ preorder it generates on decomposed modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .linalg import DEFAULT_PRIME, Matrix, _exact_ints, block_diag, inverse, is_invertible
 
@@ -322,16 +322,21 @@ def flippable_positions(points: Iterable[tuple[int, int]], n: int) -> frozenset[
     return frozenset(range(1, n)).difference(blocked)
 
 
+def _canonical_dirs(dirs: Sequence[str], points: Iterable[tuple[int, int]]) -> tuple[str, ...]:
+    """``canonical_type`` on a tuple of directions, unvalidated."""
+    out = list(dirs)
+    for k in flippable_positions(points, len(dirs) + 1):
+        out[k - 1] = FORWARD
+    return tuple(out)
+
+
 def canonical_type(tau: Orientation, points: Iterable[tuple[int, int]]) -> Orientation:
     """Normal form of a type up to reversing arrows the diagram makes invertible.
 
     Every flippable arrow is set forward; two modules reachable from each
     other by such reversals share this normal form.
     """
-    dirs = list(tau.dirs)
-    for k in flippable_positions(points, tau.n):
-        dirs[k - 1] = FORWARD
-    return Orientation(tuple(dirs))
+    return Orientation(_canonical_dirs(tau.dirs, points))
 
 
 def is_summand_upto_equiv(tau_v: Orientation, diagram_v, tau_w: Orientation, diagram_w) -> bool:

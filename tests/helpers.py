@@ -13,10 +13,13 @@ import random
 
 from zzdist import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, LIMIT,
                     FiniteDiagram, Matrix, Orientation, PersistenceDiagram,
-                    SymbolicModule, ZigzagModule, act, all_ops, canonical_type,
-                    check_applicable, cokernel, diagram_colimit, diagram_limit,
-                    interval_image, is_summand_upto_equiv, rank, synthesize,
-                    transform_type)
+                    ReflectionSequence, SymbolicModule, ZigzagModule, act, all_ops,
+                    canonical_type, check_applicable, cokernel, diagram_colimit,
+                    diagram_limit, interval_image, is_summand_upto_equiv, rank,
+                    synthesize, transform_type)
+from zzdist.diagrams import _reflect
+from zzdist.reflection_distance import _state
+from zzdist.zigzag_core import _embeds
 
 
 def random_dirs(rng: random.Random, n: int) -> tuple[str, ...]:
@@ -341,4 +344,40 @@ def bfs_min_steps(source: SymbolicModule, target: SymbolicModule) -> int:
                     seen.add(T)
                     nxt.append(T)
         layer, depth = nxt, depth + 1
+    raise AssertionError("no goal reachable; the empty module always is one")
+
+
+def bfs_search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, ReflectionSequence]:
+    """Fewest reflections carrying source into a summand of target, with
+    a witness run realizing the minimum.
+
+    Breadth-first search over the library's tuple states and reflection
+    rule, with no memo: goals are tested as states are generated, so the
+    first goal found lies on the shallowest layer.  The reference for the
+    library's A* search.
+    """
+    start = _state(source)
+    dirs_w, counts_w = target.tau.dirs, target.diagram.counts()
+    if _embeds(*start, dirs_w, counts_w):
+        return 0, ReflectionSequence(())
+    parents: dict = {start: None}  # state -> (parent state, op); the start maps to None
+    frontier, depth = [start], 0
+    while frontier:
+        depth += 1
+        layer = []
+        for S in frontier:
+            for op in all_ops(source.n):
+                T = _reflect(op, *S)
+                if T in parents:
+                    continue
+                parents[T] = (S, op)
+                if not _embeds(*T, dirs_w, counts_w):
+                    layer.append(T)
+                    continue
+                ops = []  # the witness, read back from the goal
+                while parents[T] is not None:
+                    T, op = parents[T]
+                    ops.append(op)
+                return depth, ReflectionSequence(tuple(reversed(ops)))
+        frontier = layer
     raise AssertionError("no goal reachable; the empty module always is one")

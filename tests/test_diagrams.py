@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ from zzdist import (BACKWARD, COLIMIT, LIMIT, FiniteDiagram, Matching, Matrix, O
                     all_ops, apply, bottleneck_distance, decompose, diagram_contains,
                     diagrams, generate_random_module, interval_image, interval_module,
                     optimal_matching, synthesize, transform_type, zero_module)
+from zzdist.reflection_distance import _state
 
 
 def tau(s: str) -> Orientation:
@@ -81,6 +83,13 @@ def test_from_counts_merges_and_stores_counts_only():
     assert D == PersistenceDiagram.from_counts(5, D.counts())
     assert hash(D) == hash(PersistenceDiagram.from_counts(5, reversed(D.counts())))
     assert diagram_contains(D.remove_simple(), D) and not diagram_contains(D, pd(5, [(2, 4)]))
+
+
+def test_len_past_sys_maxsize_raises_value_error():
+    D = PersistenceDiagram.from_counts(3, [(1, 2, 10 ** 19)])
+    with pytest.raises(ValueError, match=r"counts\(\)"):
+        len(D)
+    assert len(PersistenceDiagram.from_counts(3, [(1, 2, sys.maxsize)])) == sys.maxsize
 
 
 def test_from_counts_round_trip():
@@ -284,3 +293,16 @@ def test_raw_images_account_for_every_summand():
         raw = [interval_image(op, S.tau, b, d) for (b, d) in S.diagram]
         raw = [x for x in raw if x is not None]
         assert Counter(raw) == Counter(decompose(apply(op, V)).points)
+
+
+def test_tuple_rule_matches_the_per_copy_oracle():
+    # the search's successor of a state is the state of the per-copy image
+    rng = random.Random(89)
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        S = SymbolicModule(random_orientation(rng, n), random_counted(rng, n, 5, 3))
+        state = _state(S)
+        start = SymbolicModule(Orientation(state[0]),
+                               PersistenceDiagram.from_counts(n, state[1]))
+        for op in all_ops(n):
+            assert diagrams._reflect(op, *state) == _state(expanded_act(op, start)), (S, op)

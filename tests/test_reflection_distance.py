@@ -1,18 +1,23 @@
 from __future__ import annotations
 
+import functools
 import importlib
 import math
 import random
 import time
 
 import pytest
-from helpers import (all_dirs, all_intervals, bfs_min_steps, random_counted,
+from helpers import (all_dirs, all_intervals, bfs_min_steps, bfs_search, random_counted,
                      random_orientation, random_symbolic)
 
 from zzdist import (COLIMIT, LIMIT, Orientation, PersistenceDiagram,
-                    ReflectionOp, ReflectionSequence, SymbolicModule, act,
-                    bottleneck_distance, canonical_type, cost, is_summand_upto_equiv,
-                    min_steps, reflection_distance)
+                    ReflectionOp, ReflectionSequence, SymbolicModule, act, all_ops, apply,
+                    bottleneck_distance, canonical_type, cost, decompose,
+                    is_summand_upto_equiv, min_steps, random_symbolic_module,
+                    reflection_distance, synthesize)
+from zzdist.diagrams import _reflect
+from zzdist.reflection_distance import _lower_bound, _search, _state, _successors
+from zzdist.zigzag_core import _embeds
 
 
 def tau(s: str) -> Orientation:
@@ -149,13 +154,15 @@ def test_witness_sequences_realize_the_search():
 def test_search_failures_name_both_inputs(monkeypatch):
     # the package attribute of the same name is the function, not the module
     rd = importlib.import_module("zzdist.reflection_distance")
-    monkeypatch.setattr(rd, "_depth_cap", lambda start: 0)
-    with pytest.raises(AssertionError, match=r"depth bound 0; "
-                       r"source >< \[\(1, 3, 1\)\], target >< \[\]"):
-        rd.min_steps(sym("><", [(1, 3)]), sym("><", []))
+    # U = 0, while the pair needs one step beyond h(start) = 0
+    monkeypatch.setattr(rd, "annihilating_sequence", lambda S: ReflectionSequence(()))
+    with pytest.raises(AssertionError, match=r"depth bound 0, .*; "
+                       r"source >> \[\(1, 2, 1\), \(2, 3, 1\)\], "
+                       r"target >< \[\(1, 2, 1\), \(2, 3, 1\)\]"):
+        rd.min_steps(sym(">>", [(1, 2), (2, 3)]), sym("><", [(1, 2), (2, 3)]))
     monkeypatch.undo()
     monkeypatch.setattr(rd, "_embeds", lambda *args: False)
-    with pytest.raises(AssertionError, match=r"exhausted.*; "
+    with pytest.raises(AssertionError, match=r"depth bound 0, .*; "
                        r"source > \[\], target < \[\(1, 2, 2\)\]"):
         rd.min_steps(sym(">", []), sym("<", [(1, 2), (1, 2)]))
 
@@ -180,7 +187,6 @@ def test_min_steps_matches_memo_free_bfs():
 
 def test_search_is_independent_of_the_successor_memo(monkeypatch):
     rd = importlib.import_module("zzdist.reflection_distance")
-    monkeypatch.setattr(rd, "_SUCCESSORS", {})
     pairs = _seeded_pairs(139, 150, 6, 2)
 
     def runs(V, W):
@@ -189,13 +195,81 @@ def test_search_is_independent_of_the_successor_memo(monkeypatch):
 
     cold = []
     for V, W in pairs:
-        rd._SUCCESSORS.clear()
+        rd._successors.cache_clear()
         cold.append(runs(V, W))
     for V, W in pairs:
         runs(V, W)
     warm = [runs(V, W) for V, W in reversed(pairs)]
-    assert rd._SUCCESSORS
-    assert warm[::-1] == cold
+    info = rd._successors.cache_info()
+    assert info.hits and info.maxsize == 4096
+    # eight entries: nearly every search evicts states it needs again
+    small = functools.lru_cache(maxsize=8)(rd._successors.__wrapped__)
+    monkeypatch.setattr(rd, "_successors", small)
+    evicted = [runs(V, W) for V, W in pairs]
+    assert small.cache_info().currsize == 8
+    assert warm[::-1] == cold == evicted
+
+
+def test_astar_matches_the_bfs_oracle_and_its_witnesses_reach_goals():
+    for V, W in _seeded_pairs(157, 300, 10, 3):
+        depth, run = _search(V, W)
+        assert depth == bfs_search(V, W)[0] == len(run), (V, W)
+        state = _state(V)
+        for op in run:
+            S = act(op, SymbolicModule(Orientation(state[0]),
+                                       PersistenceDiagram.from_counts(V.n, state[1])))
+            state = _state(S)
+        assert _embeds(*state, W.tau.dirs, W.diagram.counts()), (V, W)
+        if V.n <= 5:
+            # concretely: the search drops one-position summands, and a later
+            # reflection can grow one again, so they are split off every step
+            M = synthesize(V.tau, V.diagram.remove_simple().points)
+            for op in run:
+                M = apply(op, M)
+                M = synthesize(M.tau, decompose(M).remove_simple().points)
+            assert is_summand_upto_equiv(M.tau, decompose(M), W.tau, W.diagram), (V, W)
+
+
+def test_successors_keep_the_first_op_to_each_other_state():
+    # the memo skips reflections that cannot change the state and merges
+    # reflections that reach one state
+    rng = random.Random(167)
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        state = _state(SymbolicModule(random_orientation(rng, n), random_counted(rng, n, 4, 2)))
+        first = {}
+        for op in all_ops(n):
+            first.setdefault(_reflect(op, *state), op)
+        first.pop(state, None)
+        assert _successors(state) == tuple((op, T) for T, op in first.items()), state
+
+
+def test_lower_bound_is_zero_on_goals_and_drops_at_most_one_a_step():
+    rng = random.Random(163)
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        S = SymbolicModule(random_orientation(rng, n), random_counted(rng, n, 4, 2))
+        W = SymbolicModule(random_orientation(rng, n), random_counted(rng, n, 4, 2))
+        state = _state(S)
+        h = _lower_bound(state[1], W.diagram.counts())
+        for op, T in _successors(state):
+            assert h <= _lower_bound(T[1], W.diagram.counts()) + 1, (S, W, op)
+        part = [c for c in W.diagram.counts() if rng.random() < 0.5]
+        goal = _state(SymbolicModule(W.tau, PersistenceDiagram.from_counts(n, part)))
+        assert _embeds(*goal, W.tau.dirs, W.diagram.counts())
+        assert _lower_bound(goal[1], W.diagram.counts()) == 0, (part, W)
+    assert _lower_bound(((1, 4, 2), (2, 3, 1)), ()) == 3
+    assert _lower_bound(((1, 4, 2), (2, 3, 1)), ((1, 3, 1), (2, 2, 5))) == 1
+
+
+def test_deep_pair_is_solved_fast():
+    # breadth-first search expands about 32,000 states on this pair, A* 227
+    rng = random.Random(1018)
+    V = random_symbolic_module(rng, 16, 3)
+    W = random_symbolic_module(rng, 16, 3)
+    start = time.perf_counter()
+    assert min_steps(V, W) == 11
+    assert time.perf_counter() - start < 5.0
 
 
 def test_scaling_every_multiplicity_changes_no_answer():
