@@ -3,10 +3,10 @@
 A persistence diagram is the multiset of interval supports in a
 module's decomposition into interval summands.  ``decompose`` extracts
 it from a concrete module's segment ranks, one section sweep per birth
-(colimits by duality); ``_reflect`` pushes diagrams through reflections
-without matrices, by a closed-form rule for where each interval goes,
-for ``interval_image``, ``act``, the reflection search and
-``annihilating_sequence``, which builds a run that empties a module.
+(colimits by duality); ``interval_image`` and ``act`` push diagrams
+through reflections without matrices, by a closed-form rule for where
+each interval goes, and ``annihilating_sequence`` uses them to build a
+run that empties a module.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import Iterable, Iterator
 from .linalg import _exact_ints, segment_ranks
 from .reflections import (LIMIT, ReflectionOp, ReflectionSequence, check_applicable,
                           ops_at)
-from .zigzag_core import (BACKWARD, FORWARD, Orientation, ZigzagModule, _canonical_dirs,
-                          _contains)
+from .zigzag_core import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, Orientation,
+                          ZigzagModule, _canonical_dirs, _contains, transform_type)
 
 
 @dataclass(frozen=True, init=False)
@@ -146,10 +146,11 @@ def decompose(V: ZigzagModule) -> PersistenceDiagram:
 
 
 def _reflect(op: ReflectionOp, dirs: tuple[str, ...], counts: tuple[tuple[int, int, int], ...],
-             raw: bool = False) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]:
-    """The reflection rule, unvalidated: directions and sorted (b, d, m)
-    counts after ``op``.  Unless ``raw``, one-position images are dropped
-    and every arrow left flippable is set forward, giving a search state.
+             keep_simple: bool = False) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]:
+    """The reflection rule on tuples, unvalidated: the search state after
+    ``op``, that is, sorted (b, d, m) counts with one-position images
+    dropped (unless ``keep_simple``) and directions with every arrow left
+    flippable set forward.
 
     This is the action of reflection functors on interval modules
     (Bernstein-Gelfand-Ponomarev).  A limit makes k a source and a
@@ -175,16 +176,14 @@ def _reflect(op: ReflectionOp, dirs: tuple[str, ...], counts: tuple[tuple[int, i
             b = k
         elif right_rebuilt and d == k:
             d = k - 1
-        if raw or b != d:
+        if keep_simple or b != d:
             images[b, d] = images.get((b, d), 0) + m
     new = list(dirs)
     if k >= 2:
         new[k - 2] = BACKWARD if limit else FORWARD
     if k < n:
         new[k - 1] = FORWARD if limit else BACKWARD
-    if not raw:
-        new = _canonical_dirs(new, images)
-    return tuple(new), tuple(sorted([(b, d, m) for (b, d), m in images.items()]))
+    return _canonical_dirs(new, images), tuple(sorted([(b, d, m) for (b, d), m in images.items()]))
 
 
 def interval_image(op: ReflectionOp, tau: Orientation, b: int, d: int) -> tuple[int, int] | None:
@@ -193,22 +192,23 @@ def interval_image(op: ReflectionOp, tau: Orientation, b: int, d: int) -> tuple[
     check_applicable(op, tau.n)
     if not 1 <= b <= d <= tau.n:
         raise ValueError(f"interval [{b}, {d}] out of range 1..{tau.n}")
-    image = _reflect(op, tau.dirs, ((b, d, 1),), raw=True)[1]
+    image = _reflect(op, tau.dirs, ((b, d, 1),), keep_simple=True)[1]
     return image[0][:2] if image else None
 
 
 def act(op: ReflectionOp, S: SymbolicModule) -> SymbolicModule:
-    """Push a symbolic module through a reflection by ``_reflect``.
+    """Push a symbolic module through a reflection.
 
-    Annihilated intervals disappear, one-position images are sanitized
-    away, matching how reflection runs are costed, and equal images
-    merge.  The type is left as the reflection makes it, not normalized.
-    The reflection search works on the tuples and does not call this.
+    The diagram moves by ``_reflect``: annihilated intervals disappear,
+    one-position images are sanitized away, matching how reflection runs
+    are costed, and equal images merge.  The type is left as the
+    reflection makes it, not normalized.  The reflection search moves
+    its tuple states by ``_reflect`` directly.
     """
     check_applicable(op, S.n)
-    dirs, counts = _reflect(op, S.tau.dirs, S.diagram.counts(), raw=True)
-    return SymbolicModule(Orientation(dirs),
-                          PersistenceDiagram.from_counts(S.n, (c for c in counts if c[0] != c[1])))
+    new_tau = transform_type(S.tau, EXTROVERSION if op.kind == LIMIT else INTROVERSION, op.k)
+    counts = _reflect(op, S.tau.dirs, S.diagram.counts())[1]
+    return SymbolicModule(new_tau, PersistenceDiagram.from_counts(S.n, counts))
 
 
 def annihilating_sequence(V: ZigzagModule | SymbolicModule) -> ReflectionSequence:
@@ -221,26 +221,25 @@ def annihilating_sequence(V: ZigzagModule | SymbolicModule) -> ReflectionSequenc
     [b, d] and walk its right end down: at each position j from d to b+1
     pick the first reflection at j whose action shortens [b, j] to
     [b, j-1].  The final one-position remnant is a simple summand and is
-    dropped, as ``act`` drops it.  Each pass kills every copy of the
-    chosen interval while moving others at most sideways, so the
-    distinct-interval count drops and the loop ends.
+    dropped by the sanitizing step built into the symbolic action.  Each
+    pass kills every copy of the chosen interval while moving others at
+    most sideways, so the distinct-interval count drops and the loop ends.
     """
     n = V.n
     diagram = V.diagram if isinstance(V, SymbolicModule) else decompose(V)
-    dirs, counts = V.tau.dirs, diagram.remove_simple().counts()
+    state = SymbolicModule(V.tau, diagram.remove_simple())
     chosen: list[ReflectionOp] = []
-    while counts:
-        before = len(counts)
-        b, d, _ = counts[-1]
+    while state.diagram.counts():
+        before = len(state.diagram.counts())
+        b, d, _ = state.diagram.counts()[-1]
         for j in range(d, b, -1):
             for op in ops_at(n, j):
-                if _reflect(op, dirs, ((b, j, 1),), raw=True)[1] == ((b, j - 1, 1),):
+                if interval_image(op, state.tau, b, j) == (b, j - 1):
                     break
             else:
                 raise AssertionError(f"no reflection at {j} shortens [{b}, {j}]")
             chosen.append(op)
-            dirs, counts = _reflect(op, dirs, counts, raw=True)
-            counts = tuple(c for c in counts if c[0] != c[1])
-        if len(counts) >= before:
+            state = act(op, state)
+        if len(state.diagram.counts()) >= before:
             raise AssertionError("annihilation pass failed to reduce the interval count")
     return ReflectionSequence(tuple(chosen))

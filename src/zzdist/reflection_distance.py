@@ -13,6 +13,7 @@ successor lists come from a fixed-size memo shared across calls.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,8 +77,10 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Reflec
 
     The heap is ordered by (f, -g), f = g + h.  As h is consistent, popped
     f never decreases nor exceeds the optimum, so a goal generated at
-    depth g + 1 <= f is returned at once, others (h = 0) when popped.  U
-    is worked out only once f passes h(start), where most searches end.
+    depth g + 1 <= f is returned at once, others (h = 0) when popped.
+    States with f above U, the length of the source's annihilating run,
+    are pruned; U is worked out once f passes h(start), where most
+    searches end.
     """
     if source.n != target.n:
         raise ValueError(f"length mismatch: {source.n} vs {target.n}")
@@ -86,49 +89,43 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Reflec
     if _embeds(*start, dirs_w, counts_w):
         return 0, ReflectionSequence(())
 
-    def inputs() -> str:
-        return (f"source {source.tau} {list(source.diagram.counts())}, "
-                f"target {target.tau} {list(target.diagram.counts())}")
-
-    def witness(T: _State, depth: int) -> tuple[int, ReflectionSequence]:
+    def witness(T: _State) -> tuple[int, ReflectionSequence]:
         ops = []
         while parents[T] is not None:
             T, op = parents[T]
             ops.append(op)
-        if len(ops) != depth:
-            raise AssertionError(f"witness length disagrees with search depth; {inputs()}")
-        return depth, ReflectionSequence(tuple(reversed(ops)))
+        return len(ops), ReflectionSequence(tuple(reversed(ops)))
 
     # best known depth of each state, and the (parent state, op) it came by
     depth = {start: 0}
     parents: dict[_State, tuple[_State, ReflectionOp] | None] = {start: None}
-    h_start, bound = _lower_bound(start[1], counts_w), None
+    h_start, bound = _lower_bound(start[1], counts_w), math.inf
     heap = [(h_start, 0, start)]
     while heap:
         f, g, S = heapq.heappop(heap)
         g = -g
         if g != depth[S]:
             continue  # queued again later with a smaller depth
-        if f > h_start:
-            bound = len(annihilating_sequence(source)) if bound is None else bound
-            if f > bound:
-                break
+        if f > h_start and bound == math.inf:
+            bound = len(annihilating_sequence(source))
+        if f > bound:
+            break
         if f == g and _embeds(*S, dirs_w, counts_w):
-            return witness(S, g)
+            return witness(S)
         g += 1
         for op, T in _successors(S):
             if g >= depth.get(T, g + 1):
                 continue
             f_t = g + _lower_bound(T[1], counts_w)
-            if bound is not None and f_t > bound:
+            if f_t > bound:
                 continue
             depth[T], parents[T] = g, (S, op)
-            if f_t == g and g <= f and _embeds(*T, dirs_w, counts_w):
-                return witness(T, g)
+            if f_t == g <= f and _embeds(*T, dirs_w, counts_w):
+                return witness(T)
             heapq.heappush(heap, (f_t, -g, T))
-    bound = len(annihilating_sequence(source)) if bound is None else bound
     raise AssertionError(f"no goal within the depth bound {bound}, though the empty module "
-                         f"is one; {inputs()}")
+                         f"is one; source {source.tau} {list(source.diagram.counts())}, "
+                         f"target {target.tau} {list(target.diagram.counts())}")
 
 
 def min_steps(source: SymbolicModule, target: SymbolicModule) -> int:

@@ -14,7 +14,6 @@ and the annihilating runs built from it, live in ``diagrams``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -62,7 +61,6 @@ def check_applicable(op: ReflectionOp, n: int) -> None:
         raise ValueError(f"boundary direction given for interior position {op.k}")
 
 
-@functools.lru_cache(maxsize=1024)
 def ops_at(n: int, k: int) -> tuple[ReflectionOp, ...]:
     """Every reflection available at position k, in a fixed order.
 

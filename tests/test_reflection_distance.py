@@ -161,10 +161,11 @@ def test_search_failures_name_both_inputs(monkeypatch):
                        r"target >< \[\(1, 2, 1\), \(2, 3, 1\)\]"):
         rd.min_steps(sym(">>", [(1, 2), (2, 3)]), sym("><", [(1, 2), (2, 3)]))
     monkeypatch.undo()
+    # no state is a goal: the search stops at U = 2, the annihilating run's length
     monkeypatch.setattr(rd, "_embeds", lambda *args: False)
-    with pytest.raises(AssertionError, match=r"depth bound 0, .*; "
-                       r"source > \[\], target < \[\(1, 2, 2\)\]"):
-        rd.min_steps(sym(">", []), sym("<", [(1, 2), (1, 2)]))
+    with pytest.raises(AssertionError, match=r"depth bound 2, .*; "
+                       r"source >< \[\(1, 3, 1\), \(2, 3, 1\)\], target << \[\]"):
+        rd.min_steps(sym("><", [(1, 3), (2, 3)]), sym("<<", []))
 
 
 def _seeded_pairs(seed: int, count: int, max_n: int, max_points: int):
