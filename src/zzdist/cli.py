@@ -6,6 +6,9 @@ structure maps) or ``diagram`` (a list of [birth, death, multiplicity]
 triples).  The field prime may be overridden through the ZZ_FIELD_PRIME
 environment variable.
 
+The front end checks the layout of files and arguments; the library
+constructors check the values, and a refusal by either exits 2.
+
 Exit codes: 0 on success, 2 on bad input, 3 when a checked property is
 violated.
 
@@ -23,12 +26,12 @@ import os
 import sys
 from typing import Sequence
 
-from .bottleneck import bottleneck_distance
+from .bottleneck import _check_p, bottleneck_distance
 from .diagrams import (PersistenceDiagram, SymbolicModule, act, annihilating_sequence,
                        decompose)
-from .linalg import DEFAULT_PRIME, Matrix, _check_prime
+from .linalg import DEFAULT_PRIME, Matrix, _check_prime, _exact_ints
 from .reflection_distance import reflection_distance
-from .reflections import COLIMIT, LIMIT, ReflectionOp, apply, check_applicable
+from .reflections import COLIMIT, LIMIT, ReflectionOp, apply
 from .stability import generate_random_module, stability_experiment
 from .zigzag_core import BACKWARD, FORWARD, Orientation, ZigzagModule, synthesize
 
@@ -56,7 +59,7 @@ def _expect(cond: bool, message: str) -> None:
 
 
 def parse_module_data(obj) -> ZigzagModule | SymbolicModule:
-    """Validate a decoded module file and build the in-memory value."""
+    """Build the module a decoded module file describes, checking its layout."""
     _expect(isinstance(obj, dict), "module file must be a JSON object")
     _expect("n" in obj, "missing field 'n'")
     n = obj["n"]
@@ -65,54 +68,40 @@ def parse_module_data(obj) -> ZigzagModule | SymbolicModule:
     ts = obj.get("type")
     _expect(isinstance(ts, str), "missing or non-string field 'type'")
     _expect(len(ts) == n - 1, f"'type' must have length n-1 = {n - 1}, got {len(ts)}")
-    _expect(all(c in (FORWARD, BACKWARD) for c in ts),
-            f"'type' may contain only '{FORWARD}' and '{BACKWARD}', got {ts!r}")
-    tau = Orientation.from_string(ts)
     has_m, has_d = "matrices" in obj, "diagram" in obj
     _expect(has_m != has_d, "exactly one of 'matrices' and 'diagram' must be present")
-    if has_d:
-        dg = obj["diagram"]
-        _expect(isinstance(dg, list), "'diagram' must be a list of [b, d, multiplicity]")
-        triples = []
-        for idx, row in enumerate(dg):
-            _expect(isinstance(row, list) and len(row) == 3
-                    and all(isinstance(x, int) and not isinstance(x, bool) for x in row),
-                    f"diagram entry {idx} must be three integers, got {row!r}")
-            b, d, m = row
-            _expect(1 <= b <= d <= n, f"diagram entry {idx}: interval [{b}, {d}] "
-                    f"out of range 1..{n}")
-            _expect(m >= 1, f"diagram entry {idx}: multiplicity {m} must be >= 1")
-            triples.append((b, d, m))
-        return SymbolicModule(tau, PersistenceDiagram.from_counts(n, triples))
-    block = obj["matrices"]
-    _expect(isinstance(block, dict), "'matrices' must be an object")
-    for key in ("field_prime", "dims", "maps"):
-        _expect(key in block, f"'matrices' is missing field '{key}'")
     try:
-        p = _check_prime(block["field_prime"])
+        tau = Orientation.from_string(ts)
+        if has_d:
+            dg = obj["diagram"]
+            _expect(isinstance(dg, list), "'diagram' must be a list of [b, d, multiplicity]")
+            for idx, row in enumerate(dg):
+                _expect(isinstance(row, list) and len(row) == 3,
+                        f"diagram entry {idx} must be a list of three integers, got {row!r}")
+            return SymbolicModule(tau, PersistenceDiagram.from_counts(n, dg))
+        block = obj["matrices"]
+        _expect(isinstance(block, dict), "'matrices' must be an object")
+        for key in ("field_prime", "dims", "maps"):
+            _expect(key in block, f"'matrices' is missing field '{key}'")
+        dims, raw_maps = block["dims"], block["maps"]
+        _expect(isinstance(dims, list) and len(dims) == n, f"'dims' must list {n} dimensions")
+        _expect(isinstance(raw_maps, list) and len(raw_maps) == n - 1,
+                f"'maps' must list {n - 1} matrices")
+        dims = _exact_ints(dims, "dimensions")  # integers, to cut the flat maps with
+        maps = []
+        for i, flat in enumerate(raw_maps):
+            if tau.dirs[i] == FORWARD:
+                rows, cols = dims[i + 1], dims[i]
+            else:
+                rows, cols = dims[i], dims[i + 1]
+            _expect(isinstance(flat, list), f"map {i + 1} must be a flat list of entries")
+            _expect(len(flat) == rows * cols,
+                    f"map {i + 1} has {len(flat)} entries, expected {rows}x{cols}={rows * cols}")
+            maps.append(Matrix.from_rows([flat[r * cols:(r + 1) * cols] for r in range(rows)],
+                                         block["field_prime"], cols=cols))
+        return ZigzagModule(tau, tuple(dims), tuple(maps))
     except ValueError as e:
-        raise InputError(f"'field_prime': {e}") from e
-    dims = block["dims"]
-    _expect(isinstance(dims, list) and len(dims) == n
-            and all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in dims),
-            f"'dims' must be {n} nonnegative integers")
-    raw_maps = block["maps"]
-    _expect(isinstance(raw_maps, list) and len(raw_maps) == n - 1,
-            f"'maps' must list {n - 1} matrices")
-    maps = []
-    for i, flat in enumerate(raw_maps):
-        if tau.dirs[i] == FORWARD:
-            rows, cols = dims[i + 1], dims[i]
-        else:
-            rows, cols = dims[i], dims[i + 1]
-        _expect(isinstance(flat, list)
-                and all(isinstance(x, int) and not isinstance(x, bool) for x in flat),
-                f"map {i + 1} must be a flat list of integers")
-        _expect(len(flat) == rows * cols,
-                f"map {i + 1} has {len(flat)} entries, expected {rows}x{cols}={rows * cols}")
-        maps.append(Matrix.from_rows([flat[r * cols:(r + 1) * cols] for r in range(rows)],
-                                     p, cols=cols))
-    return ZigzagModule(tau, tuple(dims), tuple(maps))
+        raise InputError(str(e)) from e
 
 
 def parse_module_file(path: str) -> ZigzagModule | SymbolicModule:
@@ -182,15 +171,10 @@ def _op_to_dict(op: ReflectionOp) -> dict:
 
 
 def _parse_p(raw: str) -> float:
-    if raw.strip().lower() == "inf":
-        return math.inf
     try:
-        p = float(raw)
-    except ValueError:
-        raise InputError(f"--p must be a number >= 1 or 'inf', got {raw!r}") from None
-    if not p >= 1:
-        raise InputError(f"--p must be >= 1, got {raw!r}")
-    return p
+        return _check_p(float(raw))
+    except ValueError as e:
+        raise InputError(f"--p: {e}") from e
 
 
 def _cmd_decompose(args) -> int:
@@ -206,19 +190,9 @@ def _cmd_synthesize(args) -> int:
     return 0
 
 
-def _build_op(args, n: int) -> ReflectionOp:
-    boundary = _BOUNDARY_DIRS[args.boundary_dir] if args.boundary_dir else None
-    op = ReflectionOp(args.kind, args.index, boundary)
-    try:
-        check_applicable(op, n)
-    except ValueError as e:
-        raise InputError(str(e)) from e
-    return op
-
-
 def _cmd_reflect(args) -> int:
     m = parse_module_file(args.file)
-    op = _build_op(args, m.n)
+    op = ReflectionOp(args.kind, args.index, _BOUNDARY_DIRS.get(args.boundary_dir))
     if isinstance(m, SymbolicModule):
         sys.stdout.write(_dump(serialize_symbolic(act(op, m))))
     else:
@@ -237,7 +211,6 @@ def _cmd_distance(args) -> int:
     a = _as_symbolic(parse_module_file(args.file_v))
     b = _as_symbolic(parse_module_file(args.file_w))
     if args.metric == "reflection":
-        _expect(a.n == b.n, f"reflection distance needs equal lengths, got {a.n} and {b.n}")
         value = reflection_distance(a, b, p).value
     else:
         value = bottleneck_distance(a.diagram, b.diagram, p)
@@ -246,17 +219,12 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    _expect(args.n >= 2, f"--n must be >= 2, got {args.n}")
-    _expect(args.max_points >= 0, f"--max-points must be >= 0, got {args.max_points}")
     V = generate_random_module(args.n, args.max_points, _field_prime(), args.seed)
     sys.stdout.write(_dump(serialize_module(V)))
     return 0
 
 
 def _cmd_verify_stability(args) -> int:
-    _expect(args.trials >= 0, f"--trials must be >= 0, got {args.trials}")
-    _expect(args.n >= 2, f"--n must be >= 2, got {args.n}")
-    _expect(args.max_points >= 0, f"--max-points must be >= 0, got {args.max_points}")
     report = stability_experiment(args.trials, args.n, args.max_points, args.seed)
     sys.stdout.write(_dump(report.to_dict()))
     if not report.passed:

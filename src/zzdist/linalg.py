@@ -56,14 +56,21 @@ def _check_prime(p: int) -> int:
     return p
 
 
+def _index(x) -> int:
+    """``operator.index``, which also refuses a bool: JSON ``true`` is not 1."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is a bool")
+    return index(x)
+
+
 def _exact_ints(entries, what: str, tuples: bool = False) -> list:
     """The entries (integers, or tuples of them if ``tuples`` is set) as
-    exact integers: ``operator.index`` refuses 1.9 rather than truncating
-    it to 1, and the ValueError names the first offending entry."""
+    exact integers: 1.9 is refused rather than truncated to 1, and the
+    ValueError names the first offending entry."""
     out = []
     for i, e in enumerate(entries):
         try:
-            out.append(tuple(map(index, e)) if tuples else index(e))
+            out.append(tuple(map(_index, e)) if tuples else _index(e))
         except TypeError:
             raise ValueError(f"entry {i} {e!r}: {what} must be integers") from None
     return out
@@ -92,13 +99,16 @@ class Matrix:
 
     def __post_init__(self) -> None:
         p = _check_prime(self.p)
-        if not isinstance(self.cols, int) or self.cols < 0:
-            raise ValueError(f"matrix width must be a nonnegative integer, got {self.cols!r}")
-        data = tuple(tuple([index(x) % p for x in row]) for row in self.data)
-        if any(len(row) != self.cols for row in data):
-            raise ValueError(f"every row must have {self.cols} entries, "
+        [cols] = _exact_ints([self.cols], "matrix width")
+        if cols < 0:
+            raise ValueError(f"matrix width must be nonnegative, got {cols}")
+        data = tuple(tuple([x % p for x in row])
+                     for row in _exact_ints(self.data, "matrix row entries", True))
+        if any(len(row) != cols for row in data):
+            raise ValueError(f"every row must have {cols} entries, "
                              f"got lengths {[len(row) for row in data]}")
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "cols", cols)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], p: int = DEFAULT_PRIME,

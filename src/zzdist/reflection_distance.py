@@ -77,17 +77,15 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Reflec
 
     The heap is ordered by (f, -g), f = g + h.  As h is consistent, popped
     f never decreases nor exceeds the optimum, so a goal generated at
-    depth g + 1 <= f is returned at once, others (h = 0) when popped.
-    States with f above U, the length of the source's annihilating run,
-    are pruned; U is worked out once f passes h(start), where most
-    searches end.
+    depth g + 1 <= f is returned at once, others (h = 0, the start
+    included) when popped.  States with f above U, the length of the
+    source's annihilating run, are pruned; U is worked out once f passes
+    h(start), where most searches end.
     """
     if source.n != target.n:
         raise ValueError(f"length mismatch: {source.n} vs {target.n}")
     start = _state(source)
     dirs_w, counts_w = target.tau.dirs, target.diagram.counts()
-    if _embeds(*start, dirs_w, counts_w):
-        return 0, ReflectionSequence(())
 
     def witness(T: _State) -> tuple[int, ReflectionSequence]:
         ops = []

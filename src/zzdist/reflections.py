@@ -120,6 +120,12 @@ def apply(op: ReflectionOp, V: ZigzagModule) -> ZigzagModule:
     of the limit); a colimit makes it a sink.  Away from k the module is
     untouched.
     """
+    return _reflected(op, V)[0]
+
+
+def _reflected(op: ReflectionOp, V: ZigzagModule) -> tuple[ZigzagModule, tuple[Matrix, ...]]:
+    """``apply``, together with the three legs of the window's limit or
+    colimit that built it."""
     check_applicable(op, V.n)
     win = _window(V, op)
     if op.kind == LIMIT:
@@ -135,7 +141,7 @@ def apply(op: ReflectionOp, V: ZigzagModule) -> ZigzagModule:
         maps[op.k - 2] = legs[0]
     if op.k <= V.n - 1:
         maps[op.k - 1] = legs[2]
-    return ZigzagModule(new_tau, tuple(dims), tuple(maps))
+    return ZigzagModule(new_tau, tuple(dims), tuple(maps)), legs
 
 
 def apply_to_morphism(op: ReflectionOp, phi: Morphism) -> Morphism:
@@ -145,24 +151,19 @@ def apply_to_morphism(op: ReflectionOp, phi: Morphism) -> Morphism:
     between the new spaces commuting with all the legs, obtained by an
     exact linear solve.
     """
-    check_applicable(op, phi.n)
     V, W = phi.source, phi.target
-    Vr = apply(op, V)
-    Wr = apply(op, W)
+    Vr, s_legs = _reflected(op, V)
+    Wr, t_legs = _reflected(op, W)
     k, n, p = op.k, phi.n, V.p
     window_comps = (phi.components[k - 2] if k >= 2 else Matrix.zero(0, 0, p),
                     phi.components[k - 1],
                     phi.components[k] if k <= n - 1 else Matrix.zero(0, 0, p))
     if op.kind == LIMIT:
-        _, s_legs = diagram_limit(_window(V, op))
-        _, t_legs = diagram_limit(_window(W, op))
         # stacked target legs have full column rank, so the solution is unique
         lhs = vstack(t_legs)
         rhs = vstack([window_comps[i] @ s_legs[i] for i in range(3)])
         mu = solve(lhs, rhs)
     else:
-        _, s_legs = diagram_colimit(_window(V, op))
-        _, t_legs = diagram_colimit(_window(W, op))
         lhs = hstack(s_legs)
         rhs = hstack([t_legs[i] @ window_comps[i] for i in range(3)])
         x = solve(lhs.transpose(), rhs.transpose())

@@ -13,12 +13,16 @@ from .reflection_distance import reflection_distance
 from .zigzag_core import BACKWARD, FORWARD, Orientation, ZigzagModule, conjugate, synthesize
 
 
-def random_symbolic_module(rng: random.Random, n: int, max_points: int) -> SymbolicModule:
-    """A random orientation and diagram, drawn entirely from ``rng``."""
+def _check_sizes(n: int, max_points: int) -> None:
     if n < 2:
         raise ValueError(f"length must be >= 2, got {n}")
     if max_points < 0:
         raise ValueError(f"max_points must be >= 0, got {max_points}")
+
+
+def random_symbolic_module(rng: random.Random, n: int, max_points: int) -> SymbolicModule:
+    """A random orientation and diagram, drawn entirely from ``rng``."""
+    _check_sizes(n, max_points)
     dirs = tuple(rng.choice((FORWARD, BACKWARD)) for _ in range(n - 1))
     pts = []
     for _ in range(rng.randint(0, max_points)):
@@ -82,6 +86,7 @@ def stability_experiment(trials: int, n: int, max_points: int, seed: int) -> Exp
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    _check_sizes(n, max_points)
     rng = random.Random(seed)
     records: list[dict] = []
     violations: list[int] = []

@@ -140,11 +140,10 @@ class ZigzagModule:
             raise ValueError(f"dimensions must be nonnegative, got {dims}")
         if len(maps) != n - 1:
             raise ValueError(f"expected {n - 1} structure maps, got {len(maps)}")
-        p = maps[0].p
         for i, M in enumerate(maps):
             if not isinstance(M, Matrix):
                 raise ValueError(f"map {i + 1} is {type(M).__name__}, expected Matrix")
-            if M.p != p:
+            if M.p != maps[0].p:
                 raise ValueError("structure maps must share one field")
             if self.tau.dirs[i] == FORWARD:
                 want = (dims[i + 1], dims[i])

@@ -65,6 +65,11 @@ def test_parse_rejects_malformed(tmp_path):
                                             "maps": [[1], [1]]}},
         {"n": 3, "type": ">>", "matrices": {"field_prime": 2, "dims": [1, 1, 1],
                                             "maps": [[1], [1, 0]]}},
+        {"n": 3, "type": ">>", "diagram": [[1, 2, True]]},
+        {"n": 3, "type": ">>", "matrices": {"field_prime": 2, "dims": [1, 1, 1],
+                                            "maps": [[1.5], [1]]}},
+        {"n": 3, "type": ">>", "matrices": {"field_prime": True, "dims": [1, 1, 1],
+                                            "maps": [[1], [1]]}},
     ]
     for obj in bad:
         with pytest.raises(InputError):
@@ -75,6 +80,37 @@ def test_parse_rejects_malformed(tmp_path):
     p.write_text("{oops", encoding="utf-8")
     with pytest.raises(InputError):
         parse_module_file(str(p))
+
+
+def _fields(obj, path=()):
+    """The path to every object field and list entry of a decoded JSON file."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _fields(value, path + (key,))
+
+
+def test_malformed_files_exit_0_or_2_without_traceback(tmp_path, capsys):
+    # a seeded matrices file with every map nonempty, and a diagram file;
+    # each field in turn becomes a value of another JSON kind, or -1
+    valid = [DIA, serialize_module(generate_random_module(4, 3, 3, 4))]
+    assert all(valid[1]["matrices"]["maps"])
+    count = 0
+    for base in valid:
+        for path in _fields(base):
+            for value in (True, 1.5, "x", None, [1], {"a": 1}, -1):
+                obj = json.loads(json.dumps(base))
+                node = obj
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                f = write(tmp_path, f"m{count}.json", obj)
+                for cmd in ("decompose", "annihilate"):
+                    assert main([cmd, f]) in (0, 2), (cmd, obj)
+                    assert "Traceback" not in capsys.readouterr().err
+                count += 1
+    assert count > 250
 
 
 def test_serialize_is_deterministic(tmp_path):

@@ -60,19 +60,26 @@ def test_non_integer_endpoints_are_refused():
 
 def test_non_integer_counts_indices_and_dimensions_are_refused():
     # each of these used to be truncated, (0.7, 1.9) to (0, 1) and 1.9 to 1,
-    # or, for a multiplicity, to fail with a TypeError
+    # read a bool as 1, or fail with a TypeError or AttributeError
     one = Matrix.identity(1, 2)
+    ints = " must be integers"
     cases = [
         (lambda: PersistenceDiagram.from_counts(4, [(2, 3, 1), (1, 3, 2.5)]),
-         r"entry 1 \(1, 3, 2\.5\): birth, death and multiplicity"),
-        (lambda: Matching(2, 2, ((0.7, 1.9),)), r"entry 0 \(0\.7, 1\.9\): indices"),
-        (lambda: ZigzagModule(tau(">"), (1.0, 1.9), (one,)), r"entry 0 1\.0: dimensions"),
-        (lambda: FiniteDiagram(2, (1.5,), ()), r"entry 0 1\.5: space dimensions"),
+         r"entry 1 \(1, 3, 2\.5\): birth, death and multiplicity" + ints),
+        (lambda: PersistenceDiagram.from_counts(3, [(True, 2, 1)]),
+         r"entry 0 \(True, 2, 1\): birth, death and multiplicity" + ints),
+        (lambda: Matching(2, 2, ((0.7, 1.9),)), r"entry 0 \(0\.7, 1\.9\): indices" + ints),
+        (lambda: ZigzagModule(tau(">"), (1.0, 1.9), (one,)), r"entry 0 1\.0: dimensions" + ints),
+        (lambda: ZigzagModule(tau(">"), (1, 1), ([[1]],)), r"map 1 is list, expected Matrix"),
+        (lambda: Matrix(2, [[1.5]], 1), r"entry 0 \[1\.5\]: matrix row entries" + ints),
+        (lambda: Matrix(2, [[True]], 1), r"entry 0 \[True\]: matrix row entries" + ints),
+        (lambda: Matrix(2, [], True), r"entry 0 True: matrix width" + ints),
+        (lambda: FiniteDiagram(2, (1.5,), ()), r"entry 0 1\.5: space dimensions" + ints),
         (lambda: FiniteDiagram(2, (1, 1), ((0, 1, one), (0, 1.0, one))),
-         r"entry 1 \(0, 1\.0\): arrow endpoints"),
+         r"entry 1 \(0, 1\.0\): arrow endpoints" + ints),
     ]
     for build, message in cases:
-        with pytest.raises(ValueError, match=message + " must be integers"):
+        with pytest.raises(ValueError, match=message):
             build()
 
 
