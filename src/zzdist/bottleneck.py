@@ -11,9 +11,14 @@ candidates (Efrat, Itai and Katz, 2001; Kerber, Morozov and Nigmetov,
 distinct points, whose supplies and capacities are multiplicities, so
 its cost does not grow with them.  Augmenting paths are searched with an
 explicit queue, so long paths cannot hit the recursion limit.  The
-distance alone is checked on the two counted flows; only
-``optimal_matching`` expands them into an index-level witness, which
-merges the two one-sided matchings (Mendelsohn and Dulmage, 1958).
+table of distances between distinct points is built once per call, with
+one expression chosen per p, so at p = 1 and p = inf a table of more
+than a few points makes no ``_point_dist`` call per pair;
+``_point_dist`` remains for general p and for the independent check of
+the realized cost.  The distance alone is checked on the two counted
+flows; only ``optimal_matching`` expands them into an index-level
+witness, which merges the two one-sided matchings (Mendelsohn and
+Dulmage, 1958).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from itertools import chain, islice
 from typing import Sequence
 
 from .diagrams import PersistenceDiagram
-from .linalg import _exact_ints
+from .linalg import _exact_ints, _transpose
 
 
 @dataclass(frozen=True)
@@ -66,13 +71,22 @@ class Matching:
 
 
 def _check_p(p: float) -> float:
-    if not (isinstance(p, (int, float)) and not isinstance(p, bool) and p >= 1):
-        raise ValueError(f"p must be a real number >= 1 or infinity, got {p!r}")
-    return float(p)
+    if isinstance(p, (int, float)) and not isinstance(p, bool) and p >= 1:
+        try:
+            return float(p)
+        except OverflowError:  # an integer past the largest float
+            pass
+    raise ValueError(f"p must be a real number >= 1 or infinity, got {p!r}")
 
 
 def _points(D) -> Sequence[tuple[int, int]]:
-    return D.points if isinstance(D, PersistenceDiagram) else _exact_ints(D, "endpoints", True)
+    if isinstance(D, PersistenceDiagram):
+        return D.points
+    pts = _exact_ints(D, "endpoints", True)
+    for i, pt in enumerate(pts):
+        if len(pt) != 2 or pt[0] > pt[1]:
+            raise ValueError(f"entry {i} {pt!r}: an interval must be a pair (b, d) with b <= d")
+    return pts
 
 
 def _point_dist(a: tuple[int, int], b: tuple[int, int], p: float) -> float:
@@ -95,6 +109,42 @@ def _penalty(pt: tuple[int, int], p: float) -> float:
     # 1/p reads as 0 at infinity, so the exponent runs from 0 up to 1
     inv = 0.0 if math.isinf(p) else 1.0 / p
     return (pt[1] - pt[0]) / 2.0 ** (1.0 - inv)
+
+
+# Below this many pairs, putting the endpoints into floats costs more than
+# the `_point_dist` calls it saves: measured even at about 3 x 3 points.
+_FLOAT_ROWS_MIN_PAIRS = 9
+
+
+def _table(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]],
+           p: float) -> tuple[list[list[float]], list[float], list[float]]:
+    """The distances ``dist[i][j]`` from ``a[i]`` to ``b[j]`` and the
+    penalties of ``a`` and ``b``, each equal to what ``_point_dist`` and
+    ``_penalty`` give, bit for bit.
+
+    The row expression is chosen once per call, so at p = 1 and p = inf
+    there is no ``_point_dist`` call per pair.  Those rows work on the
+    endpoints as floats, which is exact while every endpoint is at most
+    2**53 in size: a float difference then rounds as ``float()`` of the
+    integer difference does, and at p = 1 the two rounded differences are
+    added, as ``db ** 1.0 + dd ** 1.0`` is (``float(db + dd)`` differs
+    above 2**53).  Larger endpoints, tables of fewer than
+    ``_FLOAT_ROWS_MIN_PAIRS`` pairs, and every other p take ``_point_dist``.
+    """
+    scale = 2.0 ** (1.0 - (0.0 if math.isinf(p) else 1.0 / p))  # as in `_penalty`
+    if ((p == 1.0 or math.isinf(p)) and len(a) * len(b) >= _FLOAT_ROWS_MIN_PAIRS
+            and max(map(abs, chain(*a, *b)), default=0) <= 2 ** 53):
+        a = [(float(xb), float(xd)) for (xb, xd) in a]
+        b = [(float(yb), float(yd)) for (yb, yd) in b]
+        if p == 1.0:
+            dist = [[abs(xb - yb) + abs(xd - yd) for (yb, yd) in b] for (xb, xd) in a]
+        else:
+            dist = [[db if (db := abs(xb - yb)) > (dd := abs(xd - yd)) else dd
+                     for (yb, yd) in b] for (xb, xd) in a]
+    else:
+        dist = [[_point_dist(x, y, p) for y in b] for x in a]
+    return (dist, [(xd - xb) / scale for (xb, xd) in a],
+            [(yd - yb) / scale for (yb, yd) in b])
 
 
 def matching_cost(S, T, M: Matching, p: float = math.inf) -> float:
@@ -250,15 +300,18 @@ def _threshold(a: Sequence[tuple[int, int]], mult_a: Sequence[int],
 
     Candidate costs are the pairwise distances and the penalties; the
     smallest candidate at which both flows exist is the distance, found
-    by binary search.
+    by binary search.  The table is built once by ``_table``, with its
+    row expression chosen per p, and read by column through one
+    transposed copy.  ``_point_dist`` fills it only where no row
+    expression applies, and the callers check the flows' realized cost
+    with it, not with the table.
     """
-    dist = [[_point_dist(x, y, p) for y in b] for x in a]
-    pen_a = [_penalty(x, p) for x in a]
-    pen_b = [_penalty(y, p) for y in b]
+    dist, pen_a, pen_b = _table(a, b, p)
+    cols = _transpose(dist, len(b))
     # every point is either dropped or matched, so no matching costs less
     # than `lower`; dropping every point costs `upper`
     lower = max([min((pen, *row)) for pen, row in zip(pen_a, dist)]
-                + list(map(min, zip(pen_b, *dist))), default=0.0)
+                + [min((pen, *col)) for pen, col in zip(pen_b, cols)], default=0.0)
     upper = max(pen_a + pen_b, default=0.0)
     candidates = sorted(set(chain(pen_a, pen_b, *dist))) or [0.0]
     # nothing has to be matched at `upper`; `lower`, tried first, is often
@@ -273,7 +326,7 @@ def _threshold(a: Sequence[tuple[int, int]], mult_a: Sequence[int],
         req_b = {j: mult_b[j] for j, pen in enumerate(pen_b) if pen > eta}
         g = None if f is None else _saturate(
             req_b, mult_a,
-            {j: [i for i, row in enumerate(dist) if row[j] <= eta] for j in req_b})
+            {j: [i for i, d in enumerate(cols[j]) if d <= eta] for j in req_b})
         if g is None:
             lo = mid + 1
         else:

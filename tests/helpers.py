@@ -223,7 +223,11 @@ def point_dist(x, y, p) -> float:
     db, dd = abs(x[0] - y[0]), abs(x[1] - y[1])
     if math.isinf(p):
         return float(max(db, dd))
-    return float((db ** p + dd ** p) ** (1 / p))
+    try:
+        return float((db ** p + dd ** p) ** (1 / p))
+    except OverflowError:  # large p: divide both terms by the larger one
+        m = max(db, dd)
+        return m * ((db / m) ** p + (dd / m) ** p) ** (1 / p)
 
 
 def diagonal_penalty(x, p) -> float:

@@ -12,7 +12,7 @@ from helpers import (brute_force_bottleneck, diagonal_penalty,
 from zzdist import (Matching, PersistenceDiagram, bottleneck_distance,
                     combine_matchings, matching_cost, optimal_matching)
 from zzdist import bottleneck
-from zzdist.bottleneck import _saturate
+from zzdist.bottleneck import _check_p, _penalty, _point_dist, _saturate, _table
 
 
 def pd(n, pts):
@@ -129,21 +129,26 @@ def test_optimal_matching_matches_expanded_scan():
     # counted flow plus binary search against one vertex per copy and a
     # linear scan; raw sequences in shuffled order check that the witness
     # indexes the caller's input order, and the value path, which checks
-    # counted flows and never expands copies, must give the same value
+    # counted flows and never expands copies, must give the same value.
+    # Lengths up to 24 and p = 1000 take every row expression of the table.
     rng = random.Random(173)
-    for trial in range(500):
-        n = rng.randint(2, 7)
-        S, T = (_repeated_points(rng, n, 4, 5) for _ in range(2))
-        if trial % 2:
-            S, T = pd(n, S), pd(n, T)
-        s = S.points if trial % 2 else S
-        t = T.points if trial % 2 else T
-        for p in (1, 2, math.inf):
-            eta, M = optimal_matching(S, T, p)
-            assert bottleneck_distance(S, T, p) == eta == expanded_bottleneck(s, t, p), (s, t, p)
-            assert matching_cost(S, T, M, p) <= eta
-            assert all(i in M.coimage for i, x in enumerate(s) if diagonal_penalty(x, p) > eta)
-            assert all(j in M.image for j, y in enumerate(t) if diagonal_penalty(y, p) > eta)
+    for trials, n_range, max_distinct, max_mult in ((500, (2, 7), 4, 5), (120, (8, 24), 6, 4)):
+        for trial in range(trials):
+            n = rng.randint(*n_range)
+            S, T = (_repeated_points(rng, n, max_distinct, max_mult) for _ in range(2))
+            if trial % 2:
+                S, T = pd(n, S), pd(n, T)
+            s = S.points if trial % 2 else S
+            t = T.points if trial % 2 else T
+            for p in (1, 2, math.inf, 1000):
+                eta, M = optimal_matching(S, T, p)
+                assert bottleneck_distance(S, T, p) == eta == expanded_bottleneck(s, t, p), \
+                    (s, t, p)
+                assert matching_cost(S, T, M, p) <= eta
+                assert all(i in M.coimage for i, x in enumerate(s)
+                           if diagonal_penalty(x, p) > eta)
+                assert all(j in M.image for j, y in enumerate(t)
+                           if diagonal_penalty(y, p) > eta)
 
 
 def test_bottleneck_distance_checks_the_counted_flows(monkeypatch):
@@ -158,6 +163,58 @@ def test_bottleneck_distance_checks_the_counted_flows(monkeypatch):
         with pytest.raises(AssertionError,
                            match=f"combined matching costs {realized}, above threshold 0\\.0"):
             bottleneck_distance(S, S, math.inf)
+
+
+def test_table_is_point_dist_and_penalty_bit_for_bit():
+    # tables of 3 x 3 points or more with endpoints up to 2**53 take the
+    # float rows at p = 1 and inf, the rest the general row; both must
+    # give what the pairwise functions give
+    rng = random.Random(193)
+    pad = [(k, k + 1) for k in range(3)]
+    tables = [([(1, 2 ** 53)] + pad, [(-2 ** 53, 2 ** 53 - 1)] + pad),
+              ([(0, 2 ** 53 + 2)] + pad, [(2 ** 53 + 1, 2 ** 53 + 1)] + pad),
+              ([(-2 ** 53, 2 ** 53 - 1), (2 ** 53, 2 ** 53)] + pad,
+               [(-2 ** 53 + 1, 2 ** 53)] + pad)]
+    for scale in (24, 2 ** 40, 2 ** 53, 2 ** 53 + 1, 2 ** 80, 2 ** 1020):
+        for _ in range(6):
+            tables.append(tuple([(b, rng.randint(b, scale)) for b in
+                                 (rng.randint(-scale, scale) for _ in range(rng.randint(0, 8)))]
+                                for _ in range(2)))
+    for a, b in tables:
+        for p in (1.0, 2.0, math.inf, 1000.0):
+            dist, pen_a, pen_b = _table(a, b, p)
+            want = [[_point_dist(x, y, p) for y in b] for x in a]
+            assert [[d.hex() for d in row] for row in dist] == [[d.hex() for d in row]
+                                                                 for row in want], (a, b, p)
+            assert [x.hex() for x in pen_a] == [_penalty(x, p).hex() for x in a]
+            assert [y.hex() for y in pen_b] == [_penalty(y, p).hex() for y in b]
+    # db = 2**53 + 1 and dd = 1, in the float row and in the general one:
+    # each difference is rounded before the sum
+    for a, b in tables[:2]:
+        assert _table(a, b, 1.0)[0][0][0] == 2.0 ** 53 != float(2 ** 53 + 2)
+
+
+def test_raw_points_must_be_intervals():
+    # these once failed an internal assertion, gave a negative cost, read
+    # (1, 2, 3) as (1, 2), or raised IndexError
+    rows = [(lambda: bottleneck_distance([(3, 1)], [], 1), r"entry 0 \(3, 1\)"),
+            (lambda: bottleneck_distance([(1, 3)], [(3, 1)], 1), r"entry 0 \(3, 1\)"),
+            (lambda: matching_cost([(3, 1)], [], Matching(1, 0, ()), 1), r"entry 0 \(3, 1\)"),
+            (lambda: optimal_matching([(1, 2), (1, 2, 3)], [], 1), r"entry 1 \(1, 2, 3\)"),
+            (lambda: bottleneck_distance([(1,)], [], 1), r"entry 0 \(1,\)")]
+    for call, entry in rows:
+        with pytest.raises(ValueError, match=entry + ": an interval must be a pair"):
+            call()
+    assert bottleneck_distance([(2, 2)], [], 1) == 0.0
+
+
+def test_huge_integer_p_is_refused():
+    S, T = [(1, 3)], [(1, 2)]
+    for call in (lambda p: _check_p(p), lambda p: bottleneck_distance(S, T, p),
+                 lambda p: optimal_matching(S, T, p)):
+        with pytest.raises(ValueError, match="p must be a real number >= 1 or infinity"):
+            call(10 ** 400)
+    assert _check_p(10 ** 300) == 1e300
 
 
 def _repeated_points(rng, n, max_distinct, max_mult):
