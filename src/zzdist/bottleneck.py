@@ -12,8 +12,8 @@ distinct points, whose supplies and capacities are multiplicities, so
 its cost does not grow with them.  Augmenting paths are searched with an
 explicit queue, so long paths cannot hit the recursion limit.  The
 table of distances between distinct points is built once per call, with
-one expression chosen per p, so at p = 1 and p = inf a table of more
-than a few points makes no ``_point_dist`` call per pair;
+one expression chosen per p, so at p = 1 and p = inf it makes no
+``_point_dist`` call per pair;
 ``_point_dist`` remains for general p and for the independent check of
 the realized cost.  The distance alone is checked on the two counted
 flows; only ``optimal_matching`` expands them into an index-level
@@ -111,11 +111,6 @@ def _penalty(pt: tuple[int, int], p: float) -> float:
     return (pt[1] - pt[0]) / 2.0 ** (1.0 - inv)
 
 
-# Below this many pairs, putting the endpoints into floats costs more than
-# the `_point_dist` calls it saves: measured even at about 3 x 3 points.
-_FLOAT_ROWS_MIN_PAIRS = 9
-
-
 def _table(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]],
            p: float) -> tuple[list[list[float]], list[float], list[float]]:
     """The distances ``dist[i][j]`` from ``a[i]`` to ``b[j]`` and the
@@ -128,12 +123,10 @@ def _table(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]],
     2**53 in size: a float difference then rounds as ``float()`` of the
     integer difference does, and at p = 1 the two rounded differences are
     added, as ``db ** 1.0 + dd ** 1.0`` is (``float(db + dd)`` differs
-    above 2**53).  Larger endpoints, tables of fewer than
-    ``_FLOAT_ROWS_MIN_PAIRS`` pairs, and every other p take ``_point_dist``.
+    above 2**53).  Larger endpoints and every other p take ``_point_dist``.
     """
     scale = 2.0 ** (1.0 - (0.0 if math.isinf(p) else 1.0 / p))  # as in `_penalty`
-    if ((p == 1.0 or math.isinf(p)) and len(a) * len(b) >= _FLOAT_ROWS_MIN_PAIRS
-            and max(map(abs, chain(*a, *b)), default=0) <= 2 ** 53):
+    if (p == 1.0 or math.isinf(p)) and max(map(abs, chain(*a, *b)), default=0) <= 2 ** 53:
         a = [(float(xb), float(xd)) for (xb, xd) in a]
         b = [(float(yb), float(yd)) for (yb, yd) in b]
         if p == 1.0:

@@ -166,15 +166,13 @@ def test_bottleneck_distance_checks_the_counted_flows(monkeypatch):
 
 
 def test_table_is_point_dist_and_penalty_bit_for_bit():
-    # tables of 3 x 3 points or more with endpoints up to 2**53 take the
-    # float rows at p = 1 and inf, the rest the general row; both must
-    # give what the pairwise functions give
+    # tables with endpoints up to 2**53 take the float rows at p = 1 and
+    # inf, the rest the general row; both must give what the pairwise
+    # functions give
     rng = random.Random(193)
-    pad = [(k, k + 1) for k in range(3)]
-    tables = [([(1, 2 ** 53)] + pad, [(-2 ** 53, 2 ** 53 - 1)] + pad),
-              ([(0, 2 ** 53 + 2)] + pad, [(2 ** 53 + 1, 2 ** 53 + 1)] + pad),
-              ([(-2 ** 53, 2 ** 53 - 1), (2 ** 53, 2 ** 53)] + pad,
-               [(-2 ** 53 + 1, 2 ** 53)] + pad)]
+    tables = [([(1, 2 ** 53)], [(-2 ** 53, 2 ** 53 - 1)]),
+              ([(0, 2 ** 53 + 2)], [(2 ** 53 + 1, 2 ** 53 + 1)]),
+              ([(-2 ** 53, 2 ** 53 - 1), (2 ** 53, 2 ** 53)], [(-2 ** 53 + 1, 2 ** 53)])]
     for scale in (24, 2 ** 40, 2 ** 53, 2 ** 53 + 1, 2 ** 80, 2 ** 1020):
         for _ in range(6):
             tables.append(tuple([(b, rng.randint(b, scale)) for b in
