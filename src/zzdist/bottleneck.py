@@ -118,22 +118,18 @@ def _table(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]],
     ``_penalty`` give, bit for bit.
 
     The row expression is chosen once per call, so at p = 1 and p = inf
-    there is no ``_point_dist`` call per pair.  Those rows work on the
-    endpoints as floats, which is exact while every endpoint is at most
-    2**53 in size: a float difference then rounds as ``float()`` of the
-    integer difference does, and at p = 1 the two rounded differences are
-    added, as ``db ** 1.0 + dd ** 1.0`` is (``float(db + dd)`` differs
-    above 2**53).  Larger endpoints and every other p take ``_point_dist``.
+    there is no ``_point_dist`` call per pair.  Those rows round the
+    integer differences to floats where ``_point_dist`` does: at p = 1
+    each difference is rounded before the two are added, as ``db ** 1.0 +
+    dd ** 1.0`` is (``float(db + dd)`` differs above 2**53), and at
+    p = inf the larger one is rounded.  Every other p takes ``_point_dist``.
     """
     scale = 2.0 ** (1.0 - (0.0 if math.isinf(p) else 1.0 / p))  # as in `_penalty`
-    if (p == 1.0 or math.isinf(p)) and max(map(abs, chain(*a, *b)), default=0) <= 2 ** 53:
-        a = [(float(xb), float(xd)) for (xb, xd) in a]
-        b = [(float(yb), float(yd)) for (yb, yd) in b]
-        if p == 1.0:
-            dist = [[abs(xb - yb) + abs(xd - yd) for (yb, yd) in b] for (xb, xd) in a]
-        else:
-            dist = [[db if (db := abs(xb - yb)) > (dd := abs(xd - yd)) else dd
-                     for (yb, yd) in b] for (xb, xd) in a]
+    if p == 1.0:  # float + int rounds the int as float() does
+        dist = [[float(abs(xb - yb)) + abs(xd - yd) for (yb, yd) in b] for (xb, xd) in a]
+    elif math.isinf(p):
+        dist = [[float(db if (db := abs(xb - yb)) > (dd := abs(xd - yd)) else dd)
+                 for (yb, yd) in b] for (xb, xd) in a]
     else:
         dist = [[_point_dist(x, y, p) for y in b] for x in a]
     return (dist, [(xd - xb) / scale for (xb, xd) in a],

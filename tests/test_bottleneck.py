@@ -166,9 +166,8 @@ def test_bottleneck_distance_checks_the_counted_flows(monkeypatch):
 
 
 def test_table_is_point_dist_and_penalty_bit_for_bit():
-    # tables with endpoints up to 2**53 take the float rows at p = 1 and
-    # inf, the rest the general row; both must give what the pairwise
-    # functions give
+    # the rows at p = 1 and inf and the general row must give what the
+    # pairwise functions give, for endpoints on both sides of 2**53
     rng = random.Random(193)
     tables = [([(1, 2 ** 53)], [(-2 ** 53, 2 ** 53 - 1)]),
               ([(0, 2 ** 53 + 2)], [(2 ** 53 + 1, 2 ** 53 + 1)]),
@@ -186,8 +185,7 @@ def test_table_is_point_dist_and_penalty_bit_for_bit():
                                                                  for row in want], (a, b, p)
             assert [x.hex() for x in pen_a] == [_penalty(x, p).hex() for x in a]
             assert [y.hex() for y in pen_b] == [_penalty(y, p).hex() for y in b]
-    # db = 2**53 + 1 and dd = 1, in the float row and in the general one:
-    # each difference is rounded before the sum
+    # db = 2**53 + 1 and dd = 1: each difference is rounded before the sum
     for a, b in tables[:2]:
         assert _table(a, b, 1.0)[0][0][0] == 2.0 ** 53 != float(2 ** 53 + 2)
 
