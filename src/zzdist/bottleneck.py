@@ -13,12 +13,11 @@ its cost does not grow with them.  Augmenting paths are searched with an
 explicit queue, so long paths cannot hit the recursion limit.  The
 table of distances between distinct points is built once per call, with
 one expression chosen per p, so at p = 1 and p = inf it makes no
-``_point_dist`` call per pair;
-``_point_dist`` remains for general p and for the independent check of
-the realized cost.  The distance alone is checked on the two counted
-flows; only ``optimal_matching`` expands them into an index-level
-witness, which merges the two one-sided matchings (Mendelsohn and
-Dulmage, 1958).
+``_point_dist`` call per pair; ``_point_dist`` remains for general p and
+for the independent check of the realized cost.  The distance alone is
+checked on the two counted flows; only ``optimal_matching`` expands them
+into an index-level witness, which merges the two one-sided matchings
+(Mendelsohn and Dulmage, 1958).
 """
 
 from __future__ import annotations
