@@ -110,6 +110,13 @@ def _penalty(pt: tuple[int, int], p: float) -> float:
     return (pt[1] - pt[0]) / 2.0 ** (1.0 - inv)
 
 
+def _too_far(pts: Sequence[tuple[int, int]]) -> ValueError:
+    """The refusal, naming the largest interval, of endpoints whose
+    differences no float holds, which float work meets as OverflowError."""
+    big = max(pts, key=lambda pt: max(map(abs, pt)))
+    return ValueError(f"interval {big}: endpoints too far apart for floating-point distances")
+
+
 def _table(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]],
            p: float) -> tuple[list[list[float]], list[float], list[float]]:
     """The distances ``dist[i][j]`` from ``a[i]`` to ``b[j]`` and the
@@ -142,7 +149,10 @@ def matching_cost(S, T, M: Matching, p: float = math.inf) -> float:
     if M.n_source != len(s) or M.n_target != len(t):
         raise ValueError(f"matching is {M.n_source}x{M.n_target}, "
                          f"diagrams have {len(s)} and {len(t)} points")
-    return _matching_cost(s, t, M, p)
+    try:
+        return _matching_cost(s, t, M, p)
+    except OverflowError:
+        raise _too_far([*s, *t]) from None
 
 
 def _matching_cost(s: Sequence[tuple[int, int]], t: Sequence[tuple[int, int]],
@@ -294,7 +304,10 @@ def _threshold(a: Sequence[tuple[int, int]], mult_a: Sequence[int],
     expression applies, and the callers check the flows' realized cost
     with it, not with the table.
     """
-    dist, pen_a, pen_b = _table(a, b, p)
+    try:  # later float work repeats the table's, so it cannot overflow
+        dist, pen_a, pen_b = _table(a, b, p)
+    except OverflowError:
+        raise _too_far(a + b) from None
     cols = _transpose(dist, len(b))
     # every point is either dropped or matched, so no matching costs less
     # than `lower`; dropping every point costs `upper`

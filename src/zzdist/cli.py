@@ -29,7 +29,7 @@ from typing import Sequence
 from .bottleneck import _check_p, bottleneck_distance
 from .diagrams import (PersistenceDiagram, SymbolicModule, act, annihilating_sequence,
                        decompose)
-from .linalg import DEFAULT_PRIME, Matrix, _check_prime, _exact_ints
+from .linalg import DEFAULT_PRIME, Matrix, _check_prime, _dims
 from .reflection_distance import reflection_distance
 from .reflections import COLIMIT, LIMIT, ReflectionOp, apply
 from .stability import generate_random_module, stability_experiment
@@ -87,7 +87,7 @@ def parse_module_data(obj) -> ZigzagModule | SymbolicModule:
         _expect(isinstance(dims, list) and len(dims) == n, f"'dims' must list {n} dimensions")
         _expect(isinstance(raw_maps, list) and len(raw_maps) == n - 1,
                 f"'maps' must list {n - 1} matrices")
-        dims = _exact_ints(dims, "dimensions")  # integers, to cut the flat maps with
+        dims = _dims(dims, "dimensions")  # checked before the flat maps are cut with them
         maps = []
         for i, flat in enumerate(raw_maps):
             if tau.dirs[i] == FORWARD:

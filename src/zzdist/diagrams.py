@@ -5,8 +5,8 @@ module's decomposition into interval summands.  ``decompose`` extracts
 it from a concrete module's segment ranks, one section sweep per birth
 (colimits by duality); ``interval_image`` and ``act`` push diagrams
 through reflections without matrices, by a closed-form rule for where
-each interval goes, and ``annihilating_sequence`` uses them to build a
-run that empties a module.
+each interval goes; ``annihilating_sequence`` runs the same rule on
+tuples, as the reflection search does, to empty a module.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .linalg import _exact_ints, segment_ranks
-from .reflections import (LIMIT, ReflectionOp, ReflectionSequence, check_applicable,
-                          ops_at)
-from .zigzag_core import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, Orientation,
-                          ZigzagModule, _canonical_dirs, _contains, transform_type)
+from .reflections import COLIMIT, LIMIT, ReflectionOp, ReflectionSequence, check_applicable
+from .zigzag_core import (BACKWARD, FORWARD, Orientation, ZigzagModule, _canonical_dirs,
+                          _contains, _turn)
 
 
 @dataclass(frozen=True, init=False)
@@ -146,11 +145,12 @@ def decompose(V: ZigzagModule) -> PersistenceDiagram:
 
 
 def _reflect(op: ReflectionOp, dirs: tuple[str, ...], counts: tuple[tuple[int, int, int], ...],
-             keep_simple: bool = False) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]:
+             raw: bool = False) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]:
     """The reflection rule on tuples, unvalidated: the search state after
     ``op``, that is, sorted (b, d, m) counts with one-position images
-    dropped (unless ``keep_simple``) and directions with every arrow left
-    flippable set forward.
+    dropped and directions with every arrow left flippable set forward.
+    With ``raw`` the reflection's own output is returned instead: every
+    image kept, and the directions as the reflection sets them.
 
     This is the action of reflection functors on interval modules
     (Bernstein-Gelfand-Ponomarev).  A limit makes k a source and a
@@ -176,14 +176,11 @@ def _reflect(op: ReflectionOp, dirs: tuple[str, ...], counts: tuple[tuple[int, i
             b = k
         elif right_rebuilt and d == k:
             d = k - 1
-        if keep_simple or b != d:
+        if raw or b != d:
             images[b, d] = images.get((b, d), 0) + m
-    new = list(dirs)
-    if k >= 2:
-        new[k - 2] = BACKWARD if limit else FORWARD
-    if k < n:
-        new[k - 1] = FORWARD if limit else BACKWARD
-    return _canonical_dirs(new, images), tuple(sorted([(b, d, m) for (b, d), m in images.items()]))
+    new = _turn(dirs, k, limit)
+    return ((tuple(new) if raw else _canonical_dirs(new, images)),
+            tuple(sorted([(b, d, m) for (b, d), m in images.items()])))
 
 
 def interval_image(op: ReflectionOp, tau: Orientation, b: int, d: int) -> tuple[int, int] | None:
@@ -192,54 +189,59 @@ def interval_image(op: ReflectionOp, tau: Orientation, b: int, d: int) -> tuple[
     check_applicable(op, tau.n)
     if not 1 <= b <= d <= tau.n:
         raise ValueError(f"interval [{b}, {d}] out of range 1..{tau.n}")
-    image = _reflect(op, tau.dirs, ((b, d, 1),), keep_simple=True)[1]
+    image = _reflect(op, tau.dirs, ((b, d, 1),), raw=True)[1]
     return image[0][:2] if image else None
 
 
 def act(op: ReflectionOp, S: SymbolicModule) -> SymbolicModule:
     """Push a symbolic module through a reflection.
 
-    The diagram moves by ``_reflect``: annihilated intervals disappear,
+    The module moves by ``_reflect``: annihilated intervals disappear,
     one-position images are sanitized away, matching how reflection runs
     are costed, and equal images merge.  The type is left as the
-    reflection makes it, not normalized.  The reflection search moves
-    its tuple states by ``_reflect`` directly.
+    reflection makes it, not normalized.  The search and the annihilating
+    runs move tuple states by ``_reflect`` directly.
     """
     check_applicable(op, S.n)
-    new_tau = transform_type(S.tau, EXTROVERSION if op.kind == LIMIT else INTROVERSION, op.k)
-    counts = _reflect(op, S.tau.dirs, S.diagram.counts())[1]
-    return SymbolicModule(new_tau, PersistenceDiagram.from_counts(S.n, counts))
+    dirs, counts = _reflect(op, S.tau.dirs, S.diagram.counts(), raw=True)
+    return SymbolicModule(Orientation(dirs),
+                          PersistenceDiagram.from_counts(S.n, [c for c in counts if c[0] != c[1]]))
+
+
+def _annihilating_run(dirs: tuple[str, ...],
+                      counts: tuple[tuple[int, int, int], ...]) -> tuple[ReflectionOp, ...]:
+    """``annihilating_sequence`` on (dirs, counts) tuples, by ``_reflect``."""
+    n, run = len(dirs) + 1, []
+    state = (dirs, tuple(c for c in counts if c[0] != c[1]))
+    while state[1]:
+        before = len(state[1])
+        b, d, _ = state[1][-1]
+        for j in range(d, b, -1):
+            arrow = state[0][j - 1] if j < n else BACKWARD  # the phantom arrow at n is set "<"
+            run.append(ReflectionOp(LIMIT if arrow == BACKWARD else COLIMIT, j,
+                                    None if j < n else arrow))
+            state = _reflect(run[-1], *state)
+        if len(state[1]) >= before:
+            raise AssertionError(f"annihilation pass on [{b}, {d}] failed to reduce the "
+                                 f"interval count; type {''.join(dirs)}, counts {list(counts)}")
+    return tuple(run)
 
 
 def annihilating_sequence(V: ZigzagModule | SymbolicModule) -> ReflectionSequence:
-    """A reflection run that empties the module.
-
-    A concrete module is decomposed first; a symbolic one is used as it
-    stands, so no matrices are built or reduced.
+    """A reflection run that empties the module; a concrete module is
+    decomposed first, a symbolic one used as it stands.
 
     Repeatedly take the lexicographically largest surviving interval
-    [b, d] and walk its right end down: at each position j from d to b+1
-    pick the first reflection at j whose action shortens [b, j] to
-    [b, j-1].  The final one-position remnant is a simple summand and is
-    dropped by the sanitizing step built into the symbolic action.  Each
-    pass kills every copy of the chosen interval while moving others at
-    most sideways, so the distinct-interval count drops and the loop ends.
+    [b, d] and walk its right end down: at each j from d to b+1 apply
+    the op of a fixed table, a limit if arrow j is "<", a colimit if it
+    is ">", and at j = n a limit with boundary "<".  The table is exact:
+    [b, j] with b < j becomes [b, j-1] exactly when the arrow right of j
+    is rebuilt, which these ops do (at n, the first in ``ops_at`` order
+    that does).  It reads only arrow j, which [b, j] blocks, so the run
+    is the same on a search state with flippable arrows normalized.  The
+    one-position remnant is sanitized away.  Each pass kills every copy
+    of the chosen interval while moving others at most sideways, so the
+    distinct-interval count drops and the loop ends.
     """
-    n = V.n
     diagram = V.diagram if isinstance(V, SymbolicModule) else decompose(V)
-    state = SymbolicModule(V.tau, diagram.remove_simple())
-    chosen: list[ReflectionOp] = []
-    while state.diagram.counts():
-        before = len(state.diagram.counts())
-        b, d, _ = state.diagram.counts()[-1]
-        for j in range(d, b, -1):
-            for op in ops_at(n, j):
-                if interval_image(op, state.tau, b, j) == (b, j - 1):
-                    break
-            else:
-                raise AssertionError(f"no reflection at {j} shortens [{b}, {j}]")
-            chosen.append(op)
-            state = act(op, state)
-        if len(state.diagram.counts()) >= before:
-            raise AssertionError("annihilation pass failed to reduce the interval count")
-    return ReflectionSequence(tuple(chosen))
+    return ReflectionSequence(_annihilating_run(V.tau.dirs, diagram.counts()))

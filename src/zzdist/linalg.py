@@ -32,6 +32,12 @@ DEFAULT_PRIME = 2
 # the field size needs no other bound.
 _MAX_PRIME = 1 << 20
 
+# A map out of a zero space is an empty list, so a file can declare a
+# dimension that none of its entries spells out.  Decomposing costs the
+# cube of a dimension: on a shared 2-vCPU machine, one space of 256 takes
+# 0.7 s and 18 MB, one of 1024 41 s, one of 10**6 gigabytes.
+_MAX_DIM = 256
+
 
 # every Matrix checks its field, and a program uses only a few fields
 @lru_cache(maxsize=64)
@@ -73,6 +79,16 @@ def _exact_ints(entries, what: str, tuples: bool = False) -> list:
             out.append(tuple(map(_index, e)) if tuples else _index(e))
         except TypeError:
             raise ValueError(f"entry {i} {e!r}: {what} must be integers") from None
+    return out
+
+
+def _dims(entries, what: str) -> list[int]:
+    """The entries as dimensions: exact integers from 0 to ``_MAX_DIM``;
+    the ValueError names the first offending entry."""
+    out = _exact_ints(entries, what)
+    for i, d in enumerate(out):
+        if not 0 <= d <= _MAX_DIM:
+            raise ValueError(f"entry {i} {d}: {what} must be integers from 0 to {_MAX_DIM}")
     return out
 
 
@@ -334,9 +350,7 @@ class FiniteDiagram:
 
     def __post_init__(self) -> None:
         _check_prime(self.p)
-        spaces = tuple(_exact_ints(self.spaces, "space dimensions"))
-        if any(d < 0 for d in spaces):
-            raise ValueError(f"space dimensions must be nonnegative, got {spaces}")
+        spaces = tuple(_dims(self.spaces, "space dimensions"))
         arrows = tuple(self.arrows)
         ends = _exact_ints(((s, t) for (s, t, _) in arrows), "arrow endpoints", True)
         arrows = tuple((s, t, M) for (s, t), (_, _, M) in zip(ends, arrows))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bottleneck import _check_p
-from .diagrams import SymbolicModule, _reflect, annihilating_sequence
+from .diagrams import SymbolicModule, _annihilating_run, _reflect
 from .reflections import ReflectionOp, ReflectionSequence, all_ops
 from .zigzag_core import _canonical_dirs, _embeds
 
@@ -79,8 +79,8 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Reflec
     f never decreases nor exceeds the optimum, so a goal generated at
     depth g + 1 <= f is returned at once, others (h = 0, the start
     included) when popped.  States with f above U, the length of the
-    source's annihilating run, are pruned; U is worked out once f passes
-    h(start), where most searches end.
+    source's annihilating run, are pruned; U is worked out on the start
+    state, once f passes h(start), where most searches end.
     """
     if source.n != target.n:
         raise ValueError(f"length mismatch: {source.n} vs {target.n}")
@@ -105,7 +105,7 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Reflec
         if g != depth[S]:
             continue  # queued again later with a smaller depth
         if f > h_start and bound == math.inf:
-            bound = len(annihilating_sequence(source))
+            bound = len(_annihilating_run(*start))
         if f > bound:
             break
         if f == g and _embeds(*S, dirs_w, counts_w):

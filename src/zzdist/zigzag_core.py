@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .linalg import DEFAULT_PRIME, Matrix, _exact_ints, block_diag, inverse, is_invertible
+from .linalg import (DEFAULT_PRIME, Matrix, _dims, _exact_ints, block_diag, inverse,
+                     is_invertible)
 
 FORWARD = ">"
 BACKWARD = "<"
@@ -83,15 +84,20 @@ def transform_type(tau: Orientation, kind: str, k: int) -> Orientation:
     elif kind in (EXTROVERSION, INTROVERSION):
         if not 1 <= k <= n:
             raise ValueError(f"index {k} out of range 1..{n}")
-        left_dir, right_dir = (BACKWARD, FORWARD) if kind == EXTROVERSION else (FORWARD, BACKWARD)
-        # arrow k-1 joins (k-1, k); arrow k joins (k, k+1)
-        if k >= 2:
-            dirs[k - 2] = left_dir
-        if k <= n - 1:
-            dirs[k - 1] = right_dir
+        dirs = _turn(dirs, k, kind == EXTROVERSION)
     else:
         raise ValueError(f"unknown type transformation {kind!r}")
     return Orientation(tuple(dirs))
+
+
+def _turn(dirs: Sequence[str], k: int, source: bool) -> list[str]:
+    """Extroversion at k if ``source``, else introversion, unvalidated."""
+    out = list(dirs)  # arrow k-1 joins (k-1, k); arrow k joins (k, k+1)
+    if k >= 2:
+        out[k - 2] = BACKWARD if source else FORWARD
+    if k <= len(out):
+        out[k - 1] = FORWARD if source else BACKWARD
+    return out
 
 
 def classify_index(tau: Orientation, k: int) -> str:
@@ -131,13 +137,11 @@ class ZigzagModule:
     maps: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(_exact_ints(self.dims, "dimensions"))
+        dims = tuple(_dims(self.dims, "dimensions"))
         maps = tuple(self.maps)
         n = self.tau.n
         if len(dims) != n:
             raise ValueError(f"expected {n} dimensions, got {len(dims)}")
-        if any(d < 0 for d in dims):
-            raise ValueError(f"dimensions must be nonnegative, got {dims}")
         if len(maps) != n - 1:
             raise ValueError(f"expected {n - 1} structure maps, got {len(maps)}")
         for i, M in enumerate(maps):

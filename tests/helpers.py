@@ -14,8 +14,8 @@ import random
 from zzdist import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, LIMIT,
                     FiniteDiagram, Matrix, Orientation, PersistenceDiagram,
                     ReflectionSequence, SymbolicModule, ZigzagModule, act, all_ops,
-                    canonical_type, check_applicable, cokernel, diagram_colimit,
-                    diagram_limit, interval_image, is_summand_upto_equiv, rank,
+                    canonical_type, check_applicable, cokernel, decompose, diagram_colimit,
+                    diagram_limit, interval_image, is_summand_upto_equiv, ops_at, rank,
                     synthesize, transform_type)
 from zzdist.diagrams import _reflect
 from zzdist.reflection_distance import _state
@@ -65,6 +65,26 @@ def expanded_act(op, S: SymbolicModule) -> SymbolicModule:
     images = (interval_image(op, S.tau, b, d) for (b, d) in S.diagram.points)
     pts = tuple(img for img in images if img is not None and img[0] != img[1])
     return SymbolicModule(new_tau, PersistenceDiagram(S.n, pts))
+
+
+def trial_annihilating_sequence(V) -> ReflectionSequence:
+    """``annihilating_sequence`` by trial: at each position j the ops of
+    ``ops_at(n, j)`` are tried in order through ``interval_image`` until
+    one shortens [b, j] to [b, j-1], and the whole module moves by the
+    public ``act``, with no normalization."""
+    diagram = V.diagram if isinstance(V, SymbolicModule) else decompose(V)
+    state = SymbolicModule(V.tau, diagram.remove_simple())
+    chosen = []
+    while state.diagram.counts():
+        before = len(state.diagram.counts())
+        b, d, _ = state.diagram.counts()[-1]
+        for j in range(d, b, -1):
+            op = next(op for op in ops_at(V.n, j)
+                      if interval_image(op, state.tau, b, j) == (b, j - 1))
+            chosen.append(op)
+            state = act(op, state)
+        assert len(state.diagram.counts()) < before, "a pass must kill an interval"
+    return ReflectionSequence(tuple(chosen))
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, p: int) -> Matrix:

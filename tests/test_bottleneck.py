@@ -193,13 +193,24 @@ def test_table_is_point_dist_and_penalty_bit_for_bit():
 def test_raw_points_must_be_intervals():
     # these once failed an internal assertion, gave a negative cost, read
     # (1, 2, 3) as (1, 2), or raised IndexError
-    rows = [(lambda: bottleneck_distance([(3, 1)], [], 1), r"entry 0 \(3, 1\)"),
-            (lambda: bottleneck_distance([(1, 3)], [(3, 1)], 1), r"entry 0 \(3, 1\)"),
-            (lambda: matching_cost([(3, 1)], [], Matching(1, 0, ()), 1), r"entry 0 \(3, 1\)"),
-            (lambda: optimal_matching([(1, 2), (1, 2, 3)], [], 1), r"entry 1 \(1, 2, 3\)"),
-            (lambda: bottleneck_distance([(1,)], [], 1), r"entry 0 \(1,\)")]
-    for call, entry in rows:
-        with pytest.raises(ValueError, match=entry + ": an interval must be a pair"):
+    pair = ": an interval must be a pair"
+    rows = [(lambda: bottleneck_distance([(3, 1)], [], 1), r"entry 0 \(3, 1\)" + pair),
+            (lambda: bottleneck_distance([(1, 3)], [(3, 1)], 1), r"entry 0 \(3, 1\)" + pair),
+            (lambda: matching_cost([(3, 1)], [], Matching(1, 0, ()), 1),
+             r"entry 0 \(3, 1\)" + pair),
+            (lambda: optimal_matching([(1, 2), (1, 2, 3)], [], 1), r"entry 1 \(1, 2, 3\)" + pair),
+            (lambda: bottleneck_distance([(1,)], [], 1), r"entry 0 \(1,\)" + pair)]
+    # endpoints past the float range once raised a bare OverflowError
+    far = rf"interval \((0|1), {2 ** 1100}\): endpoints too far apart for floating-point"
+    huge = PersistenceDiagram.from_counts(2 ** 1100, [(1, 2 ** 1100, 1)])
+    for p in (1, 2, math.inf):
+        rows += [(lambda p=p: bottleneck_distance([(0, 2 ** 1100)], [], p), far),
+                 (lambda p=p: optimal_matching([(0, 2 ** 1100)], [(1, 1)], p), far),
+                 (lambda p=p: matching_cost([(0, 2 ** 1100)], [], Matching(1, 0, ()), p), far),
+                 (lambda p=p: bottleneck_distance(huge, [], p), far),
+                 (lambda p=p: optimal_matching([], huge, p), far)]
+    for call, message in rows:
+        with pytest.raises(ValueError, match=message):
             call()
     assert bottleneck_distance([(2, 2)], [], 1) == 0.0
 

@@ -376,6 +376,20 @@ def test_huge_matrix_entries_are_reduced_mod_p(tmp_path, capsys):
         assert capsys.readouterr().out == want
 
 
+def test_declared_dimension_past_the_bound_exits_2(tmp_path, capsys):
+    # maps out of a zero space are empty lists, so this file once cost
+    # 100 MB to parse and gigabytes to decompose
+    path = tmp_path / "dims.json"
+    path.write_text('{"n": 3, "type": ">>", "matrices": {"field_prime": 2, '
+                    '"dims": [0, 1000000, 0], "maps": [[], []]}}', encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["decompose", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}: entry 1 1000000: dimensions must be integers "
+                   "from 0 to 256\n")
+
+
 def test_gen_then_decompose_n24_is_pinned(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("ZZ_FIELD_PRIME", raising=False)
     assert main(["gen", "--n", "24", "--max-points", "24", "--seed", "3"]) == 0

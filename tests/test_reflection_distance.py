@@ -155,7 +155,7 @@ def test_search_failures_name_both_inputs(monkeypatch):
     # the package attribute of the same name is the function, not the module
     rd = importlib.import_module("zzdist.reflection_distance")
     # U = 0, while the pair needs one step beyond h(start) = 0
-    monkeypatch.setattr(rd, "annihilating_sequence", lambda S: ReflectionSequence(()))
+    monkeypatch.setattr(rd, "_annihilating_run", lambda dirs, counts: ())
     with pytest.raises(AssertionError, match=r"depth bound 0, .*; "
                        r"source >> \[\(1, 2, 1\), \(2, 3, 1\)\], "
                        r"target >< \[\(1, 2, 1\), \(2, 3, 1\)\]"):

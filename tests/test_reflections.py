@@ -4,7 +4,9 @@ import random
 from collections import Counter
 
 import pytest
-from helpers import all_dirs, all_intervals, random_matrix, random_symbolic, synthesized_pair
+from helpers import (all_dirs, all_intervals, random_counted, random_matrix, random_module,
+                     random_orientation, random_symbolic, synthesized_pair,
+                     trial_annihilating_sequence)
 
 from zzdist import (BACKWARD, COLIMIT, EXTROVERSION, FORWARD, INTROVERSION,
                     LIMIT, Matrix, Morphism, Orientation, PersistenceDiagram,
@@ -16,6 +18,8 @@ from zzdist import (BACKWARD, COLIMIT, EXTROVERSION, FORWARD, INTROVERSION,
                     interval_module, is_invertible, is_morphism,
                     is_summand_upto_equiv, ops_at, rank, synthesize,
                     transform_type, zero_module)
+from zzdist.diagrams import _annihilating_run
+from zzdist.reflection_distance import _state
 
 F, B = FORWARD, BACKWARD
 
@@ -405,3 +409,31 @@ def test_annihilating_sequence_symbolic_matches_concrete():
             S = SymbolicModule(S.tau, PersistenceDiagram(S.n, S.diagram.points + extra))
         V = synthesize(S.tau, S.diagram.points, p)
         assert annihilating_sequence(S) == annihilating_sequence(V)
+
+
+def test_annihilating_op_table_is_the_first_op_that_shortens():
+    # the fixed table against trying every op at j, for every type with n <= 7
+    for n in range(2, 8):
+        for t in all_dirs(n):
+            for j in range(2, n + 1):
+                for b in range(1, j):
+                    first = next(op for op in ops_at(n, j)
+                                 if interval_image(op, Orientation(t), b, j) == (b, j - 1))
+                    # the first op of the run on [b, j] alone is the table's op at j
+                    assert _annihilating_run(t, ((b, j, 1),))[0] == first, (t, b, j)
+
+
+def test_annihilating_sequence_matches_the_trial_oracle():
+    rng = random.Random(173)
+    for _ in range(400):
+        n = rng.randint(2, 16)
+        # counted diagrams, with multiplicities up to 3 and one-position intervals
+        S = SymbolicModule(random_orientation(rng, n), random_counted(rng, n, 6, 3))
+        want = trial_annihilating_sequence(S)
+        assert annihilating_sequence(S) == want, S
+        # the search's start state, normalized and sanitized, gives the same run
+        assert _annihilating_run(*_state(S)) == want.ops, S
+    for _ in range(60):
+        p = rng.choice((2, 3))
+        V = random_module(rng, rng.randint(2, 6), 3, p)
+        assert annihilating_sequence(V) == trial_annihilating_sequence(V), V
