@@ -111,8 +111,7 @@ def _penalty(pt: tuple[int, int], p: float) -> float:
 
 
 def _too_far(pts: Sequence[tuple[int, int]]) -> ValueError:
-    """The refusal, naming the largest interval, of endpoints whose
-    differences no float holds, which float work meets as OverflowError."""
+    """The refusal, naming the largest interval, of an OverflowError in float work."""
     big = max(pts, key=lambda pt: max(map(abs, pt)))
     return ValueError(f"interval {big}: endpoints too far apart for floating-point distances")
 

@@ -29,7 +29,7 @@ from typing import Sequence
 from .bottleneck import _check_p, bottleneck_distance
 from .diagrams import (PersistenceDiagram, SymbolicModule, act, annihilating_sequence,
                        decompose)
-from .linalg import DEFAULT_PRIME, Matrix, _check_prime, _dims
+from .linalg import _MAX_DIM, DEFAULT_PRIME, Matrix, _check_prime, _dims
 from .reflection_distance import reflection_distance
 from .reflections import COLIMIT, LIMIT, ReflectionOp, apply
 from .stability import generate_random_module, stability_experiment
@@ -87,7 +87,7 @@ def parse_module_data(obj) -> ZigzagModule | SymbolicModule:
         _expect(isinstance(dims, list) and len(dims) == n, f"'dims' must list {n} dimensions")
         _expect(isinstance(raw_maps, list) and len(raw_maps) == n - 1,
                 f"'maps' must list {n - 1} matrices")
-        dims = _dims(dims, "dimensions")  # checked before the flat maps are cut with them
+        dims = _dims(dims, "dimensions", _MAX_DIM)  # bounded before the flat maps are cut
         maps = []
         for i, flat in enumerate(raw_maps):
             if tau.dirs[i] == FORWARD:
@@ -157,12 +157,6 @@ def _as_symbolic(m: ZigzagModule | SymbolicModule) -> SymbolicModule:
     return SymbolicModule(m.tau, decompose(m))
 
 
-def _as_concrete(m: ZigzagModule | SymbolicModule, prime: int) -> ZigzagModule:
-    if isinstance(m, ZigzagModule):
-        return m
-    return synthesize(m.tau, m.diagram.points, prime)
-
-
 def _op_to_dict(op: ReflectionOp) -> dict:
     out = {"kind": op.kind, "index": op.k}
     if op.boundary_dir is not None:
@@ -186,7 +180,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_synthesize(args) -> int:
     m = parse_module_file(args.file)
     _expect(isinstance(m, SymbolicModule), f"{args.file}: synthesize expects a diagram file")
-    sys.stdout.write(_dump(serialize_module(_as_concrete(m, _field_prime()))))
+    V = synthesize(m.tau, m.diagram.points, _field_prime())
+    sys.stdout.write(_dump(serialize_module(V)))
     return 0
 
 

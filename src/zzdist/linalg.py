@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from operator import add, index, mul, sub
 from typing import Sequence
 
@@ -32,10 +32,11 @@ DEFAULT_PRIME = 2
 # the field size needs no other bound.
 _MAX_PRIME = 1 << 20
 
-# A map out of a zero space is an empty list, so a file can declare a
-# dimension that none of its entries spells out.  Decomposing costs the
-# cube of a dimension: on a shared 2-vCPU machine, one space of 256 takes
-# 0.7 s and 18 MB, one of 1024 41 s, one of 10**6 gigabytes.
+# Bounds the dimensions a module file declares: a map out of a zero space
+# is an empty list, so a file can declare a dimension no entry spells out,
+# and decomposing costs its cube (one space of 256 takes 0.7 s and 18 MB
+# on a shared 2-vCPU machine, one of 1024 41 s).  Modules built in memory,
+# whose limits and sums may pass it, are not bounded.
 _MAX_DIM = 256
 
 
@@ -82,13 +83,14 @@ def _exact_ints(entries, what: str, tuples: bool = False) -> list:
     return out
 
 
-def _dims(entries, what: str) -> list[int]:
-    """The entries as dimensions: exact integers from 0 to ``_MAX_DIM``;
-    the ValueError names the first offending entry."""
+def _dims(entries, what: str, top: int | None = None) -> list[int]:
+    """The entries as dimensions: exact integers >= 0, and <= ``top`` if
+    given; the ValueError names the first offending entry."""
     out = _exact_ints(entries, what)
     for i, d in enumerate(out):
-        if not 0 <= d <= _MAX_DIM:
-            raise ValueError(f"entry {i} {d}: {what} must be integers from 0 to {_MAX_DIM}")
+        if d < 0 or top is not None and d > top:
+            span = "nonnegative integers" if top is None else f"integers from 0 to {top}"
+            raise ValueError(f"entry {i} {d}: {what} must be {span}")
     return out
 
 
@@ -115,9 +117,7 @@ class Matrix:
 
     def __post_init__(self) -> None:
         p = _check_prime(self.p)
-        [cols] = _exact_ints([self.cols], "matrix width")
-        if cols < 0:
-            raise ValueError(f"matrix width must be nonnegative, got {cols}")
+        [cols] = _dims([self.cols], "matrix width")
         data = tuple(tuple([x % p for x in row])
                      for row in _exact_ints(self.data, "matrix row entries", True))
         if any(len(row) != cols for row in data):
@@ -213,26 +213,18 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
 def vstack(mats: Sequence[Matrix]) -> Matrix:
     """Stack matrices vertically; all must share a field and column count."""
     if len(mats) == 0:
-        raise ValueError("vstack needs at least one matrix")
+        raise ValueError("stacking needs at least one matrix")
     first = mats[0]
     for m in mats[1:]:
         first._require_same_field(m)
         if m.cols != first.cols:
-            raise ValueError(f"column mismatch for vstack: {first.cols} vs {m.cols}")
+            raise ValueError(f"stacked matrices disagree along the join: {first.cols} vs {m.cols}")
     return Matrix(first.p, [row for m in mats for row in m.data], first.cols)
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
     """Stack matrices horizontally; all must share a field and row count."""
-    if len(mats) == 0:
-        raise ValueError("hstack needs at least one matrix")
-    first = mats[0]
-    for m in mats[1:]:
-        first._require_same_field(m)
-        if m.rows != first.rows:
-            raise ValueError(f"row mismatch for hstack: {first.rows} vs {m.rows}")
-    return Matrix(first.p, [sum(rows, ()) for rows in zip(*(m.data for m in mats))],
-                  sum(m.cols for m in mats))
+    return vstack([m.transpose() for m in mats]).transpose()
 
 
 def _rref(a: Sequence[Sequence[int]], p: int,
@@ -368,13 +360,6 @@ class FiniteDiagram:
         object.__setattr__(self, "arrows", arrows)
 
 
-def _offsets(dims: Sequence[int]) -> list[int]:
-    off = [0]
-    for d in dims:
-        off.append(off[-1] + d)
-    return off
-
-
 def diagram_limit(D: FiniteDiagram) -> tuple[int, tuple[Matrix, ...]]:
     """Limit of a finite diagram with its legs.
 
@@ -384,7 +369,7 @@ def diagram_limit(D: FiniteDiagram) -> tuple[int, tuple[Matrix, ...]]:
     onto slot j); the legs commute with every arrow of the diagram.
     """
     dims, p = D.spaces, D.p
-    off = _offsets(dims)
+    off = [0, *accumulate(dims)]
     constraints = []
     for (s, t, M) in D.arrows:
         for i, row in enumerate(M.data):

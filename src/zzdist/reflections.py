@@ -94,22 +94,14 @@ def _window(V: ZigzagModule, op: ReflectionOp) -> FiniteDiagram:
             V.dims[k - 1],
             V.dims[k] if k <= n - 1 else 0)
     arrows = []
-    if k == 1:
-        if op.boundary_dir == FORWARD:
-            arrows.append((0, 1, Matrix.zero(dims[1], 0, p)))
+    for i, a in ((0, k - 2), (1, k - 1)):  # slots i, i+1 are joined by arrow a, 0-based
+        if 0 <= a < n - 1:
+            forward, M = V.tau.dirs[a] == FORWARD, V.maps[a]
         else:
-            arrows.append((1, 0, Matrix.zero(0, dims[1], p)))
-    else:
-        M = V.maps[k - 2]
-        arrows.append((0, 1, M) if V.tau.dirs[k - 2] == FORWARD else (1, 0, M))
-    if k == n:
-        if op.boundary_dir == FORWARD:
-            arrows.append((1, 2, Matrix.zero(0, dims[1], p)))
-        else:
-            arrows.append((2, 1, Matrix.zero(dims[1], 0, p)))
-    else:
-        M = V.maps[k - 1]
-        arrows.append((1, 2, M) if V.tau.dirs[k - 1] == FORWARD else (2, 1, M))
+            forward = op.boundary_dir == FORWARD
+            src, tgt = (i, i + 1) if forward else (i + 1, i)
+            M = Matrix.zero(dims[tgt], dims[src], p)
+        arrows.append((i, i + 1, M) if forward else (i + 1, i, M))
     return FiniteDiagram(p, dims, tuple(arrows))
 
 
@@ -128,12 +120,8 @@ def _reflected(op: ReflectionOp, V: ZigzagModule) -> tuple[ZigzagModule, tuple[M
     colimit that built it."""
     check_applicable(op, V.n)
     win = _window(V, op)
-    if op.kind == LIMIT:
-        dim_new, legs = diagram_limit(win)
-        new_tau = transform_type(V.tau, EXTROVERSION, op.k)
-    else:
-        dim_new, legs = diagram_colimit(win)
-        new_tau = transform_type(V.tau, INTROVERSION, op.k)
+    dim_new, legs = (diagram_limit if op.kind == LIMIT else diagram_colimit)(win)
+    new_tau = transform_type(V.tau, EXTROVERSION if op.kind == LIMIT else INTROVERSION, op.k)
     dims = list(V.dims)
     dims[op.k - 1] = dim_new
     maps = list(V.maps)

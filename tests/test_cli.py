@@ -390,6 +390,16 @@ def test_declared_dimension_past_the_bound_exits_2(tmp_path, capsys):
                    "from 0 to 256\n")
 
 
+def test_reflection_may_pass_the_bound_a_file_is_held_to(tmp_path, capsys):
+    # a limit at the sink of 256 -> 0 <- 256 is their sum, 512
+    path = tmp_path / "sink.json"
+    path.write_text('{"n": 3, "type": "><", "matrices": {"field_prime": 2, '
+                    '"dims": [256, 0, 256], "maps": [[], []]}}', encoding="utf-8")
+    assert main(["reflect", str(path), "--kind", "limit", "--index", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["type"] == "<>" and out["matrices"]["dims"] == [256, 512, 256]
+
+
 def test_gen_then_decompose_n24_is_pinned(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("ZZ_FIELD_PRIME", raising=False)
     assert main(["gen", "--n", "24", "--max-points", "24", "--seed", "3"]) == 0

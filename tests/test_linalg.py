@@ -149,6 +149,10 @@ def test_stacking_helpers():
     assert D.tolists() == [[1, 0, 0], [0, 0, 0]]
     with pytest.raises(ValueError):
         vstack([A, Matrix.from_rows([[1]], 2)])
+    with pytest.raises(ValueError, match="along the join: 1 vs 2"):
+        hstack([A, B])
+    with pytest.raises(ValueError, match="at least one"):
+        hstack([])
 
 
 def test_is_prime_and_field_validation():
