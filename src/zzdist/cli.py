@@ -33,7 +33,7 @@ from .linalg import _MAX_DIM, DEFAULT_PRIME, Matrix, _check_prime, _dims
 from .reflection_distance import reflection_distance
 from .reflections import COLIMIT, LIMIT, ReflectionOp, apply
 from .stability import generate_random_module, stability_experiment
-from .zigzag_core import BACKWARD, FORWARD, Orientation, ZigzagModule, synthesize
+from .zigzag_core import BACKWARD, FORWARD, Orientation, ZigzagModule, _ends, synthesize
 
 _BOUNDARY_WORDS = {FORWARD: "forward", BACKWARD: "backward"}
 _BOUNDARY_DIRS = {w: d for (d, w) in _BOUNDARY_WORDS.items()}
@@ -90,10 +90,8 @@ def parse_module_data(obj) -> ZigzagModule | SymbolicModule:
         dims = _dims(dims, "dimensions", _MAX_DIM)  # bounded before the flat maps are cut
         maps = []
         for i, flat in enumerate(raw_maps):
-            if tau.dirs[i] == FORWARD:
-                rows, cols = dims[i + 1], dims[i]
-            else:
-                rows, cols = dims[i], dims[i + 1]
+            s, t = _ends(tau.dirs, i)
+            rows, cols = dims[t], dims[s]
             _expect(isinstance(flat, list), f"map {i + 1} must be a flat list of entries")
             _expect(len(flat) == rows * cols,
                     f"map {i + 1} has {len(flat)} entries, expected {rows}x{cols}={rows * cols}")
@@ -180,6 +178,10 @@ def _cmd_decompose(args) -> int:
 def _cmd_synthesize(args) -> int:
     m = parse_module_file(args.file)
     _expect(isinstance(m, SymbolicModule), f"{args.file}: synthesize expects a diagram file")
+    # what is written must read back, so no space may pass the bound a file is held to
+    for i, dim in enumerate(m.diagram.dims(), 1):
+        _expect(dim <= _MAX_DIM, f"{args.file}: position {i} would have dimension {dim}, "
+                                 f"past the bound of {_MAX_DIM} on a file's dimensions")
     V = synthesize(m.tau, m.diagram.points, _field_prime())
     sys.stdout.write(_dump(serialize_module(V)))
     return 0
@@ -214,6 +216,10 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    # no position holds more than max_points, so the file reads back
+    _expect(args.max_points <= _MAX_DIM,
+            f"--max-points must be at most {_MAX_DIM}, the bound on a file's dimensions, "
+            f"got {args.max_points}")
     V = generate_random_module(args.n, args.max_points, _field_prime(), args.seed)
     sys.stdout.write(_dump(serialize_module(V)))
     return 0
@@ -287,7 +293,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InputError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
-    except (MemoryError, OverflowError):  # e.g. a multiplicity too large to expand
+    except (MemoryError, OverflowError):  # work past memory or an index, which no check caught
         sys.stderr.write("error: input too large to hold in memory\n")
         return 2
 

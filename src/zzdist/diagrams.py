@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .linalg import _exact_ints, segment_ranks
@@ -65,9 +66,20 @@ class PersistenceDiagram:
 
     @property
     def points(self) -> tuple[tuple[int, int], ...]:
-        """One sorted (b, d) entry per copy; a multiplicity too large to
+        """One sorted (b, d) entry per copy; a total past ``sys.maxsize``
+        is refused as ``len`` refuses it, and a smaller one too large to
         hold fails at once, when its run is allocated."""
+        len(self)
         return tuple(pt for (b, d, m) in self._counts for pt in [(b, d)] * m)
+
+    def dims(self) -> tuple[int, ...]:
+        """Dimension at each position 1..n of a module with this diagram:
+        the total multiplicity of the intervals covering the position."""
+        steps = [0] * (self.n + 1)  # dims()[i] is the sum of steps[:i + 1]
+        for (b, d, m) in self._counts:
+            steps[b - 1] += m
+            steps[d] -= m
+        return tuple(accumulate(steps[:-1]))
 
     def remove_simple(self) -> "PersistenceDiagram":
         """Drop every one-position interval; idempotent."""
@@ -136,12 +148,12 @@ def decompose(V: ZigzagModule) -> PersistenceDiagram:
                 raise AssertionError(f"negative multiplicity {m} at [{b}, {d}] ({where})")
             if m:
                 mult[(b, d)] = m
-    for i in range(1, n + 1):
-        covering = sum(m for ((b, d), m) in mult.items() if b <= i <= d)
-        if covering != V.dims[i - 1]:
+    D = PersistenceDiagram.from_counts(n, ((b, d, m) for (b, d), m in mult.items()))
+    for i, (covering, dim) in enumerate(zip(D.dims(), V.dims), 1):
+        if covering != dim:
             raise AssertionError(f"decomposition covers dimension {covering} at position {i}, "
-                                 f"module has {V.dims[i - 1]} ({where})")
-    return PersistenceDiagram.from_counts(n, ((b, d, m) for (b, d), m in mult.items()))
+                                 f"module has {dim} ({where})")
+    return D
 
 
 def _reflect(op: ReflectionOp, dirs: tuple[str, ...], counts: tuple[tuple[int, int, int], ...],

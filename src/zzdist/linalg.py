@@ -34,9 +34,11 @@ _MAX_PRIME = 1 << 20
 
 # Bounds the dimensions a module file declares: a map out of a zero space
 # is an empty list, so a file can declare a dimension no entry spells out,
-# and decomposing costs its cube (one space of 256 takes 0.7 s and 18 MB
-# on a shared 2-vCPU machine, one of 1024 41 s).  Modules built in memory,
-# whose limits and sums may pass it, are not bounded.
+# and elimination costs grow as the cube of a dimension (two spaces of 256
+# joined by a dense map take 2.8 s to decompose on a shared 2-vCPU
+# machine).  The bound also covers what the CLI writes: `gen` and
+# `synthesize` write no file that `decompose` would refuse.  Modules built
+# in memory, whose limits and sums may pass it, are not bounded.
 _MAX_DIM = 256
 
 
@@ -430,15 +432,24 @@ def segment_ranks(p: int, dims: Sequence[int], forward: Sequence[bool],
     spans the annihilator of the kernel of the colimit leg at b, because
     colim(D)* = lim(D*); the rank of their pairing is rk(b, d).  It never
     grows with d, so a sweep stops at the first zero.
+
+    Two ranks need no elimination.  The slice b..b is the one space V_b,
+    its own limit and colimit, so rk(b, b) = dims[b].  The limit-to-colimit
+    map of b..d factors through every space of the slice, so rk(b, d) <=
+    dims[d], and a sweep also stops at the first space of dimension 0.
     """
     sides = ((forward, maps), ([not f for f in forward], [M.transpose() for M in maps]))
     out: dict[tuple[int, int], int] = {}
     for b, db in enumerate(dims):
+        if db == 0:
+            continue
+        out[(b, b)] = db
         X = Y = [[int(i == j) for j in range(db)] * 2 for i in range(db)]
-        for d in range(b, len(dims)):
-            if d > b:
-                X, Y = (_extend(S, db, fwd[d - 1], ms[d - 1], p)
-                        for S, (fwd, ms) in zip((X, Y), sides))
+        for d in range(b + 1, len(dims)):
+            if dims[d] == 0:
+                break
+            X, Y = (_extend(S, db, fwd[d - 1], ms[d - 1], p)
+                    for S, (fwd, ms) in zip((X, Y), sides))
             tops = [x[:db] for x in X]
             r = len(_rref([[sum(map(mul, y, top)) for top in tops] for y in Y], p)[1])
             if r == 0:

@@ -20,7 +20,7 @@ from typing import Iterator
 from .linalg import (FiniteDiagram, Matrix, diagram_colimit, diagram_limit,
                      hstack, solve, vstack)
 from .zigzag_core import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION,
-                          Morphism, ZigzagModule, transform_type)
+                          Morphism, ZigzagModule, _ends, transform_type)
 
 LIMIT = "limit"
 COLIMIT = "colimit"
@@ -89,20 +89,16 @@ def _window(V: ZigzagModule, op: ReflectionOp) -> FiniteDiagram:
     End positions get a zero slot on the missing side; its arrow carries
     the direction ``op.boundary_dir`` and an empty matrix.
     """
-    k, n, p = op.k, V.n, V.p
-    dims = (V.dims[k - 2] if k >= 2 else 0,
-            V.dims[k - 1],
-            V.dims[k] if k <= n - 1 else 0)
+    k = op.k
+    # the module padded with a zero space and a phantom arrow at each end
+    dims = (0, *V.dims, 0)[k - 1:k + 2]
+    dirs = (op.boundary_dir, *V.tau.dirs, op.boundary_dir)[k - 1:k + 1]
+    maps = (None, *V.maps, None)[k - 1:k + 1]
     arrows = []
-    for i, a in ((0, k - 2), (1, k - 1)):  # slots i, i+1 are joined by arrow a, 0-based
-        if 0 <= a < n - 1:
-            forward, M = V.tau.dirs[a] == FORWARD, V.maps[a]
-        else:
-            forward = op.boundary_dir == FORWARD
-            src, tgt = (i, i + 1) if forward else (i + 1, i)
-            M = Matrix.zero(dims[tgt], dims[src], p)
-        arrows.append((i, i + 1, M) if forward else (i + 1, i, M))
-    return FiniteDiagram(p, dims, tuple(arrows))
+    for i, M in enumerate(maps):
+        s, t = _ends(dirs, i)
+        arrows.append((s, t, Matrix.zero(dims[t], dims[s], V.p) if M is None else M))
+    return FiniteDiagram(V.p, dims, tuple(arrows))
 
 
 def apply(op: ReflectionOp, V: ZigzagModule) -> ZigzagModule:

@@ -100,6 +100,12 @@ def _turn(dirs: Sequence[str], k: int, source: bool) -> list[str]:
     return out
 
 
+def _ends(dirs: Sequence[str], i: int) -> tuple[int, int]:
+    """0-based (source, target) positions of map i+1, which joins positions
+    i and i+1 and points the way ``dirs[i]`` says."""
+    return (i, i + 1) if dirs[i] == FORWARD else (i + 1, i)
+
+
 def classify_index(tau: Orientation, k: int) -> str:
     """Role of position k: sink, source, or one of the two flow kinds.
 
@@ -149,10 +155,8 @@ class ZigzagModule:
                 raise ValueError(f"map {i + 1} is {type(M).__name__}, expected Matrix")
             if M.p != maps[0].p:
                 raise ValueError("structure maps must share one field")
-            if self.tau.dirs[i] == FORWARD:
-                want = (dims[i + 1], dims[i])
-            else:
-                want = (dims[i], dims[i + 1])
+            s, t = _ends(self.tau.dirs, i)
+            want = (dims[t], dims[s])
             if M.shape != want:
                 raise ValueError(f"map {i + 1} has shape {M.shape}, expected {want}")
         object.__setattr__(self, "dims", dims)
@@ -205,11 +209,9 @@ def synthesize(tau: Orientation, points: Iterable[tuple[int, int]],
     covers = [[j for j, (b, d) in enumerate(pts) if b <= i <= d] for i in range(1, n + 1)]
     dims = tuple(len(c) for c in covers)
     maps = []
-    for i in range(1, n):
-        src, tgt = covers[i - 1], covers[i]
-        if tau.dirs[i - 1] != FORWARD:
-            src, tgt = tgt, src
-        maps.append(Matrix(p, [[int(j == k) for k in src] for j in tgt], len(src)))
+    for i in range(n - 1):
+        s, t = _ends(tau.dirs, i)
+        maps.append(Matrix(p, [[int(j == k) for k in covers[s]] for j in covers[t]], dims[s]))
     return ZigzagModule(tau, dims, tuple(maps))
 
 
@@ -257,15 +259,10 @@ def compose(outer: Morphism, inner: Morphism) -> Morphism:
 
 def is_morphism(phi: Morphism) -> bool:
     """True when every square of phi commutes."""
-    V, W = phi.source, phi.target
-    for i in range(V.n - 1):
-        if V.tau.dirs[i] == FORWARD:
-            left = phi.components[i + 1] @ V.maps[i]
-            right = W.maps[i] @ phi.components[i]
-        else:
-            left = phi.components[i] @ V.maps[i]
-            right = W.maps[i] @ phi.components[i + 1]
-        if left != right:
+    V, W, c = phi.source, phi.target, phi.components
+    for i, M in enumerate(V.maps):
+        s, t = _ends(V.tau.dirs, i)
+        if c[t] @ M != W.maps[i] @ c[s]:
             return False
     return True
 
@@ -286,11 +283,9 @@ def conjugate(V: ZigzagModule, bases: Iterable[Matrix]) -> tuple[ZigzagModule, M
             raise ValueError(f"base change {i + 1} is singular")
     inv = [inverse(M) for M in B]
     maps = []
-    for i in range(V.n - 1):
-        if V.tau.dirs[i] == FORWARD:
-            maps.append(B[i + 1] @ V.maps[i] @ inv[i])
-        else:
-            maps.append(B[i] @ V.maps[i] @ inv[i + 1])
+    for i, M in enumerate(V.maps):
+        s, t = _ends(V.tau.dirs, i)
+        maps.append(B[t] @ M @ inv[s])
     W = ZigzagModule(V.tau, V.dims, tuple(maps))
     return W, Morphism(V, W, B)
 

@@ -209,6 +209,11 @@ def test_raw_points_must_be_intervals():
                  (lambda p=p: matching_cost([(0, 2 ** 1100)], [], Matching(1, 0, ()), p), far),
                  (lambda p=p: bottleneck_distance(huge, [], p), far),
                  (lambda p=p: optimal_matching([], huge, p), far)]
+    # a total past sys.maxsize once raised a bare OverflowError while expanding
+    many = PersistenceDiagram.from_counts(3, [(1, 2, 10 ** 19)])
+    rows += [(lambda: optimal_matching(many, [], 1), "copies exceed the largest length"),
+             (lambda: matching_cost(many, [], Matching(0, 0, ()), 1),
+              "copies exceed the largest length")]
     for call, message in rows:
         with pytest.raises(ValueError, match=message):
             call()

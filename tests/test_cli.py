@@ -202,7 +202,7 @@ def test_cmd_annihilate_ignores_multiplicity(tmp_path, capsys):
 
 def test_huge_multiplicity_is_answered_but_not_synthesized(tmp_path, capsys):
     # diagrams are stored counted, so 10^18 copies cost what one copy does;
-    # only synthesize needs a matrix coordinate per copy, and exits 2
+    # only synthesize needs a matrix coordinate per copy, and refuses them
     runs = {}
     for m in (1, 10 ** 18):
         d = write(tmp_path, f"d{m}.json", {"n": 5, "type": "><><", "diagram": [[1, 4, m]]})
@@ -217,7 +217,8 @@ def test_huge_multiplicity_is_answered_but_not_synthesized(tmp_path, capsys):
         assert main(["synthesize", d]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: input too large to hold in memory\n"
+        assert captured.err == (f"error: {d}: position 1 would have dimension {m}, "
+                                "past the bound of 256 on a file's dimensions\n")
 
 
 def test_cmd_distance(tmp_path, capsys):
@@ -388,6 +389,45 @@ def test_declared_dimension_past_the_bound_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (f"error: {path}: entry 1 1000000: dimensions must be integers "
                    "from 0 to 256\n")
+
+
+def test_isolated_spaces_decompose_without_elimination(tmp_path, capsys):
+    # every map is empty, so each space of 256 is 256 copies of one
+    # position; eliminating them once took 0.7 s a space
+    dims = [256 if i % 2 == 0 else 0 for i in range(25)]
+    path = write(tmp_path, "iso.json", {"n": 25, "type": ">" * 24, "matrices": {
+        "field_prime": 2, "dims": dims, "maps": [[]] * 24}})
+    start = time.perf_counter()
+    assert main(["decompose", path]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["diagram"] == [
+        [i, i, 256] for i in range(1, 26, 2)]
+
+
+def test_cli_writes_no_file_past_the_bound(tmp_path, capsys):
+    # gen and synthesize refuse, before building a matrix, what decompose
+    # would refuse to read back; m = 2000 once took 7 s and 835 MB
+    d = write(tmp_path, "d.json", {"n": 3, "type": "><", "diagram": [[1, 3, 2000]]})
+    start = time.perf_counter()
+    assert main(["synthesize", d]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (f"error: {d}: position 1 would have dimension 2000, "
+                                       "past the bound of 256 on a file's dimensions\n")
+    start = time.perf_counter()
+    assert main(["gen", "--n", "2", "--max-points", "700", "--seed", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --max-points must be at most 256, the bound on a file's "
+                            "dimensions, got 700\n")
+    # at the bound the file reads back
+    d = write(tmp_path, "edge.json", {"n": 3, "type": "><",
+                                      "diagram": [[1, 1, 256], [3, 3, 256]]})
+    assert main(["synthesize", d]) == 0
+    path = tmp_path / "edge-m.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["decompose", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["diagram"] == [[1, 1, 256], [3, 3, 256]]
 
 
 def test_reflection_may_pass_the_bound_a_file_is_held_to(tmp_path, capsys):

@@ -97,6 +97,7 @@ def test_from_counts_merges_and_stores_counts_only():
     D = PersistenceDiagram.from_counts(5, [(2, 4, 10 ** 18), (1, 5, 1), (2, 4, 2)])
     assert D.counts() == ((1, 5, 1), (2, 4, 10 ** 18 + 2))
     assert len(D) == 10 ** 18 + 3
+    assert D.dims() == (1, 10 ** 18 + 3, 10 ** 18 + 3, 10 ** 18 + 3, 1)
     assert D == PersistenceDiagram.from_counts(5, D.counts())
     assert hash(D) == hash(PersistenceDiagram.from_counts(5, reversed(D.counts())))
     assert diagram_contains(D.remove_simple(), D) and not diagram_contains(D, pd(5, [(2, 4)]))
