@@ -15,12 +15,10 @@ from .bottleneck import (Matching, bottleneck_distance, combine_matchings,
 from .cli import (format_quantity, main, parse_module_data, parse_module_file,
                   serialize_module, serialize_symbolic)
 from .diagrams import (PersistenceDiagram, SymbolicModule, act,
-                       annihilating_sequence, decompose, diagram_contains,
-                       interval_image)
+                       annihilating_sequence, decompose, diagram_contains)
 from .linalg import (DEFAULT_PRIME, FiniteDiagram, Matrix, block_diag,
-                     cokernel, diagram_colimit, diagram_limit, hstack,
-                     inverse, is_invertible, is_prime, kernel_basis, rank,
-                     solve, vstack)
+                     diagram_colimit, diagram_limit, hstack, inverse,
+                     is_invertible, is_prime, rank, solve, vstack)
 from .reflection_distance import (ReflectionDistance, cost, min_steps,
                                   reflection_distance)
 from .reflections import (COLIMIT, LIMIT, ReflectionOp, ReflectionSequence,
@@ -34,8 +32,7 @@ from .zigzag_core import (BACKWARD, BACKWARD_FLOW, EXTROVERSION, FORWARD,
                           canonical_type, classify_index, compose, conjugate,
                           direct_sum, flippable_positions, identity_morphism,
                           interval_module, is_morphism, is_summand_upto_equiv,
-                          iso_positions, synthesize, transform_type,
-                          zero_module)
+                          synthesize, transform_type, zero_module)
 
 __version__ = "0.1.0"
 
@@ -47,15 +44,14 @@ __all__ = [
     "ReflectionSequence", "SINK", "SOURCE", "SymbolicModule", "ZigzagModule",
     "act", "all_ops", "annihilating_sequence", "apply", "apply_sequence",
     "apply_to_morphism", "arrow_reverse", "block_diag", "bottleneck_distance",
-    "canonical_type", "check_applicable", "classify_index", "cokernel",
+    "canonical_type", "check_applicable", "classify_index",
     "combine_matchings", "compose", "conjugate", "cost", "decompose",
     "diagram_colimit", "diagram_contains", "diagram_limit", "direct_sum",
     "flippable_positions", "format_quantity", "generate_random_module",
-    "hstack", "identity_morphism", "interval_image", "interval_module",
-    "inverse", "is_invertible", "is_morphism", "is_prime",
-    "is_summand_upto_equiv", "iso_positions", "kernel_basis", "main",
-    "matching_cost", "min_steps", "optimal_matching", "parse_module_data",
-    "parse_module_file", "random_symbolic_module", "rank",
+    "hstack", "identity_morphism", "interval_module", "inverse",
+    "is_invertible", "is_morphism", "is_prime", "is_summand_upto_equiv",
+    "main", "matching_cost", "min_steps", "optimal_matching",
+    "parse_module_data", "parse_module_file", "random_symbolic_module", "rank",
     "reflection_distance", "serialize_module", "serialize_symbolic", "solve",
     "stability_experiment", "synthesize", "transform_type", "vstack",
     "zero_module",

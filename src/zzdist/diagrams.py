@@ -3,10 +3,10 @@
 A persistence diagram is the multiset of interval supports in a
 module's decomposition into interval summands.  ``decompose`` extracts
 it from a concrete module's segment ranks, one section sweep per birth
-(colimits by duality); ``interval_image`` and ``act`` push diagrams
-through reflections without matrices, by a closed-form rule for where
-each interval goes; ``annihilating_sequence`` runs the same rule on
-tuples, as the reflection search does, to empty a module.
+(colimits by duality); ``act`` pushes diagrams through reflections
+without matrices, by a closed-form rule for where each interval goes;
+``annihilating_sequence`` runs the same rule on tuples, as the
+reflection search does, to empty a module.
 """
 
 from __future__ import annotations
@@ -193,16 +193,6 @@ def _reflect(op: ReflectionOp, dirs: tuple[str, ...], counts: tuple[tuple[int, i
     new = _turn(dirs, k, limit)
     return ((tuple(new) if raw else _canonical_dirs(new, images)),
             tuple(sorted([(b, d, m) for (b, d), m in images.items()])))
-
-
-def interval_image(op: ReflectionOp, tau: Orientation, b: int, d: int) -> tuple[int, int] | None:
-    """Where a reflection sends the interval [b, d] by ``_reflect``, or
-    None if it dies; a one-position image is returned, not dropped."""
-    check_applicable(op, tau.n)
-    if not 1 <= b <= d <= tau.n:
-        raise ValueError(f"interval [{b}, {d}] out of range 1..{tau.n}")
-    image = _reflect(op, tau.dirs, ((b, d, 1),), raw=True)[1]
-    return image[0][:2] if image else None
 
 
 def act(op: ReflectionOp, S: SymbolicModule) -> SymbolicModule:

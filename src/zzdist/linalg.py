@@ -3,12 +3,13 @@ finite diagrams of vector spaces and the segment ranks of a zigzag.
 
 All computation happens on plain Python integers reduced modulo a prime
 ``p`` (default 2), so every result is exact whatever the size of ``p`` or
-of an entry.  Row reduction is the single workhorse: rank, kernel and
-cokernel bases, linear solves, and the limit/colimit constructions below
-are all phrased in terms of it, and a colimit is the dual of a limit.
-Pivots are chosen leftmost-first and kernel basis vectors are enumerated
-in ascending free-column order, so every routine is deterministic:
-identical inputs give identical outputs.
+of an entry.  Row reduction is the single workhorse: rank, linear
+solves, and the limit/colimit constructions below are all phrased in
+terms of it, and a colimit is the dual of a limit.  Every product is one
+sum of rows scaled by a vector's nonzero entries (``_combine``), so its
+cost follows the nonzeros.  Pivots are chosen leftmost-first and null
+space vectors are enumerated in ascending free-column order, so every
+routine is deterministic: identical inputs give identical outputs.
 
 Dimensions here are desk scale: the spaces of a typical module have a
 few dimensions, where lists of integers beat an array library's per-call
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
-from operator import add, index, mul, sub
+from operator import add, index
 from typing import Sequence
 
 DEFAULT_PRIME = 2
@@ -35,10 +36,11 @@ _MAX_PRIME = 1 << 20
 # Bounds the dimensions a module file declares: a map out of a zero space
 # is an empty list, so a file can declare a dimension no entry spells out,
 # and elimination costs grow as the cube of a dimension (two spaces of 256
-# joined by a dense map take 2.8 s to decompose on a shared 2-vCPU
-# machine).  The bound also covers what the CLI writes: `gen` and
-# `synthesize` write no file that `decompose` would refuse.  Modules built
-# in memory, whose limits and sums may pass it, are not bounded.
+# joined by a dense random GF(2) map take 0.9 to 1.3 s to decompose on a
+# shared 2-vCPU machine, and five joined by identities 0.7 s).  The bound
+# also covers what the CLI writes: `gen` and `synthesize` write no file
+# that `decompose` would refuse.  Modules built in memory, whose limits
+# and sums may pass it, are not bounded.
 _MAX_DIM = 256
 
 
@@ -93,6 +95,19 @@ def _dims(entries, what: str, top: int | None = None) -> list[int]:
         if d < 0 or top is not None and d > top:
             span = "nonnegative integers" if top is None else f"integers from 0 to {top}"
             raise ValueError(f"entry {i} {d}: {what} must be {span}")
+    return out
+
+
+def _combine(coeffs: Sequence[int], rows: Sequence[Sequence[int]], width: int) -> list[int]:
+    """The sum of ``rows[i]`` scaled by ``coeffs[i]``, ``width`` integers
+    left unreduced; rows whose coefficient is zero are skipped, so the
+    cost follows the nonzero coefficients."""
+    out = [0] * width
+    for c, row in zip(coeffs, rows):
+        if c == 1:
+            out = list(map(add, out, row))
+        elif c:
+            out = [o + c * x for o, x in zip(out, row)]
     return out
 
 
@@ -182,26 +197,8 @@ class Matrix:
         self._require_same_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch for product: {self.shape} @ {other.shape}")
-        cols = _transpose(other.data, other.cols)
-        return Matrix(self.p, [[sum(map(mul, row, col)) for col in cols] for row in self.data],
+        return Matrix(self.p, [_combine(row, other.data, other.cols) for row in self.data],
                       other.cols)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._require_same_field(other)
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch for sum: {self.shape} + {other.shape}")
-        return Matrix(self.p, [list(map(add, r, s)) for r, s in zip(self.data, other.data)],
-                      self.cols)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._require_same_field(other)
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch for difference: {self.shape} - {other.shape}")
-        return Matrix(self.p, [list(map(sub, r, s)) for r, s in zip(self.data, other.data)],
-                      self.cols)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.p, [[-x for x in row] for row in self.data], self.cols)
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
@@ -279,22 +276,6 @@ def _kernel(a: Sequence[Sequence[int]], cols: int, p: int) -> list[list[int]]:
 
 def rank(M: Matrix) -> int:
     return len(_rref(M.data, M.p)[1])
-
-
-def kernel_basis(M: Matrix) -> Matrix:
-    """Matrix whose columns are a deterministic basis of ker(M)."""
-    basis = _kernel(M.data, M.cols, M.p)
-    return Matrix(M.p, _transpose(basis, M.cols), len(basis))
-
-
-def cokernel(M: Matrix) -> tuple[int, Matrix]:
-    """Dimension of coker(M) together with the projection onto it.
-
-    The projection's rows are a basis of the left null space of M: it has
-    full row rank and satisfies proj @ M == 0.
-    """
-    basis = _kernel(_transpose(M.data, M.cols), M.rows, M.p)
-    return len(basis), Matrix(M.p, basis, M.rows)
 
 
 def solve(A: Matrix, B: Matrix) -> Matrix | None:
@@ -401,21 +382,22 @@ def diagram_colimit(D: FiniteDiagram) -> tuple[int, tuple[Matrix, ...]]:
     return dim, tuple(leg.transpose() for leg in legs)
 
 
-def _extend(S: list, db: int, forward: bool, M: Matrix, p: int) -> list:
+def _extend(S: list, db: int, forward: bool, A: Matrix, p: int) -> list:
     """Sections over b..d+1 from a basis ``S`` of the (x_b, x_d) over b..d.
 
-    Each section is one vector, x_b followed by x_d.
+    Each section is one vector, x_b followed by x_d.  ``A`` is the arrow
+    between d and d+1 with one row per coordinate of x_d: the map
+    transposed if ``forward``, else the map itself.
     """
     if forward:
-        R, pivots = _rref([s[:db] + [sum(map(mul, row, s[db:])) for row in M.data]
-                           for s in S], p)
+        R, pivots = _rref([s[:db] + _combine(s[db:], A.data, A.cols) for s in S], p)
         return R[:len(pivots)]
-    # pairs (c, x_{d+1}) with sum_i c_i x_d^i = M x_{d+1}
+    # pairs (c, x_{d+1}) with sum_i c_i x_d^i = A x_{d+1}
     k = len(S)
-    K = _kernel([[s[db + r] for s in S] + [-x for x in row] for r, row in enumerate(M.data)],
-                k + M.cols, p)
-    tops = _transpose([s[:db] for s in S], db)
-    return [[sum(map(mul, c, top)) % p for top in tops] + c[k:] for c in K]
+    K = _kernel([[s[db + r] for s in S] + [-x for x in row] for r, row in enumerate(A.data)],
+                k + A.cols, p)
+    tops = [s[:db] for s in S]
+    return [[x % p for x in _combine(c, tops, db)] + c[k:] for c in K]
 
 
 def segment_ranks(p: int, dims: Sequence[int], forward: Sequence[bool],
@@ -437,8 +419,15 @@ def segment_ranks(p: int, dims: Sequence[int], forward: Sequence[bool],
     its own limit and colimit, so rk(b, b) = dims[b].  The limit-to-colimit
     map of b..d factors through every space of the slice, so rk(b, d) <=
     dims[d], and a sweep also stops at the first space of dimension 0.
+
+    Both sweeps read the arrow between d and d+1 through one matrix with a
+    row per coordinate of V_d, a forward map of V transposed and a
+    backward one as it is: the dual reverses the arrow and transposes the
+    map, so where V steps forward the dual steps backward through the same
+    matrix, and the other way round.
     """
-    sides = ((forward, maps), ([not f for f in forward], [M.transpose() for M in maps]))
+    rows_at = [M.transpose() if f else M for f, M in zip(forward, maps)]
+    sides = (forward, [not f for f in forward])
     out: dict[tuple[int, int], int] = {}
     for b, db in enumerate(dims):
         if db == 0:
@@ -448,10 +437,9 @@ def segment_ranks(p: int, dims: Sequence[int], forward: Sequence[bool],
         for d in range(b + 1, len(dims)):
             if dims[d] == 0:
                 break
-            X, Y = (_extend(S, db, fwd[d - 1], ms[d - 1], p)
-                    for S, (fwd, ms) in zip((X, Y), sides))
-            tops = [x[:db] for x in X]
-            r = len(_rref([[sum(map(mul, y, top)) for top in tops] for y in Y], p)[1])
+            X, Y = (_extend(S, db, fwd[d - 1], rows_at[d - 1], p) for S, fwd in zip((X, Y), sides))
+            cols = _transpose([x[:db] for x in X], db)
+            r = len(_rref([_combine(y, cols, len(X)) for y in Y], p)[1])
             if r == 0:
                 break
             out[(b, d)] = r

@@ -302,11 +302,6 @@ def arrow_reverse(V: ZigzagModule, k: int) -> ZigzagModule:
     return ZigzagModule(transform_type(V.tau, REVERSAL, k), V.dims, tuple(maps))
 
 
-def iso_positions(V: ZigzagModule) -> frozenset[int]:
-    """Arrow indices whose structure maps are isomorphisms."""
-    return frozenset(k for k in range(1, V.n) if is_invertible(V.maps[k - 1]))
-
-
 def flippable_positions(points: Iterable[tuple[int, int]], n: int) -> frozenset[int]:
     """Arrow indices that are isomorphisms for a module with this diagram.
 

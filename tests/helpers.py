@@ -12,12 +12,13 @@ import math
 import random
 
 from zzdist import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, LIMIT,
-                    FiniteDiagram, Matrix, Orientation, PersistenceDiagram,
+                    FiniteDiagram, Matrix, Orientation, PersistenceDiagram, ReflectionOp,
                     ReflectionSequence, SymbolicModule, ZigzagModule, act, all_ops,
-                    canonical_type, check_applicable, cokernel, decompose, diagram_colimit,
-                    diagram_limit, interval_image, is_summand_upto_equiv, ops_at, rank,
+                    canonical_type, check_applicable, decompose, diagram_colimit,
+                    diagram_limit, is_invertible, is_summand_upto_equiv, ops_at, rank,
                     synthesize, transform_type)
 from zzdist.diagrams import _reflect
+from zzdist.linalg import _kernel, _transpose
 from zzdist.reflection_distance import _state
 from zzdist.zigzag_core import _embeds
 
@@ -56,6 +57,16 @@ def random_symbolic(rng: random.Random, n: int, max_points: int) -> SymbolicModu
     return SymbolicModule(random_orientation(rng, n), random_diagram(rng, n, max_points))
 
 
+def interval_image(op: ReflectionOp, tau: Orientation, b: int, d: int) -> tuple[int, int] | None:
+    """Where a reflection sends the interval [b, d] by ``_reflect``, or
+    None if it dies; a one-position image is returned, not dropped."""
+    check_applicable(op, tau.n)
+    if not 1 <= b <= d <= tau.n:
+        raise ValueError(f"interval [{b}, {d}] out of range 1..{tau.n}")
+    image = _reflect(op, tau.dirs, ((b, d, 1),), raw=True)[1]
+    return image[0][:2] if image else None
+
+
 def expanded_act(op, S: SymbolicModule) -> SymbolicModule:
     """``act`` one copy at a time: every entry of the expanded ``points``
     moves by ``interval_image``, and the diagram is rebuilt from the
@@ -85,6 +96,27 @@ def trial_annihilating_sequence(V) -> ReflectionSequence:
             state = act(op, state)
         assert len(state.diagram.counts()) < before, "a pass must kill an interval"
     return ReflectionSequence(tuple(chosen))
+
+
+def kernel_basis(M: Matrix) -> Matrix:
+    """Matrix whose columns are a deterministic basis of ker(M)."""
+    basis = _kernel(M.data, M.cols, M.p)
+    return Matrix(M.p, _transpose(basis, M.cols), len(basis))
+
+
+def cokernel(M: Matrix) -> tuple[int, Matrix]:
+    """Dimension of coker(M) together with the projection onto it.
+
+    The projection's rows are a basis of the left null space of M: it has
+    full row rank and satisfies proj @ M == 0.
+    """
+    basis = _kernel(_transpose(M.data, M.cols), M.rows, M.p)
+    return len(basis), Matrix(M.p, basis, M.rows)
+
+
+def iso_positions(V: ZigzagModule) -> frozenset[int]:
+    """Arrow indices whose structure maps are isomorphisms."""
+    return frozenset(k for k in range(1, V.n) if is_invertible(V.maps[k - 1]))
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, p: int) -> Matrix:

@@ -20,12 +20,12 @@ import pytest
 from zzdist import (COLIMIT, LIMIT, Matching, Orientation, PersistenceDiagram,
                     ReflectionOp, SymbolicModule, ZigzagModule, act, all_ops,
                     apply, bottleneck_distance, classify_index,
-                    combine_matchings, conjugate, decompose, interval_image,
-                    is_invertible, is_summand_upto_equiv, reflection_distance,
+                    combine_matchings, conjugate, decompose, is_invertible,
+                    is_summand_upto_equiv, reflection_distance,
                     stability_experiment, synthesize)
 from helpers import (all_dirs, all_intervals, brute_force_bottleneck,
-                     random_diagram, random_matrix, random_orientation,
-                     random_symbolic, synthesized_pair)
+                     interval_image, random_diagram, random_matrix,
+                     random_orientation, random_symbolic, synthesized_pair)
 
 F, B = ">", "<"
 

@@ -298,6 +298,9 @@ def _check_flow(flow, supply, capacity, neighbours):
 def test_combine_empty():
     M = combine_matchings(Matching(3, 2, ()), Matching(2, 3, ()))
     assert M.pairs == ()
+    for g in (Matching(3, 3, ()), Matching(2, 2, ())):
+        with pytest.raises(ValueError, match="shape mismatch: f is 3x2, "):
+            combine_matchings(Matching(3, 2, ()), g)
 
 
 def test_combine_bijection_with_inverse():

@@ -404,6 +404,19 @@ def test_isolated_spaces_decompose_without_elimination(tmp_path, capsys):
         [i, i, 256] for i in range(1, 26, 2)]
 
 
+def test_wide_synthesized_file_decomposes_fast(tmp_path, capsys):
+    # four 256 x 256 identities; the dense products of the section sweep
+    # once took 20 s here, almost all of it multiplying by zero
+    d = write(tmp_path, "d.json", {"n": 5, "type": ">>>>", "diagram": [[1, 5, 256]]})
+    assert main(["synthesize", d]) == 0
+    path = tmp_path / "m.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["decompose", str(path)]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert json.loads(capsys.readouterr().out)["diagram"] == [[1, 5, 256]]
+
+
 def test_cli_writes_no_file_past_the_bound(tmp_path, capsys):
     # gen and synthesize refuse, before building a matrix, what decompose
     # would refuse to read back; m = 2000 once took 7 s and 835 MB
@@ -461,6 +474,10 @@ def test_random_symbolic_module_bounds():
             assert 1 <= b <= d <= 5
     with pytest.raises(ValueError):
         random_symbolic_module(rng, 1, 3)
+    with pytest.raises(ValueError, match="max_points must be >= 0, got -1"):
+        random_symbolic_module(rng, 5, -1)
+    with pytest.raises(ValueError, match="trials must be >= 0, got -1"):
+        stability_experiment(-1, 5, 3, 0)
 
 
 def test_generate_random_module_recovers_seeded_diagram():
@@ -492,3 +509,13 @@ def test_cmd_verify_stability(capsys):
                  "--max-points", "2", "--seed", "5"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["passed"] and rep["count"] == 10 and rep["violations"] == []
+
+
+def test_cmd_verify_stability_violation_exits_3(monkeypatch, capsys):
+    record = {"trial": 0, "d_r1": 0.0, "d_b1": 1.0, "main_ok": False}
+    report = zzdist.ExperimentReport((record,), (0,))
+    monkeypatch.setattr("zzdist.cli.stability_experiment", lambda *args: report)
+    assert main(["verify-stability", "--trials", "1", "--seed", "0"]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["passed"] is False
+    assert captured.err == f"violation in trial 0: {json.dumps(record, sort_keys=True)}\n"

@@ -5,15 +5,15 @@ import sys
 from collections import Counter
 
 import pytest
-from helpers import (all_dirs, all_intervals, expanded_act, random_counted,
-                     random_orientation, random_symbolic, segment_rank_decompose,
-                     synthesized_pair)
+from helpers import (all_dirs, all_intervals, expanded_act, interval_image,
+                     random_counted, random_orientation, random_symbolic,
+                     segment_rank_decompose, synthesized_pair)
 
 from zzdist import (BACKWARD, COLIMIT, LIMIT, FiniteDiagram, Matching, Matrix, Orientation,
                     PersistenceDiagram, ReflectionOp, SymbolicModule, ZigzagModule, act,
                     all_ops, apply, bottleneck_distance, decompose, diagram_contains,
-                    diagrams, generate_random_module, interval_image, interval_module,
-                    optimal_matching, synthesize, transform_type, zero_module)
+                    diagrams, generate_random_module, interval_module, optimal_matching,
+                    synthesize, transform_type, zero_module)
 from zzdist.reflection_distance import _state
 
 
@@ -134,6 +134,8 @@ def test_diagram_contains():
     assert diagram_contains(pd(3, []), big)
     assert not diagram_contains(pd(3, [(1, 3)]), big)
     assert not diagram_contains(pd(3, [(1, 2)] * 3), big)
+    with pytest.raises(ValueError, match="length mismatch: 4 vs 3"):
+        diagram_contains(pd(4, []), big)
     # repeated points, checked against multiset counts
     rng = random.Random(67)
     for _ in range(400):

@@ -4,12 +4,12 @@ import itertools
 import random
 
 import pytest
-from helpers import (enumerate_limit_dim, minor_rank, random_matrix,
-                     relations_colimit)
+from helpers import (cokernel, enumerate_limit_dim, kernel_basis, minor_rank,
+                     random_matrix, relations_colimit)
 
-from zzdist import (FiniteDiagram, Matrix, block_diag, cokernel,
-                    diagram_colimit, diagram_limit, hstack, inverse,
-                    is_invertible, is_prime, kernel_basis, rank, solve, vstack)
+from zzdist import (FiniteDiagram, Matrix, block_diag, diagram_colimit,
+                    diagram_limit, hstack, inverse, is_invertible, is_prime,
+                    rank, solve, vstack)
 
 
 def test_matrix_construction_and_reduction():
@@ -37,6 +37,10 @@ def test_matmul_respects_field():
     assert (A @ B).tolists() == [[4, 1], [0, 2]]
     with pytest.raises(ValueError):
         A @ Matrix.from_rows([[1, 2], [3, 4]], 7)
+    with pytest.raises(ValueError, match=r"shape mismatch for product: \(2, 2\) @ \(1, 2\)"):
+        A @ Matrix.from_rows([[1, 2]], 5)
+    with pytest.raises(TypeError, match="expected Matrix, got list"):
+        A @ [[1, 0], [0, 1]]
 
 
 def test_zero_and_identity_ranks():
@@ -129,6 +133,10 @@ def test_solve_and_inverse():
     assert solve(Matrix.zero(1, 1, 2), Matrix.from_rows([[1]], 2)) is None
     with pytest.raises(ValueError):
         inverse(Matrix.from_rows([[1, 1], [1, 1]], 2))
+    with pytest.raises(ValueError, match=r"shape mismatch for solve: \(2, 2\) vs \(1, 1\)"):
+        solve(A, Matrix.identity(1, 2))
+    with pytest.raises(ValueError, match=r"only square matrices can be inverted, got \(1, 2\)"):
+        inverse(Matrix.from_rows([[1, 1]], 2))
 
 
 def test_is_invertible_matches_determinant_oracle():
@@ -178,6 +186,18 @@ def test_limit_fixed_diagrams():
     D = FiniteDiagram(2, (1, 1, 1), ((0, 1, one), (1, 2, one)))
     dim, legs = diagram_limit(D)
     assert dim == 1 and is_invertible(legs[0])
+
+
+def test_finite_diagram_refuses_bad_arrows():
+    one = Matrix.identity(1, 2)
+    rows = [((0, 2, one), r"arrow 0 endpoints \(0, 2\) out of range"),
+            ((-1, 1, one), r"arrow 0 endpoints \(-1, 1\) out of range"),
+            ((0, 1, [[1]]), "arrow 0 carries list, expected Matrix"),
+            ((0, 1, Matrix.identity(1, 3)), r"arrow 0 is over GF\(3\), diagram is over GF\(2\)"),
+            ((0, 1, Matrix.zero(2, 1, 2)), r"arrow 0 has shape \(2, 1\), expected \(1, 1\)")]
+    for arrow, message in rows:
+        with pytest.raises(ValueError, match=message):
+            FiniteDiagram(2, (1, 1), (arrow,))
 
 
 def test_colimit_fixed_diagrams():

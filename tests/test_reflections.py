@@ -4,9 +4,9 @@ import random
 from collections import Counter
 
 import pytest
-from helpers import (all_dirs, all_intervals, random_counted, random_matrix, random_module,
-                     random_orientation, random_symbolic, synthesized_pair,
-                     trial_annihilating_sequence)
+from helpers import (all_dirs, all_intervals, interval_image, random_counted,
+                     random_matrix, random_module, random_orientation, random_symbolic,
+                     synthesized_pair, trial_annihilating_sequence)
 
 from zzdist import (BACKWARD, COLIMIT, EXTROVERSION, FORWARD, INTROVERSION,
                     LIMIT, Matrix, Morphism, Orientation, PersistenceDiagram,
@@ -14,10 +14,9 @@ from zzdist import (BACKWARD, COLIMIT, EXTROVERSION, FORWARD, INTROVERSION,
                     all_ops, annihilating_sequence, apply, apply_sequence,
                     apply_to_morphism, check_applicable, classify_index,
                     compose, conjugate, decompose, diagram_contains,
-                    direct_sum, identity_morphism, interval_image,
-                    interval_module, is_invertible, is_morphism,
-                    is_summand_upto_equiv, ops_at, rank, synthesize,
-                    transform_type, zero_module)
+                    direct_sum, identity_morphism, interval_module,
+                    is_invertible, is_morphism, is_summand_upto_equiv, ops_at,
+                    rank, synthesize, transform_type, zero_module)
 from zzdist.diagrams import _annihilating_run
 from zzdist.reflection_distance import _state
 
@@ -46,6 +45,9 @@ def test_reflection_op_validation():
 
 
 def test_ops_at_and_all_ops():
+    for k in (0, 5):
+        with pytest.raises(ValueError, match=f"position {k} out of range 1..4"):
+            ops_at(4, k)
     assert ops_at(4, 2) == (ReflectionOp(LIMIT, 2), ReflectionOp(COLIMIT, 2))
     assert ops_at(4, 1) == (ReflectionOp(LIMIT, 1, F), ReflectionOp(LIMIT, 1, B),
                             ReflectionOp(COLIMIT, 1, F), ReflectionOp(COLIMIT, 1, B))

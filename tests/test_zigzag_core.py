@@ -5,8 +5,8 @@ import random
 from collections import Counter
 
 import pytest
-from helpers import (all_dirs, all_intervals, random_matrix, random_points,
-                     random_symbolic, synthesized_pair)
+from helpers import (all_dirs, all_intervals, iso_positions, random_matrix,
+                     random_points, random_symbolic, synthesized_pair)
 
 from zzdist import (BACKWARD, BACKWARD_FLOW, EXTROVERSION, FORWARD,
                     FORWARD_FLOW, INTROVERSION, Matrix, Morphism, Orientation,
@@ -14,8 +14,8 @@ from zzdist import (BACKWARD, BACKWARD_FLOW, EXTROVERSION, FORWARD,
                     canonical_type, classify_index, compose, conjugate,
                     decompose, direct_sum, flippable_positions,
                     identity_morphism, interval_module, inverse, is_invertible,
-                    is_morphism, is_summand_upto_equiv, iso_positions, rank,
-                    synthesize, transform_type, zero_module)
+                    is_morphism, is_summand_upto_equiv, rank, synthesize,
+                    transform_type, zero_module)
 
 F, B = FORWARD, BACKWARD
 
@@ -28,6 +28,9 @@ def test_orientation_validation_and_round_trip():
     t = tau("><>")
     assert t.n == 4 and t.to_string() == "><>"
     assert t.entry(1) == F and t.entry(2) == B
+    for k in (0, 4):
+        with pytest.raises(ValueError, match=f"arrow index {k} out of range 1..3"):
+            t.entry(k)
     with pytest.raises(ValueError):
         Orientation(())
     with pytest.raises(ValueError):
@@ -39,6 +42,8 @@ def test_transform_type_reversal():
     assert transform_type(tau(">>>"), REVERSAL, 2) == tau("><>")
     with pytest.raises(ValueError):
         transform_type(tau(">>"), REVERSAL, 3)
+    with pytest.raises(ValueError, match="unknown type transformation 'flip'"):
+        transform_type(tau(">>"), "flip", 1)
 
 
 def test_transform_type_extroversion():
@@ -114,6 +119,8 @@ def test_direct_sum():
     assert direct_sum(V, O).maps == V.maps
     with pytest.raises(ValueError):
         direct_sum(V, interval_module(tau("><"), 1, 2))
+    with pytest.raises(ValueError, match=r"field mismatch: GF\(2\) vs GF\(3\)"):
+        direct_sum(V, interval_module(tau(">>"), 2, 3, p=3))
 
 
 def test_synthesize_dims():
@@ -153,6 +160,10 @@ def test_zigzag_module_validation():
         ZigzagModule(tau(">"), (1, 1), (Matrix.zero(2, 1, 2),))
     with pytest.raises(ValueError):
         ZigzagModule(tau(">"), (1,), ())
+    with pytest.raises(ValueError, match="expected 2 structure maps, got 1"):
+        ZigzagModule(tau(">>"), (1, 1, 1), (Matrix.identity(1, 2),))
+    with pytest.raises(ValueError, match="structure maps must share one field"):
+        ZigzagModule(tau(">>"), (1, 1, 1), (Matrix.identity(1, 2), Matrix.identity(1, 3)))
 
 
 def test_identity_and_zero_morphisms():
@@ -162,6 +173,26 @@ def test_identity_and_zero_morphisms():
         assert is_morphism(identity_morphism(V))
         z = Morphism(V, V, tuple(Matrix.zero(d, d, V.p) for d in V.dims))
         assert is_morphism(z)
+
+
+def test_morphism_validation():
+    V = interval_module(tau(">"), 1, 2, p=5)
+    one = Matrix.identity(1, 5)
+    rows = [(lambda: Morphism(V, interval_module(tau("<"), 1, 2, p=5), (one, one)),
+             "source and target must share an orientation type"),
+            (lambda: Morphism(V, interval_module(tau(">"), 1, 2, p=3), (one, one)),
+             "source and target must share a field"),
+            (lambda: Morphism(V, V, (one,)), "expected 2 components, got 1"),
+            (lambda: Morphism(V, V, (one, Matrix.identity(1, 3))),
+             r"component 2 must be a Matrix over GF\(5\)"),
+            (lambda: Morphism(V, V, (one, [[1]])), r"component 2 must be a Matrix over GF\(5\)"),
+            (lambda: Morphism(V, V, (Matrix.zero(1, 2, 5), one)),
+             r"component 1 has shape \(1, 2\), expected \(1, 1\)"),
+            (lambda: compose(identity_morphism(V), identity_morphism(interval_module(
+                tau(">"), 1, 1, p=5))), "morphisms are not composable")]
+    for build, message in rows:
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def test_non_morphism_detected():
@@ -209,6 +240,11 @@ def test_conjugate_preserves_decomposition():
             assert decompose(W) == decompose(V)
     with pytest.raises(ValueError):
         conjugate(V, [Matrix.zero(d, d, 5) for d in V.dims])
+    with pytest.raises(ValueError, match=f"expected {V.n} base changes, got {V.n - 1}"):
+        conjugate(V, [Matrix.identity(d, 5) for d in V.dims[1:]])
+    d = V.dims[0]
+    with pytest.raises(ValueError, match=rf"base change 1 must be {d}x{d} over GF\(5\)"):
+        conjugate(V, [Matrix.identity(e + 1, 5) for e in V.dims])
 
 
 def test_arrow_reverse_round_trip():
@@ -240,6 +276,9 @@ def test_arrow_reverse_requires_invertible_map():
     V = interval_module(tau(">>"), 1, 2)
     with pytest.raises(ValueError):
         arrow_reverse(V, 2)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match=f"arrow index {k} out of range 1..2"):
+            arrow_reverse(V, k)
 
 
 def test_arrow_reverse_commutes_with_direct_sum():
@@ -310,6 +349,9 @@ def test_summand_upto_equiv_fixed_cases():
     assert is_summand_upto_equiv(tau(">>"), empty, tau("><"), P)
     with pytest.raises(ValueError):
         is_summand_upto_equiv(tau(">>"), P, tau(">"), _pd(2, ()))
+    for args in ((tau(">>"), _pd(4, ()), tau(">>"), P), (tau(">>"), P, tau(">>"), _pd(4, ()))):
+        with pytest.raises(ValueError, match="diagram length does not match orientation length"):
+            is_summand_upto_equiv(*args)
 
 
 def _pd(n, pts):
