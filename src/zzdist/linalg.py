@@ -12,11 +12,9 @@ space vectors are enumerated in ascending free-column order, so every
 routine is deterministic: identical inputs give identical outputs.
 
 Dimensions here are desk scale: the spaces of a typical module have a
-few dimensions, where lists of integers beat an array library's per-call
-overhead.  Elimination costs grow as the cube of the dimension, so the
-trade turns at a largest space of about 15 dimensions: beyond it a
-vectorised elimination is faster, by about 3x at 40 dimensions, where a
-decomposition takes seconds.
+few dimensions, and a file's are bounded (``_MAX_DIM``), so plain lists
+of integers serve.  Elimination costs grow as the cube of the dimension;
+the comment at the bound gives timings there.
 """
 
 from __future__ import annotations
@@ -382,20 +380,22 @@ def diagram_colimit(D: FiniteDiagram) -> tuple[int, tuple[Matrix, ...]]:
     return dim, tuple(leg.transpose() for leg in legs)
 
 
-def _extend(S: list, db: int, forward: bool, A: Matrix, p: int) -> list:
+def _extend(S: list, db: int, forward: bool, A: Sequence[Sequence[int]], width: int,
+            p: int) -> list:
     """Sections over b..d+1 from a basis ``S`` of the (x_b, x_d) over b..d.
 
     Each section is one vector, x_b followed by x_d.  ``A`` is the arrow
-    between d and d+1 with one row per coordinate of x_d: the map
-    transposed if ``forward``, else the map itself.
+    between d and d+1 as rows of ``width`` = dim V_{d+1} integers, one per
+    coordinate of x_d: the map transposed if ``forward``, else the map
+    itself.
     """
     if forward:
-        R, pivots = _rref([s[:db] + _combine(s[db:], A.data, A.cols) for s in S], p)
+        R, pivots = _rref([s[:db] + _combine(s[db:], A, width) for s in S], p)
         return R[:len(pivots)]
     # pairs (c, x_{d+1}) with sum_i c_i x_d^i = A x_{d+1}
     k = len(S)
-    K = _kernel([[s[db + r] for s in S] + [-x for x in row] for r, row in enumerate(A.data)],
-                k + A.cols, p)
+    K = _kernel([[s[db + r] for s in S] + [-x for x in row] for r, row in enumerate(A)],
+                k + width, p)
     tops = [s[:db] for s in S]
     return [[x % p for x in _combine(c, tops, db)] + c[k:] for c in K]
 
@@ -426,7 +426,7 @@ def segment_ranks(p: int, dims: Sequence[int], forward: Sequence[bool],
     map, so where V steps forward the dual steps backward through the same
     matrix, and the other way round.
     """
-    rows_at = [M.transpose() if f else M for f, M in zip(forward, maps)]
+    rows_at = [_transpose(M.data, M.cols) if f else M.data for f, M in zip(forward, maps)]
     sides = (forward, [not f for f in forward])
     out: dict[tuple[int, int], int] = {}
     for b, db in enumerate(dims):
@@ -437,7 +437,8 @@ def segment_ranks(p: int, dims: Sequence[int], forward: Sequence[bool],
         for d in range(b + 1, len(dims)):
             if dims[d] == 0:
                 break
-            X, Y = (_extend(S, db, fwd[d - 1], rows_at[d - 1], p) for S, fwd in zip((X, Y), sides))
+            X, Y = (_extend(S, db, fwd[d - 1], rows_at[d - 1], dims[d], p)
+                    for S, fwd in zip((X, Y), sides))
             cols = _transpose([x[:db] for x in X], db)
             r = len(_rref([_combine(y, cols, len(X)) for y in Y], p)[1])
             if r == 0:

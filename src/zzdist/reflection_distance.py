@@ -6,20 +6,21 @@ one-position summands.  A search state is a plain tuple: the directions
 of an orientation normalized at every flippable arrow, plus the sorted
 (b, d, multiplicity) counts of its diagram less one-position intervals.
 A* search (Hart, Nilsson and Raphael, 1968) finds the fewest steps with a
-witness run, pruning runs longer than the source's annihilating run;
-successor lists come from a fixed-size memo shared across calls.
+witness run.  It needs no depth bound: its heuristic is consistent, and
+the empty module, where the source's annihilating run ends, is a goal,
+so a goal is popped before any state past the optimum.  Successor lists
+come from a fixed-size memo shared across calls.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .bottleneck import _check_p
-from .diagrams import SymbolicModule, _annihilating_run, _reflect
-from .reflections import ReflectionOp, ReflectionSequence, all_ops
+from .diagrams import SymbolicModule, _reflect
+from .reflections import ReflectionOp, ReflectionSequence, ops_at
 from .zigzag_core import _canonical_dirs, _embeds
 
 _State = tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]
@@ -48,10 +49,11 @@ def _successors(state: _State) -> tuple[tuple[ReflectionOp, _State], ...]:
     """Each other state one reflection away, with the first op reaching it."""
     # a reflection at k moves nothing, and the arrows it sets stay
     # flippable, unless an interval ends at k-1 or k or starts at k or k+1
-    near = {x for (b, d, _) in state[1] for x in (d, b - 1)}
+    n = len(state[0]) + 1
+    near = {k for (b, d, _) in state[1] for k in (d, d + 1, b - 1, b) if 1 <= k <= n}
     first: dict[_State, ReflectionOp] = {}
-    for op in all_ops(len(state[0]) + 1):
-        if op.k - 1 in near or op.k in near:
+    for k in sorted(near):
+        for op in ops_at(n, k):
             first.setdefault(_reflect(op, *state), op)
     first.pop(state, None)
     return tuple((op, T) for T, op in first.items())
@@ -76,53 +78,47 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Reflec
     a witness run realizing the minimum.
 
     The heap is ordered by (f, -g), f = g + h.  As h is consistent, popped
-    f never decreases nor exceeds the optimum, so a goal generated at
-    depth g + 1 <= f is returned at once, others (h = 0, the start
-    included) when popped.  States with f above U, the length of the
-    source's annihilating run, are pruned; U is worked out on the start
-    state, once f passes h(start), where most searches end.
+    f never decreases, and every state with f below the optimum C* is
+    popped before any with f above it; so a goal generated at depth
+    g + 1 <= f is returned at once, others (h = 0, the start included)
+    when popped.  No state past C* is expanded, so the search needs no
+    depth bound: C* is finite, as the source's annihilating run ends at
+    the empty module, a goal.  An empty heap is an internal error.
     """
     if source.n != target.n:
         raise ValueError(f"length mismatch: {source.n} vs {target.n}")
     start = _state(source)
     dirs_w, counts_w = target.tau.dirs, target.diagram.counts()
+    # best known depth of each state, with the state and op it came by
+    seen: dict[_State, tuple[int, _State | None, ReflectionOp | None]] = {start: (0, None, None)}
 
     def witness(T: _State) -> tuple[int, ReflectionSequence]:
         ops = []
-        while parents[T] is not None:
-            T, op = parents[T]
+        _, S, op = seen[T]
+        while S is not None:
             ops.append(op)
+            _, S, op = seen[S]
         return len(ops), ReflectionSequence(tuple(reversed(ops)))
 
-    # best known depth of each state, and the (parent state, op) it came by
-    depth = {start: 0}
-    parents: dict[_State, tuple[_State, ReflectionOp] | None] = {start: None}
-    h_start, bound = _lower_bound(start[1], counts_w), math.inf
-    heap = [(h_start, 0, start)]
+    heap = [(_lower_bound(start[1], counts_w), 0, start)]
     while heap:
         f, g, S = heapq.heappop(heap)
         g = -g
-        if g != depth[S]:
+        if g != seen[S][0]:
             continue  # queued again later with a smaller depth
-        if f > h_start and bound == math.inf:
-            bound = len(_annihilating_run(*start))
-        if f > bound:
-            break
         if f == g and _embeds(*S, dirs_w, counts_w):
             return witness(S)
         g += 1
         for op, T in _successors(S):
-            if g >= depth.get(T, g + 1):
+            if g >= seen.get(T, (g + 1,))[0]:
                 continue
+            seen[T] = (g, S, op)
             f_t = g + _lower_bound(T[1], counts_w)
-            if f_t > bound:
-                continue
-            depth[T], parents[T] = g, (S, op)
             if f_t == g <= f and _embeds(*T, dirs_w, counts_w):
                 return witness(T)
             heapq.heappush(heap, (f_t, -g, T))
-    raise AssertionError(f"no goal within the depth bound {bound}, though the empty module "
-                         f"is one; source {source.tau} {list(source.diagram.counts())}, "
+    raise AssertionError(f"heap exhausted with no goal, though the empty module is one; "
+                         f"source {source.tau} {list(source.diagram.counts())}, "
                          f"target {target.tau} {list(target.diagram.counts())}")
 
 

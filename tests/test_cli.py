@@ -519,3 +519,15 @@ def test_cmd_verify_stability_violation_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["passed"] is False
     assert captured.err == f"violation in trial 0: {json.dumps(record, sort_keys=True)}\n"
+
+
+@pytest.mark.parametrize("error", [MemoryError, OverflowError])
+def test_work_past_memory_exits_2(monkeypatch, capsys, error):
+    def too_large(*args):
+        raise error()
+
+    monkeypatch.setattr("zzdist.cli.stability_experiment", too_large)
+    assert main(["verify-stability", "--trials", "1", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input too large to hold in memory\n"

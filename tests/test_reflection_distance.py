@@ -154,16 +154,9 @@ def test_witness_sequences_realize_the_search():
 def test_search_failures_name_both_inputs(monkeypatch):
     # the package attribute of the same name is the function, not the module
     rd = importlib.import_module("zzdist.reflection_distance")
-    # U = 0, while the pair needs one step beyond h(start) = 0
-    monkeypatch.setattr(rd, "_annihilating_run", lambda dirs, counts: ())
-    with pytest.raises(AssertionError, match=r"depth bound 0, .*; "
-                       r"source >> \[\(1, 2, 1\), \(2, 3, 1\)\], "
-                       r"target >< \[\(1, 2, 1\), \(2, 3, 1\)\]"):
-        rd.min_steps(sym(">>", [(1, 2), (2, 3)]), sym("><", [(1, 2), (2, 3)]))
-    monkeypatch.undo()
-    # no state is a goal: the search stops at U = 2, the annihilating run's length
+    # no state is a goal, so the search empties its heap
     monkeypatch.setattr(rd, "_embeds", lambda *args: False)
-    with pytest.raises(AssertionError, match=r"depth bound 2, .*; "
+    with pytest.raises(AssertionError, match=r"heap exhausted with no goal, .*; "
                        r"source >< \[\(1, 3, 1\), \(2, 3, 1\)\], target << \[\]"):
         rd.min_steps(sym("><", [(1, 3), (2, 3)]), sym("<<", []))
 
@@ -233,10 +226,11 @@ def test_astar_matches_the_bfs_oracle_and_its_witnesses_reach_goals():
 
 def test_successors_keep_the_first_op_to_each_other_state():
     # the memo skips reflections that cannot change the state and merges
-    # reflections that reach one state
+    # reflections that reach one state; long modules have many positions
+    # that no interval end is near
     rng = random.Random(167)
-    for _ in range(300):
-        n = rng.randint(2, 9)
+    for i in range(320):
+        n = rng.randint(2, 9) if i < 300 else rng.randint(100, 400)
         state = _state(SymbolicModule(random_orientation(rng, n), random_counted(rng, n, 4, 2)))
         first = {}
         for op in all_ops(n):
