@@ -8,16 +8,16 @@ whether a matching within a value exists is monotone in the value, so
 the distance is found exactly by binary search over the sorted
 candidates (Efrat, Itai and Katz, 2001; Kerber, Morozov and Nigmetov,
 2017).  Points are counted: each test is a capacitated flow on the
-distinct points, whose supplies and capacities are multiplicities, so
-its cost does not grow with them.  Augmenting paths are searched with an
-explicit queue, so long paths cannot hit the recursion limit.  The
-table of distances between distinct points is built once per call, with
-one expression chosen per p, so at p = 1 and p = inf it makes no
-``_point_dist`` call per pair; ``_point_dist`` remains for general p and
-for the independent check of the realized cost.  The distance alone is
-checked on the two counted flows; only ``optimal_matching`` expands them
-into an index-level witness, which merges the two one-sided matchings
-(Mendelsohn and Dulmage, 1958).
+distinct points, whose supplies and capacities are multiplicities, and a
+diagram's copies are indexed by one ``range``, so no cost grows with
+them.  Augmenting paths are searched with an explicit queue, so long
+paths cannot hit the recursion limit.  The table of distances between
+distinct points is built once per call, with one expression chosen per
+p, so at p = 1 and p = inf it makes no ``_point_dist`` call per pair;
+``_point_dist`` remains for general p and for the independent check of
+the realized cost.  Both entry points share one checked solve; only
+``optimal_matching`` expands its counted flows into an index-level
+witness, merging the two one-sided matchings (Mendelsohn and Dulmage, 1958).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Sequence
+from itertools import accumulate, chain, islice
+from typing import Iterable, Sequence
 
 from .diagrams import PersistenceDiagram
 from .linalg import _exact_ints, _transpose
@@ -148,20 +148,20 @@ def matching_cost(S, T, M: Matching, p: float = math.inf) -> float:
     if M.n_source != len(s) or M.n_target != len(t):
         raise ValueError(f"matching is {M.n_source}x{M.n_target}, "
                          f"diagrams have {len(s)} and {len(t)} points")
+    coimage, image = M.coimage, M.image
     try:
-        return _matching_cost(s, t, M, p)
+        return _largest([(s[i], t[j]) for (i, j) in M.pairs],
+                        chain((x for i, x in enumerate(s) if i not in coimage),
+                              (y for j, y in enumerate(t) if j not in image)), p)
     except OverflowError:
         raise _too_far([*s, *t]) from None
 
 
-def _matching_cost(s: Sequence[tuple[int, int]], t: Sequence[tuple[int, int]],
-                   M: Matching, p: float) -> float:
-    """``matching_cost`` for points, p and shapes already checked."""
-    coimage, image = M.coimage, M.image
-    vals = [_point_dist(s[i], t[j], p) for (i, j) in M.pairs]
-    vals.extend(_penalty(s[i], p) for i in range(len(s)) if i not in coimage)
-    vals.extend(_penalty(t[j], p) for j in range(len(t)) if j not in image)
-    return max(vals, default=0.0)
+def _largest(pairs: Iterable[tuple[tuple[int, int], tuple[int, int]]],
+             dropped: Iterable[tuple[int, int]], p: float) -> float:
+    """Largest distance of a pair or penalty of a dropped point; 0 if none."""
+    return max([_point_dist(x, y, p) for (x, y) in pairs]
+               + [_penalty(z, p) for z in dropped], default=0.0)
 
 
 def _saturate(supply: dict[int, int], capacity: Sequence[int],
@@ -230,34 +230,37 @@ def _saturate(supply: dict[int, int], capacity: Sequence[int],
     return flow
 
 
-def _group(pts: Sequence[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """The distinct points, and for each the input indices of its copies."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, pt in enumerate(pts):
-        groups.setdefault(pt, []).append(i)
-    return list(groups), list(groups.values())
+_Grouped = tuple[list[tuple[int, int]], list[int], Sequence[int]]
 
 
-def _counted(D) -> tuple[list[tuple[int, int]], list[int]]:
-    """Distinct points and multiplicities: a diagram's counts, or grouped."""
+def _grouped(D) -> _Grouped:
+    """Distinct points, their multiplicities, and the indices into
+    ``_points(D)`` of every copy, point by point.  A diagram's come from
+    ``counts()``, its copies already in that order, so the indices are one
+    ``range``; a raw sequence is grouped in input order."""
     if isinstance(D, PersistenceDiagram):
-        return [(b, d) for (b, d, _) in D.counts()], [m for (_, _, m) in D.counts()]
-    distinct, copies = _group(_points(D))
-    return distinct, list(map(len, copies))
+        counts = D.counts()
+        mult = [m for (_, _, m) in counts]
+        return [(b, d) for (b, d, _) in counts], mult, range(sum(mult))
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, pt in enumerate(_points(D)):
+        groups.setdefault(pt, []).append(i)
+    return list(groups), [len(c) for c in groups.values()], list(chain(*groups.values()))
 
 
-def _expand(flow: dict[int, dict[int, int]], source: Sequence[Sequence[int]],
-            target: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+def _expand(flow: dict[int, dict[int, int]], source: _Grouped,
+            target: _Grouped) -> list[tuple[int, int]]:
     """Index pairs for a counted flow between grouped points; the copies of
-    each target group are handed out in order."""
-    used = [0] * len(target)
+    each point are handed out in order."""
+    (_, mult_s, order_s), (_, mult_t, order_t) = source, target
+    # where each source point's copies start, and each target point's next free one
+    start, free = [0, *accumulate(mult_s)], [0, *accumulate(mult_t)]
     pairs: list[tuple[int, int]] = []
     for i, row in flow.items():
-        copies = iter(source[i])
+        copies = iter(order_s[start[i]:start[i + 1]])
         for j, units in row.items():
-            k = used[j]
-            pairs.extend(zip(islice(copies, units), target[j][k:k + units]))
-            used[j] = k + units
+            pairs.extend(zip(islice(copies, units), order_t[free[j]:free[j] + units]))
+            free[j] += units
     return pairs
 
 
@@ -287,22 +290,28 @@ def combine_matchings(f: Matching, g: Matching) -> Matching:
     return Matching(f.n_source, f.n_target, tuple(match.items()))
 
 
-def _threshold(a: Sequence[tuple[int, int]], mult_a: Sequence[int],
-               b: Sequence[tuple[int, int]], mult_b: Sequence[int],
-               p: float) -> tuple[float, dict[int, dict[int, int]], dict[int, dict[int, int]]]:
-    """The bottleneck distance eta between distinct points ``a`` and ``b``
-    with multiplicities ``mult_a`` and ``mult_b``, and the counted flows
-    (f, g) found at eta: f places every copy of a point of a whose
-    penalty exceeds eta on b within eta, and g does the same for b.
+def _confirm(realized: float, eta: float, p: float, A: _Grouped, B: _Grouped) -> None:
+    """Raise, naming p and both inputs' counts, if a witness costs more than eta."""
+    if realized > eta:
+        a, b = ([(*pt, m) for pt, m in zip(pts, mult)] for (pts, mult, _) in (A, B))
+        raise AssertionError(f"combined matching costs {realized}, above threshold {eta} "
+                             f"(p={p}; counts {a} and {b})")
+
+
+def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
+                                        dict[int, dict[int, int]], _Grouped, _Grouped]:
+    """The bottleneck distance eta between S and T for a checked p, the
+    counted flows (f, g) found at eta, and both inputs as ``_grouped``
+    gives them: f places every copy of a point of S whose penalty exceeds
+    eta on T within eta, and g does the same for T.
 
     Candidate costs are the pairwise distances and the penalties; the
     smallest candidate at which both flows exist is the distance, found
-    by binary search.  The table is built once by ``_table``, with its
-    row expression chosen per p, and read by column through one
-    transposed copy.  ``_point_dist`` fills it only where no row
-    expression applies, and the callers check the flows' realized cost
-    with it, not with the table.
+    by binary search over ``_table``'s values.  The flows' realized cost
+    is checked with ``_point_dist``, not with the table.
     """
+    A, B = _grouped(S), _grouped(T)
+    (a, mult_a, _), (b, mult_b, _) = A, B
     try:  # later float work repeats the table's, so it cannot overflow
         dist, pen_a, pen_b = _table(a, b, p)
     except OverflowError:
@@ -332,38 +341,30 @@ def _threshold(a: Sequence[tuple[int, int]], mult_a: Sequence[int],
         else:
             hi, flows = mid, (f, g)
         mid = (lo + hi) // 2
-    return candidates[hi], flows[0], flows[1]
-
-
-def _flow_cost(flow: dict[int, dict[int, int]], src: Sequence[tuple[int, int]],
-               mult: Sequence[int], dst: Sequence[tuple[int, int]], p: float) -> float:
-    """Largest distance on an edge the counted flow uses, or penalty of a
-    point of ``src`` whose copies it does not all place; 0 if none."""
-    vals = [_point_dist(src[i], dst[j], p) for i, row in flow.items() for j in row]
-    vals.extend(_penalty(x, p) for i, (x, m) in enumerate(zip(src, mult))
-                if sum(flow.get(i, {}).values()) < m)
-    return max(vals, default=0.0)
+    eta, (f, g) = candidates[hi], flows
+    sides = ((f, a, mult_a, b), (g, b, mult_b, a))
+    realized = _largest(
+        [(x[i], y[j]) for flow, x, _, y in sides for i, row in flow.items() for j in row],
+        [pt for flow, x, mult, _ in sides for i, (pt, m) in enumerate(zip(x, mult))
+         if sum(flow.get(i, {}).values()) < m], p)
+    _confirm(realized, eta, p, A, B)
+    return eta, f, g, A, B
 
 
 def optimal_matching(S, T, p: float = math.inf) -> tuple[float, Matching]:
     """The bottleneck distance together with a matching realizing it.
 
     The counted flows of the threshold search are expanded to one index
-    pair per matched copy and merged by ``combine_matchings``.
-    ``Matching`` indices refer to positions in the inputs as given, which
-    need not be sorted.
+    pair per matched copy, merged by ``combine_matchings`` and checked by
+    ``matching_cost``.  ``Matching`` indices refer to positions in the
+    inputs as given, which need not be sorted.
     """
     p = _check_p(p)
-    s, t = _points(S), _points(T)
-    a, copies_a = _group(s)
-    b, copies_b = _group(t)
-    eta, f, g = _threshold(a, list(map(len, copies_a)), b, list(map(len, copies_b)), p)
-    f = Matching(len(s), len(t), tuple(_expand(f, copies_a, copies_b)))
-    g = Matching(len(t), len(s), tuple(_expand(g, copies_b, copies_a)))
-    M = combine_matchings(f, g)
-    realized = _matching_cost(s, t, M, p)
-    if realized > eta:
-        raise AssertionError(f"combined matching costs {realized}, above threshold {eta}")
+    n_s, n_t = len(_points(S)), len(_points(T))
+    eta, f, g, A, B = _threshold(S, T, p)
+    M = combine_matchings(Matching(n_s, n_t, tuple(_expand(f, A, B))),
+                          Matching(n_t, n_s, tuple(_expand(g, B, A))))
+    _confirm(matching_cost(S, T, M, p), eta, p, A, B)
     return eta, M
 
 
@@ -373,10 +374,4 @@ def bottleneck_distance(S, T, p: float = math.inf) -> float:
     Works on distinct points only: the threshold search's counted flows
     are checked directly, and no index-level matching is built.
     """
-    p = _check_p(p)
-    (a, mult_a), (b, mult_b) = _counted(S), _counted(T)
-    eta, f, g = _threshold(a, mult_a, b, mult_b, p)
-    realized = max(_flow_cost(f, a, mult_a, b, p), _flow_cost(g, b, mult_b, a, p))
-    if realized > eta:
-        raise AssertionError(f"combined matching costs {realized}, above threshold {eta}")
-    return eta
+    return _threshold(S, T, _check_p(p))[0]

@@ -41,7 +41,7 @@ def cost(seq: ReflectionSequence, p: float = 1) -> float:
 def _state(S: SymbolicModule) -> _State:
     """The search state of S: canonical directions and sanitized counts."""
     counts = tuple(c for c in S.diagram.counts() if c[0] != c[1])
-    return _canonical_dirs(S.tau.dirs, [(b, d) for (b, d, _) in counts]), counts
+    return _canonical_dirs(S.tau.dirs, counts), counts
 
 
 @lru_cache(maxsize=4096)

@@ -20,7 +20,7 @@ from typing import Iterator
 from .linalg import (FiniteDiagram, Matrix, diagram_colimit, diagram_limit,
                      hstack, solve, vstack)
 from .zigzag_core import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION,
-                          Morphism, ZigzagModule, _ends, transform_type)
+                          Morphism, ZigzagModule, _ends, is_morphism, transform_type)
 
 LIMIT = "limit"
 COLIMIT = "colimit"
@@ -133,8 +133,10 @@ def apply_to_morphism(op: ReflectionOp, phi: Morphism) -> Morphism:
 
     Only the component at position k changes; it is the unique map
     between the new spaces commuting with all the legs, obtained by an
-    exact linear solve.
+    exact linear solve.  Components that are not a morphism are refused.
     """
+    if not is_morphism(phi):
+        raise ValueError(f"{op}: the components are not a morphism; a square does not commute")
     V, W = phi.source, phi.target
     Vr, s_legs = _reflected(op, V)
     Wr, t_legs = _reflected(op, W)
@@ -153,7 +155,7 @@ def apply_to_morphism(op: ReflectionOp, phi: Morphism) -> Morphism:
         x = solve(lhs.transpose(), rhs.transpose())
         mu = None if x is None else x.transpose()
     if mu is None:
-        raise AssertionError("universal factoring map does not exist; input was not a morphism")
+        raise AssertionError(f"{op}: no universal factoring map for morphism {V.dims} -> {W.dims}")
     comps = list(phi.components)
     comps[k - 1] = mu
     return Morphism(Vr, Wr, tuple(comps))

@@ -302,6 +302,12 @@ def arrow_reverse(V: ZigzagModule, k: int) -> ZigzagModule:
     return ZigzagModule(transform_type(V.tau, REVERSAL, k), V.dims, tuple(maps))
 
 
+def _blocked(intervals: Iterable[Sequence[int]], n: int) -> set[int]:
+    """The arrows that are not isomorphisms for a module with these (b, d)
+    or (b, d, m) intervals: each blocks at most two, arrows d and b-1."""
+    return {k for iv in intervals for k in (iv[1], iv[0] - 1) if 0 < k < n}
+
+
 def flippable_positions(points: Iterable[tuple[int, int]], n: int) -> frozenset[int]:
     """Arrow indices that are isomorphisms for a module with this diagram.
 
@@ -309,17 +315,14 @@ def flippable_positions(points: Iterable[tuple[int, int]], n: int) -> frozenset[
     contains both of positions k, k+1 or neither of them, that is, when
     no interval ends at k or starts at k+1.
     """
-    blocked = set()
-    for (b, d) in points:
-        blocked.update((d, b - 1))
-    return frozenset(range(1, n)).difference(blocked)
+    return frozenset(range(1, n)).difference(_blocked(points, n))
 
 
-def _canonical_dirs(dirs: Sequence[str], points: Iterable[tuple[int, int]]) -> tuple[str, ...]:
+def _canonical_dirs(dirs: Sequence[str], intervals: Iterable[Sequence[int]]) -> tuple[str, ...]:
     """``canonical_type`` on a tuple of directions, unvalidated."""
-    out = list(dirs)
-    for k in flippable_positions(points, len(dirs) + 1):
-        out[k - 1] = FORWARD
+    out = [FORWARD] * len(dirs)
+    for k in _blocked(intervals, len(dirs) + 1):
+        out[k - 1] = dirs[k - 1]
     return tuple(out)
 
 
@@ -358,8 +361,7 @@ def _contains(inner: tuple, outer: tuple) -> bool:
 
 
 def _embeds(dirs_v: tuple, counts_v: tuple, dirs_w: tuple, counts_w: tuple) -> bool:
-    """``is_summand_upto_equiv`` on direction and (b, d, m) tuples, unvalidated."""
-    if not _contains(counts_v, counts_w):
-        return False
-    disagree = {k for k in range(1, len(dirs_v) + 1) if dirs_v[k - 1] != dirs_w[k - 1]}
-    return disagree <= flippable_positions([(b, d) for (b, d, _) in counts_v], len(dirs_v) + 1)
+    """``is_summand_upto_equiv`` on direction and (b, d, m) tuples,
+    unvalidated: only the arrows V's diagram blocks must agree."""
+    return _contains(counts_v, counts_w) and all(
+        dirs_v[k - 1] == dirs_w[k - 1] for k in _blocked(counts_v, len(dirs_v) + 1))

@@ -158,11 +158,31 @@ def test_bottleneck_distance_checks_the_counted_flows(monkeypatch):
         return {i: {len(capacity) - 1: units} for i, units in supply.items()}
 
     S = pd(9, [(1, 5), (2, 9)])
+    counts = r"\(p=inf; counts \[\(1, 5, 1\), \(2, 9, 1\)\] and \[\(1, 5, 1\), \(2, 9, 1\)\]\)"
     for fake, realized in ((far_saturate, r"4\.0"), (lambda *args: {}, r"3\.5")):
         monkeypatch.setattr(bottleneck, "_saturate", fake)
         with pytest.raises(AssertionError,
-                           match=f"combined matching costs {realized}, above threshold 0\\.0"):
+                           match=f"combined matching costs {realized}, above threshold 0\\.0 "
+                                 + counts):
             bottleneck_distance(S, S, math.inf)
+
+
+def test_optimal_matching_checks_the_combined_matching(monkeypatch):
+    # a merged matching that drops a point too expensive to drop must not
+    # pass the check, and the message names p and both inputs' counts, a
+    # raw input's in input order
+    monkeypatch.setattr(bottleneck, "combine_matchings",
+                        lambda f, g: Matching(f.n_source, f.n_target, ()))
+    S = pd(9, [(1, 5), (2, 9)])
+    with pytest.raises(AssertionError, match=r"combined matching costs 3\.5, above threshold "
+                       r"0\.0 \(p=inf; counts \[\(1, 5, 1\), \(2, 9, 1\)\] and "
+                       r"\[\(1, 5, 1\), \(2, 9, 1\)\]\)"):
+        optimal_matching(S, S, math.inf)
+    raw = [(2, 9), (1, 5), (2, 9)]
+    with pytest.raises(AssertionError, match=r"combined matching costs 7\.0, above threshold "
+                       r"0\.0 \(p=1\.0; counts \[\(2, 9, 2\), \(1, 5, 1\)\] and "
+                       r"\[\(1, 5, 1\), \(2, 9, 2\)\]\)"):
+        optimal_matching(raw, pd(9, raw), 1)
 
 
 def test_table_is_point_dist_and_penalty_bit_for_bit():

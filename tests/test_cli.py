@@ -504,6 +504,17 @@ def test_stability_experiment_report():
             assert t["type_v"] == t["type_w"]
 
 
+def test_stability_experiment_lists_a_violation(monkeypatch):
+    # a bottleneck value above every reflection value breaks d_b <= d_R in
+    # each trial, and the report lists every one of them
+    monkeypatch.setattr("zzdist.stability.bottleneck_distance", lambda *args: 1e9)
+    rep = stability_experiment(3, 5, 3, 9)
+    assert not rep.passed and rep.violations == (0, 1, 2)
+    assert [t["main_ok"] for t in rep.trials] == [False] * 3
+    d = rep.to_dict()
+    assert d["passed"] is False and d["violations"] == [0, 1, 2] and d["count"] == 3
+
+
 def test_cmd_verify_stability(capsys):
     assert main(["verify-stability", "--trials", "10", "--n", "4",
                  "--max-points", "2", "--seed", "5"]) == 0

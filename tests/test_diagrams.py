@@ -11,9 +11,9 @@ from helpers import (all_dirs, all_intervals, expanded_act, interval_image,
 
 from zzdist import (BACKWARD, COLIMIT, LIMIT, FiniteDiagram, Matching, Matrix, Orientation,
                     PersistenceDiagram, ReflectionOp, SymbolicModule, ZigzagModule, act,
-                    all_ops, apply, bottleneck_distance, decompose, diagram_contains,
-                    diagrams, generate_random_module, interval_module, optimal_matching,
-                    synthesize, transform_type, zero_module)
+                    all_ops, annihilating_sequence, apply, bottleneck_distance, decompose,
+                    diagram_contains, diagrams, generate_random_module, interval_module,
+                    optimal_matching, synthesize, transform_type, zero_module)
 from zzdist.reflection_distance import _state
 
 
@@ -223,6 +223,15 @@ def test_decompose_invariant_failures_name_the_module(monkeypatch):
     msg = str(err.value)
     assert "covers dimension 2 at position 1, module has 1" in msg
     assert "'><'" in msg and "dims [1, 1, 1]" in msg and "p=3" in msg
+
+
+def test_annihilation_failure_names_the_module(monkeypatch):
+    # a reflection rule that moves nothing leaves the interval count as it is
+    monkeypatch.setattr(diagrams, "_reflect", lambda op, dirs, counts, raw=False: (dirs, counts))
+    S = SymbolicModule(tau("><>"), PersistenceDiagram.from_counts(4, [(1, 3, 2), (2, 2, 1)]))
+    with pytest.raises(AssertionError, match=r"annihilation pass on \[1, 3\] failed to reduce "
+                       r"the interval count; type ><>, counts \[\(1, 3, 2\), \(2, 2, 1\)\]"):
+        annihilating_sequence(S)
 
 
 def test_symbolic_module_validation():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -16,7 +17,7 @@ from zzdist import (BACKWARD, COLIMIT, EXTROVERSION, FORWARD, INTROVERSION,
                     compose, conjugate, decompose, diagram_contains,
                     direct_sum, identity_morphism, interval_module,
                     is_invertible, is_morphism, is_summand_upto_equiv, ops_at,
-                    rank, synthesize, transform_type, zero_module)
+                    rank, reflections, synthesize, transform_type, zero_module)
 from zzdist.diagrams import _annihilating_run
 from zzdist.reflection_distance import _state
 
@@ -262,6 +263,28 @@ def test_apply_to_morphism_identity():
         out = apply_to_morphism(op, identity_morphism(V))
         assert is_morphism(out)
         assert all(is_invertible(c) for c in out.components)
+
+
+def test_apply_to_morphism_refuses_a_non_morphism():
+    # the square of the one arrow does not commute; four ops once failed an
+    # internal assertion here and the other four returned a Morphism
+    V = synthesize(tau(">"), [(1, 2)])
+    one, zero = Matrix.from_rows([[1]], 2, cols=1), Matrix.from_rows([[0]], 2, cols=1)
+    phi = Morphism(V, V, (one, zero))
+    assert not is_morphism(phi)
+    for op in all_ops(2):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{op}: the components are not a morphism")):
+            apply_to_morphism(op, phi)
+
+
+def test_apply_to_morphism_missing_factoring_map_names_the_op(monkeypatch):
+    monkeypatch.setattr(reflections, "solve", lambda *args: None)
+    V = synthesize(tau("><"), [(1, 3), (2, 2)])
+    for op in all_ops(3):
+        with pytest.raises(AssertionError, match=re.escape(
+                f"{op}: no universal factoring map for morphism (1, 2, 1) -> (1, 2, 1)")):
+            apply_to_morphism(op, identity_morphism(V))
 
 
 def test_apply_to_morphism_composition():
