@@ -78,14 +78,21 @@ def _check_p(p: float) -> float:
     raise ValueError(f"p must be a real number >= 1 or infinity, got {p!r}")
 
 
-def _points(D) -> Sequence[tuple[int, int]]:
+def _checked(D):
+    """A diagram as it is, or a raw sequence as a list of checked (b, d)
+    tuples; every other function here takes inputs in this form."""
     if isinstance(D, PersistenceDiagram):
-        return D.points
+        return D
     pts = _exact_ints(D, "endpoints", True)
     for i, pt in enumerate(pts):
         if len(pt) != 2 or pt[0] > pt[1]:
             raise ValueError(f"entry {i} {pt!r}: an interval must be a pair (b, d) with b <= d")
     return pts
+
+
+def _points(D) -> Sequence[tuple[int, int]]:
+    """One entry per copy of a checked input."""
+    return D.points if isinstance(D, PersistenceDiagram) else D
 
 
 def _point_dist(a: tuple[int, int], b: tuple[int, int], p: float) -> float:
@@ -144,7 +151,12 @@ def _table(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]],
 def matching_cost(S, T, M: Matching, p: float = math.inf) -> float:
     """Largest matched distance or unmatched penalty under M; 0 if empty."""
     p = _check_p(p)
-    s, t = _points(S), _points(T)
+    return _cost(_points(_checked(S)), _points(_checked(T)), M, p)
+
+
+def _cost(s: Sequence[tuple[int, int]], t: Sequence[tuple[int, int]], M: Matching,
+          p: float) -> float:
+    """``matching_cost`` on checked points and a checked p."""
     if M.n_source != len(s) or M.n_target != len(t):
         raise ValueError(f"matching is {M.n_source}x{M.n_target}, "
                          f"diagrams have {len(s)} and {len(t)} points")
@@ -235,15 +247,15 @@ _Grouped = tuple[list[tuple[int, int]], list[int], Sequence[int]]
 
 def _grouped(D) -> _Grouped:
     """Distinct points, their multiplicities, and the indices into
-    ``_points(D)`` of every copy, point by point.  A diagram's come from
-    ``counts()``, its copies already in that order, so the indices are one
-    ``range``; a raw sequence is grouped in input order."""
+    ``_points(D)`` of every copy, point by point, for a checked input.  A
+    diagram's come from ``counts()``, its copies already in that order, so
+    the indices are one ``range``; a raw sequence is grouped in input order."""
     if isinstance(D, PersistenceDiagram):
         counts = D.counts()
         mult = [m for (_, _, m) in counts]
         return [(b, d) for (b, d, _) in counts], mult, range(sum(mult))
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, pt in enumerate(_points(D)):
+    for i, pt in enumerate(D):
         groups.setdefault(pt, []).append(i)
     return list(groups), [len(c) for c in groups.values()], list(chain(*groups.values()))
 
@@ -300,8 +312,8 @@ def _confirm(realized: float, eta: float, p: float, A: _Grouped, B: _Grouped) ->
 
 def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
                                         dict[int, dict[int, int]], _Grouped, _Grouped]:
-    """The bottleneck distance eta between S and T for a checked p, the
-    counted flows (f, g) found at eta, and both inputs as ``_grouped``
+    """The bottleneck distance eta between checked S and T for a checked p,
+    the counted flows (f, g) found at eta, and both inputs as ``_grouped``
     gives them: f places every copy of a point of S whose penalty exceeds
     eta on T within eta, and g does the same for T.
 
@@ -355,16 +367,18 @@ def optimal_matching(S, T, p: float = math.inf) -> tuple[float, Matching]:
     """The bottleneck distance together with a matching realizing it.
 
     The counted flows of the threshold search are expanded to one index
-    pair per matched copy, merged by ``combine_matchings`` and checked by
-    ``matching_cost``.  ``Matching`` indices refer to positions in the
-    inputs as given, which need not be sorted.
+    pair per matched copy, merged by ``combine_matchings`` and checked as
+    ``matching_cost`` checks them, on the inputs as checked once here.
+    ``Matching`` indices refer to positions in the inputs as given, which
+    need not be sorted.
     """
     p = _check_p(p)
-    n_s, n_t = len(_points(S)), len(_points(T))
+    # each input is checked once, and a total past sys.maxsize is refused here
+    s, t = _points(S := _checked(S)), _points(T := _checked(T))
     eta, f, g, A, B = _threshold(S, T, p)
-    M = combine_matchings(Matching(n_s, n_t, tuple(_expand(f, A, B))),
-                          Matching(n_t, n_s, tuple(_expand(g, B, A))))
-    _confirm(matching_cost(S, T, M, p), eta, p, A, B)
+    M = combine_matchings(Matching(len(s), len(t), tuple(_expand(f, A, B))),
+                          Matching(len(t), len(s), tuple(_expand(g, B, A))))
+    _confirm(_cost(s, t, M, p), eta, p, A, B)
     return eta, M
 
 
@@ -374,4 +388,5 @@ def bottleneck_distance(S, T, p: float = math.inf) -> float:
     Works on distinct points only: the threshold search's counted flows
     are checked directly, and no index-level matching is built.
     """
-    return _threshold(S, T, _check_p(p))[0]
+    p = _check_p(p)
+    return _threshold(_checked(S), _checked(T), p)[0]

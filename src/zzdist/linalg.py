@@ -11,6 +11,10 @@ cost follows the nonzeros.  Pivots are chosen leftmost-first and null
 space vectors are enumerated in ascending free-column order, so every
 routine is deterministic: identical inputs give identical outputs.
 
+``segment_ranks`` sweeps the sections of a zigzag and of its dual from
+each birth, with at most one elimination per sweep step; the pairing of
+the two sweeps is re-ranked only at a step where one of its spans shrinks.
+
 Dimensions here are desk scale: the spaces of a typical module have a
 few dimensions, and a file's are bounded (``_MAX_DIM``), so plain lists
 of integers serve.  Elimination costs grow as the cube of the dimension;
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from operator import add, index
 from typing import Sequence
 
@@ -33,12 +37,12 @@ _MAX_PRIME = 1 << 20
 
 # Bounds the dimensions a module file declares: a map out of a zero space
 # is an empty list, so a file can declare a dimension no entry spells out,
-# and elimination costs grow as the cube of a dimension (two spaces of 256
-# joined by a dense random GF(2) map take 0.9 to 1.3 s to decompose on a
-# shared 2-vCPU machine, and five joined by identities 0.7 s).  The bound
-# also covers what the CLI writes: `gen` and `synthesize` write no file
-# that `decompose` would refuse.  Modules built in memory, whose limits
-# and sums may pass it, are not bounded.
+# and elimination costs grow as the cube of a dimension (in-process on a
+# shared 2-vCPU machine, two spaces of 256 joined by a dense random GF(2)
+# map take 1.9 to 2.5 s to decompose, five joined by identities 0.5 to
+# 0.6 s, and ten 2.4 s).  The bound also covers what the CLI writes: `gen`
+# and `synthesize` write no file that `decompose` would refuse.  Modules
+# built in memory, whose limits and sums may pass it, are not bounded.
 _MAX_DIM = 256
 
 
@@ -101,11 +105,8 @@ def _combine(coeffs: Sequence[int], rows: Sequence[Sequence[int]], width: int) -
     left unreduced; rows whose coefficient is zero are skipped, so the
     cost follows the nonzero coefficients."""
     out = [0] * width
-    for c, row in zip(coeffs, rows):
-        if c == 1:
-            out = list(map(add, out, row))
-        elif c:
-            out = [o + c * x for o, x in zip(out, row)]
+    for c, row in compress(zip(coeffs, rows), coeffs):
+        out = list(map(add, out, row)) if c == 1 else [o + c * x for o, x in zip(out, row)]
     return out
 
 
@@ -140,6 +141,16 @@ class Matrix:
                              f"got lengths {[len(row) for row in data]}")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "cols", cols)
+
+    @classmethod
+    def _trusted(cls, p: int, rows: Sequence[Sequence[int]], cols: int) -> "Matrix":
+        """A matrix of rows taken from matrices over GF(p), whose entries
+        their constructors already checked and reduced: no check is rerun."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "p", p)
+        object.__setattr__(M, "data", tuple(map(tuple, rows)))
+        object.__setattr__(M, "cols", cols)
+        return M
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], p: int = DEFAULT_PRIME,
@@ -183,7 +194,7 @@ class Matrix:
         return self.rows == self.cols
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.p, _transpose(self.data, self.cols), self.rows)
+        return Matrix._trusted(self.p, _transpose(self.data, self.cols), self.rows)
 
     def _require_same_field(self, other: "Matrix") -> None:
         if not isinstance(other, Matrix):
@@ -203,8 +214,8 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     """Block-diagonal sum of two matrices over the same field."""
     a._require_same_field(b)
     right, left = (0,) * b.cols, (0,) * a.cols
-    return Matrix(a.p, [row + right for row in a.data] + [left + row for row in b.data],
-                  a.cols + b.cols)
+    return Matrix._trusted(a.p, [row + right for row in a.data] + [left + row for row in b.data],
+                           a.cols + b.cols)
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
@@ -216,7 +227,7 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
         first._require_same_field(m)
         if m.cols != first.cols:
             raise ValueError(f"stacked matrices disagree along the join: {first.cols} vs {m.cols}")
-    return Matrix(first.p, [row for m in mats for row in m.data], first.cols)
+    return Matrix._trusted(first.p, [row for m in mats for row in m.data], first.cols)
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
@@ -380,24 +391,34 @@ def diagram_colimit(D: FiniteDiagram) -> tuple[int, tuple[Matrix, ...]]:
     return dim, tuple(leg.transpose() for leg in legs)
 
 
-def _extend(S: list, db: int, forward: bool, A: Sequence[Sequence[int]], width: int,
-            p: int) -> list:
-    """Sections over b..d+1 from a basis ``S`` of the (x_b, x_d) over b..d.
+def _advance(sweep: tuple, forward: bool, A: Sequence[Sequence[int]], width: int,
+             p: int) -> tuple:
+    """One step of a section sweep: ``(Lb, Ld, W)`` over b..d to b..d+1.
 
-    Each section is one vector, x_b followed by x_d.  ``A`` is the arrow
-    between d and d+1 as rows of ``width`` = dim V_{d+1} integers, one per
-    coordinate of x_d: the map transposed if ``forward``, else the map
-    itself.
+    ``Lb[i]``, ``Ld[i]`` are the x_b and x_d of a section, with the x_b
+    independent; ``W`` spans the x_d of the sections with x_b = 0.  ``A``
+    is the arrow between d and d+1 as rows of ``width`` = dim V_{d+1}
+    integers, one per coordinate of x_d: the map transposed if
+    ``forward``, else the map itself.
     """
+    Lb, Ld, W = sweep
     if forward:
-        R, pivots = _rref([s[:db] + _combine(s[db:], A, width) for s in S], p)
-        return R[:len(pivots)]
-    # pairs (c, x_{d+1}) with sum_i c_i x_d^i = A x_{d+1}
-    k = len(S)
-    K = _kernel([[s[db + r] for s in S] + [-x for x in row] for r, row in enumerate(A)],
-                k + width, p)
-    tops = [s[:db] for s in S]
-    return [[x % p for x in _combine(c, tops, db)] + c[k:] for c in K]
+        # every section extends, so Lb stays; only W's images can collapse
+        Ld = [[x % p for x in _combine(x, A, width)] for x in Ld]
+        if W:
+            R, pivots = _rref([_combine(w, A, width) for w in W], p)
+            W = R[:len(pivots)]
+        return Lb, Ld, W
+    # pairs (y, c) with A y = sum_i c_i x_d^i, columns [y | c_W | c_L]; each
+    # kernel vector is nonzero only at its free column and pivots left of it,
+    # so those with a free column in c_L come last, and only they have c_L != 0
+    cut = width + len(W)
+    K = _kernel([[-x for x in row] + list(c) for row, c in zip(A, _transpose(W + Ld, len(A)))],
+                cut + len(Ld), p)
+    W = [v[:width] for v in K if not any(v[cut:])]
+    keep = K[len(W):]
+    return ([[x % p for x in _combine(v[cut:], Lb, len(Lb[0]))] for v in keep],
+            [v[:width] for v in keep], W)
 
 
 def segment_ranks(p: int, dims: Sequence[int], forward: Sequence[bool],
@@ -407,13 +428,23 @@ def segment_ranks(p: int, dims: Sequence[int], forward: Sequence[bool],
     Positions are 0-based; ``maps[i]`` goes from position i to i+1 when
     ``forward[i]``, else back.  For each birth b one sweep to the right
     carries a basis of the pairs (x_b, x_d) that extend to a section over
-    b..d: a forward arrow f sends it to (x_b, f x_d), and a backward arrow
-    g to the (x_b, y) with g y = x_d, a kernel that keeps the basis
-    independent.  The x_b block spans the image of the limit leg at b.
-    The same sweep over the dual zigzag (maps transposed, arrows reversed)
-    spans the annihilator of the kernel of the colimit leg at b, because
-    colim(D)* = lim(D*); the rank of their pairing is rk(b, d).  It never
-    grows with d, so a sweep stops at the first zero.
+    b..d, in two lists: L, sections whose x_b are independent, and W, a
+    basis of the x_d of the sections with x_b = 0.  The x_b of L span L(b, d), the
+    image of the limit leg at b.  The same sweep over the dual zigzag
+    (maps transposed, arrows reversed) spans the annihilator of the kernel
+    of the colimit leg at b, because colim(D)* = lim(D*); the rank of the
+    pairing of the two L(b, d) is rk(b, d).
+
+    At each step exactly one sweep meets a forward arrow f.  There every
+    section extends, to (x_b, f x_d), so L(b, d+1) = L(b, d) and only W's
+    images are row-reduced.  The other sweep meets a backward arrow g and
+    takes the (x_b, y) with g y = x_d by one kernel, whose vectors split
+    into the new L and W by where their free column falls (``_advance``).
+    L(b, d) only shrinks as d grows, since a section over b..d+1 restricts
+    to one over b..d; so a sweep whose L keeps its dimension keeps its
+    span, and the pairing is re-ranked only after an L shrank: otherwise
+    rk(b, d) = rk(b, d-1).  The rank never grows with d, so a sweep stops
+    at the first zero.
 
     Two ranks need no elimination.  The slice b..b is the one space V_b,
     its own limit and colimit, so rk(b, b) = dims[b].  The limit-to-colimit
@@ -427,20 +458,23 @@ def segment_ranks(p: int, dims: Sequence[int], forward: Sequence[bool],
     matrix, and the other way round.
     """
     rows_at = [_transpose(M.data, M.cols) if f else M.data for f, M in zip(forward, maps)]
-    sides = (forward, [not f for f in forward])
     out: dict[tuple[int, int], int] = {}
     for b, db in enumerate(dims):
         if db == 0:
             continue
-        out[(b, b)] = db
-        X = Y = [[int(i == j) for j in range(db)] * 2 for i in range(db)]
+        out[(b, b)] = r = db
+        unit = [[int(i == j) for j in range(db)] for i in range(db)]
+        X = Y = (unit, unit, [])
         for d in range(b + 1, len(dims)):
             if dims[d] == 0:
                 break
-            X, Y = (_extend(S, db, fwd[d - 1], rows_at[d - 1], dims[d], p)
-                    for S, fwd in zip((X, Y), sides))
-            cols = _transpose([x[:db] for x in X], db)
-            r = len(_rref([_combine(y, cols, len(X)) for y in Y], p)[1])
+            A, fwd = rows_at[d - 1], forward[d - 1]
+            before = len(X[0]), len(Y[0])
+            X = _advance(X, fwd, A, dims[d], p)
+            Y = _advance(Y, not fwd, A, dims[d], p)
+            if (len(X[0]), len(Y[0])) != before:
+                cols = _transpose(X[0], db)
+                r = len(_rref([_combine(y, cols, len(X[0])) for y in Y[0]], p)[1])
             if r == 0:
                 break
             out[(b, d)] = r

@@ -185,6 +185,18 @@ def test_optimal_matching_checks_the_combined_matching(monkeypatch):
         optimal_matching(raw, pd(9, raw), 1)
 
 
+def test_optimal_matching_checks_raw_inputs_once(monkeypatch):
+    # one check per input and one per Matching built: f, g and their merge
+    calls = []
+    real = bottleneck._exact_ints
+    monkeypatch.setattr(bottleneck, "_exact_ints",
+                        lambda *args: calls.append(args[1]) or real(*args))
+    S, T = [(2, 9), (1, 5), (2, 9)], [(1, 4), (2, 2), (3, 5)]
+    eta, M = optimal_matching(S, T, 1)
+    assert calls == ["endpoints", "endpoints", "indices", "indices", "indices"]
+    assert eta == bottleneck_distance(pd(9, S), pd(9, T), 1) == matching_cost(S, T, M, 1)
+
+
 def test_table_is_point_dist_and_penalty_bit_for_bit():
     # the rows at p = 1 and inf and the general row must give what the
     # pairwise functions give, for endpoints on both sides of 2**53

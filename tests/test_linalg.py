@@ -5,11 +5,12 @@ import random
 
 import pytest
 from helpers import (cokernel, enumerate_limit_dim, kernel_basis, minor_rank,
-                     random_matrix, relations_colimit)
+                     random_matrix, random_module, relations_colimit, segment_rank)
 
-from zzdist import (FiniteDiagram, Matrix, block_diag, diagram_colimit,
-                    diagram_limit, hstack, inverse, is_invertible, is_prime,
-                    rank, solve, vstack)
+from zzdist import (FORWARD, FiniteDiagram, Matrix, Orientation, block_diag,
+                    diagram_colimit, diagram_limit, hstack, inverse, is_invertible,
+                    is_prime, rank, solve, synthesize, vstack)
+from zzdist import linalg
 
 
 def test_matrix_construction_and_reduction():
@@ -374,3 +375,73 @@ def test_monic_natural_transformation_induces_monic_on_limits():
             assert induced is not None
             assert rank(induced) == d1
             done += 1
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that every call adds one to the returned list's entry."""
+    real, calls = getattr(module, name), [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _ranks(V):
+    return linalg.segment_ranks(V.p, V.dims, [d == FORWARD for d in V.tau.dirs], V.maps)
+
+
+def test_transpose_skips_the_constructor_checks(monkeypatch):
+    # its entries were checked and reduced when the source was built
+    rng = random.Random(53)
+    mats = [random_matrix(rng, r, c, p) for p in (2, 7) for r in range(4) for c in range(4)]
+    want = [Matrix(M.p, [[row[j] for row in M.data] for j in range(M.cols)], M.rows)
+            for M in mats]
+    calls = _count_calls(monkeypatch, linalg, "_exact_ints")
+    got = [M.transpose() for M in mats]
+    stacked = [hstack([M, M]) for M in mats]
+    assert calls == [0]
+    assert got == want and list(map(hash, got)) == list(map(hash, want))
+    assert all(type(row) is tuple for M in got for row in M.data)
+    assert stacked == [Matrix(M.p, [row * 2 for row in M.data], 2 * M.cols) for M in mats]
+
+
+@pytest.mark.parametrize("arrow", [">", "<"])
+def test_segment_ranks_eliminate_once_per_step(monkeypatch, arrow):
+    # on k copies of [1, n] one sweep steps forward and the other takes
+    # one kernel; neither loses a section, so the pairing is never re-ranked
+    calls = _count_calls(monkeypatch, linalg, "_rref")
+    for n in (2, 3, 6):
+        for k in (1, 4):
+            V = synthesize(Orientation(arrow * (n - 1)), [(1, n)] * k, 3)
+            calls[0] = 0
+            assert _ranks(V) == {(b, d): k for b in range(n) for d in range(b, n)}
+            assert calls == [n * (n - 1) // 2], (n, k)
+
+
+def test_section_sweep_keeps_its_bases(monkeypatch):
+    # after every step the x_b of L and the vectors of W are independent,
+    # a forward step keeps L's x_b, and the ranks are the slice ranks
+    real, steps = linalg._advance, [0, 0]
+
+    def checked(sweep, forward, A, width, p):
+        Lb, Ld, W = out = real(sweep, forward, A, width, p)
+        assert len(Ld) == len(Lb) <= len(sweep[0])
+        assert len(linalg._rref(Lb, p)[1]) == len(Lb)
+        assert len(linalg._rref(W, p)[1]) == len(W)
+        assert not forward or Lb is sweep[0]
+        steps[forward] += 1
+        return out
+
+    monkeypatch.setattr(linalg, "_advance", checked)
+    rng = random.Random(59)
+    for p in (2, 3, 5, 7):
+        for _ in range(25):
+            n = rng.randint(2, 6)
+            V = random_module(rng, n, 3, p)
+            want = {(b - 1, d - 1): r for b in range(1, n + 1) for d in range(b, n + 1)
+                    if (r := segment_rank(V, b, d))}
+            assert _ranks(V) == want, (V.tau.to_string(), V.dims, V.maps)
+    assert min(steps) > 100
