@@ -45,7 +45,7 @@ class Matching:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple(sorted(_exact_ints(self.pairs, "indices", True)))
+        pairs = tuple(sorted(_exact_ints(self.pairs, "indices", True, 2)))
         seen_s: set[int] = set()
         seen_t: set[int] = set()
         for (i, j) in pairs:

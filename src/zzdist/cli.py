@@ -6,8 +6,9 @@ structure maps) or ``diagram`` (a list of [birth, death, multiplicity]
 triples).  The field prime may be overridden through the ZZ_FIELD_PRIME
 environment variable.
 
-The front end checks the layout of files and arguments; the library
-constructors check the values, and a refusal by either exits 2.
+The front end checks the layout of files and arguments, the library
+constructors the values; every refusal is a ValueError, reported on one
+line with exit 2, and ``parse_module_file`` prefixes it with the path.
 
 Exit codes: 0 on success, 2 on bad input, 3 when a checked property is
 violated.
@@ -27,8 +28,8 @@ import sys
 from typing import Sequence
 
 from .bottleneck import _check_p, bottleneck_distance
-from .diagrams import (PersistenceDiagram, SymbolicModule, act, annihilating_sequence,
-                       decompose)
+from .diagrams import (PersistenceDiagram, SymbolicModule, _symbolic, act,
+                       annihilating_sequence)
 from .linalg import _MAX_DIM, DEFAULT_PRIME, Matrix, _check_prime, _dims
 from .reflection_distance import reflection_distance
 from .reflections import COLIMIT, LIMIT, ReflectionOp, apply
@@ -39,10 +40,6 @@ _BOUNDARY_WORDS = {FORWARD: "forward", BACKWARD: "backward"}
 _BOUNDARY_DIRS = {w: d for (d, w) in _BOUNDARY_WORDS.items()}
 
 
-class InputError(Exception):
-    """Bad user input; reported with exit code 2."""
-
-
 def _field_prime() -> int:
     raw = os.environ.get("ZZ_FIELD_PRIME")
     if raw is None:
@@ -50,16 +47,17 @@ def _field_prime() -> int:
     try:
         return _check_prime(int(raw))
     except ValueError as e:
-        raise InputError(f"ZZ_FIELD_PRIME: {e}") from e
+        raise ValueError(f"ZZ_FIELD_PRIME: {e}") from e
 
 
 def _expect(cond: bool, message: str) -> None:
     if not cond:
-        raise InputError(message)
+        raise ValueError(message)
 
 
 def parse_module_data(obj) -> ZigzagModule | SymbolicModule:
-    """Build the module a decoded module file describes, checking its layout."""
+    """Build the module a decoded module file describes; a bad layout or
+    value raises a ValueError naming the field or entry, not the file."""
     _expect(isinstance(obj, dict), "module file must be a JSON object")
     _expect("n" in obj, "missing field 'n'")
     n = obj["n"]
@@ -70,50 +68,51 @@ def parse_module_data(obj) -> ZigzagModule | SymbolicModule:
     _expect(len(ts) == n - 1, f"'type' must have length n-1 = {n - 1}, got {len(ts)}")
     has_m, has_d = "matrices" in obj, "diagram" in obj
     _expect(has_m != has_d, "exactly one of 'matrices' and 'diagram' must be present")
-    try:
-        tau = Orientation.from_string(ts)
-        if has_d:
-            dg = obj["diagram"]
-            _expect(isinstance(dg, list), "'diagram' must be a list of [b, d, multiplicity]")
-            for idx, row in enumerate(dg):
-                _expect(isinstance(row, list) and len(row) == 3,
-                        f"diagram entry {idx} must be a list of three integers, got {row!r}")
-            return SymbolicModule(tau, PersistenceDiagram.from_counts(n, dg))
-        block = obj["matrices"]
-        _expect(isinstance(block, dict), "'matrices' must be an object")
-        for key in ("field_prime", "dims", "maps"):
-            _expect(key in block, f"'matrices' is missing field '{key}'")
-        dims, raw_maps = block["dims"], block["maps"]
-        _expect(isinstance(dims, list) and len(dims) == n, f"'dims' must list {n} dimensions")
-        _expect(isinstance(raw_maps, list) and len(raw_maps) == n - 1,
-                f"'maps' must list {n - 1} matrices")
-        dims = _dims(dims, "dimensions", _MAX_DIM)  # bounded before the flat maps are cut
-        maps = []
-        for i, flat in enumerate(raw_maps):
-            s, t = _ends(tau.dirs, i)
-            rows, cols = dims[t], dims[s]
-            _expect(isinstance(flat, list), f"map {i + 1} must be a flat list of entries")
-            _expect(len(flat) == rows * cols,
-                    f"map {i + 1} has {len(flat)} entries, expected {rows}x{cols}={rows * cols}")
-            maps.append(Matrix.from_rows([flat[r * cols:(r + 1) * cols] for r in range(rows)],
-                                         block["field_prime"], cols=cols))
-        return ZigzagModule(tau, tuple(dims), tuple(maps))
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    tau = Orientation.from_string(ts)
+    if has_d:
+        dg = obj["diagram"]
+        _expect(isinstance(dg, list), "'diagram' must be a list of [b, d, multiplicity]")
+        for idx, row in enumerate(dg):
+            _expect(isinstance(row, list) and len(row) == 3,
+                    f"diagram entry {idx} must be a list of three integers, got {row!r}")
+        return SymbolicModule(tau, PersistenceDiagram.from_counts(n, dg))
+    block = obj["matrices"]
+    _expect(isinstance(block, dict), "'matrices' must be an object")
+    for key in ("field_prime", "dims", "maps"):
+        _expect(key in block, f"'matrices' is missing field '{key}'")
+    dims, raw_maps = block["dims"], block["maps"]
+    _expect(isinstance(dims, list) and len(dims) == n, f"'dims' must list {n} dimensions")
+    _expect(isinstance(raw_maps, list) and len(raw_maps) == n - 1,
+            f"'maps' must list {n - 1} matrices")
+    dims = _dims(dims, "dimensions", _MAX_DIM)  # bounded before the flat maps are cut
+    maps = []
+    for i, flat in enumerate(raw_maps):
+        s, t = _ends(tau.dirs, i)
+        rows, cols = dims[t], dims[s]
+        _expect(isinstance(flat, list), f"map {i + 1} must be a flat list of entries")
+        _expect(len(flat) == rows * cols,
+                f"map {i + 1} has {len(flat)} entries, expected {rows}x{cols}={rows * cols}")
+        maps.append(Matrix.from_rows([flat[r * cols:(r + 1) * cols] for r in range(rows)],
+                                     block["field_prime"], cols=cols))
+    return ZigzagModule(tau, tuple(dims), tuple(maps))
 
 
 def parse_module_file(path: str) -> ZigzagModule | SymbolicModule:
+    """Read and build a module file.  Every refusal is one ValueError
+    that starts with the path: a file that cannot be opened, is not UTF-8
+    JSON, nests too deeply, holds an integer past Python's digit limit,
+    or describes no module."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return parse_module_data(json.load(fh))
     except OSError as e:
-        raise InputError(f"{path}: {e.strerror or e}") from e
+        raise ValueError(f"{path}: {e.strerror or e}") from e
     except json.JSONDecodeError as e:
-        raise InputError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}") from e
-    try:
-        return parse_module_data(obj)
-    except InputError as e:
-        raise InputError(f"{path}: {e}") from e
+        raise ValueError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}") from e
+    except RecursionError as e:
+        raise ValueError(f"{path}: JSON nested too deeply") from e
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def serialize_module(V: ZigzagModule) -> dict:
@@ -149,12 +148,6 @@ def format_quantity(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _as_symbolic(m: ZigzagModule | SymbolicModule) -> SymbolicModule:
-    if isinstance(m, SymbolicModule):
-        return m
-    return SymbolicModule(m.tau, decompose(m))
-
-
 def _op_to_dict(op: ReflectionOp) -> dict:
     out = {"kind": op.kind, "index": op.k}
     if op.boundary_dir is not None:
@@ -166,11 +159,11 @@ def _parse_p(raw: str) -> float:
     try:
         return _check_p(float(raw))
     except ValueError as e:
-        raise InputError(f"--p: {e}") from e
+        raise ValueError(f"--p: {e}") from e
 
 
 def _cmd_decompose(args) -> int:
-    S = _as_symbolic(parse_module_file(args.file))
+    S = _symbolic(parse_module_file(args.file))
     sys.stdout.write(_dump(serialize_symbolic(S)))
     return 0
 
@@ -198,15 +191,15 @@ def _cmd_reflect(args) -> int:
 
 
 def _cmd_annihilate(args) -> int:
-    seq = annihilating_sequence(_as_symbolic(parse_module_file(args.file)))
+    seq = annihilating_sequence(parse_module_file(args.file))
     sys.stdout.write(_dump({"length": len(seq), "ops": [_op_to_dict(op) for op in seq]}))
     return 0
 
 
 def _cmd_distance(args) -> int:
     p = _parse_p(args.p)
-    a = _as_symbolic(parse_module_file(args.file_v))
-    b = _as_symbolic(parse_module_file(args.file_w))
+    a = _symbolic(parse_module_file(args.file_v))
+    b = _symbolic(parse_module_file(args.file_w))
     if args.metric == "reflection":
         value = reflection_distance(a, b, p).value
     else:
@@ -290,7 +283,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as e:
+    except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except (MemoryError, OverflowError):  # work past memory or an index, which no check caught

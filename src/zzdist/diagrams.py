@@ -36,13 +36,13 @@ class PersistenceDiagram:
     _counts: tuple[tuple[int, int, int], ...]
 
     def __init__(self, n: int, points: Iterable[tuple[int, int]]) -> None:
-        self._store(n, [(*pt, 1) for pt in _exact_ints(points, "endpoints", True)])
+        self._store(n, [(*pt, 1) for pt in _exact_ints(points, "endpoints", True, 2)])
 
     @classmethod
     def from_counts(cls, n: int, counts: Iterable[tuple[int, int, int]]) -> "PersistenceDiagram":
         """Build from (b, d, multiplicity) triples; repeated intervals merge."""
         D = cls.__new__(cls)
-        D._store(n, _exact_ints(counts, "birth, death and multiplicity", True))
+        D._store(n, _exact_ints(counts, "birth, death and multiplicity", True, 3))
         return D
 
     def _store(self, n: int, triples: list[tuple[int, int, int]]) -> None:
@@ -137,18 +137,15 @@ def decompose(V: ZigzagModule) -> PersistenceDiagram:
     rk = segment_ranks(V.p, V.dims, [d == FORWARD for d in V.tau.dirs], V.maps)
     where = f"type {V.tau.to_string()!r}, dims {list(V.dims)}, p={V.p}"
 
-    def get(b: int, d: int) -> int:
-        return rk.get((b - 1, d - 1), 0)
-
-    mult: dict[tuple[int, int], int] = {}
-    for b in range(1, n + 1):
-        for d in range(b, n + 1):
-            m = get(b, d) - get(b - 1, d) - get(b, d + 1) + get(b - 1, d + 1)
+    get, triples = rk.get, []
+    for b in range(n):  # 0-based, as segment_ranks keys them
+        for d in range(b, n):
+            m = get((b, d), 0) - get((b - 1, d), 0) - get((b, d + 1), 0) + get((b - 1, d + 1), 0)
             if m < 0:
-                raise AssertionError(f"negative multiplicity {m} at [{b}, {d}] ({where})")
+                raise AssertionError(f"negative multiplicity {m} at [{b + 1}, {d + 1}] ({where})")
             if m:
-                mult[(b, d)] = m
-    D = PersistenceDiagram.from_counts(n, ((b, d, m) for (b, d), m in mult.items()))
+                triples.append((b + 1, d + 1, m))
+    D = PersistenceDiagram.from_counts(n, triples)
     for i, (covering, dim) in enumerate(zip(D.dims(), V.dims), 1):
         if covering != dim:
             raise AssertionError(f"decomposition covers dimension {covering} at position {i}, "
@@ -229,6 +226,11 @@ def _annihilating_run(dirs: tuple[str, ...],
     return tuple(run)
 
 
+def _symbolic(V: ZigzagModule | SymbolicModule) -> SymbolicModule:
+    """V as a symbolic module: a concrete one is decomposed first."""
+    return V if isinstance(V, SymbolicModule) else SymbolicModule(V.tau, decompose(V))
+
+
 def annihilating_sequence(V: ZigzagModule | SymbolicModule) -> ReflectionSequence:
     """A reflection run that empties the module; a concrete module is
     decomposed first, a symbolic one used as it stands.
@@ -245,5 +247,5 @@ def annihilating_sequence(V: ZigzagModule | SymbolicModule) -> ReflectionSequenc
     of the chosen interval while moving others at most sideways, so the
     distinct-interval count drops and the loop ends.
     """
-    diagram = V.diagram if isinstance(V, SymbolicModule) else decompose(V)
-    return ReflectionSequence(_annihilating_run(V.tau.dirs, diagram.counts()))
+    S = _symbolic(V)
+    return ReflectionSequence(_annihilating_run(S.tau.dirs, S.diagram.counts()))

@@ -24,15 +24,15 @@ the comment at the bound gives timings there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, chain, compress
 from operator import add, index
 from typing import Sequence
 
 DEFAULT_PRIME = 2
 
-# Keeps trial division in is_prime finite; entries are exact integers, so
-# the field size needs no other bound.
+# Keeps trial division in is_prime short (under 512 odd divisors), so every
+# Matrix checks its field afresh; entries are exact integers, so the field
+# size needs no other bound.
 _MAX_PRIME = 1 << 20
 
 # Bounds the dimensions a module file declares: a map out of a zero space
@@ -46,8 +46,6 @@ _MAX_PRIME = 1 << 20
 _MAX_DIM = 256
 
 
-# every Matrix checks its field, and a program uses only a few fields
-@lru_cache(maxsize=64)
 def is_prime(p: int) -> bool:
     """True when ``p`` is a prime number."""
     if p < 2:
@@ -76,16 +74,18 @@ def _index(x) -> int:
     return index(x)
 
 
-def _exact_ints(entries, what: str, tuples: bool = False) -> list:
-    """The entries (integers, or tuples of them if ``tuples`` is set) as
-    exact integers: 1.9 is refused rather than truncated to 1, and the
-    ValueError names the first offending entry."""
+def _exact_ints(entries, what: str, tuples: bool = False, size: int | None = None) -> list:
+    """The entries as exact integers, or as tuples of them (``size`` long if
+    given) if ``tuples`` is set: 1.9 is refused rather than truncated to 1,
+    and the ValueError names the first offending entry."""
     out = []
     for i, e in enumerate(entries):
         try:
             out.append(tuple(map(_index, e)) if tuples else _index(e))
         except TypeError:
             raise ValueError(f"entry {i} {e!r}: {what} must be integers") from None
+        if size is not None and len(out[-1]) != size:
+            raise ValueError(f"entry {i} {e!r}: {what} must be {size} integers")
     return out
 
 
@@ -235,19 +235,16 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     return vstack([m.transpose() for m in mats]).transpose()
 
 
-def _rref(a: Sequence[Sequence[int]], p: int,
-          pivot_limit: int | None = None) -> tuple[list[list[int]], list[int]]:
+def _rref(a: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form of the rows ``a`` mod ``p``.
 
-    Pivots are restricted to the first ``pivot_limit`` columns (all columns
-    by default); row operations span the full width, which is what a solver
-    with an augmented right-hand side needs.  Returns the reduced rows and
-    the pivot column indices in order.
+    Columns are eliminated left to right, so the first c columns are
+    reduced as they would be on their own; ``solve`` relies on this.
+    Returns the reduced rows and the pivot column indices in order.
     """
     R = [[x % p for x in row] for row in a]
-    limit = (len(R[0]) if R else 0) if pivot_limit is None else pivot_limit
     pivots: list[int] = []
-    for c in range(limit):
+    for c in range(len(R[0]) if R else 0):
         r = len(pivots)
         if r == len(R):
             break
@@ -290,6 +287,8 @@ def rank(M: Matrix) -> int:
 def solve(A: Matrix, B: Matrix) -> Matrix | None:
     """An exact solution X of A @ X == B, or None when none exists.
 
+    One elimination of [A | B]: its first A.cols columns reduce as A's
+    would, so a pivot past them is in a row zero on A, and no X exists.
     Free variables are set to zero, so the answer is deterministic; when A
     has full column rank the solution is the unique one.
     """
@@ -297,8 +296,8 @@ def solve(A: Matrix, B: Matrix) -> Matrix | None:
     if A.rows != B.rows:
         raise ValueError(f"shape mismatch for solve: {A.shape} vs {B.shape}")
     n = A.cols
-    R, pivots = _rref([a + b for a, b in zip(A.data, B.data)], A.p, pivot_limit=n)
-    if any(any(row[n:]) for row in R[len(pivots):]):
+    R, pivots = _rref([a + b for a, b in zip(A.data, B.data)], A.p)
+    if pivots and pivots[-1] >= n:
         return None
     X = [(0,) * B.cols] * n
     for row, pc in zip(R, pivots):

@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .linalg import (DEFAULT_PRIME, Matrix, _dims, _exact_ints, block_diag, inverse,
-                     is_invertible)
+from .linalg import DEFAULT_PRIME, Matrix, _dims, _exact_ints, block_diag, solve
 
 FORWARD = ">"
 BACKWARD = "<"
@@ -202,7 +201,7 @@ def synthesize(tau: Orientation, points: Iterable[tuple[int, int]],
     directly so each summand occupies one fixed coordinate per position.
     """
     n = tau.n
-    pts = sorted(_exact_ints(points, "endpoints", True))
+    pts = sorted(_exact_ints(points, "endpoints", True, 2))
     for (b, d) in pts:
         if not 1 <= b <= d <= n:
             raise ValueError(f"interval [{b}, {d}] out of range 1..{n}")
@@ -276,12 +275,13 @@ def conjugate(V: ZigzagModule, bases: Iterable[Matrix]) -> tuple[ZigzagModule, M
     B = tuple(bases)
     if len(B) != V.n:
         raise ValueError(f"expected {V.n} base changes, got {len(B)}")
+    inv = []
     for i, M in enumerate(B):
         if M.p != V.p or M.shape != (V.dims[i], V.dims[i]):
             raise ValueError(f"base change {i + 1} must be {V.dims[i]}x{V.dims[i]} over GF({V.p})")
-        if not is_invertible(M):
+        inv.append(solve(M, Matrix.identity(M.rows, M.p)))
+        if inv[-1] is None:
             raise ValueError(f"base change {i + 1} is singular")
-    inv = [inverse(M) for M in B]
     maps = []
     for i, M in enumerate(V.maps):
         s, t = _ends(V.tau.dirs, i)
@@ -295,10 +295,11 @@ def arrow_reverse(V: ZigzagModule, k: int) -> ZigzagModule:
     if not 1 <= k <= V.n - 1:
         raise ValueError(f"arrow index {k} out of range 1..{V.n - 1}")
     M = V.maps[k - 1]
-    if not is_invertible(M):
+    inv = solve(M, Matrix.identity(M.rows, M.p)) if M.is_square() else None
+    if inv is None:
         raise ValueError(f"arrow {k} is not invertible and cannot be reversed")
     maps = list(V.maps)
-    maps[k - 1] = inverse(M)
+    maps[k - 1] = inv
     return ZigzagModule(transform_type(V.tau, REVERSAL, k), V.dims, tuple(maps))
 
 

@@ -437,3 +437,15 @@ def bfs_search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Ref
                 return depth, ReflectionSequence(tuple(reversed(ops)))
         frontier = layer
     raise AssertionError("no goal reachable; the empty module always is one")
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that every call adds one to the returned list's entry."""
+    real, calls = getattr(module, name), [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -17,7 +17,7 @@ from zzdist import (PersistenceDiagram, SymbolicModule, ZigzagModule,
                     parse_module_data, random_symbolic_module,
                     serialize_module, serialize_symbolic, stability_experiment,
                     synthesize)
-from zzdist.cli import InputError, _parser, parse_module_file
+from zzdist.cli import _parser, parse_module_file
 
 
 def write(tmp_path, name, obj):
@@ -72,13 +72,13 @@ def test_parse_rejects_malformed(tmp_path):
                                             "maps": [[1], [1]]}},
     ]
     for obj in bad:
-        with pytest.raises(InputError):
+        with pytest.raises(ValueError):
             parse_module_data(obj)
-    with pytest.raises(InputError):
+    with pytest.raises(ValueError):
         parse_module_file(str(tmp_path / "absent.json"))
     p = tmp_path / "broken.json"
     p.write_text("{oops", encoding="utf-8")
-    with pytest.raises(InputError):
+    with pytest.raises(ValueError):
         parse_module_file(str(p))
 
 
@@ -260,14 +260,35 @@ def test_cmd_distance_large_p(tmp_path, capsys, p):
     assert capsys.readouterr().out.strip() == "3"
 
 
-def test_python_m_zzdist():
+def _env() -> dict:
+    """The environment for a ``python -m zzdist`` subprocess that imports this checkout."""
     src = str(Path(zzdist.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_python_m_zzdist():
+    env = _env()
     run = subprocess.run([sys.executable, "-m", "zzdist", "--help"], env=env,
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0 and run.stdout.startswith("usage: zzdist")
     assert "RuntimeWarning" not in run.stderr
+
+
+def test_undecodable_files_exit_2_naming_the_file(tmp_path):
+    # each of these used to end in a RecursionError traceback with exit 1,
+    # or exit 2 with a message that did not name the file
+    files = {"deep.json": b"[" * 1000 + b"]" * 1000 + b"\n",
+             "bytes.json": b"\xff\xfe{}",
+             "digits.json": b'{"n": 3, "type": "><", "diagram": [[1, 2, ' + b"9" * 5000 + b"]]}"}
+    for name, raw in files.items():
+        path = tmp_path / name
+        path.write_bytes(raw)
+        run = subprocess.run([sys.executable, "-m", "zzdist", "decompose", str(path)],
+                             env=_env(), capture_output=True, text=True, timeout=60)
+        assert run.returncode == 2 and run.stdout == "", (name, run)
+        assert run.stderr.startswith(f"error: {path}: ") and run.stderr.count("\n") == 1, name
+        assert "Traceback" not in run.stderr
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):
@@ -304,9 +325,7 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     assert main(["reflect", d, "--kind", "limit", "--index", "9"]) == 2
     capsys.readouterr()
     assert one_round() == first
-    src = str(Path(zzdist.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _env()
     run = subprocess.run([sys.executable, "-m", "zzdist", *commands[7]], env=env,
                          capture_output=True, text=True, timeout=60)
     assert (run.returncode, run.stdout) == first[7]
@@ -332,9 +351,7 @@ run(out, "synthesize", dia)
 
 
 def test_zzdist_runs_without_numpy(tmp_path):
-    src = str(Path(zzdist.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _env()
     argv = [str(tmp_path / "m.json"), write(tmp_path, "d.json", DIA), str(tmp_path / "out.json")]
     run = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *argv], env=env,
                          capture_output=True, text=True, timeout=120)

@@ -60,7 +60,8 @@ def test_non_integer_endpoints_are_refused():
 
 def test_non_integer_counts_indices_and_dimensions_are_refused():
     # each of these used to be truncated, (0.7, 1.9) to (0, 1) and 1.9 to 1,
-    # read a bool as 1, or fail with a TypeError or AttributeError
+    # read a bool as 1, or fail with a TypeError, an AttributeError or a
+    # bare unpacking error
     one = Matrix.identity(1, 2)
     ints = " must be integers"
     nonnegative = " must be nonnegative integers"
@@ -70,6 +71,13 @@ def test_non_integer_counts_indices_and_dimensions_are_refused():
         (lambda: PersistenceDiagram.from_counts(3, [(True, 2, 1)]),
          r"entry 0 \(True, 2, 1\): birth, death and multiplicity" + ints),
         (lambda: Matching(2, 2, ((0.7, 1.9),)), r"entry 0 \(0\.7, 1\.9\): indices" + ints),
+        (lambda: PersistenceDiagram(4, [(1, 2, 3)]),
+         r"entry 0 \(1, 2, 3\): endpoints must be 2 integers"),
+        (lambda: PersistenceDiagram.from_counts(4, [(1, 2)]),
+         r"entry 0 \(1, 2\): birth, death and multiplicity must be 3 integers"),
+        (lambda: synthesize(tau(">>>"), [(1, 3), (1, 2, 3)]),
+         r"entry 1 \(1, 2, 3\): endpoints must be 2 integers"),
+        (lambda: Matching(2, 2, ((0,),)), r"entry 0 \(0,\): indices must be 2 integers"),
         (lambda: ZigzagModule(tau(">"), (1.0, 1.9), (one,)), r"entry 0 1\.0: dimensions" + ints),
         (lambda: ZigzagModule(tau(">"), (1, 1), ([[1]],)), r"map 1 is list, expected Matrix"),
         (lambda: Matrix(2, [[1.5]], 1), r"entry 0 \[1\.5\]: matrix row entries" + ints),

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from helpers import (cokernel, enumerate_limit_dim, kernel_basis, minor_rank,
+from helpers import (cokernel, count_calls, enumerate_limit_dim, kernel_basis, minor_rank,
                      random_matrix, random_module, relations_colimit, segment_rank)
 
 from zzdist import (FORWARD, FiniteDiagram, Matrix, Orientation, block_diag,
@@ -138,6 +138,20 @@ def test_solve_and_inverse():
         solve(A, Matrix.identity(1, 2))
     with pytest.raises(ValueError, match=r"only square matrices can be inverted, got \(1, 2\)"):
         inverse(Matrix.from_rows([[1, 1]], 2))
+
+
+def test_solve_refuses_exactly_the_inconsistent_systems():
+    # None comes from a pivot past A's columns, which [A | B] has exactly
+    # when it has more rank than A; zero rows and columns included
+    rng = random.Random(23)
+    for p in (2, 3, 5, 7):
+        for _ in range(150):
+            A = random_matrix(rng, rng.randint(0, 4), rng.randint(0, 4), p)
+            B = random_matrix(rng, A.rows, rng.randint(0, 3), p)
+            X = solve(A, B)
+            assert (X is None) == (rank(A) < rank(hstack([A, B]))), (A, B)
+            if X is not None:
+                assert X.shape == (A.cols, B.cols) and A @ X == B
 
 
 def test_is_invertible_matches_determinant_oracle():
@@ -377,18 +391,6 @@ def test_monic_natural_transformation_induces_monic_on_limits():
             done += 1
 
 
-def _count_calls(monkeypatch, module, name):
-    """Wrap ``module.name`` so that every call adds one to the returned list's entry."""
-    real, calls = getattr(module, name), [0]
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def _ranks(V):
     return linalg.segment_ranks(V.p, V.dims, [d == FORWARD for d in V.tau.dirs], V.maps)
 
@@ -399,7 +401,7 @@ def test_transpose_skips_the_constructor_checks(monkeypatch):
     mats = [random_matrix(rng, r, c, p) for p in (2, 7) for r in range(4) for c in range(4)]
     want = [Matrix(M.p, [[row[j] for row in M.data] for j in range(M.cols)], M.rows)
             for M in mats]
-    calls = _count_calls(monkeypatch, linalg, "_exact_ints")
+    calls = count_calls(monkeypatch, linalg, "_exact_ints")
     got = [M.transpose() for M in mats]
     stacked = [hstack([M, M]) for M in mats]
     assert calls == [0]
@@ -412,7 +414,7 @@ def test_transpose_skips_the_constructor_checks(monkeypatch):
 def test_segment_ranks_eliminate_once_per_step(monkeypatch, arrow):
     # on k copies of [1, n] one sweep steps forward and the other takes
     # one kernel; neither loses a section, so the pairing is never re-ranked
-    calls = _count_calls(monkeypatch, linalg, "_rref")
+    calls = count_calls(monkeypatch, linalg, "_rref")
     for n in (2, 3, 6):
         for k in (1, 4):
             V = synthesize(Orientation(arrow * (n - 1)), [(1, n)] * k, 3)

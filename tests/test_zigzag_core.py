@@ -5,7 +5,7 @@ import random
 from collections import Counter
 
 import pytest
-from helpers import (all_dirs, all_intervals, iso_positions, random_matrix,
+from helpers import (all_dirs, all_intervals, count_calls, iso_positions, random_matrix,
                      random_points, random_symbolic, synthesized_pair)
 
 from zzdist import (BACKWARD, BACKWARD_FLOW, EXTROVERSION, FORWARD,
@@ -16,6 +16,7 @@ from zzdist import (BACKWARD, BACKWARD_FLOW, EXTROVERSION, FORWARD,
                     identity_morphism, interval_module, inverse, is_invertible,
                     is_morphism, is_summand_upto_equiv, rank, synthesize,
                     transform_type, zero_module)
+from zzdist import linalg
 
 F, B = FORWARD, BACKWARD
 
@@ -245,6 +246,26 @@ def test_conjugate_preserves_decomposition():
     d = V.dims[0]
     with pytest.raises(ValueError, match=rf"base change 1 must be {d}x{d} over GF\(5\)"):
         conjugate(V, [Matrix.identity(e + 1, 5) for e in V.dims])
+
+
+def test_inverting_takes_one_elimination(monkeypatch):
+    # one solve against the identity both finds the inverse and refuses a
+    # singular matrix, where a rank check and an inverse made two
+    rng = random.Random(29)
+    _, V = synthesized_pair(rng, 5, 4, 3)
+    bases = [_rand_invertible(rng, d, 3) for d in V.dims]
+    singular = bases[:2] + [Matrix.zero(d, d, 3) for d in V.dims[2:]]
+    U = interval_module(tau(">>"), 1, 3)
+    calls = count_calls(monkeypatch, linalg, "_rref")
+    W, phi = conjugate(V, bases)
+    assert calls == [5]
+    calls[0] = 0
+    with pytest.raises(ValueError, match="base change 3 is singular"):
+        conjugate(V, singular)
+    assert calls == [3]
+    calls[0] = 0
+    assert arrow_reverse(U, 1).tau == tau("<>") and calls == [1]
+    assert is_morphism(phi) and decompose(W) == decompose(V)
 
 
 def test_arrow_reverse_round_trip():
