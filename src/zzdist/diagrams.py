@@ -1,22 +1,23 @@
 """Persistence diagrams and the symbolic side of reflections.
 
 A persistence diagram is the multiset of interval supports in a
-module's decomposition into interval summands.  ``decompose`` extracts
-it from a concrete module's segment ranks, one section sweep per birth
-(colimits by duality); ``act`` pushes diagrams through reflections
-without matrices, by a closed-form rule for where each interval goes;
-``annihilating_sequence`` runs the same rule on tuples, as the
-reflection search does, to empty a module.
+module's decomposition into interval summands.  ``decompose`` reads it
+off a concrete module in one pass from left to right, one elimination
+per arrow (the right filtration of Carlsson and de Silva, 2010); ``act``
+pushes diagrams through reflections without matrices, by a closed-form
+rule for where each interval goes; ``annihilating_sequence`` runs the
+same rule on tuples, as the reflection search does, to empty a module.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Iterable, Iterator
 
-from .linalg import _exact_ints, segment_ranks
+from .linalg import _combine, _exact_ints, _kernel, _rref, _transpose
 from .reflections import COLIMIT, LIMIT, ReflectionOp, ReflectionSequence, check_applicable
 from .zigzag_core import (BACKWARD, FORWARD, Orientation, ZigzagModule, _canonical_dirs,
                           _contains, _turn)
@@ -120,37 +121,74 @@ class SymbolicModule:
         return self.tau.n
 
 
+def _unit(i: int, size: int) -> list[int]:
+    """The i-th unit vector of length ``size``."""
+    return [0] * i + [1] + [0] * (size - i - 1)
+
+
 def decompose(V: ZigzagModule) -> PersistenceDiagram:
     """The multiset of interval supports in V's interval decomposition.
 
-    rk(b, d), the rank of the canonical map from the limit to the colimit
-    of the slice b..d, counts the summands whose support contains [b, d].
-    ``segment_ranks`` finds them all with one sweep per birth b over small
-    bases (the limit side on V, the colimit side on its dual, since
-    colim(D)* = lim(D*)); no slice diagram is built.  Multiplicities come
-    from inclusion-exclusion: m(b, d) = rk(b, d) - rk(b-1, d) - rk(b, d+1)
-    + rk(b-1, d+1), with rk taken as zero outside 1..n.  Negative values
-    and a wrong covering cannot occur for honest inputs; both raise at
-    once and name the module.
-    """
-    n = V.n
-    rk = segment_ranks(V.p, V.dims, [d == FORWARD for d in V.tau.dirs], V.maps)
-    where = f"type {V.tau.to_string()!r}, dims {list(V.dims)}, p={V.p}"
+    One pass from left to right, with one elimination per arrow, reads
+    the intervals off the right filtration (Carlsson and de Silva,
+    "Zigzag persistence", 2010).  At position k the pass carries a basis
+    v_1 ... v_m of V_k, each vector tagged with its birth and ordered so
+    that every prefix spans a canonical subspace: the span of the
+    generators of the intervals with those births, in any interval
+    decomposition.
 
-    get, triples = rk.get, []
-    for b in range(n):  # 0-based, as segment_ranks keys them
-        for d in range(b, n):
-            m = get((b, d), 0) - get((b - 1, d), 0) - get((b, d + 1), 0) + get((b - 1, d + 1), 0)
-            if m < 0:
-                raise AssertionError(f"negative multiplicity {m} at [{b + 1}, {d + 1}] ({where})")
-            if m:
-                triples.append((b + 1, d + 1, m))
-    D = PersistenceDiagram.from_counts(n, triples)
-    for i, (covering, dim) in enumerate(zip(D.dims(), V.dims), 1):
+    A forward arrow f: V_k -> V_{k+1}, with D = dim V_{k+1}, eliminates
+    the columns [f v_1 ... f v_m | e_1 ... e_D] left to right.  Where
+    f v_i is not a pivot column, [tag_i, k] dies.  The pivot images keep
+    their tags and their order, and the pivot unit columns follow them as
+    vectors born at k+1.
+
+    A backward arrow g: V_{k+1} -> V_k takes one kernel of
+    [g | -v_1 ... -v_m], the pairs (y, c) with g y = sum c_i v_i.  A
+    kernel vector's free column is its last nonzero.  One in y gives a
+    vector of ker g, born at k+1 and placed first; one at c_i gives a y
+    that keeps tag_i, in order of i.  Where c_i is a pivot column,
+    [tag_i, k] dies.
+
+    At n every vector left gives [tag, n].  A step out of or into a zero
+    space needs no elimination: all of V_k dies and all of V_{k+1} is
+    born.  A wrong covering cannot occur for honest inputs; it raises at
+    once and names the module.
+    """
+    p, found = V.p, Counter()  # found[b, d]: the copies of [b, d] that ended
+    basis: list[list[int]] = []
+    tags: list[int] = []
+    for k, D in enumerate(V.dims):  # D = dim V_{k+1}, positions and tags 1-based
+        m = len(basis)
+        if not (m and D):
+            found.update((t, k) for t in tags)
+            basis, tags = [_unit(i, D) for i in range(D)], [k + 1] * D
+        elif V.tau.dirs[k - 1] == FORWARD:
+            cols = _transpose(V.maps[k - 1].data, m)
+            images = [_combine(v, cols, D) for v in basis]
+            rows = _transpose(images, D)
+            _, pivots = _rref([[*row, *_unit(r, D)] for r, row in enumerate(rows)], p)
+            kept = [i for i in pivots if i < m]
+            born = [_unit(c - m, D) for c in pivots[len(kept):]]
+            found.update((tags[i], k) for i in set(range(m)).difference(kept))
+            basis = [[x % p for x in images[i]] for i in kept] + born
+            tags = [tags[i] for i in kept] + [k + 1] * len(born)
+        else:
+            K = _kernel([[*row, *(-x for x in c)]
+                         for row, c in zip(V.maps[k - 1].data, _transpose(basis, m))], D + m, p)
+            ker = [v[:D] for v in K if not any(v[D:])]  # free columns ascend, so these come first
+            pre = {max(compress(range(m), v[D:])): v[:D] for v in K[len(ker):]}
+            found.update((t, k) for i, t in enumerate(tags) if i not in pre)
+            basis = ker + list(pre.values())
+            tags = [k + 1] * len(ker) + [tags[i] for i in pre]
+    found.update((t, V.n) for t in tags)
+    diagram = PersistenceDiagram.from_counts(V.n, [(b, d, m) for (b, d), m in found.items()])
+    for i, (covering, dim) in enumerate(zip(diagram.dims(), V.dims), 1):
         if covering != dim:
             raise AssertionError(f"decomposition covers dimension {covering} at position {i}, "
-                                 f"module has {dim} ({where})")
-    return D
+                                 f"module has {dim} (type {V.tau.to_string()!r}, "
+                                 f"dims {list(V.dims)}, p={V.p})")
+    return diagram
 
 
 def _reflect(op: ReflectionOp, dirs: tuple[str, ...], counts: tuple[tuple[int, int, int], ...],

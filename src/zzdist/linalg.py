@@ -1,19 +1,16 @@
 """Exact linear algebra over a prime field, plus limits and colimits of
-finite diagrams of vector spaces and the segment ranks of a zigzag.
+finite diagrams of vector spaces.
 
 All computation happens on plain Python integers reduced modulo a prime
 ``p`` (default 2), so every result is exact whatever the size of ``p`` or
 of an entry.  Row reduction is the single workhorse: rank, linear
-solves, and the limit/colimit constructions below are all phrased in
-terms of it, and a colimit is the dual of a limit.  Every product is one
-sum of rows scaled by a vector's nonzero entries (``_combine``), so its
-cost follows the nonzeros.  Pivots are chosen leftmost-first and null
-space vectors are enumerated in ascending free-column order, so every
-routine is deterministic: identical inputs give identical outputs.
-
-``segment_ranks`` sweeps the sections of a zigzag and of its dual from
-each birth, with at most one elimination per sweep step; the pairing of
-the two sweeps is re-ranked only at a step where one of its spans shrinks.
+solves, null spaces and the limit/colimit constructions below are all
+phrased in terms of it, and a colimit is the dual of a limit.  Every
+product is one sum of rows scaled by a vector's nonzero entries
+(``_combine``), so its cost follows the nonzeros.  Pivots are chosen
+leftmost-first and null space vectors are enumerated in ascending
+free-column order, so every routine is deterministic: identical inputs
+give identical outputs.
 
 Dimensions here are desk scale: the spaces of a typical module have a
 few dimensions, and a file's are bounded (``_MAX_DIM``), so plain lists
@@ -39,10 +36,11 @@ _MAX_PRIME = 1 << 20
 # is an empty list, so a file can declare a dimension no entry spells out,
 # and elimination costs grow as the cube of a dimension (in-process on a
 # shared 2-vCPU machine, two spaces of 256 joined by a dense random GF(2)
-# map take 1.9 to 2.5 s to decompose, five joined by identities 0.5 to
-# 0.6 s, and ten 2.4 s).  The bound also covers what the CLI writes: `gen`
-# and `synthesize` write no file that `decompose` would refuse.  Modules
-# built in memory, whose limits and sums may pass it, are not bounded.
+# map take 1.4 to 1.9 s to decompose, five joined by identities 0.1 s, and
+# twenty-five 0.5 to 0.7 s).  The bound also covers what the CLI writes:
+# `gen` and `synthesize` write no file that `decompose` would refuse.
+# Modules built in memory, whose limits and sums may pass it, are not
+# bounded.
 _MAX_DIM = 256
 
 
@@ -388,93 +386,3 @@ def diagram_colimit(D: FiniteDiagram) -> tuple[int, tuple[Matrix, ...]]:
     dual = FiniteDiagram(D.p, D.spaces, tuple((t, s, M.transpose()) for (s, t, M) in D.arrows))
     dim, legs = diagram_limit(dual)
     return dim, tuple(leg.transpose() for leg in legs)
-
-
-def _advance(sweep: tuple, forward: bool, A: Sequence[Sequence[int]], width: int,
-             p: int) -> tuple:
-    """One step of a section sweep: ``(Lb, Ld, W)`` over b..d to b..d+1.
-
-    ``Lb[i]``, ``Ld[i]`` are the x_b and x_d of a section, with the x_b
-    independent; ``W`` spans the x_d of the sections with x_b = 0.  ``A``
-    is the arrow between d and d+1 as rows of ``width`` = dim V_{d+1}
-    integers, one per coordinate of x_d: the map transposed if
-    ``forward``, else the map itself.
-    """
-    Lb, Ld, W = sweep
-    if forward:
-        # every section extends, so Lb stays; only W's images can collapse
-        Ld = [[x % p for x in _combine(x, A, width)] for x in Ld]
-        if W:
-            R, pivots = _rref([_combine(w, A, width) for w in W], p)
-            W = R[:len(pivots)]
-        return Lb, Ld, W
-    # pairs (y, c) with A y = sum_i c_i x_d^i, columns [y | c_W | c_L]; each
-    # kernel vector is nonzero only at its free column and pivots left of it,
-    # so those with a free column in c_L come last, and only they have c_L != 0
-    cut = width + len(W)
-    K = _kernel([[-x for x in row] + list(c) for row, c in zip(A, _transpose(W + Ld, len(A)))],
-                cut + len(Ld), p)
-    W = [v[:width] for v in K if not any(v[cut:])]
-    keep = K[len(W):]
-    return ([[x % p for x in _combine(v[cut:], Lb, len(Lb[0]))] for v in keep],
-            [v[:width] for v in keep], W)
-
-
-def segment_ranks(p: int, dims: Sequence[int], forward: Sequence[bool],
-                  maps: Sequence[Matrix]) -> dict[tuple[int, int], int]:
-    """Nonzero ranks of the limit-to-colimit map of every slice b..d of a zigzag.
-
-    Positions are 0-based; ``maps[i]`` goes from position i to i+1 when
-    ``forward[i]``, else back.  For each birth b one sweep to the right
-    carries a basis of the pairs (x_b, x_d) that extend to a section over
-    b..d, in two lists: L, sections whose x_b are independent, and W, a
-    basis of the x_d of the sections with x_b = 0.  The x_b of L span L(b, d), the
-    image of the limit leg at b.  The same sweep over the dual zigzag
-    (maps transposed, arrows reversed) spans the annihilator of the kernel
-    of the colimit leg at b, because colim(D)* = lim(D*); the rank of the
-    pairing of the two L(b, d) is rk(b, d).
-
-    At each step exactly one sweep meets a forward arrow f.  There every
-    section extends, to (x_b, f x_d), so L(b, d+1) = L(b, d) and only W's
-    images are row-reduced.  The other sweep meets a backward arrow g and
-    takes the (x_b, y) with g y = x_d by one kernel, whose vectors split
-    into the new L and W by where their free column falls (``_advance``).
-    L(b, d) only shrinks as d grows, since a section over b..d+1 restricts
-    to one over b..d; so a sweep whose L keeps its dimension keeps its
-    span, and the pairing is re-ranked only after an L shrank: otherwise
-    rk(b, d) = rk(b, d-1).  The rank never grows with d, so a sweep stops
-    at the first zero.
-
-    Two ranks need no elimination.  The slice b..b is the one space V_b,
-    its own limit and colimit, so rk(b, b) = dims[b].  The limit-to-colimit
-    map of b..d factors through every space of the slice, so rk(b, d) <=
-    dims[d], and a sweep also stops at the first space of dimension 0.
-
-    Both sweeps read the arrow between d and d+1 through one matrix with a
-    row per coordinate of V_d, a forward map of V transposed and a
-    backward one as it is: the dual reverses the arrow and transposes the
-    map, so where V steps forward the dual steps backward through the same
-    matrix, and the other way round.
-    """
-    rows_at = [_transpose(M.data, M.cols) if f else M.data for f, M in zip(forward, maps)]
-    out: dict[tuple[int, int], int] = {}
-    for b, db in enumerate(dims):
-        if db == 0:
-            continue
-        out[(b, b)] = r = db
-        unit = [[int(i == j) for j in range(db)] for i in range(db)]
-        X = Y = (unit, unit, [])
-        for d in range(b + 1, len(dims)):
-            if dims[d] == 0:
-                break
-            A, fwd = rows_at[d - 1], forward[d - 1]
-            before = len(X[0]), len(Y[0])
-            X = _advance(X, fwd, A, dims[d], p)
-            Y = _advance(Y, not fwd, A, dims[d], p)
-            if (len(X[0]), len(Y[0])) != before:
-                cols = _transpose(X[0], db)
-                r = len(_rref([_combine(y, cols, len(X[0])) for y in Y[0]], p)[1])
-            if r == 0:
-                break
-            out[(b, d)] = r
-    return out

@@ -1,8 +1,9 @@
 """Shared generators and independent oracles for the test suite.
 
-Everything here is deliberately naive: oracles recompute answers by
-enumeration or first-principles formulas so that library results are
-checked against a second, unrelated route.
+Everything here is deliberately naive or retired: oracles recompute
+answers by enumeration, first-principles formulas or an algorithm the
+library no longer runs, so that library results are checked against a
+second, unrelated route.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from typing import Sequence
 
 from zzdist import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, LIMIT,
                     FiniteDiagram, Matrix, Orientation, PersistenceDiagram, ReflectionOp,
@@ -18,7 +20,7 @@ from zzdist import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, LIMIT,
                     diagram_limit, is_invertible, is_summand_upto_equiv, ops_at, rank,
                     synthesize, transform_type)
 from zzdist.diagrams import _reflect
-from zzdist.linalg import _kernel, _transpose
+from zzdist.linalg import _combine, _kernel, _rref, _transpose
 from zzdist.reflection_distance import _state
 from zzdist.zigzag_core import _embeds
 
@@ -157,25 +159,125 @@ def segment_rank(V: ZigzagModule, b: int, d: int) -> int:
     return rank(diagram_colimit(D)[1][0] @ diagram_limit(D)[1][0])
 
 
-def segment_rank_decompose(V: ZigzagModule) -> PersistenceDiagram:
-    """Interval decomposition from every slice's segment rank, one by one.
-
+def _inclusion_exclusion(n: int, rk: dict[tuple[int, int], int]) -> PersistenceDiagram:
+    """The diagram whose slice ranks are ``rk``, keyed 1-based (b, d):
     m(b, d) = rk(b, d) - rk(b-1, d) - rk(b, d+1) + rk(b-1, d+1), with rk
-    zero outside 1..n: Theta(n^2) whole-slice limits and colimits.
-    """
-    n = V.n
-    rk = {(b, d): segment_rank(V, b, d) for b in range(1, n + 1) for d in range(b, n + 1)}
-
+    zero where it has no entry."""
     def get(b: int, d: int) -> int:
         return rk.get((b, d), 0)
 
     counts = []
-    for (b, d) in sorted(rk):
-        m = get(b, d) - get(b - 1, d) - get(b, d + 1) + get(b - 1, d + 1)
-        assert m >= 0, f"negative multiplicity {m} at [{b}, {d}]"
-        if m:
-            counts.append((b, d, m))
+    for b in range(1, n + 1):
+        for d in range(b, n + 1):
+            m = get(b, d) - get(b - 1, d) - get(b, d + 1) + get(b - 1, d + 1)
+            assert m >= 0, f"negative multiplicity {m} at [{b}, {d}]"
+            if m:
+                counts.append((b, d, m))
     return PersistenceDiagram.from_counts(n, counts)
+
+
+def segment_rank_decompose(V: ZigzagModule) -> PersistenceDiagram:
+    """Interval decomposition from every slice's segment rank, one by one:
+    Theta(n^2) whole-slice limits and colimits."""
+    n = V.n
+    return _inclusion_exclusion(n, {(b, d): segment_rank(V, b, d)
+                                    for b in range(1, n + 1) for d in range(b, n + 1)})
+
+
+def _advance(sweep: tuple, forward: bool, A: Sequence[Sequence[int]], width: int,
+             p: int) -> tuple:
+    """One step of a section sweep: ``(Lb, Ld, W)`` over b..d to b..d+1.
+
+    ``Lb[i]``, ``Ld[i]`` are the x_b and x_d of a section, with the x_b
+    independent; ``W`` spans the x_d of the sections with x_b = 0.  ``A``
+    is the arrow between d and d+1 as rows of ``width`` = dim V_{d+1}
+    integers, one per coordinate of x_d: the map transposed if
+    ``forward``, else the map itself.
+    """
+    Lb, Ld, W = sweep
+    if forward:
+        # every section extends, so Lb stays; only W's images can collapse
+        Ld = [[x % p for x in _combine(x, A, width)] for x in Ld]
+        if W:
+            R, pivots = _rref([_combine(w, A, width) for w in W], p)
+            W = R[:len(pivots)]
+        return Lb, Ld, W
+    # pairs (y, c) with A y = sum_i c_i x_d^i, columns [y | c_W | c_L]; each
+    # kernel vector is nonzero only at its free column and pivots left of it,
+    # so those with a free column in c_L come last, and only they have c_L != 0
+    cut = width + len(W)
+    K = _kernel([[-x for x in row] + list(c) for row, c in zip(A, _transpose(W + Ld, len(A)))],
+                cut + len(Ld), p)
+    W = [v[:width] for v in K if not any(v[cut:])]
+    keep = K[len(W):]
+    return ([[x % p for x in _combine(v[cut:], Lb, len(Lb[0]))] for v in keep],
+            [v[:width] for v in keep], W)
+
+
+def segment_ranks(p: int, dims: Sequence[int], forward: Sequence[bool],
+                  maps: Sequence[Matrix]) -> dict[tuple[int, int], int]:
+    """Nonzero ranks of the limit-to-colimit map of every slice b..d of a zigzag.
+
+    Positions are 0-based; ``maps[i]`` goes from position i to i+1 when
+    ``forward[i]``, else back.  For each birth b one sweep to the right
+    carries a basis of the pairs (x_b, x_d) that extend to a section over
+    b..d, in two lists: L, sections whose x_b are independent, and W, a
+    basis of the x_d of the sections with x_b = 0.  The x_b of L span L(b, d), the
+    image of the limit leg at b.  The same sweep over the dual zigzag
+    (maps transposed, arrows reversed) spans the annihilator of the kernel
+    of the colimit leg at b, because colim(D)* = lim(D*); the rank of the
+    pairing of the two L(b, d) is rk(b, d).
+
+    At each step exactly one sweep meets a forward arrow f.  There every
+    section extends, to (x_b, f x_d), so L(b, d+1) = L(b, d) and only W's
+    images are row-reduced.  The other sweep meets a backward arrow g and
+    takes the (x_b, y) with g y = x_d by one kernel, whose vectors split
+    into the new L and W by where their free column falls (``_advance``).
+    L(b, d) only shrinks as d grows, since a section over b..d+1 restricts
+    to one over b..d; so a sweep whose L keeps its dimension keeps its
+    span, and the pairing is re-ranked only after an L shrank: otherwise
+    rk(b, d) = rk(b, d-1).  The rank never grows with d, so a sweep stops
+    at the first zero.
+
+    Two ranks need no elimination.  The slice b..b is the one space V_b,
+    its own limit and colimit, so rk(b, b) = dims[b].  The limit-to-colimit
+    map of b..d factors through every space of the slice, so rk(b, d) <=
+    dims[d], and a sweep also stops at the first space of dimension 0.
+
+    Both sweeps read the arrow between d and d+1 through one matrix with a
+    row per coordinate of V_d, a forward map of V transposed and a
+    backward one as it is: the dual reverses the arrow and transposes the
+    map, so where V steps forward the dual steps backward through the same
+    matrix, and the other way round.
+    """
+    rows_at = [_transpose(M.data, M.cols) if f else M.data for f, M in zip(forward, maps)]
+    out: dict[tuple[int, int], int] = {}
+    for b, db in enumerate(dims):
+        if db == 0:
+            continue
+        out[(b, b)] = r = db
+        unit = [[int(i == j) for j in range(db)] for i in range(db)]
+        X = Y = (unit, unit, [])
+        for d in range(b + 1, len(dims)):
+            if dims[d] == 0:
+                break
+            A, fwd = rows_at[d - 1], forward[d - 1]
+            before = len(X[0]), len(Y[0])
+            X = _advance(X, fwd, A, dims[d], p)
+            Y = _advance(Y, not fwd, A, dims[d], p)
+            if (len(X[0]), len(Y[0])) != before:
+                cols = _transpose(X[0], db)
+                r = len(_rref([_combine(y, cols, len(X[0])) for y in Y[0]], p)[1])
+            if r == 0:
+                break
+            out[(b, d)] = r
+    return out
+
+
+def section_sweep_decompose(V: ZigzagModule) -> PersistenceDiagram:
+    """Interval decomposition from the slice ranks of ``segment_ranks``."""
+    rk = segment_ranks(V.p, V.dims, [d == FORWARD for d in V.tau.dirs], V.maps)
+    return _inclusion_exclusion(V.n, {(b + 1, d + 1): r for (b, d), r in rk.items()})
 
 
 def all_dirs(n: int) -> list[tuple[str, ...]]:

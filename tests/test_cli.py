@@ -422,16 +422,18 @@ def test_isolated_spaces_decompose_without_elimination(tmp_path, capsys):
 
 
 def test_wide_synthesized_file_decomposes_fast(tmp_path, capsys):
-    # four 256 x 256 identities; the dense products of the section sweep
-    # once took 20 s here, almost all of it multiplying by zero
-    d = write(tmp_path, "d.json", {"n": 5, "type": ">>>>", "diagram": [[1, 5, 256]]})
-    assert main(["synthesize", d]) == 0
-    path = tmp_path / "m.json"
-    path.write_text(capsys.readouterr().out, encoding="utf-8")
-    start = time.perf_counter()
-    assert main(["decompose", str(path)]) == 0
-    assert time.perf_counter() - start < 5.0
-    assert json.loads(capsys.readouterr().out)["diagram"] == [[1, 5, 256]]
+    # n - 1 identities of 256 x 256: at n = 5 dense products once took 20 s,
+    # almost all of it multiplying by zero, and at n = 25 one section sweep
+    # per birth took 15 s
+    for n in (5, 25):
+        d = write(tmp_path, "d.json", {"n": n, "type": ">" * (n - 1), "diagram": [[1, n, 256]]})
+        assert main(["synthesize", d]) == 0
+        path = tmp_path / "m.json"
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["decompose", str(path)]) == 0
+        assert time.perf_counter() - start < 5.0, n
+        assert json.loads(capsys.readouterr().out)["diagram"] == [[1, n, 256]]
 
 
 def test_cli_writes_no_file_past_the_bound(tmp_path, capsys):

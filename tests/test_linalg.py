@@ -3,13 +3,14 @@ from __future__ import annotations
 import itertools
 import random
 
+import helpers
 import pytest
 from helpers import (cokernel, count_calls, enumerate_limit_dim, kernel_basis, minor_rank,
-                     random_matrix, random_module, relations_colimit, segment_rank)
+                     random_matrix, random_module, relations_colimit, segment_rank, segment_ranks)
 
-from zzdist import (FORWARD, FiniteDiagram, Matrix, Orientation, block_diag,
+from zzdist import (FORWARD, FiniteDiagram, Matrix, block_diag,
                     diagram_colimit, diagram_limit, hstack, inverse, is_invertible,
-                    is_prime, rank, solve, synthesize, vstack)
+                    is_prime, rank, solve, vstack)
 from zzdist import linalg
 
 
@@ -391,10 +392,6 @@ def test_monic_natural_transformation_induces_monic_on_limits():
             done += 1
 
 
-def _ranks(V):
-    return linalg.segment_ranks(V.p, V.dims, [d == FORWARD for d in V.tau.dirs], V.maps)
-
-
 def test_transpose_skips_the_constructor_checks(monkeypatch):
     # its entries were checked and reduced when the source was built
     rng = random.Random(53)
@@ -410,23 +407,10 @@ def test_transpose_skips_the_constructor_checks(monkeypatch):
     assert stacked == [Matrix(M.p, [row * 2 for row in M.data], 2 * M.cols) for M in mats]
 
 
-@pytest.mark.parametrize("arrow", [">", "<"])
-def test_segment_ranks_eliminate_once_per_step(monkeypatch, arrow):
-    # on k copies of [1, n] one sweep steps forward and the other takes
-    # one kernel; neither loses a section, so the pairing is never re-ranked
-    calls = count_calls(monkeypatch, linalg, "_rref")
-    for n in (2, 3, 6):
-        for k in (1, 4):
-            V = synthesize(Orientation(arrow * (n - 1)), [(1, n)] * k, 3)
-            calls[0] = 0
-            assert _ranks(V) == {(b, d): k for b in range(n) for d in range(b, n)}
-            assert calls == [n * (n - 1) // 2], (n, k)
-
-
 def test_section_sweep_keeps_its_bases(monkeypatch):
     # after every step the x_b of L and the vectors of W are independent,
     # a forward step keeps L's x_b, and the ranks are the slice ranks
-    real, steps = linalg._advance, [0, 0]
+    real, steps = helpers._advance, [0, 0]
 
     def checked(sweep, forward, A, width, p):
         Lb, Ld, W = out = real(sweep, forward, A, width, p)
@@ -437,7 +421,7 @@ def test_section_sweep_keeps_its_bases(monkeypatch):
         steps[forward] += 1
         return out
 
-    monkeypatch.setattr(linalg, "_advance", checked)
+    monkeypatch.setattr(helpers, "_advance", checked)
     rng = random.Random(59)
     for p in (2, 3, 5, 7):
         for _ in range(25):
@@ -445,5 +429,6 @@ def test_section_sweep_keeps_its_bases(monkeypatch):
             V = random_module(rng, n, 3, p)
             want = {(b - 1, d - 1): r for b in range(1, n + 1) for d in range(b, n + 1)
                     if (r := segment_rank(V, b, d))}
-            assert _ranks(V) == want, (V.tau.to_string(), V.dims, V.maps)
+            got = segment_ranks(V.p, V.dims, [d == FORWARD for d in V.tau.dirs], V.maps)
+            assert got == want, (V.tau.to_string(), V.dims, V.maps)
     assert min(steps) > 100
