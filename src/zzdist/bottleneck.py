@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .diagrams import PersistenceDiagram
@@ -310,6 +311,22 @@ def _confirm(realized: float, eta: float, p: float, A: _Grouped, B: _Grouped) ->
                              f"(p={p}; counts {a} and {b})")
 
 
+def _least_cost(copies: int, pen: float, row: Sequence[float], mult: Sequence[int]) -> float:
+    """A lower bound on the cost of any matching, from one point of
+    ``copies`` copies and penalty ``pen`` at distances ``row`` from points
+    of multiplicities ``mult``: either a copy is dropped, at ``pen``, or
+    every copy is matched, which needs points within the cost whose
+    multiplicities add up to ``copies`` (Hall's condition on this one
+    point).  The bound is ``pen`` or an entry of ``row``, so a candidate."""
+    if copies == 1:  # any one point will do
+        return min((pen, *row))
+    for d, m in sorted([(d, m) for d, m in zip(row, mult) if d < pen]):
+        copies -= m
+        if copies <= 0:
+            return d
+    return pen
+
+
 def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
                                         dict[int, dict[int, int]], _Grouped, _Grouped]:
     """The bottleneck distance eta between checked S and T for a checked p,
@@ -329,14 +346,21 @@ def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
     except OverflowError:
         raise _too_far(a + b) from None
     cols = _transpose(dist, len(b))
-    # every point is either dropped or matched, so no matching costs less
-    # than `lower`; dropping every point costs `upper`
-    lower = max([min((pen, *row)) for pen, row in zip(pen_a, dist)]
-                + [min((pen, *col)) for pen, col in zip(pen_b, cols)], default=0.0)
+    # no matching costs less than `lower`, the largest least cost of a
+    # point; no point's least cost passes its penalty, so the points are
+    # taken by falling penalty until one cannot raise `lower`.  Dropping
+    # every point costs `upper`
+    lower = 0.0
+    for pen, m, row, other in sorted(chain(zip(pen_a, mult_a, dist, repeat(mult_b)),
+                                           zip(pen_b, mult_b, cols, repeat(mult_a))),
+                                     key=itemgetter(0), reverse=True):
+        if pen <= lower:
+            break
+        lower = max(lower, _least_cost(m, pen, row, other))
     upper = max(pen_a + pen_b, default=0.0)
     candidates = sorted(set(chain(pen_a, pen_b, *dist))) or [0.0]
-    # nothing has to be matched at `upper`; `lower`, tried first, is often
-    # the distance
+    # nothing has to be matched at `upper`; `lower` is tried first, and in
+    # most calls it is the distance
     lo, hi = bisect_left(candidates, lower), bisect_left(candidates, upper)
     flows, mid = ({}, {}), lo
     while lo < hi:

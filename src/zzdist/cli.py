@@ -6,9 +6,14 @@ structure maps) or ``diagram`` (a list of [birth, death, multiplicity]
 triples).  The field prime may be overridden through the ZZ_FIELD_PRIME
 environment variable.
 
-The front end checks the layout of files and arguments, the library
-constructors the values; every refusal is a ValueError, reported on one
-line with exit 2, and ``parse_module_file`` prefixes it with the path.
+The front end checks the layout of files and arguments.  In a matrices
+file it also checks the field prime, once per file, and every map entry,
+once, with ``_residues`` as the map is read: plain ints pass one type
+pass, and the ``Matrix`` is built by ``Matrix._trusted``, which checks
+nothing again.  ``ZigzagModule`` then checks the maps' shapes and
+shared field, and the library constructors check every other value.
+Every refusal is a ValueError, reported on one line with exit 2, and
+``parse_module_file`` prefixes it with the path.
 
 Exit codes: 0 on success, 2 on bad input, 3 when a checked property is
 violated.
@@ -30,7 +35,7 @@ from typing import Sequence
 from .bottleneck import _check_p, bottleneck_distance
 from .diagrams import (PersistenceDiagram, SymbolicModule, _symbolic, act,
                        annihilating_sequence)
-from .linalg import _MAX_DIM, DEFAULT_PRIME, Matrix, _check_prime, _dims
+from .linalg import _MAX_DIM, DEFAULT_PRIME, Matrix, _check_prime, _dims, _residues
 from .reflection_distance import reflection_distance
 from .reflections import COLIMIT, LIMIT, ReflectionOp, apply
 from .stability import generate_random_module, stability_experiment
@@ -85,6 +90,7 @@ def parse_module_data(obj) -> ZigzagModule | SymbolicModule:
     _expect(isinstance(raw_maps, list) and len(raw_maps) == n - 1,
             f"'maps' must list {n - 1} matrices")
     dims = _dims(dims, "dimensions", _MAX_DIM)  # bounded before the flat maps are cut
+    p = _check_prime(block["field_prime"])
     maps = []
     for i, flat in enumerate(raw_maps):
         s, t = _ends(tau.dirs, i)
@@ -92,8 +98,9 @@ def parse_module_data(obj) -> ZigzagModule | SymbolicModule:
         _expect(isinstance(flat, list), f"map {i + 1} must be a flat list of entries")
         _expect(len(flat) == rows * cols,
                 f"map {i + 1} has {len(flat)} entries, expected {rows}x{cols}={rows * cols}")
-        maps.append(Matrix.from_rows([flat[r * cols:(r + 1) * cols] for r in range(rows)],
-                                     block["field_prime"], cols=cols))
+        flat = tuple(_residues(flat, p, f"the entries of map {i + 1}"))
+        maps.append(Matrix._trusted(p, [flat[r * cols:(r + 1) * cols] for r in range(rows)],
+                                    cols))
     return ZigzagModule(tau, tuple(dims), tuple(maps))
 
 

@@ -75,16 +75,37 @@ def _index(x) -> int:
 def _exact_ints(entries, what: str, tuples: bool = False, size: int | None = None) -> list:
     """The entries as exact integers, or as tuples of them (``size`` long if
     given) if ``tuples`` is set: 1.9 is refused rather than truncated to 1,
-    and the ValueError names the first offending entry."""
+    and the ValueError names the first offending entry.
+
+    One type pass, run in C, accepts the plain ints; only what fails it
+    goes through ``_index``, so an int subclass such as an IntEnum is read
+    as its plain int and a bool is refused."""
+    if not tuples:
+        out = list(entries)
+        if not set(map(type, out)) <= {int}:
+            for i, e in enumerate(out):
+                try:
+                    out[i] = _index(e)
+                except TypeError:
+                    raise ValueError(f"entry {i} {e!r}: {what} must be integers") from None
+        return out
     out = []
     for i, e in enumerate(entries):
         try:
-            out.append(tuple(map(_index, e)) if tuples else _index(e))
+            t = tuple(e)
+            out.append(t if set(map(type, t)) <= {int} else tuple(map(_index, t)))
         except TypeError:
             raise ValueError(f"entry {i} {e!r}: {what} must be integers") from None
-        if size is not None and len(out[-1]) != size:
+        if size is not None and len(t) != size:
             raise ValueError(f"entry {i} {e!r}: {what} must be {size} integers")
     return out
+
+
+def _residues(entries, p: int, what: str) -> list[int]:
+    """The entries, checked once as ``_exact_ints`` checks them, reduced
+    mod a prime ``p`` that the caller has checked: rows cut from them may
+    go to ``Matrix._trusted``."""
+    return [x % p for x in _exact_ints(entries, what)]
 
 
 def _dims(entries, what: str, top: int | None = None) -> list[int]:
@@ -142,8 +163,9 @@ class Matrix:
 
     @classmethod
     def _trusted(cls, p: int, rows: Sequence[Sequence[int]], cols: int) -> "Matrix":
-        """A matrix of rows taken from matrices over GF(p), whose entries
-        their constructors already checked and reduced: no check is rerun."""
+        """A matrix over a checked prime p of ``cols``-wide rows whose
+        entries are already exact integers in [0, p): rows taken from
+        matrices over GF(p), or cut from ``_residues``.  No check is rerun."""
         M = object.__new__(cls)
         object.__setattr__(M, "p", p)
         object.__setattr__(M, "data", tuple(map(tuple, rows)))

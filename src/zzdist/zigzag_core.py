@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .linalg import DEFAULT_PRIME, Matrix, _dims, _exact_ints, block_diag, solve
+from .linalg import DEFAULT_PRIME, Matrix, _check_prime, _dims, _exact_ints, block_diag, solve
 
 FORWARD = ">"
 BACKWARD = "<"
@@ -200,7 +200,7 @@ def synthesize(tau: Orientation, points: Iterable[tuple[int, int]],
     Equal to folding ``direct_sum`` over the points in sorted order; built
     directly so each summand occupies one fixed coordinate per position.
     """
-    n = tau.n
+    n, p = tau.n, _check_prime(p)
     pts = sorted(_exact_ints(points, "endpoints", True, 2))
     for (b, d) in pts:
         if not 1 <= b <= d <= n:
@@ -210,7 +210,13 @@ def synthesize(tau: Orientation, points: Iterable[tuple[int, int]],
     maps = []
     for i in range(n - 1):
         s, t = _ends(tau.dirs, i)
-        maps.append(Matrix(p, [[int(j == k) for k in covers[s]] for j in covers[t]], dims[s]))
+        # summand j sits at column k of the source and row r of the target
+        column = {j: k for k, j in enumerate(covers[s])}
+        rows = [[0] * dims[s] for _ in covers[t]]
+        for r, j in enumerate(covers[t]):
+            if j in column:
+                rows[r][column[j]] = 1
+        maps.append(Matrix._trusted(p, rows, dims[s]))
     return ZigzagModule(tau, dims, tuple(maps))
 
 

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 from helpers import (brute_force_bottleneck, diagonal_penalty,
-                     expanded_bottleneck, point_dist, random_diagram)
+                     expanded_bottleneck, point_dist, random_counted, random_diagram)
 
 from zzdist import (Matching, PersistenceDiagram, bottleneck_distance,
                     combine_matchings, matching_cost, optimal_matching)
@@ -165,6 +165,31 @@ def test_bottleneck_distance_checks_the_counted_flows(monkeypatch):
                            match=f"combined matching costs {realized}, above threshold 0\\.0 "
                                  + counts):
             bottleneck_distance(S, S, math.inf)
+
+
+def test_least_cost_bound_never_exceeds_the_distance(monkeypatch):
+    # the copies of a point are all matched within a cost only if the
+    # points that near hold as many copies, so the largest bound over the
+    # points of both sides is at most the distance, and often equal to it
+    real, bounds = bottleneck._least_cost, []
+
+    def recorded(*args):
+        bounds.append(real(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(bottleneck, "_least_cost", recorded)
+    rng = random.Random(211)
+    tight = 0
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        S, T = (random_counted(rng, n, 5, 4) for _ in range(2))
+        for p in (1, 2, math.inf):
+            bounds.clear()
+            eta = expanded_bottleneck(S.points, T.points, p)
+            assert bottleneck_distance(S, T, p) == eta
+            assert max(bounds, default=0.0) <= eta, (S.counts(), T.counts(), p)
+            tight += max(bounds, default=0.0) == eta
+    assert tight > 800  # 876 of the 900 calls
 
 
 def test_optimal_matching_checks_the_combined_matching(monkeypatch):

@@ -10,13 +10,15 @@ import time
 from pathlib import Path
 
 import pytest
+from helpers import count_calls
 
 import zzdist
-from zzdist import (PersistenceDiagram, SymbolicModule, ZigzagModule,
+from zzdist import (Matrix, PersistenceDiagram, SymbolicModule, ZigzagModule,
                     decompose, format_quantity, generate_random_module, main,
                     parse_module_data, random_symbolic_module,
                     serialize_module, serialize_symbolic, stability_experiment,
                     synthesize)
+from zzdist import linalg
 from zzdist.cli import _parser, parse_module_file
 
 
@@ -383,15 +385,43 @@ def test_field_prime_env(tmp_path, capsys, monkeypatch):
 
 
 def test_huge_matrix_entries_are_reduced_mod_p(tmp_path, capsys):
-    def module(entry):
-        return write(tmp_path, f"m{entry}.json", {"n": 3, "type": "><", "matrices": {
-            "field_prime": 2, "dims": [1, 1, 1], "maps": [[entry], [1]]}})
+    def module(entry, p):
+        return write(tmp_path, f"m{p}_{entry}.json", {"n": 3, "type": "><", "matrices": {
+            "field_prime": p, "dims": [1, 1, 1], "maps": [[entry], [1]]}})
 
-    assert main(["decompose", module(1)]) == 0
-    want = capsys.readouterr().out
-    for entry in (2 ** 70 + 1, 10 ** 29 + 1):
-        assert main(["decompose", module(entry)]) == 0
-        assert capsys.readouterr().out == want
+    for p in (2, 5):
+        assert main(["decompose", module(1, p)]) == 0
+        want = capsys.readouterr().out
+        for entry in (p ** 70 + 1, p * 10 ** 29 + 1, 1 - p, 1 - p * 10 ** 29):  # each 1 mod p
+            assert parse_module_file(module(entry, p)).maps[0] == Matrix(p, [[1]], 1)
+            assert main(["decompose", module(entry, p)]) == 0
+            assert capsys.readouterr().out == want
+
+
+def test_matrices_file_entries_are_checked_once(tmp_path, monkeypatch):
+    # the field is checked once per file and each entry once, by one type
+    # pass, so neither _index nor the Matrix constructor runs on the file
+    # path; synthesize builds its 0/1 maps unchecked as well
+    V = generate_random_module(6, 6, 5, 11)
+    assert all(M.rows and M.cols for M in V.maps)
+    path, D = write(tmp_path, "m.json", serialize_module(V)), decompose(V)
+    index_calls = count_calls(monkeypatch, linalg, "_index")
+    init_calls = count_calls(monkeypatch, Matrix, "__post_init__")
+    back = parse_module_file(path)
+    W = synthesize(V.tau, D.points, 5)
+    assert index_calls == init_calls == [0]
+    assert back.maps == V.maps and all(type(x) is int for M in back.maps for x in M.entries)
+    assert W.maps == tuple(Matrix(M.p, M.data, M.cols) for M in W.maps)
+    assert decompose(W) == D
+
+
+def test_bad_matrix_entry_names_the_map_and_its_position(tmp_path, capsys):
+    for bad in (1.5, True, "1", None):
+        path = write(tmp_path, "bad.json", {"n": 3, "type": "><", "matrices": {
+            "field_prime": 2, "dims": [2, 2, 2], "maps": [[1, 0, 0, 1], [1, 0, 0, bad]]}})
+        assert main(["decompose", path]) == 2
+        assert capsys.readouterr().err == (f"error: {path}: entry 3 {bad!r}: the entries of "
+                                           "map 2 must be integers\n")
 
 
 def test_declared_dimension_past_the_bound_exits_2(tmp_path, capsys):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import enum
 import itertools
 import random
+import re
 
 import helpers
 import pytest
@@ -405,6 +407,32 @@ def test_transpose_skips_the_constructor_checks(monkeypatch):
     assert got == want and list(map(hash, got)) == list(map(hash, want))
     assert all(type(row) is tuple for M in got for row in M.data)
     assert stacked == [Matrix(M.p, [row * 2 for row in M.data], 2 * M.cols) for M in mats]
+
+
+def test_entries_are_checked_in_one_type_pass(monkeypatch):
+    # plain ints pass a type pass with no _index call; what fails it goes
+    # through _index, which reads an int subclass as its plain int and
+    # refuses the rest, as scalars and inside tuples
+    class Level(enum.IntEnum):
+        SIX = 6
+
+    calls = count_calls(monkeypatch, linalg, "_index")
+    assert linalg._exact_ints([0, -3, 2 ** 70], "xs") == [0, -3, 2 ** 70]
+    assert linalg._exact_ints([(1, 2), ()], "xs", True) == [(1, 2), ()]
+    assert linalg._residues([7, -1, 5 ** 30 + 2], 5, "xs") == [2, 4, 2]
+    assert calls == [0]
+    scalars = linalg._exact_ints([1, Level.SIX], "xs") + linalg._residues([1, Level.SIX], 5, "xs")
+    pairs = linalg._exact_ints([(1, Level.SIX)], "xs", True)
+    assert scalars == [1, 6, 1, 1] and pairs == [(1, 6)]
+    assert set(map(type, scalars + list(pairs[0]))) == {int}
+    for bad in (True, 1.0, "1", None):
+        cases = [(lambda: linalg._exact_ints([0, bad], "xs"), bad),
+                 (lambda: linalg._residues([0, bad], 5, "xs"), bad),
+                 (lambda: linalg._exact_ints([(0, 1), (0, bad)], "xs", True), (0, bad))]
+        for call, shown in cases:
+            with pytest.raises(ValueError, match=re.escape(f"entry 1 {shown!r}: xs must be "
+                                                           "integers")):
+                call()
 
 
 def test_section_sweep_keeps_its_bases(monkeypatch):
