@@ -77,9 +77,11 @@ def parse_module_data(obj) -> ZigzagModule | SymbolicModule:
     if has_d:
         dg = obj["diagram"]
         _expect(isinstance(dg, list), "'diagram' must be a list of [b, d, multiplicity]")
+        # per-entry messages are built only for a refusal, not for every entry
         for idx, row in enumerate(dg):
-            _expect(isinstance(row, list) and len(row) == 3,
-                    f"diagram entry {idx} must be a list of three integers, got {row!r}")
+            if not (isinstance(row, list) and len(row) == 3):
+                raise ValueError(f"diagram entry {idx} must be a list of three integers, "
+                                 f"got {row!r}")
         return SymbolicModule(tau, PersistenceDiagram.from_counts(n, dg))
     block = obj["matrices"]
     _expect(isinstance(block, dict), "'matrices' must be an object")
@@ -95,9 +97,11 @@ def parse_module_data(obj) -> ZigzagModule | SymbolicModule:
     for i, flat in enumerate(raw_maps):
         s, t = _ends(tau.dirs, i)
         rows, cols = dims[t], dims[s]
-        _expect(isinstance(flat, list), f"map {i + 1} must be a flat list of entries")
-        _expect(len(flat) == rows * cols,
-                f"map {i + 1} has {len(flat)} entries, expected {rows}x{cols}={rows * cols}")
+        if not isinstance(flat, list):
+            raise ValueError(f"map {i + 1} must be a flat list of entries")
+        if len(flat) != rows * cols:
+            raise ValueError(f"map {i + 1} has {len(flat)} entries, "
+                             f"expected {rows}x{cols}={rows * cols}")
         flat = tuple(_residues(flat, p, f"the entries of map {i + 1}"))
         maps.append(Matrix._trusted(p, [flat[r * cols:(r + 1) * cols] for r in range(rows)],
                                     cols))

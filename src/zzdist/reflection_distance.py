@@ -9,14 +9,17 @@ A* search (Hart, Nilsson and Raphael, 1968) finds the fewest steps with a
 witness run.  It needs no depth bound: its heuristic is consistent, and
 the empty module, where the source's annihilating run ends, is a goal,
 so a goal is popped before any state past the optimum.  Successor lists
-come from a fixed-size memo shared across calls.
+come from a memo shared across calls, bounded by the successor states it
+holds; ``memo_info`` reads its counters and ``clear_memo`` empties it.
 """
 
 from __future__ import annotations
 
 import heapq
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 from .bottleneck import _check_p
 from .diagrams import SymbolicModule, _reflect
@@ -24,6 +27,32 @@ from .reflections import ReflectionOp, ReflectionSequence, ops_at
 from .zigzag_core import _canonical_dirs, _embeds
 
 _State = tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]
+_Successors = tuple[tuple[ReflectionOp, _State], ...]
+
+# Successor states the memo may hold, summed over its lists.  The
+# stability benchmark reaches ~5.6k states with ~35k successors, which
+# all fit; an n = 16 list holds 15-20 successors, so a deep n = 16
+# search keeps its latest ~2.5k lists.
+_MEMO_BOUND = 40_000
+# each expanded state -> its successor list, oldest first
+_memo: OrderedDict[_State, _Successors] = OrderedDict()
+# each state the memo holds, as a key or a successor -> [the one object
+# held for it, the number of places holding it]
+_held_states: dict[_State, list] = {}
+# every thread shares the memo; the lock guards its stores and evictions
+_memo_lock = threading.Lock()
+_hits = _misses = _evictions = _held = 0
+
+
+class MemoInfo(NamedTuple):
+    """Counters of the successor memo since it was last cleared: lookups
+    answered from it, states expanded, lists evicted, and the successor
+    states its lists hold now."""
+
+    hits: int
+    misses: int
+    evictions: int
+    held: int
 
 
 def cost(seq: ReflectionSequence, p: float = 1) -> float:
@@ -44,9 +73,29 @@ def _state(S: SymbolicModule) -> _State:
     return _canonical_dirs(S.tau.dirs, counts), counts
 
 
-@lru_cache(maxsize=4096)
-def _successors(state: _State) -> tuple[tuple[ReflectionOp, _State], ...]:
-    """Each other state one reflection away, with the first op reaching it."""
+def _successors(state: _State) -> _Successors:
+    """Each other state one reflection away, with the first op reaching it.
+
+    Lists are memoized across searches: the stability benchmark meets its
+    ~5.6k states over and over, while one search expands no state twice.
+    The memo holds at most ``_MEMO_BOUND`` successor states, summed over
+    its lists, so what it holds is bounded whatever the module length,
+    and it evicts the oldest list first.  A hit costs one dict lookup; an
+    LRU order would hash the state a second time.  Each state the memo
+    holds, as a key or a successor, is held as one object.
+    """
+    global _hits
+    out = _memo.get(state)
+    if out is not None:
+        _hits += 1
+        return out
+    return _expand(state)
+
+
+def _expand(state: _State) -> _Successors:
+    """The successors of a state not in the memo, stored there unless
+    the list alone passes the bound."""
+    global _misses, _evictions, _held
     # a reflection at k moves nothing, and the arrows it sets stay
     # flippable, unless an interval ends at k-1 or k or starts at k or k+1
     n = len(state[0]) + 1
@@ -56,7 +105,54 @@ def _successors(state: _State) -> tuple[tuple[ReflectionOp, _State], ...]:
         for op in ops_at(n, k):
             first.setdefault(_reflect(op, *state), op)
     first.pop(state, None)
-    return tuple((op, T) for T, op in first.items())
+    with _memo_lock:
+        _misses += 1
+        if state in _memo:  # stored by another thread meanwhile
+            return _memo[state]
+        if len(first) > _MEMO_BOUND:
+            return tuple((op, T) for T, op in first.items())
+        while _held + len(first) > _MEMO_BOUND:
+            S, old = _memo.popitem(last=False)
+            _release(S)
+            for _, T in old:
+                _release(T)
+            _held -= len(old)
+            _evictions += 1
+        out = tuple((op, _hold(T)) for T, op in first.items())
+        _memo[_hold(state)] = out
+        _held += len(out)
+    return out
+
+
+def _hold(T: _State) -> _State:
+    """The one object the memo holds for T, counting one more place."""
+    slot = _held_states.get(T)
+    if slot is None:
+        slot = _held_states[T] = [T, 0]
+    slot[1] += 1
+    return slot[0]
+
+
+def _release(T: _State) -> None:
+    """Count one place fewer holding T, forgetting T at none."""
+    slot = _held_states[T]
+    slot[1] -= 1
+    if not slot[1]:
+        del _held_states[T]
+
+
+def memo_info() -> MemoInfo:
+    """The successor memo's counters; see ``MemoInfo``."""
+    return MemoInfo(_hits, _misses, _evictions, _held)
+
+
+def clear_memo() -> None:
+    """Empty the successor memo and zero its counters."""
+    global _hits, _misses, _evictions, _held
+    with _memo_lock:
+        _memo.clear()
+        _held_states.clear()
+        _hits = _misses = _evictions = _held = 0
 
 
 def _lower_bound(counts: tuple[tuple[int, int, int], ...], target: tuple) -> int:

@@ -26,7 +26,7 @@ LIMIT = "limit"
 COLIMIT = "colimit"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReflectionOp:
     """One reflection step: rebuild position k as a window limit or colimit.
 

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
-import functools
 import importlib
 import math
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -189,19 +190,107 @@ def test_search_is_independent_of_the_successor_memo(monkeypatch):
 
     cold = []
     for V, W in pairs:
-        rd._successors.cache_clear()
+        rd.clear_memo()
         cold.append(runs(V, W))
     for V, W in pairs:
         runs(V, W)
     warm = [runs(V, W) for V, W in reversed(pairs)]
-    info = rd._successors.cache_info()
-    assert info.hits and info.maxsize == 4096
-    # eight entries: nearly every search evicts states it needs again
-    small = functools.lru_cache(maxsize=8)(rd._successors.__wrapped__)
-    monkeypatch.setattr(rd, "_successors", small)
+    info = rd.memo_info()
+    assert info.hits and not info.evictions
+    # eight successors: nearly every search evicts lists it needs again
+    monkeypatch.setattr(rd, "_MEMO_BOUND", 8)
+    rd.clear_memo()
     evicted = [runs(V, W) for V, W in pairs]
-    assert small.cache_info().currsize == 8
+    info = rd.memo_info()
+    assert info.evictions and info.held <= 8
     assert warm[::-1] == cold == evicted
+
+
+def _held_once(rd) -> None:
+    """Every state the memo holds is one object, counted where it is held."""
+    one, places = {}, {}
+    for S, out in rd._memo.items():
+        for T in (S, *(T for _, T in out)):
+            assert one.setdefault(T, T) is T, T
+            places[T] = places.get(T, 0) + 1
+    assert {T: [T, k] for T, k in places.items()} == rd._held_states
+    assert all(rd._held_states[T][0] is T for T in one)
+    assert rd.memo_info().held == sum(map(len, rd._memo.values()))
+
+
+@pytest.mark.parametrize("bound", [40, 10 ** 9])
+def test_each_held_state_is_one_object(monkeypatch, bound):
+    rd = importlib.import_module("zzdist.reflection_distance")
+    monkeypatch.setattr(rd, "_MEMO_BOUND", bound)
+    rd.clear_memo()
+    for V, W in _seeded_pairs(173, 120, 7, 3):
+        rd.reflection_distance(V, W, 1)
+        _held_once(rd)
+    # a successor equal to a memo key is that key object
+    keys = {S: S for S in rd._memo}
+    shared = [T for out in rd._memo.values() for _, T in out if T in keys]
+    assert shared and all(T is keys[T] for T in shared)
+    assert (rd.memo_info().evictions > 0) == (bound == 40)
+
+
+def test_memo_never_holds_more_successors_than_its_bound(monkeypatch):
+    rd = importlib.import_module("zzdist.reflection_distance")
+    expand, seen = rd._expand, []
+
+    def checked(state):
+        out = expand(state)
+        seen.append(len(out))
+        assert rd.memo_info().held <= 30
+        return out
+
+    monkeypatch.setattr(rd, "_MEMO_BOUND", 30)
+    monkeypatch.setattr(rd, "_expand", checked)
+    rd.clear_memo()
+    pairs = _seeded_pairs(179, 60, 8, 3)
+    for V, W in pairs:
+        rd.reflection_distance(V, W, 1)
+    info = rd.memo_info()
+    # the searches overflow the bound many times over
+    assert sum(seen) > 50 * 30 and info.evictions > 100 and info.misses == len(seen)
+    _held_once(rd)
+    # a list longer than the bound is returned and not held
+    long = _state(sym(">" * 39, [(b, b + 1) for b in range(1, 40, 3)]))
+    out = rd._successors(long)
+    assert len(out) > 30 and long not in rd._memo and rd.memo_info().held <= 30
+    monkeypatch.setattr(rd, "_MEMO_BOUND", 10 ** 9)
+    assert expand(long) == out and long in rd._memo
+
+
+def test_threads_share_the_memo_without_losing_count(monkeypatch):
+    rd = importlib.import_module("zzdist.reflection_distance")
+    monkeypatch.setattr(rd, "_MEMO_BOUND", 30)
+    rd.clear_memo()
+    pairs = _seeded_pairs(181, 40, 8, 3)
+    want = [rd.reflection_distance(V, W, 1).steps for V, W in pairs]
+    got, errors = {}, []
+
+    def work(t):
+        try:
+            for i in range(t, len(pairs) * 6, 4):
+                V, W = pairs[i % len(pairs)]
+                got[i] = rd.reflection_distance(V, W, 1).steps
+        except Exception as e:  # reported below, not lost in the thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and not errors, errors
+    assert got == {i: want[i % len(pairs)] for i in range(len(pairs) * 6)}
+    assert rd.memo_info().evictions
+    _held_once(rd)
 
 
 def test_astar_matches_the_bfs_oracle_and_its_witnesses_reach_goals():
