@@ -14,10 +14,10 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .linalg import _combine, _exact_ints, _kernel, _rref, _transpose
+from .linalg import _combine, _echelon, _exact_ints, _transpose, _unit
 from .reflections import COLIMIT, LIMIT, ReflectionOp, ReflectionSequence, check_applicable
 from .zigzag_core import (BACKWARD, FORWARD, Orientation, ZigzagModule, _canonical_dirs,
                           _contains, _turn)
@@ -121,15 +121,10 @@ class SymbolicModule:
         return self.tau.n
 
 
-def _unit(i: int, size: int) -> list[int]:
-    """The i-th unit vector of length ``size``."""
-    return [0] * i + [1] + [0] * (size - i - 1)
-
-
 def decompose(V: ZigzagModule) -> PersistenceDiagram:
     """The multiset of interval supports in V's interval decomposition.
 
-    One pass from left to right, with one elimination per arrow, reads
+    One pass from left to right, with one ``_echelon`` per arrow, reads
     the intervals off the right filtration (Carlsson and de Silva,
     "Zigzag persistence", 2010).  At position k the pass carries a basis
     v_1 ... v_m of V_k, each vector tagged with its birth and ordered so
@@ -137,52 +132,53 @@ def decompose(V: ZigzagModule) -> PersistenceDiagram:
     generators of the intervals with those births, in any interval
     decomposition.
 
-    A forward arrow f: V_k -> V_{k+1}, with D = dim V_{k+1}, eliminates
-    the columns [f v_1 ... f v_m | e_1 ... e_D] left to right.  Where
-    f v_i is not a pivot column, [tag_i, k] dies.  The pivot images keep
-    their tags and their order, and the pivot unit columns follow them as
-    vectors born at k+1.
+    A forward arrow f: V_k -> V_{k+1} inserts only the images f v_1 ...
+    f v_m.  Where f v_i depends on the images before it, [tag_i, k]
+    ends; the others keep their tags and their order.  The unit vectors
+    at the positions where no row has its pivot complete them to a basis
+    of V_{k+1} and follow them, born at k+1.
 
-    A backward arrow g: V_{k+1} -> V_k takes one kernel of
-    [g | -v_1 ... -v_m], the pairs (y, c) with g y = sum c_i v_i.  A
-    kernel vector's free column is its last nonzero.  One in y gives a
-    vector of ker g, born at k+1 and placed first; one at c_i gives a y
-    that keeps tag_i, in order of i.  Where c_i is a pivot column,
-    [tag_i, k] dies.
+    A backward arrow g: V_{k+1} -> V_k inserts g's columns, column j
+    with the companion -e_j, then v_1 ... v_m with zero companions, so
+    that every vector is a combination of the v_i less g times its
+    companion.  A dependent column gives a vector of ker g, born at k+1
+    and placed first.  A dependent v_i gives a y with g y in v_i +
+    span(v_1 ... v_{i-1}), which keeps tag_i, in order of i; where v_i
+    is a row, [tag_i, k] ends.
 
     At n every vector left gives [tag, n].  A step out of or into a zero
-    space needs no elimination: all of V_k dies and all of V_{k+1} is
-    born.  A wrong covering cannot occur for honest inputs; it raises at
-    once and names the module.
+    space needs no elimination: all of V_k ends and all of V_{k+1} is
+    born.  The ended copies are counted once, at the end.  A wrong
+    covering cannot occur for honest inputs; it raises at once and names
+    the module.
     """
-    p, found = V.p, Counter()  # found[b, d]: the copies of [b, d] that ended
-    basis: list[list[int]] = []
-    tags: list[int] = []
+    # ended: (b, d) once for each copy of [b, d]; basis, tags: V_k's vectors and births
+    p, ended, basis, tags = V.p, [], [], []
     for k, D in enumerate(V.dims):  # D = dim V_{k+1}, positions and tags 1-based
         m = len(basis)
         if not (m and D):
-            found.update((t, k) for t in tags)
+            ended += [(t, k) for t in tags]
             basis, tags = [_unit(i, D) for i in range(D)], [k + 1] * D
         elif V.tau.dirs[k - 1] == FORWARD:
             cols = _transpose(V.maps[k - 1].data, m)
             images = [_combine(v, cols, D) for v in basis]
-            rows = _transpose(images, D)
-            _, pivots = _rref([[*row, *_unit(r, D)] for r, row in enumerate(rows)], p)
-            kept = [i for i in pivots if i < m]
-            born = [_unit(c - m, D) for c in pivots[len(kept):]]
-            found.update((tags[i], k) for i in set(range(m)).difference(kept))
+            pivots, dead = _echelon([(f, ()) for f in images], p)
+            ended += [(tags[i], k) for i in dead]
+            kept = [i for i in range(m) if i not in dead]
+            born = [_unit(c, D) for c in sorted(set(range(D)).difference(pivots))]
             basis = [[x % p for x in images[i]] for i in kept] + born
             tags = [tags[i] for i in kept] + [k + 1] * len(born)
         else:
-            K = _kernel([[*row, *(-x for x in c)]
-                         for row, c in zip(V.maps[k - 1].data, _transpose(basis, m))], D + m, p)
-            ker = [v[:D] for v in K if not any(v[D:])]  # free columns ascend, so these come first
-            pre = {max(compress(range(m), v[D:])): v[:D] for v in K[len(ker):]}
-            found.update((t, k) for i, t in enumerate(tags) if i not in pre)
+            g, zero = _transpose(V.maps[k - 1].data, D), [0] * D
+            _, y = _echelon([*zip(g, (_unit(j, D, -1) for j in range(D))),
+                             *((v, zero) for v in basis)], p)
+            ker = [c for j, c in y.items() if j < D]  # the keys ascend, so these come first
+            pre = {i - D: c for i, c in y.items() if i >= D}
+            ended += [(t, k) for i, t in enumerate(tags) if i not in pre]
             basis = ker + list(pre.values())
             tags = [k + 1] * len(ker) + [tags[i] for i in pre]
-    found.update((t, V.n) for t in tags)
-    diagram = PersistenceDiagram.from_counts(V.n, [(b, d, m) for (b, d), m in found.items()])
+    ended += [(t, V.n) for t in tags]
+    diagram = PersistenceDiagram.from_counts(V.n, [(*bd, m) for bd, m in Counter(ended).items()])
     for i, (covering, dim) in enumerate(zip(diagram.dims(), V.dims), 1):
         if covering != dim:
             raise AssertionError(f"decomposition covers dimension {covering} at position {i}, "

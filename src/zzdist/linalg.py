@@ -3,14 +3,17 @@ finite diagrams of vector spaces.
 
 All computation happens on plain Python integers reduced modulo a prime
 ``p`` (default 2), so every result is exact whatever the size of ``p`` or
-of an entry.  Row reduction is the single workhorse: rank, linear
-solves, null spaces and the limit/colimit constructions below are all
-phrased in terms of it, and a colimit is the dual of a limit.  Every
-product is one sum of rows scaled by a vector's nonzero entries
-(``_combine``), so its cost follows the nonzeros.  Pivots are chosen
-leftmost-first and null space vectors are enumerated in ascending
-free-column order, so every routine is deterministic: identical inputs
-give identical outputs.
+of an entry.  One elimination primitive does all the work: ``_echelon``
+inserts vectors into one echelon in order, each with a companion vector
+carried through the same row operations, and reports each vector as a
+new row or as the companion it reduced to.  Rank inserts rows; null
+spaces, solves and the limit/colimit constructions below (a colimit is
+the dual of a limit) insert columns with signed unit companions, and
+``diagrams.decompose`` makes one call per arrow.  Every product is one
+sum of rows scaled by a vector's nonzero entries (``_combine``), so its
+cost follows the nonzeros.  Vectors are inserted in a fixed order and
+null space vectors come in ascending free-column order, so every routine
+is deterministic: identical inputs give identical outputs.
 
 Dimensions here are desk scale: the spaces of a typical module have a
 few dimensions, and a file's are bounded (``_MAX_DIM``), so plain lists
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 from operator import add, index
-from typing import Sequence
+from typing import Iterable, Sequence
 
 DEFAULT_PRIME = 2
 
@@ -35,12 +38,12 @@ _MAX_PRIME = 1 << 20
 # Bounds the dimensions a module file declares: a map out of a zero space
 # is an empty list, so a file can declare a dimension no entry spells out,
 # and elimination costs grow as the cube of a dimension (in-process on a
-# shared 2-vCPU machine, two spaces of 256 joined by a dense random GF(2)
-# map take 1.4 to 1.9 s to decompose, five joined by identities 0.1 s, and
-# twenty-five 0.5 to 0.7 s).  The bound also covers what the CLI writes:
-# `gen` and `synthesize` write no file that `decompose` would refuse.
-# Modules built in memory, whose limits and sums may pass it, are not
-# bounded.
+# shared 2-vCPU machine, two 256 spaces joined by a dense random GF(2) map
+# decompose in 0.12 s with a ">" arrow and 0.45-0.5 s with a "<", five
+# joined by identities in 0.04 s and twenty-five in 0.17-0.32 s).  The
+# bound also covers what the CLI writes: `gen` and `synthesize` write no
+# file that `decompose` would refuse.  Modules built in memory, whose
+# limits and sums may pass it, are not bounded.
 _MAX_DIM = 256
 
 
@@ -255,74 +258,84 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     return vstack([m.transpose() for m in mats]).transpose()
 
 
-def _rref(a: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form of the rows ``a`` mod ``p``.
+def _unit(i: int, size: int, x: int = 1) -> list[int]:
+    """x times the i-th unit vector of length ``size``."""
+    return [0] * i + [x] + [0] * (size - i - 1)
 
-    Columns are eliminated left to right, so the first c columns are
-    reduced as they would be on their own; ``solve`` relies on this.
-    Returns the reduced rows and the pivot column indices in order.
+
+def _echelon(pairs: Iterable[tuple[Sequence[int], Sequence[int]]],
+             p: int) -> tuple[list[int], dict[int, list[int]]]:
+    """Insert vectors into one echelon mod ``p`` in order, each carrying a
+    companion vector through the same row operations.
+
+    Vector i is reduced, left to right, by the rows already made.  If a
+    nonzero entry is left, the first one is its pivot, which no other row
+    has, and it becomes a row; otherwise it depends on the vectors before
+    it, and ``reduced[i]`` is its companion reduced with it.  Row
+    operations are linear, so a relation v = L c that every vector keeps
+    with its companion holds for the rows, and a dependent vector's gives
+    L c = 0.  Returns the rows' pivots in the order they were made, and
+    ``reduced``, whose keys ascend.  Entries may be any integers; those
+    returned lie in [0, p).
     """
-    R = [[x % p for x in row] for row in a]
-    pivots: list[int] = []
-    for c in range(len(R[0]) if R else 0):
-        r = len(pivots)
-        if r == len(R):
-            break
-        i = next((i for i in range(r, len(R)) if R[i][c]), None)
-        if i is None:
-            continue
-        R[r], R[i] = R[i], R[r]
-        v = R[r][c]
-        if v != 1:
-            inv = pow(v, -1, p)
-            R[r] = [x * inv % p for x in R[r]]
-        pivot_row = R[r]
-        for j, row in enumerate(R):
-            f = row[c]
-            if f and j != r:
-                R[j] = [(x - f * y) % p for x, y in zip(row, pivot_row)]
-        pivots.append(c)
-    return R, pivots
+    rows: dict[int, list[int]] = {}  # pivot -> [row | companion], -1 mod p at the pivot
+    reduced: dict[int, list[int]] = {}
+    for i, (v, c) in enumerate(pairs):
+        w, v, fresh = len(v), [*v, *c], True
+        for col in range(w):
+            f = v[col] % p
+            if not f:
+                continue
+            row = rows.get(col)
+            if row is None:
+                # a vector no row changed, -1 at its pivot, is kept as it came
+                if f != p - 1 or not fresh:
+                    s = -pow(f, -1, p)
+                    v = [x * s % p for x in v]
+                rows[col] = v
+                break
+            v = list(map(add, v, row)) if f == 1 else [x + f * y for x, y in zip(v, row)]
+            fresh = False
+        else:
+            reduced[i] = [x % p for x in v[w:]]
+    return list(rows), reduced
 
 
 def _kernel(a: Sequence[Sequence[int]], cols: int, p: int) -> list[list[int]]:
     """A basis of the right null space of the rows ``a`` (of width
-    ``cols``) mod ``p``, one vector per free column in ascending order."""
-    R, pivots = _rref(a, p)
-    free = sorted(set(range(cols)).difference(pivots))
-    basis = []
-    for f in free:
-        v = [0] * cols
-        v[f] = 1
-        for row, pc in zip(R, pivots):
-            v[pc] = -row[f] % p
-        basis.append(v)
-    return basis
+    ``cols``) mod ``p``, one vector per free column in ascending order.
+
+    Column j, inserted with the companion e_j, is free when it depends on
+    the columns before it; its kernel vector is then the one that is 1 at
+    j and 0 at every other free column."""
+    units = (_unit(j, cols) for j in range(cols))
+    return list(_echelon(zip(_transpose(a, cols), units), p)[1].values())
 
 
 def rank(M: Matrix) -> int:
-    return len(_rref(M.data, M.p)[1])
+    return len(_echelon(((row, ()) for row in M.data), M.p)[0])
 
 
 def solve(A: Matrix, B: Matrix) -> Matrix | None:
     """An exact solution X of A @ X == B, or None when none exists.
 
-    One elimination of [A | B]: its first A.cols columns reduce as A's
-    would, so a pivot past them is in a row zero on A, and no X exists.
-    Free variables are set to zero, so the answer is deterministic; when A
-    has full column rank the solution is the unique one.
+    One echelon of A's columns, column j with companion -e_j, then B's
+    columns with zero companions, so each vector is a B column less A
+    times its companion.  Column j of B reduces to zero exactly when it
+    lies in A's column space, and its companion is then the one solution
+    supported on the pivot columns: free variables are zero, and the
+    answer is deterministic, the unique one when A has full column rank.
     """
     A._require_same_field(B)
     if A.rows != B.rows:
         raise ValueError(f"shape mismatch for solve: {A.shape} vs {B.shape}")
-    n = A.cols
-    R, pivots = _rref([a + b for a, b in zip(A.data, B.data)], A.p)
-    if pivots and pivots[-1] >= n:
+    n, zero = A.cols, [0] * A.cols
+    _, reduced = _echelon([*zip(_transpose(A.data, n), (_unit(j, n, -1) for j in range(n))),
+                           *((b, zero) for b in _transpose(B.data, B.cols))], A.p)
+    X = [reduced.get(n + j) for j in range(B.cols)]
+    if None in X:
         return None
-    X = [(0,) * B.cols] * n
-    for row, pc in zip(R, pivots):
-        X[pc] = row[n:]
-    return Matrix(A.p, X, B.cols)
+    return Matrix._trusted(A.p, _transpose(X, n), B.cols)
 
 
 def is_invertible(M: Matrix) -> bool:

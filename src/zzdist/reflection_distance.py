@@ -36,9 +36,9 @@ _Successors = tuple[tuple[ReflectionOp, _State], ...]
 _MEMO_BOUND = 40_000
 # each expanded state -> its successor list, oldest first
 _memo: OrderedDict[_State, _Successors] = OrderedDict()
-# each state the memo holds, as a key or a successor -> [the one object
-# held for it, the number of places holding it]
-_held_states: dict[_State, list] = {}
+# each state the memo holds, as a key or a successor, and each op it
+# holds -> [the one object held for it, the number of places holding it]
+_held_objects: dict[_State | ReflectionOp, list] = {}
 # every thread shares the memo; the lock guards its stores and evictions
 _memo_lock = threading.Lock()
 _hits = _misses = _evictions = _held = 0
@@ -82,7 +82,7 @@ def _successors(state: _State) -> _Successors:
     its lists, so what it holds is bounded whatever the module length,
     and it evicts the oldest list first.  A hit costs one dict lookup; an
     LRU order would hash the state a second time.  Each state the memo
-    holds, as a key or a successor, is held as one object.
+    holds, as a key or a successor, and each op is held as one object.
     """
     global _hits
     out = _memo.get(state)
@@ -114,31 +114,32 @@ def _expand(state: _State) -> _Successors:
         while _held + len(first) > _MEMO_BOUND:
             S, old = _memo.popitem(last=False)
             _release(S)
-            for _, T in old:
+            for op, T in old:
+                _release(op)
                 _release(T)
             _held -= len(old)
             _evictions += 1
-        out = tuple((op, _hold(T)) for T, op in first.items())
+        out = tuple((_hold(op), _hold(T)) for T, op in first.items())
         _memo[_hold(state)] = out
         _held += len(out)
     return out
 
 
-def _hold(T: _State) -> _State:
+def _hold(T: _State | ReflectionOp) -> _State | ReflectionOp:
     """The one object the memo holds for T, counting one more place."""
-    slot = _held_states.get(T)
+    slot = _held_objects.get(T)
     if slot is None:
-        slot = _held_states[T] = [T, 0]
+        slot = _held_objects[T] = [T, 0]
     slot[1] += 1
     return slot[0]
 
 
-def _release(T: _State) -> None:
+def _release(T: _State | ReflectionOp) -> None:
     """Count one place fewer holding T, forgetting T at none."""
-    slot = _held_states[T]
+    slot = _held_objects[T]
     slot[1] -= 1
     if not slot[1]:
-        del _held_states[T]
+        del _held_objects[T]
 
 
 def memo_info() -> MemoInfo:
@@ -151,7 +152,7 @@ def clear_memo() -> None:
     global _hits, _misses, _evictions, _held
     with _memo_lock:
         _memo.clear()
-        _held_states.clear()
+        _held_objects.clear()
         _hits = _misses = _evictions = _held = 0
 
 

@@ -20,7 +20,7 @@ from zzdist import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, LIMIT,
                     diagram_limit, is_invertible, is_summand_upto_equiv, ops_at, rank,
                     synthesize, transform_type)
 from zzdist.diagrams import _reflect
-from zzdist.linalg import _combine, _kernel, _rref, _transpose
+from zzdist.linalg import _combine, _kernel, _transpose
 from zzdist.reflection_distance import _state
 from zzdist.zigzag_core import _embeds
 
@@ -98,6 +98,68 @@ def trial_annihilating_sequence(V) -> ReflectionSequence:
             state = act(op, state)
         assert len(state.diagram.counts()) < before, "a pass must kill an interval"
     return ReflectionSequence(tuple(chosen))
+
+
+def _rref(a: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of the rows ``a`` mod ``p``.
+
+    Columns are eliminated left to right, so the first c columns are
+    reduced as they would be on their own; ``solve`` relies on this.
+    Returns the reduced rows and the pivot column indices in order.
+    """
+    R = [[x % p for x in row] for row in a]
+    pivots: list[int] = []
+    for c in range(len(R[0]) if R else 0):
+        r = len(pivots)
+        if r == len(R):
+            break
+        i = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if i is None:
+            continue
+        R[r], R[i] = R[i], R[r]
+        v = R[r][c]
+        if v != 1:
+            inv = pow(v, -1, p)
+            R[r] = [x * inv % p for x in R[r]]
+        pivot_row = R[r]
+        for j, row in enumerate(R):
+            f = row[c]
+            if f and j != r:
+                R[j] = [(x - f * y) % p for x, y in zip(row, pivot_row)]
+        pivots.append(c)
+    return R, pivots
+
+
+def rref_kernel(a: Sequence[Sequence[int]], cols: int, p: int) -> list[list[int]]:
+    """``linalg._kernel`` as it was computed from a full ``_rref``."""
+    R, pivots = _rref(a, p)
+    free = sorted(set(range(cols)).difference(pivots))
+    basis = []
+    for f in free:
+        v = [0] * cols
+        v[f] = 1
+        for row, pc in zip(R, pivots):
+            v[pc] = -row[f] % p
+        basis.append(v)
+    return basis
+
+
+def rref_rank(M: Matrix) -> int:
+    """``linalg.rank`` as it was computed from a full ``_rref``."""
+    return len(_rref(M.data, M.p)[1])
+
+
+def rref_solve(A: Matrix, B: Matrix) -> Matrix | None:
+    """``linalg.solve`` as it was computed from one ``_rref`` of [A | B]:
+    a pivot past A's columns is in a row zero on A, and no X exists."""
+    n = A.cols
+    R, pivots = _rref([a + b for a, b in zip(A.data, B.data)], A.p)
+    if pivots and pivots[-1] >= n:
+        return None
+    X = [(0,) * B.cols] * n
+    for row, pc in zip(R, pivots):
+        X[pc] = row[n:]
+    return Matrix(A.p, X, B.cols)
 
 
 def kernel_basis(M: Matrix) -> Matrix:

@@ -8,7 +8,8 @@ import re
 import helpers
 import pytest
 from helpers import (cokernel, count_calls, enumerate_limit_dim, kernel_basis, minor_rank,
-                     random_matrix, random_module, relations_colimit, segment_rank, segment_ranks)
+                     random_matrix, random_module, relations_colimit, rref_kernel, rref_rank,
+                     rref_solve, segment_rank, segment_ranks)
 
 from zzdist import (FORWARD, FiniteDiagram, Matrix, block_diag,
                     diagram_colimit, diagram_limit, hstack, inverse, is_invertible,
@@ -155,6 +156,28 @@ def test_solve_refuses_exactly_the_inconsistent_systems():
             assert (X is None) == (rank(A) < rank(hstack([A, B]))), (A, B)
             if X is not None:
                 assert X.shape == (A.cols, B.cols) and A @ X == B
+
+
+def test_echelon_routines_match_the_rref_oracle():
+    # the kernel vector of each free column and the solution supported on
+    # the pivot columns are unique, so one echelon gives exactly what a
+    # full reduced row echelon form gave
+    rng = random.Random(61)
+    solvable = unsolvable = 0
+    for case in range(3000):
+        p = (2, 3, 5, 7)[case % 4]
+        A = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), p)
+        k = rng.randint(0, 3)
+        # half the right-hand sides lie in A's column space by construction
+        B = (A @ random_matrix(rng, A.cols, k, p) if case % 2
+             else random_matrix(rng, A.rows, k, p))
+        assert linalg._kernel(A.data, A.cols, p) == rref_kernel(A.data, A.cols, p), A
+        assert rank(A) == rref_rank(A), A
+        X = solve(A, B)
+        assert X == rref_solve(A, B), (A, B)
+        solvable += X is not None
+        unsolvable += X is None
+    assert min(solvable, unsolvable) > 300
 
 
 def test_is_invertible_matches_determinant_oracle():
@@ -443,8 +466,8 @@ def test_section_sweep_keeps_its_bases(monkeypatch):
     def checked(sweep, forward, A, width, p):
         Lb, Ld, W = out = real(sweep, forward, A, width, p)
         assert len(Ld) == len(Lb) <= len(sweep[0])
-        assert len(linalg._rref(Lb, p)[1]) == len(Lb)
-        assert len(linalg._rref(W, p)[1]) == len(W)
+        assert len(helpers._rref(Lb, p)[1]) == len(Lb)
+        assert len(helpers._rref(W, p)[1]) == len(W)
         assert not forward or Lb is sweep[0]
         steps[forward] += 1
         return out

@@ -207,14 +207,15 @@ def test_search_is_independent_of_the_successor_memo(monkeypatch):
 
 
 def _held_once(rd) -> None:
-    """Every state the memo holds is one object, counted where it is held."""
+    """Every state and op the memo holds is one object, counted where it
+    is held."""
     one, places = {}, {}
     for S, out in rd._memo.items():
-        for T in (S, *(T for _, T in out)):
+        for T in (S, *(x for pair in out for x in pair)):
             assert one.setdefault(T, T) is T, T
             places[T] = places.get(T, 0) + 1
-    assert {T: [T, k] for T, k in places.items()} == rd._held_states
-    assert all(rd._held_states[T][0] is T for T in one)
+    assert {T: [T, k] for T, k in places.items()} == rd._held_objects
+    assert all(rd._held_objects[T][0] is T for T in one)
     assert rd.memo_info().held == sum(map(len, rd._memo.values()))
 
 
