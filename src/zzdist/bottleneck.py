@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .diagrams import PersistenceDiagram
-from .linalg import _exact_ints, _transpose
+from .linalg import _dims, _exact_ints, _transpose
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,19 @@ class Matching:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        n_source, n_target = _dims((self.n_source, self.n_target), "matching sizes")
         pairs = tuple(sorted(_exact_ints(self.pairs, "indices", True, 2)))
         seen_s: set[int] = set()
         seen_t: set[int] = set()
         for (i, j) in pairs:
-            if not (0 <= i < self.n_source and 0 <= j < self.n_target):
-                raise ValueError(f"pair ({i}, {j}) out of range "
-                                 f"{self.n_source}x{self.n_target}")
+            if not (0 <= i < n_source and 0 <= j < n_target):
+                raise ValueError(f"pair ({i}, {j}) out of range {n_source}x{n_target}")
             if i in seen_s or j in seen_t:
                 raise ValueError(f"pair ({i}, {j}) reuses a matched index")
             seen_s.add(i)
             seen_t.add(j)
+        object.__setattr__(self, "n_source", n_source)
+        object.__setattr__(self, "n_target", n_target)
         object.__setattr__(self, "pairs", pairs)
 
     @property

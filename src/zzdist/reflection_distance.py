@@ -9,15 +9,16 @@ A* search (Hart, Nilsson and Raphael, 1968) finds the fewest steps with a
 witness run.  It needs no depth bound: its heuristic is consistent, and
 the empty module, where the source's annihilating run ends, is a goal,
 so a goal is popped before any state past the optimum.  Successor lists
-come from a memo shared across calls, bounded by the successor states it
-holds; ``memo_info`` reads its counters and ``clear_memo`` empties it.
+come from a memo shared across calls, a plain dict emptied whenever the
+next list would take it past a bound on the successor states it holds;
+it interns each state and op it holds through one table.  ``memo_info``
+reads its counters and ``clear_memo`` empties it.
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,24 +31,25 @@ _State = tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]
 _Successors = tuple[tuple[ReflectionOp, _State], ...]
 
 # Successor states the memo may hold, summed over its lists.  The
-# stability benchmark reaches ~5.6k states with ~35k successors, which
-# all fit; an n = 16 list holds 15-20 successors, so a deep n = 16
-# search keeps its latest ~2.5k lists.
+# stability benchmark's whole state space, every length 2..8 with total
+# multiplicity <= 2 and no one-position interval, is 5,675 states with
+# 36,156 successors, which all fit; an n = 16 list holds 15-20
+# successors, so a deep n = 16 search empties the memo every ~2.5k lists.
 _MEMO_BOUND = 40_000
-# each expanded state -> its successor list, oldest first
-_memo: OrderedDict[_State, _Successors] = OrderedDict()
-# each state the memo holds, as a key or a successor, and each op it
-# holds -> [the one object held for it, the number of places holding it]
-_held_objects: dict[_State | ReflectionOp, list] = {}
-# every thread shares the memo; the lock guards its stores and evictions
+# each expanded state -> its successor list
+_memo: dict[_State, _Successors] = {}
+# each state and op the memo holds, as a key or in a list -> the one
+# object held for it
+_canon: dict[_State | ReflectionOp, _State | ReflectionOp] = {}
+# every thread shares the memo; the lock guards its stores and empties
 _memo_lock = threading.Lock()
 _hits = _misses = _evictions = _held = 0
 
 
 class MemoInfo(NamedTuple):
     """Counters of the successor memo since it was last cleared: lookups
-    answered from it, states expanded, lists evicted, and the successor
-    states its lists hold now."""
+    answered from it, states expanded, lists dropped when a full memo was
+    emptied, and the successor states its lists hold now."""
 
     hits: int
     misses: int
@@ -77,25 +79,20 @@ def _successors(state: _State) -> _Successors:
     """Each other state one reflection away, with the first op reaching it.
 
     Lists are memoized across searches: the stability benchmark meets its
-    ~5.6k states over and over, while one search expands no state twice.
-    The memo holds at most ``_MEMO_BOUND`` successor states, summed over
-    its lists, so what it holds is bounded whatever the module length,
-    and it evicts the oldest list first.  A hit costs one dict lookup; an
-    LRU order would hash the state a second time.  Each state the memo
-    holds, as a key or a successor, and each op is held as one object.
+    5,675 states over and over, while one search expands no state twice,
+    so no eviction order would earn a hit.  The memo holds at most
+    ``_MEMO_BOUND`` successor states, summed over its lists, so what it
+    holds is bounded whatever the module length: a list that would pass
+    the bound empties the memo first, and a list longer than the bound is
+    returned unstored.  A hit costs one dict lookup.  Each state the memo
+    holds, as a key or a successor, and each op is held as one object,
+    through ``_canon``, which is emptied with the memo.
     """
-    global _hits
+    global _hits, _misses, _evictions, _held
     out = _memo.get(state)
     if out is not None:
         _hits += 1
         return out
-    return _expand(state)
-
-
-def _expand(state: _State) -> _Successors:
-    """The successors of a state not in the memo, stored there unless
-    the list alone passes the bound."""
-    global _misses, _evictions, _held
     # a reflection at k moves nothing, and the arrows it sets stay
     # flippable, unless an interval ends at k-1 or k or starts at k or k+1
     n = len(state[0]) + 1
@@ -111,35 +108,16 @@ def _expand(state: _State) -> _Successors:
             return _memo[state]
         if len(first) > _MEMO_BOUND:
             return tuple((op, T) for T, op in first.items())
-        while _held + len(first) > _MEMO_BOUND:
-            S, old = _memo.popitem(last=False)
-            _release(S)
-            for op, T in old:
-                _release(op)
-                _release(T)
-            _held -= len(old)
-            _evictions += 1
-        out = tuple((_hold(op), _hold(T)) for T, op in first.items())
-        _memo[_hold(state)] = out
+        if _held + len(first) > _MEMO_BOUND:
+            _evictions += len(_memo)
+            _memo.clear()
+            _canon.clear()
+            _held = 0
+        hold = _canon.setdefault
+        out = tuple((hold(op, op), hold(T, T)) for T, op in first.items())
+        _memo[hold(state, state)] = out
         _held += len(out)
     return out
-
-
-def _hold(T: _State | ReflectionOp) -> _State | ReflectionOp:
-    """The one object the memo holds for T, counting one more place."""
-    slot = _held_objects.get(T)
-    if slot is None:
-        slot = _held_objects[T] = [T, 0]
-    slot[1] += 1
-    return slot[0]
-
-
-def _release(T: _State | ReflectionOp) -> None:
-    """Count one place fewer holding T, forgetting T at none."""
-    slot = _held_objects[T]
-    slot[1] -= 1
-    if not slot[1]:
-        del _held_objects[T]
 
 
 def memo_info() -> MemoInfo:
@@ -152,7 +130,7 @@ def clear_memo() -> None:
     global _hits, _misses, _evictions, _held
     with _memo_lock:
         _memo.clear()
-        _held_objects.clear()
+        _canon.clear()
         _hits = _misses = _evictions = _held = 0
 
 

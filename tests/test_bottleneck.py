@@ -30,6 +30,10 @@ def test_matching_validation():
         Matching(2, 3, ((2, 0),))
     with pytest.raises(ValueError):
         Matching(2, 3, ((0, 3),))
+    # sizes are nonnegative exact integers, as every other constructor's
+    for args in ((-3, -2, ()), (True, 1, ((0, 0),)), (1.5, 2, ())):
+        with pytest.raises(ValueError, match="matching sizes"):
+            Matching(*args)
 
 
 def test_matching_cost_fixtures():

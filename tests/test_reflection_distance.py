@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import math
 import random
 import sys
@@ -197,7 +198,7 @@ def test_search_is_independent_of_the_successor_memo(monkeypatch):
     warm = [runs(V, W) for V, W in reversed(pairs)]
     info = rd.memo_info()
     assert info.hits and not info.evictions
-    # eight successors: nearly every search evicts lists it needs again
+    # eight successors: nearly every search empties the memo of lists it needs again
     monkeypatch.setattr(rd, "_MEMO_BOUND", 8)
     rd.clear_memo()
     evicted = [runs(V, W) for V, W in pairs]
@@ -207,16 +208,16 @@ def test_search_is_independent_of_the_successor_memo(monkeypatch):
 
 
 def _held_once(rd) -> None:
-    """Every state and op the memo holds is one object, counted where it
-    is held."""
-    one, places = {}, {}
+    """Every key, successor state and op in the memo is the object
+    ``_canon`` holds for it, ``_canon`` holds nothing else, and ``held``
+    counts the memo's successors within the bound."""
+    held = set()
     for S, out in rd._memo.items():
         for T in (S, *(x for pair in out for x in pair)):
-            assert one.setdefault(T, T) is T, T
-            places[T] = places.get(T, 0) + 1
-    assert {T: [T, k] for T, k in places.items()} == rd._held_objects
-    assert all(rd._held_objects[T][0] is T for T in one)
-    assert rd.memo_info().held == sum(map(len, rd._memo.values()))
+            assert rd._canon[T] is T, T
+            held.add(T)
+    assert len(rd._canon) == len(held)
+    assert rd.memo_info().held == sum(map(len, rd._memo.values())) <= rd._MEMO_BOUND
 
 
 @pytest.mark.parametrize("bound", [40, 10 ** 9])
@@ -236,16 +237,19 @@ def test_each_held_state_is_one_object(monkeypatch, bound):
 
 def test_memo_never_holds_more_successors_than_its_bound(monkeypatch):
     rd = importlib.import_module("zzdist.reflection_distance")
-    expand, seen = rd._expand, []
+    successors, seen, calls = rd._successors, [], []
 
     def checked(state):
-        out = expand(state)
-        seen.append(len(out))
+        misses = rd.memo_info().misses
+        out = successors(state)
+        calls.append(state)
+        if rd.memo_info().misses > misses:
+            seen.append(len(out))
         assert rd.memo_info().held <= 30
         return out
 
     monkeypatch.setattr(rd, "_MEMO_BOUND", 30)
-    monkeypatch.setattr(rd, "_expand", checked)
+    monkeypatch.setattr(rd, "_successors", checked)
     rd.clear_memo()
     pairs = _seeded_pairs(179, 60, 8, 3)
     for V, W in pairs:
@@ -253,13 +257,14 @@ def test_memo_never_holds_more_successors_than_its_bound(monkeypatch):
     info = rd.memo_info()
     # the searches overflow the bound many times over
     assert sum(seen) > 50 * 30 and info.evictions > 100 and info.misses == len(seen)
+    assert info.hits + info.misses == len(calls)
     _held_once(rd)
     # a list longer than the bound is returned and not held
     long = _state(sym(">" * 39, [(b, b + 1) for b in range(1, 40, 3)]))
     out = rd._successors(long)
     assert len(out) > 30 and long not in rd._memo and rd.memo_info().held <= 30
     monkeypatch.setattr(rd, "_MEMO_BOUND", 10 ** 9)
-    assert expand(long) == out and long in rd._memo
+    assert successors(long) == out and long in rd._memo
 
 
 def test_threads_share_the_memo_without_losing_count(monkeypatch):
@@ -292,6 +297,29 @@ def test_threads_share_the_memo_without_losing_count(monkeypatch):
     assert got == {i: want[i % len(pairs)] for i in range(len(pairs) * 6)}
     assert rd.memo_info().evictions
     _held_once(rd)
+
+
+def test_the_stability_state_space_fits_the_memo(monkeypatch):
+    # the stability benchmark draws lengths 2..8 with at most two intervals;
+    # every state it can reach, closed under reflection, fits the memo, so
+    # the memo is never emptied there
+    rd = importlib.import_module("zzdist.reflection_distance")
+    states = set()
+    for n in range(2, 9):
+        pool = [(b, d) for (b, d) in all_intervals(n) if b < d]
+        for pts in [(), *((I,) for I in pool), *itertools.combinations_with_replacement(pool, 2)]:
+            diagram = PersistenceDiagram(n, pts)
+            states.update(_state(SymbolicModule(Orientation(dirs), diagram)) for dirs in all_dirs(n))
+    bound = rd._MEMO_BOUND
+    monkeypatch.setattr(rd, "_MEMO_BOUND", 10 ** 9)
+    rd.clear_memo()
+    held = 0
+    for S in states:
+        out = rd._successors(S)
+        assert {T for _, T in out} <= states, S
+        held += len(out)
+    rd.clear_memo()
+    assert (len(states), held) == (5_675, 36_156) and held <= bound
 
 
 def test_astar_matches_the_bfs_oracle_and_its_witnesses_reach_goals():
