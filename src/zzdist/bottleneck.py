@@ -81,16 +81,22 @@ def _check_p(p: float) -> float:
     raise ValueError(f"p must be a real number >= 1 or infinity, got {p!r}")
 
 
-def _checked(D):
-    """A diagram as it is, or a raw sequence as a list of checked (b, d)
-    tuples; every other function here takes inputs in this form."""
-    if isinstance(D, PersistenceDiagram):
-        return D
-    pts = _exact_ints(D, "endpoints", True)
-    for i, pt in enumerate(pts):
-        if len(pt) != 2 or pt[0] > pt[1]:
-            raise ValueError(f"entry {i} {pt!r}: an interval must be a pair (b, d) with b <= d")
-    return pts
+def _checked(S, T) -> tuple:
+    """S and T, each a diagram as it is or a raw sequence as a list of
+    checked (b, d) tuples; every other function here takes inputs in this
+    form.  Two diagrams must have one length; a raw sequence has none."""
+    if isinstance(S, PersistenceDiagram) and isinstance(T, PersistenceDiagram) and S.n != T.n:
+        raise ValueError(f"length mismatch: {S.n} vs {T.n}")
+    checked = []
+    for D in (S, T):
+        if not isinstance(D, PersistenceDiagram):
+            D = _exact_ints(D, "endpoints", True)
+            for i, pt in enumerate(D):
+                if len(pt) != 2 or pt[0] > pt[1]:
+                    raise ValueError(f"entry {i} {pt!r}: an interval must be a pair (b, d) "
+                                     "with b <= d")
+        checked.append(D)
+    return tuple(checked)
 
 
 def _points(D) -> Sequence[tuple[int, int]]:
@@ -154,7 +160,8 @@ def _table(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]],
 def matching_cost(S, T, M: Matching, p: float = math.inf) -> float:
     """Largest matched distance or unmatched penalty under M; 0 if empty."""
     p = _check_p(p)
-    return _cost(_points(_checked(S)), _points(_checked(T)), M, p)
+    S, T = _checked(S, T)
+    return _cost(_points(S), _points(T), M, p)
 
 
 def _cost(s: Sequence[tuple[int, int]], t: Sequence[tuple[int, int]], M: Matching,
@@ -400,7 +407,8 @@ def optimal_matching(S, T, p: float = math.inf) -> tuple[float, Matching]:
     """
     p = _check_p(p)
     # each input is checked once, and a total past sys.maxsize is refused here
-    s, t = _points(S := _checked(S)), _points(T := _checked(T))
+    S, T = _checked(S, T)
+    s, t = _points(S), _points(T)
     eta, f, g, A, B = _threshold(S, T, p)
     M = combine_matchings(Matching(len(s), len(t), tuple(_expand(f, A, B))),
                           Matching(len(t), len(s), tuple(_expand(g, B, A))))
@@ -415,4 +423,4 @@ def bottleneck_distance(S, T, p: float = math.inf) -> float:
     are checked directly, and no index-level matching is built.
     """
     p = _check_p(p)
-    return _threshold(_checked(S), _checked(T), p)[0]
+    return _threshold(*_checked(S, T), p)[0]

@@ -6,13 +6,14 @@ one-position summands.  A search state is a plain tuple: the directions
 of an orientation normalized at every flippable arrow, plus the sorted
 (b, d, multiplicity) counts of its diagram less one-position intervals.
 A* search (Hart, Nilsson and Raphael, 1968) finds the fewest steps with a
-witness run.  It needs no depth bound: its heuristic is consistent, and
-the empty module, where the source's annihilating run ends, is a goal,
-so a goal is popped before any state past the optimum.  Successor lists
-come from a memo shared across calls, a plain dict emptied whenever the
-next list would take it past a bound on the successor states it holds;
-it interns each state and op it holds through one table.  ``memo_info``
-reads its counters and ``clear_memo`` empties it.
+witness run, testing a state for a goal when it is popped.  It needs no
+depth bound: its heuristic is consistent, and the empty module, where the
+source's annihilating run ends, is a goal, so a goal is popped before any
+state past the optimum.  Successor lists come from a memo shared across
+calls, a plain dict emptied whenever the next list would take it past a
+bound on the successor states it holds; it interns each state and op it
+holds through one table.  ``memo_info`` reads its counters and
+``clear_memo`` empties it.
 """
 
 from __future__ import annotations
@@ -148,17 +149,18 @@ def _lower_bound(counts: tuple[tuple[int, int, int], ...], target: tuple) -> int
     return worst
 
 
-def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, ReflectionSequence]:
-    """Fewest reflections carrying source into a summand of target, with
-    a witness run realizing the minimum.
+def _search(source: SymbolicModule, target: SymbolicModule) -> ReflectionSequence:
+    """A shortest run of reflections carrying source into a summand of
+    target; its length is the fewest steps.
 
     The heap is ordered by (f, -g), f = g + h.  As h is consistent, popped
     f never decreases, and every state with f below the optimum C* is
-    popped before any with f above it; so a goal generated at depth
-    g + 1 <= f is returned at once, others (h = 0, the start included)
-    when popped.  No state past C* is expanded, so the search needs no
-    depth bound: C* is finite, as the source's annihilating run ends at
-    the empty module, a goal.  An empty heap is an internal error.
+    popped before any with f above it.  A state is a goal when it is
+    popped with h = 0 and embeds in the target; its run is read back from
+    the state and op each state came by.  No state past C* is expanded,
+    so the search needs no depth bound: C* is finite, as the source's
+    annihilating run ends at the empty module, a goal.  An empty heap is
+    an internal error.
     """
     if source.n != target.n:
         raise ValueError(f"length mismatch: {source.n} vs {target.n}")
@@ -166,15 +168,6 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Reflec
     dirs_w, counts_w = target.tau.dirs, target.diagram.counts()
     # best known depth of each state, with the state and op it came by
     seen: dict[_State, tuple[int, _State | None, ReflectionOp | None]] = {start: (0, None, None)}
-
-    def witness(T: _State) -> tuple[int, ReflectionSequence]:
-        ops = []
-        _, S, op = seen[T]
-        while S is not None:
-            ops.append(op)
-            _, S, op = seen[S]
-        return len(ops), ReflectionSequence(tuple(reversed(ops)))
-
     heap = [(_lower_bound(start[1], counts_w), 0, start)]
     while heap:
         f, g, S = heapq.heappop(heap)
@@ -182,16 +175,17 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Reflec
         if g != seen[S][0]:
             continue  # queued again later with a smaller depth
         if f == g and _embeds(*S, dirs_w, counts_w):
-            return witness(S)
+            ops = []
+            _, S, op = seen[S]
+            while S is not None:
+                ops.append(op)
+                _, S, op = seen[S]
+            return ReflectionSequence(tuple(reversed(ops)))
         g += 1
         for op, T in _successors(S):
-            if g >= seen.get(T, (g + 1,))[0]:
-                continue
-            seen[T] = (g, S, op)
-            f_t = g + _lower_bound(T[1], counts_w)
-            if f_t == g <= f and _embeds(*T, dirs_w, counts_w):
-                return witness(T)
-            heapq.heappush(heap, (f_t, -g, T))
+            if g < seen.get(T, (g + 1,))[0]:
+                seen[T] = (g, S, op)
+                heapq.heappush(heap, (g + _lower_bound(T[1], counts_w), -g, T))
     raise AssertionError(f"heap exhausted with no goal, though the empty module is one; "
                          f"source {source.tau} {list(source.diagram.counts())}, "
                          f"target {target.tau} {list(target.diagram.counts())}")
@@ -200,7 +194,7 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Reflec
 def min_steps(source: SymbolicModule, target: SymbolicModule) -> int:
     """Fewest reflections after which the source sits inside the target
     as a summand up to reversing invertible arrows."""
-    return _search(source, target)[0]
+    return len(_search(source, target))
 
 
 @dataclass(frozen=True)
@@ -226,7 +220,6 @@ def reflection_distance(V: SymbolicModule, W: SymbolicModule, p: float = 1) -> R
     exactly zero for every p.
     """
     _check_p(p)  # reject a bad p before searching
-    run_vw = _search(V, W)[1]
-    run_wv = _search(W, V)[1]
+    run_vw, run_wv = _search(V, W), _search(W, V)
     longer = max(run_vw, run_wv, key=len)
     return ReflectionDistance(cost(longer, p), len(longer), run_vw, run_wv)

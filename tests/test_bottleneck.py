@@ -281,6 +281,17 @@ def test_raw_points_must_be_intervals():
     assert bottleneck_distance([(2, 2)], [], 1) == 0.0
 
 
+def test_diagrams_of_different_lengths_are_refused():
+    # this once gave a value, while the reflection distance refused the pair
+    S, T = pd(3, [(1, 2)]), pd(5, [(1, 2), (2, 5)])
+    for call in (lambda: bottleneck_distance(S, T, 1), lambda: optimal_matching(S, T, 2),
+                 lambda: matching_cost(S, T, Matching(1, 2, ()), math.inf)):
+        with pytest.raises(ValueError, match="length mismatch: 3 vs 5"):
+            call()
+    # a raw sequence has no length, so it is compared with either
+    assert bottleneck_distance([(1, 2)], T, 1) == bottleneck_distance(S, [(1, 2), (2, 5)], 1)
+
+
 def test_huge_integer_p_is_refused():
     S, T = [(1, 3)], [(1, 2)]
     for call in (lambda p: _check_p(p), lambda p: bottleneck_distance(S, T, p),

@@ -235,6 +235,11 @@ def test_cmd_distance(tmp_path, capsys):
     w = write(tmp_path, "w.json", {"n": 3, "type": "><", "diagram": []})
     assert main(["distance", v, w, "--metric", "reflection", "--p", "1"]) == 2
     capsys.readouterr()
+    # the bottleneck distance once answered here, where the reflection distance refused
+    x = write(tmp_path, "x.json", {"n": 5, "type": "><><", "diagram": [[1, 5, 1], [2, 3, 2]]})
+    for metric in ("bottleneck", "reflection"):
+        assert main(["distance", w, x, "--metric", metric]) == 2
+        assert capsys.readouterr() == ("", "error: length mismatch: 3 vs 5\n"), metric
 
 
 def test_cmd_distance_many_copies(tmp_path, capsys):

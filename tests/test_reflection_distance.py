@@ -324,8 +324,8 @@ def test_the_stability_state_space_fits_the_memo(monkeypatch):
 
 def test_astar_matches_the_bfs_oracle_and_its_witnesses_reach_goals():
     for V, W in _seeded_pairs(157, 300, 10, 3):
-        depth, run = _search(V, W)
-        assert depth == bfs_search(V, W)[0] == len(run), (V, W)
+        run = _search(V, W)
+        assert len(run) == bfs_search(V, W)[0], (V, W)
         state = _state(V)
         for op in run:
             S = act(op, SymbolicModule(Orientation(state[0]),
@@ -383,6 +383,26 @@ def test_deep_pair_is_solved_fast():
     start = time.perf_counter()
     assert min_steps(V, W) == 11
     assert time.perf_counter() - start < 5.0
+
+
+def test_search_work_on_the_n12_set_does_not_grow():
+    # 40 seeded n = 12 pairs, both directions, each from an empty memo:
+    # memo misses count the states expanded
+    rd = importlib.import_module("zzdist.reflection_distance")
+    depths, expanded = [], 0
+    for s in range(40):
+        rng = random.Random(s)
+        V, W = random_symbolic_module(rng, 12, 4), random_symbolic_module(rng, 12, 4)
+        for A, B in ((V, W), (W, V)):
+            rd.clear_memo()
+            depths.append(min_steps(A, B))
+            expanded += rd.memo_info().misses
+    rd.clear_memo()
+    assert depths == [2, 9, 0, 11, 3, 0, 8, 5, 0, 4, 11, 0, 8, 0, 4, 0, 0, 4, 7, 0,
+                      3, 10, 0, 4, 9, 3, 0, 8, 0, 0, 6, 6, 4, 6, 3, 0, 6, 0, 3, 0,
+                      4, 7, 3, 0, 3, 6, 0, 9, 9, 2, 9, 0, 0, 4, 3, 1, 6, 6, 0, 5,
+                      7, 6, 0, 5, 0, 0, 11, 0, 7, 3, 1, 10, 7, 7, 0, 0, 2, 7, 0, 3]
+    assert expanded <= 5_354
 
 
 def test_scaling_every_multiplicity_changes_no_answer():
