@@ -3,10 +3,11 @@
 A persistence diagram is the multiset of interval supports in a
 module's decomposition into interval summands.  ``decompose`` reads it
 off a concrete module in one pass from left to right, one elimination
-per arrow (the right filtration of Carlsson and de Silva, 2010); ``act``
-pushes diagrams through reflections without matrices, by a closed-form
-rule for where each interval goes; ``annihilating_sequence`` runs the
-same rule on tuples, as the reflection search does, to empty a module.
+per arrow (the right filtration of Carlsson and de Silva, 2010).
+``_reflect`` moves (dirs, counts) tuples through a reflection without
+matrices, by a closed-form rule for where each interval goes; ``act``
+applies it to a module, and ``_state`` makes the search states that the
+reflection search and ``annihilating_sequence`` move through.
 """
 
 from __future__ import annotations
@@ -187,13 +188,11 @@ def decompose(V: ZigzagModule) -> PersistenceDiagram:
     return diagram
 
 
-def _reflect(op: ReflectionOp, dirs: tuple[str, ...], counts: tuple[tuple[int, int, int], ...],
-             raw: bool = False) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]:
-    """The reflection rule on tuples, unvalidated: the search state after
-    ``op``, that is, sorted (b, d, m) counts with one-position images
-    dropped and directions with every arrow left flippable set forward.
-    With ``raw`` the reflection's own output is returned instead: every
-    image kept, and the directions as the reflection sets them.
+def _reflect(op: ReflectionOp, dirs: tuple[str, ...], counts: tuple[tuple[int, int, int], ...]
+             ) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]:
+    """The reflection rule on tuples, unvalidated: the directions as the
+    reflection sets them, and sorted (b, d, m) counts of every image,
+    one-position images included.
 
     This is the action of reflection functors on interval modules
     (Bernstein-Gelfand-Ponomarev).  A limit makes k a source and a
@@ -219,11 +218,17 @@ def _reflect(op: ReflectionOp, dirs: tuple[str, ...], counts: tuple[tuple[int, i
             b = k
         elif right_rebuilt and d == k:
             d = k - 1
-        if raw or b != d:
-            images[b, d] = images.get((b, d), 0) + m
-    new = _turn(dirs, k, limit)
-    return ((tuple(new) if raw else _canonical_dirs(new, images)),
-            tuple(sorted([(b, d, m) for (b, d), m in images.items()])))
+        images[b, d] = images.get((b, d), 0) + m
+    return tuple(_turn(dirs, k, limit)), tuple(sorted([(b, d, m) for (b, d), m in images.items()]))
+
+
+def _state(dirs: tuple[str, ...], counts: tuple[tuple[int, int, int], ...]
+           ) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]:
+    """The search state of (dirs, counts): one-position intervals dropped,
+    and every arrow the rest leave flippable set forward.  Searches move
+    by ``_state(*_reflect(op, *state))``."""
+    counts = tuple([c for c in counts if c[0] != c[1]])
+    return _canonical_dirs(dirs, counts), counts
 
 
 def act(op: ReflectionOp, S: SymbolicModule) -> SymbolicModule:
@@ -232,20 +237,19 @@ def act(op: ReflectionOp, S: SymbolicModule) -> SymbolicModule:
     The module moves by ``_reflect``: annihilated intervals disappear,
     one-position images are sanitized away, matching how reflection runs
     are costed, and equal images merge.  The type is left as the
-    reflection makes it, not normalized.  The search and the annihilating
-    runs move tuple states by ``_reflect`` directly.
+    reflection makes it, not normalized.
     """
     check_applicable(op, S.n)
-    dirs, counts = _reflect(op, S.tau.dirs, S.diagram.counts(), raw=True)
+    dirs, counts = _reflect(op, S.tau.dirs, S.diagram.counts())
     return SymbolicModule(Orientation(dirs),
                           PersistenceDiagram.from_counts(S.n, [c for c in counts if c[0] != c[1]]))
 
 
 def _annihilating_run(dirs: tuple[str, ...],
                       counts: tuple[tuple[int, int, int], ...]) -> tuple[ReflectionOp, ...]:
-    """``annihilating_sequence`` on (dirs, counts) tuples, by ``_reflect``."""
+    """``annihilating_sequence`` on (dirs, counts) tuples, by ``_reflect`` and ``_state``."""
     n, run = len(dirs) + 1, []
-    state = (dirs, tuple(c for c in counts if c[0] != c[1]))
+    state = _state(dirs, counts)
     while state[1]:
         before = len(state[1])
         b, d, _ = state[1][-1]
@@ -253,7 +257,7 @@ def _annihilating_run(dirs: tuple[str, ...],
             arrow = state[0][j - 1] if j < n else BACKWARD  # the phantom arrow at n is set "<"
             run.append(ReflectionOp(LIMIT if arrow == BACKWARD else COLIMIT, j,
                                     None if j < n else arrow))
-            state = _reflect(run[-1], *state)
+            state = _state(*_reflect(run[-1], *state))
         if len(state[1]) >= before:
             raise AssertionError(f"annihilation pass on [{b}, {d}] failed to reduce the "
                                  f"interval count; type {''.join(dirs)}, counts {list(counts)}")

@@ -2,13 +2,13 @@
 
 Two modules are close when short runs of reflections carry each into a
 summand of the other, up to reversing invertible arrows and ignoring
-one-position summands.  A search state is a plain tuple: the directions
-of an orientation normalized at every flippable arrow, plus the sorted
-(b, d, multiplicity) counts of its diagram less one-position intervals.
-A* search (Hart, Nilsson and Raphael, 1968) finds the fewest steps with a
-witness run, testing a state for a goal when it is popped.  It needs no
-depth bound: its heuristic is consistent, and the empty module, where the
-source's annihilating run ends, is a goal, so a goal is popped before any
+one-position summands.  ``diagrams._state`` makes the search state,
+that normal form as a plain tuple, and a step moves it by
+``diagrams._reflect`` and back through ``_state``.  A* search (Hart,
+Nilsson and Raphael, 1968) finds the fewest steps with a witness run,
+testing a state for a goal when it is popped.  It needs no depth bound:
+its heuristic is consistent, and the empty module, where the source's
+annihilating run ends, is a goal, so a goal is popped before any
 state past the optimum.  Successor lists come from a memo shared across
 calls, a plain dict emptied whenever the next list would take it past a
 bound on the successor states it holds; it interns each state and op it
@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bottleneck import _check_p
-from .diagrams import SymbolicModule, _reflect
+from .diagrams import SymbolicModule, _reflect, _state
 from .reflections import ReflectionOp, ReflectionSequence, ops_at
-from .zigzag_core import _canonical_dirs, _embeds
+from .zigzag_core import _embeds
 
 _State = tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]
 _Successors = tuple[tuple[ReflectionOp, _State], ...]
@@ -70,12 +70,6 @@ def cost(seq: ReflectionSequence, p: float = 1) -> float:
     return float(length) ** (1.0 / p)
 
 
-def _state(S: SymbolicModule) -> _State:
-    """The search state of S: canonical directions and sanitized counts."""
-    counts = tuple(c for c in S.diagram.counts() if c[0] != c[1])
-    return _canonical_dirs(S.tau.dirs, counts), counts
-
-
 def _successors(state: _State) -> _Successors:
     """Each other state one reflection away, with the first op reaching it.
 
@@ -101,7 +95,7 @@ def _successors(state: _State) -> _Successors:
     first: dict[_State, ReflectionOp] = {}
     for k in sorted(near):
         for op in ops_at(n, k):
-            first.setdefault(_reflect(op, *state), op)
+            first.setdefault(_state(*_reflect(op, *state)), op)
     first.pop(state, None)
     with _memo_lock:
         _misses += 1
@@ -164,7 +158,7 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> ReflectionSequenc
     """
     if source.n != target.n:
         raise ValueError(f"length mismatch: {source.n} vs {target.n}")
-    start = _state(source)
+    start = _state(source.tau.dirs, source.diagram.counts())
     dirs_w, counts_w = target.tau.dirs, target.diagram.counts()
     # best known depth of each state, with the state and op it came by
     seen: dict[_State, tuple[int, _State | None, ReflectionOp | None]] = {start: (0, None, None)}

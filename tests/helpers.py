@@ -19,9 +19,8 @@ from zzdist import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, LIMIT,
                     canonical_type, check_applicable, decompose, diagram_colimit,
                     diagram_limit, is_invertible, is_summand_upto_equiv, ops_at, rank,
                     synthesize, transform_type)
-from zzdist.diagrams import _reflect
+from zzdist.diagrams import _reflect, _state
 from zzdist.linalg import _combine, _kernel, _transpose
-from zzdist.reflection_distance import _state
 from zzdist.zigzag_core import _embeds
 
 
@@ -65,7 +64,7 @@ def interval_image(op: ReflectionOp, tau: Orientation, b: int, d: int) -> tuple[
     check_applicable(op, tau.n)
     if not 1 <= b <= d <= tau.n:
         raise ValueError(f"interval [{b}, {d}] out of range 1..{tau.n}")
-    image = _reflect(op, tau.dirs, ((b, d, 1),), raw=True)[1]
+    image = _reflect(op, tau.dirs, ((b, d, 1),))[1]
     return image[0][:2] if image else None
 
 
@@ -576,7 +575,7 @@ def bfs_search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Ref
     first goal found lies on the shallowest layer.  The reference for the
     library's A* search.
     """
-    start = _state(source)
+    start = _state(source.tau.dirs, source.diagram.counts())
     dirs_w, counts_w = target.tau.dirs, target.diagram.counts()
     if _embeds(*start, dirs_w, counts_w):
         return 0, ReflectionSequence(())
@@ -587,7 +586,7 @@ def bfs_search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Ref
         layer = []
         for S in frontier:
             for op in all_ops(source.n):
-                T = _reflect(op, *S)
+                T = _state(*_reflect(op, *S))
                 if T in parents:
                     continue
                 parents[T] = (S, op)

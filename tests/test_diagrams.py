@@ -14,7 +14,6 @@ from zzdist import (BACKWARD, COLIMIT, LIMIT, FiniteDiagram, Matching, Matrix, O
                     all_ops, annihilating_sequence, apply, bottleneck_distance, decompose,
                     diagram_contains, diagrams, generate_random_module, interval_module,
                     linalg, optimal_matching, synthesize, transform_type, zero_module)
-from zzdist.reflection_distance import _state
 
 
 def tau(s: str) -> Orientation:
@@ -251,7 +250,7 @@ def test_decompose_invariant_failures_name_the_module(monkeypatch):
 
 def test_annihilation_failure_names_the_module(monkeypatch):
     # a reflection rule that moves nothing leaves the interval count as it is
-    monkeypatch.setattr(diagrams, "_reflect", lambda op, dirs, counts, raw=False: (dirs, counts))
+    monkeypatch.setattr(diagrams, "_reflect", lambda op, dirs, counts: (dirs, counts))
     S = SymbolicModule(tau("><>"), PersistenceDiagram.from_counts(4, [(1, 3, 2), (2, 2, 1)]))
     with pytest.raises(AssertionError, match=r"annihilation pass on \[1, 3\] failed to reduce "
                        r"the interval count; type ><>, counts \[\(1, 3, 2\), \(2, 2, 1\)\]"):
@@ -354,8 +353,10 @@ def test_tuple_rule_matches_the_per_copy_oracle():
     for _ in range(300):
         n = rng.randint(2, 9)
         S = SymbolicModule(random_orientation(rng, n), random_counted(rng, n, 5, 3))
-        state = _state(S)
+        state = diagrams._state(S.tau.dirs, S.diagram.counts())
         start = SymbolicModule(Orientation(state[0]),
                                PersistenceDiagram.from_counts(n, state[1]))
         for op in all_ops(n):
-            assert diagrams._reflect(op, *state) == _state(expanded_act(op, start)), (S, op)
+            E = expanded_act(op, start)
+            got = diagrams._state(*diagrams._reflect(op, *state))
+            assert got == diagrams._state(E.tau.dirs, E.diagram.counts()), (S, op)

@@ -17,8 +17,8 @@ from zzdist import (COLIMIT, LIMIT, Orientation, PersistenceDiagram,
                     bottleneck_distance, canonical_type, cost, decompose,
                     is_summand_upto_equiv, min_steps, random_symbolic_module,
                     reflection_distance, synthesize)
-from zzdist.diagrams import _reflect
-from zzdist.reflection_distance import _lower_bound, _search, _state, _successors
+from zzdist.diagrams import _reflect, _state
+from zzdist.reflection_distance import _lower_bound, _search, _successors
 from zzdist.zigzag_core import _embeds
 
 
@@ -260,7 +260,7 @@ def test_memo_never_holds_more_successors_than_its_bound(monkeypatch):
     assert info.hits + info.misses == len(calls)
     _held_once(rd)
     # a list longer than the bound is returned and not held
-    long = _state(sym(">" * 39, [(b, b + 1) for b in range(1, 40, 3)]))
+    long = _state((">",) * 39, tuple((b, b + 1, 1) for b in range(1, 40, 3)))
     out = rd._successors(long)
     assert len(out) > 30 and long not in rd._memo and rd.memo_info().held <= 30
     monkeypatch.setattr(rd, "_MEMO_BOUND", 10 ** 9)
@@ -309,7 +309,7 @@ def test_the_stability_state_space_fits_the_memo(monkeypatch):
         pool = [(b, d) for (b, d) in all_intervals(n) if b < d]
         for pts in [(), *((I,) for I in pool), *itertools.combinations_with_replacement(pool, 2)]:
             diagram = PersistenceDiagram(n, pts)
-            states.update(_state(SymbolicModule(Orientation(dirs), diagram)) for dirs in all_dirs(n))
+            states.update(_state(dirs, diagram.counts()) for dirs in all_dirs(n))
     bound = rd._MEMO_BOUND
     monkeypatch.setattr(rd, "_MEMO_BOUND", 10 ** 9)
     rd.clear_memo()
@@ -317,6 +317,7 @@ def test_the_stability_state_space_fits_the_memo(monkeypatch):
     for S in states:
         out = rd._successors(S)
         assert {T for _, T in out} <= states, S
+        assert all(_state(*T) == T for T in (S, *(T for _, T in out))), S
         held += len(out)
     rd.clear_memo()
     assert (len(states), held) == (5_675, 36_156) and held <= bound
@@ -326,11 +327,11 @@ def test_astar_matches_the_bfs_oracle_and_its_witnesses_reach_goals():
     for V, W in _seeded_pairs(157, 300, 10, 3):
         run = _search(V, W)
         assert len(run) == bfs_search(V, W)[0], (V, W)
-        state = _state(V)
+        state = _state(V.tau.dirs, V.diagram.counts())
         for op in run:
             S = act(op, SymbolicModule(Orientation(state[0]),
                                        PersistenceDiagram.from_counts(V.n, state[1])))
-            state = _state(S)
+            state = _state(S.tau.dirs, S.diagram.counts())
         assert _embeds(*state, W.tau.dirs, W.diagram.counts()), (V, W)
         if V.n <= 5:
             # concretely: the search drops one-position summands, and a later
@@ -349,10 +350,10 @@ def test_successors_keep_the_first_op_to_each_other_state():
     rng = random.Random(167)
     for i in range(320):
         n = rng.randint(2, 9) if i < 300 else rng.randint(100, 400)
-        state = _state(SymbolicModule(random_orientation(rng, n), random_counted(rng, n, 4, 2)))
+        state = _state(random_orientation(rng, n).dirs, random_counted(rng, n, 4, 2).counts())
         first = {}
         for op in all_ops(n):
-            first.setdefault(_reflect(op, *state), op)
+            first.setdefault(_state(*_reflect(op, *state)), op)
         first.pop(state, None)
         assert _successors(state) == tuple((op, T) for T, op in first.items()), state
 
@@ -363,12 +364,12 @@ def test_lower_bound_is_zero_on_goals_and_drops_at_most_one_a_step():
         n = rng.randint(2, 8)
         S = SymbolicModule(random_orientation(rng, n), random_counted(rng, n, 4, 2))
         W = SymbolicModule(random_orientation(rng, n), random_counted(rng, n, 4, 2))
-        state = _state(S)
+        state = _state(S.tau.dirs, S.diagram.counts())
         h = _lower_bound(state[1], W.diagram.counts())
         for op, T in _successors(state):
             assert h <= _lower_bound(T[1], W.diagram.counts()) + 1, (S, W, op)
         part = [c for c in W.diagram.counts() if rng.random() < 0.5]
-        goal = _state(SymbolicModule(W.tau, PersistenceDiagram.from_counts(n, part)))
+        goal = _state(W.tau.dirs, PersistenceDiagram.from_counts(n, part).counts())
         assert _embeds(*goal, W.tau.dirs, W.diagram.counts())
         assert _lower_bound(goal[1], W.diagram.counts()) == 0, (part, W)
     assert _lower_bound(((1, 4, 2), (2, 3, 1)), ()) == 3

@@ -18,8 +18,7 @@ from zzdist import (BACKWARD, COLIMIT, EXTROVERSION, FORWARD, INTROVERSION,
                     direct_sum, identity_morphism, interval_module,
                     is_invertible, is_morphism, is_summand_upto_equiv, ops_at,
                     rank, reflections, synthesize, transform_type, zero_module)
-from zzdist.diagrams import _annihilating_run
-from zzdist.reflection_distance import _state
+from zzdist.diagrams import _annihilating_run, _state
 
 F, B = FORWARD, BACKWARD
 
@@ -457,7 +456,7 @@ def test_annihilating_sequence_matches_the_trial_oracle():
         want = trial_annihilating_sequence(S)
         assert annihilating_sequence(S) == want, S
         # the search's start state, normalized and sanitized, gives the same run
-        assert _annihilating_run(*_state(S)) == want.ops, S
+        assert _annihilating_run(*_state(S.tau.dirs, S.diagram.counts())) == want.ops, S
     for _ in range(60):
         p = rng.choice((2, 3))
         V = random_module(rng, rng.randint(2, 6), 3, p)
