@@ -24,17 +24,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .diagrams import PersistenceDiagram
-from .linalg import _dims, _exact_ints, _transpose
+from .linalg import _dims, _exact_ints, _Record, _transpose
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(_Record):
     """A partial pairing between two indexed multisets.
 
     ``pairs`` holds (source index, target index) entries; no index may
@@ -45,9 +43,9 @@ class Matching:
     n_target: int
     pairs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        n_source, n_target = _dims((self.n_source, self.n_target), "matching sizes")
-        pairs = tuple(sorted(_exact_ints(self.pairs, "indices", True, 2)))
+    def __init__(self, n_source: int, n_target: int, pairs: Iterable[tuple[int, int]]) -> None:
+        n_source, n_target = _dims((n_source, n_target), "matching sizes")
+        pairs = tuple(sorted(_exact_ints(pairs, "indices", True, 2)))
         seen_s: set[int] = set()
         seen_t: set[int] = set()
         for (i, j) in pairs:
@@ -57,9 +55,7 @@ class Matching:
                 raise ValueError(f"pair ({i}, {j}) reuses a matched index")
             seen_s.add(i)
             seen_t.add(j)
-        object.__setattr__(self, "n_source", n_source)
-        object.__setattr__(self, "n_target", n_target)
-        object.__setattr__(self, "pairs", pairs)
+        self._set(n_source=n_source, n_target=n_target, pairs=pairs)
 
     @property
     def coimage(self) -> frozenset[int]:

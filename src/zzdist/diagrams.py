@@ -14,18 +14,16 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .linalg import _combine, _echelon, _exact_ints, _transpose, _unit
+from .linalg import _combine, _echelon, _exact_ints, _Record, _transpose, _typed, _unit
 from .reflections import COLIMIT, LIMIT, ReflectionOp, ReflectionSequence, check_applicable
 from .zigzag_core import (BACKWARD, FORWARD, Orientation, ZigzagModule, _canonical_dirs,
                           _contains, _turn)
 
 
-@dataclass(frozen=True, init=False)
-class PersistenceDiagram:
+class PersistenceDiagram(_Record):
     """A multiset of intervals [b, d] inside positions 1..n.
 
     The stored form is ``counts()``: sorted (b, d, multiplicity) triples,
@@ -43,7 +41,7 @@ class PersistenceDiagram:
     @classmethod
     def from_counts(cls, n: int, counts: Iterable[tuple[int, int, int]]) -> "PersistenceDiagram":
         """Build from (b, d, multiplicity) triples; repeated intervals merge."""
-        D = cls.__new__(cls)
+        D = object.__new__(cls)
         D._store(n, _exact_ints(counts, "birth, death and multiplicity", True, 3))
         return D
 
@@ -59,8 +57,7 @@ class PersistenceDiagram:
             if counts and counts[-1][:2] == (b, d):
                 m += counts.pop()[2]
             counts.append((b, d, m))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_counts", tuple(counts))
+        self._set(n=n, _counts=tuple(counts))
 
     def counts(self) -> tuple[tuple[int, int, int], ...]:
         """Sorted (b, d, multiplicity) triples, one per distinct interval."""
@@ -105,17 +102,17 @@ def diagram_contains(inner: PersistenceDiagram, outer: PersistenceDiagram) -> bo
     return _contains(inner.counts(), outer.counts())
 
 
-@dataclass(frozen=True)
-class SymbolicModule:
+class SymbolicModule(_Record):
     """A module up to isomorphism: an orientation plus its diagram."""
 
     tau: Orientation
     diagram: PersistenceDiagram
 
-    def __post_init__(self) -> None:
-        if self.tau.n != self.diagram.n:
-            raise ValueError(f"length mismatch: type has {self.tau.n} positions, "
-                             f"diagram has {self.diagram.n}")
+    def __init__(self, tau: Orientation, diagram: PersistenceDiagram) -> None:
+        n, m = _typed(tau, Orientation, "tau").n, _typed(diagram, PersistenceDiagram, "diagram").n
+        if n != m:
+            raise ValueError(f"length mismatch: type has {n} positions, diagram has {m}")
+        self._set(tau=tau, diagram=diagram)
 
     @property
     def n(self) -> int:

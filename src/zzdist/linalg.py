@@ -23,9 +23,8 @@ the comment at the bound gives timings there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress
-from operator import add, index
+from operator import add, attrgetter, index
 from typing import Iterable, Sequence
 
 DEFAULT_PRIME = 2
@@ -137,8 +136,54 @@ def _transpose(rows: Sequence[Sequence[int]], cols: int) -> list:
     return list(zip(*rows)) if rows else [()] * cols
 
 
-@dataclass(frozen=True)
-class Matrix:
+class _Record:
+    """Base of the immutable records.  A subclass annotates its fields in
+    order, which become its ``__match_args__``; its ``__init__`` checks the
+    values and stores them with ``_set``.  Records of one class with equal
+    fields are equal and hash equal, print as ``Name(field=value!r, ...)``
+    and refuse assignment and deletion.  Fields live in the instance
+    ``__dict__``, so copies and pickles need no hooks."""
+
+    def __init_subclass__(cls) -> None:
+        # a subclass that annotates nothing keeps its parent's fields
+        cls.__match_args__ = names = tuple(cls.__annotations__) or cls.__match_args__
+        # the field tuple, read in C; attrgetter gives a bare value for one name
+        get = attrgetter(*names)
+        cls._fields = staticmethod(get if len(names) > 1 else lambda r: (get(r),))
+
+    def _set(self, **fields) -> None:
+        # the call builds one dict, set in one step: faster than a setattr per
+        # field and, unlike filling the instance's own __dict__, it keeps
+        # attribute reads fast on CPython 3.11
+        object.__setattr__(self, "__dict__", fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(map("{}={!r}".format, self.__match_args__, self._fields(self)))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _typed(value, cls: type, what: str):
+    """``value`` if it is a ``cls``, else a ValueError naming ``what``."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{what} is {type(value).__name__}, expected {cls.__name__}")
+    return value
+
+
+class Matrix(_Record):
     """Immutable dense matrix over GF(p).
 
     ``data`` is a tuple of row tuples, each holding ``cols`` integers in
@@ -153,16 +198,15 @@ class Matrix:
     data: tuple[tuple[int, ...], ...]
     cols: int
 
-    def __post_init__(self) -> None:
-        p = _check_prime(self.p)
-        [cols] = _dims([self.cols], "matrix width")
+    def __init__(self, p: int, data: Sequence[Sequence[int]], cols: int) -> None:
+        _check_prime(p)
+        [cols] = _dims([cols], "matrix width")
         data = tuple(tuple([x % p for x in row])
-                     for row in _exact_ints(self.data, "matrix row entries", True))
+                     for row in _exact_ints(data, "matrix row entries", True))
         if any(len(row) != cols for row in data):
             raise ValueError(f"every row must have {cols} entries, "
                              f"got lengths {[len(row) for row in data]}")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "cols", cols)
+        self._set(p=p, data=data, cols=cols)
 
     @classmethod
     def _trusted(cls, p: int, rows: Sequence[Sequence[int]], cols: int) -> "Matrix":
@@ -170,9 +214,7 @@ class Matrix:
         entries are already exact integers in [0, p): rows taken from
         matrices over GF(p), or cut from ``_residues``.  No check is rerun."""
         M = object.__new__(cls)
-        object.__setattr__(M, "p", p)
-        object.__setattr__(M, "data", tuple(map(tuple, rows)))
-        object.__setattr__(M, "cols", cols)
+        M._set(p=p, data=tuple(map(tuple, rows)), cols=cols)
         return M
 
     @classmethod
@@ -351,8 +393,7 @@ def inverse(M: Matrix) -> Matrix:
     return X
 
 
-@dataclass(frozen=True)
-class FiniteDiagram:
+class FiniteDiagram(_Record):
     """A finite diagram of GF(p) vector spaces.
 
     ``spaces[i]`` is the dimension of the i-th space; each arrow
@@ -364,10 +405,11 @@ class FiniteDiagram:
     spaces: tuple[int, ...]
     arrows: tuple[tuple[int, int, Matrix], ...]
 
-    def __post_init__(self) -> None:
-        _check_prime(self.p)
-        spaces = tuple(_dims(self.spaces, "space dimensions"))
-        arrows = tuple(self.arrows)
+    def __init__(self, p: int, spaces: Sequence[int],
+                 arrows: Iterable[tuple[int, int, Matrix]]) -> None:
+        _check_prime(p)
+        spaces = tuple(_dims(spaces, "space dimensions"))
+        arrows = tuple(arrows)
         ends = _exact_ints(((s, t) for (s, t, _) in arrows), "arrow endpoints", True)
         arrows = tuple((s, t, M) for (s, t), (_, _, M) in zip(ends, arrows))
         for idx, (s, t, M) in enumerate(arrows):
@@ -375,13 +417,12 @@ class FiniteDiagram:
                 raise ValueError(f"arrow {idx} endpoints ({s}, {t}) out of range")
             if not isinstance(M, Matrix):
                 raise ValueError(f"arrow {idx} carries {type(M).__name__}, expected Matrix")
-            if M.p != self.p:
-                raise ValueError(f"arrow {idx} is over GF({M.p}), diagram is over GF({self.p})")
+            if M.p != p:
+                raise ValueError(f"arrow {idx} is over GF({M.p}), diagram is over GF({p})")
             if M.shape != (spaces[t], spaces[s]):
                 raise ValueError(
                     f"arrow {idx} has shape {M.shape}, expected {(spaces[t], spaces[s])}")
-        object.__setattr__(self, "spaces", spaces)
-        object.__setattr__(self, "arrows", arrows)
+        self._set(p=p, spaces=spaces, arrows=arrows)
 
 
 def diagram_limit(D: FiniteDiagram) -> tuple[int, tuple[Matrix, ...]]:

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import heapq
 import threading
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bottleneck import _check_p
 from .diagrams import SymbolicModule, _reflect, _state
+from .linalg import _Record
 from .reflections import ReflectionOp, ReflectionSequence, ops_at
 from .zigzag_core import _embeds
 
@@ -191,8 +191,7 @@ def min_steps(source: SymbolicModule, target: SymbolicModule) -> int:
     return len(_search(source, target))
 
 
-@dataclass(frozen=True)
-class ReflectionDistance:
+class ReflectionDistance(_Record):
     """A distance value together with the two runs that realize it.
 
     ``forward`` carries the first module into a summand of the second,
@@ -204,6 +203,9 @@ class ReflectionDistance:
     steps: int
     forward: ReflectionSequence
     backward: ReflectionSequence
+
+    def __init__(self, value, steps, forward, backward) -> None:
+        self._set(value=value, steps=steps, forward=forward, backward=backward)
 
 
 def reflection_distance(V: SymbolicModule, W: SymbolicModule, p: float = 1) -> ReflectionDistance:

@@ -14,10 +14,9 @@ and the annihilating runs built from it, live in ``diagrams``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .linalg import (FiniteDiagram, Matrix, diagram_colimit, diagram_limit,
+from .linalg import (FiniteDiagram, Matrix, _Record, diagram_colimit, diagram_limit,
                      hstack, solve, vstack)
 from .zigzag_core import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION,
                           Morphism, ZigzagModule, _ends, is_morphism, transform_type)
@@ -26,8 +25,7 @@ LIMIT = "limit"
 COLIMIT = "colimit"
 
 
-@dataclass(frozen=True, slots=True)
-class ReflectionOp:
+class ReflectionOp(_Record):
     """One reflection step: rebuild position k as a window limit or colimit.
 
     ``boundary_dir`` orients the phantom zero arrow used when k is an end
@@ -38,16 +36,17 @@ class ReflectionOp:
 
     kind: str
     k: int
-    boundary_dir: str | None = None
+    boundary_dir: str | None
 
-    def __post_init__(self) -> None:
-        if self.kind not in (LIMIT, COLIMIT):
-            raise ValueError(f"kind must be {LIMIT!r} or {COLIMIT!r}, got {self.kind!r}")
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ValueError(f"position must be a positive integer, got {self.k!r}")
-        if self.boundary_dir not in (None, FORWARD, BACKWARD):
+    def __init__(self, kind: str, k: int, boundary_dir: str | None = None) -> None:
+        if kind not in (LIMIT, COLIMIT):
+            raise ValueError(f"kind must be {LIMIT!r} or {COLIMIT!r}, got {kind!r}")
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ValueError(f"position must be a positive integer, got {k!r}")
+        if boundary_dir not in (None, FORWARD, BACKWARD):
             raise ValueError(f"boundary direction must be {FORWARD!r} or {BACKWARD!r}, "
-                             f"got {self.boundary_dir!r}")
+                             f"got {boundary_dir!r}")
+        self._set(kind=kind, k=k, boundary_dir=boundary_dir)
 
 
 def check_applicable(op: ReflectionOp, n: int) -> None:
@@ -161,18 +160,17 @@ def apply_to_morphism(op: ReflectionOp, phi: Morphism) -> Morphism:
     return Morphism(Vr, Wr, tuple(comps))
 
 
-@dataclass(frozen=True)
-class ReflectionSequence:
+class ReflectionSequence(_Record):
     """An ordered run of reflections, applied left to right."""
 
     ops: tuple[ReflectionOp, ...]
 
-    def __post_init__(self) -> None:
-        ops = tuple(self.ops)
+    def __init__(self, ops: Iterable[ReflectionOp]) -> None:
+        ops = tuple(ops)
         for op in ops:
             if not isinstance(op, ReflectionOp):
                 raise TypeError(f"sequence entries must be ReflectionOp, got {type(op).__name__}")
-        object.__setattr__(self, "ops", ops)
+        self._set(ops=ops)
 
     def __len__(self) -> int:
         return len(self.ops)

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .bottleneck import bottleneck_distance
 from .diagrams import PersistenceDiagram, SymbolicModule
-from .linalg import DEFAULT_PRIME, Matrix, is_invertible
+from .linalg import DEFAULT_PRIME, Matrix, _Record, is_invertible
 from .reflection_distance import reflection_distance
 from .zigzag_core import BACKWARD, FORWARD, Orientation, ZigzagModule, conjugate, synthesize
 
@@ -54,12 +53,14 @@ def generate_random_module(n: int, max_points: int, prime: int = DEFAULT_PRIME,
     return W
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(_Record):
     """Outcome of a stability run: per-trial records plus failures."""
 
     trials: tuple[dict, ...]
     violations: tuple[int, ...]
+
+    def __init__(self, trials, violations) -> None:
+        self._set(trials=trials, violations=violations)
 
     @property
     def passed(self) -> bool:

@@ -11,10 +11,10 @@ preorder it generates on decomposed modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .linalg import DEFAULT_PRIME, Matrix, _check_prime, _dims, _exact_ints, block_diag, solve
+from .linalg import (DEFAULT_PRIME, Matrix, _check_prime, _dims, _exact_ints, _Record, _typed,
+                     block_diag, solve)
 
 FORWARD = ">"
 BACKWARD = "<"
@@ -29,20 +29,19 @@ EXTROVERSION = "extroversion"
 INTROVERSION = "introversion"
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(_Record):
     """Arrow directions of a length-n zigzag; entry k joins positions k, k+1."""
 
     dirs: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        dirs = tuple(self.dirs)
+    def __init__(self, dirs: Iterable[str]) -> None:
+        dirs = tuple(dirs)
         if len(dirs) < 1:
             raise ValueError("a zigzag needs at least two positions (one arrow)")
         for i, d in enumerate(dirs):
             if d not in (FORWARD, BACKWARD):
                 raise ValueError(f"entry {i + 1} must be {FORWARD!r} or {BACKWARD!r}, got {d!r}")
-        object.__setattr__(self, "dirs", dirs)
+        self._set(dirs=dirs)
 
     @classmethod
     def from_string(cls, s: str) -> "Orientation":
@@ -128,8 +127,7 @@ def classify_index(tau: Orientation, k: int) -> str:
     return FORWARD_FLOW if left == FORWARD else BACKWARD_FLOW
 
 
-@dataclass(frozen=True)
-class ZigzagModule:
+class ZigzagModule(_Record):
     """A concrete zigzag module: dimensions plus structure matrices.
 
     For a forward arrow k the matrix ``maps[k-1]`` sends position k to
@@ -141,10 +139,10 @@ class ZigzagModule:
     dims: tuple[int, ...]
     maps: tuple[Matrix, ...]
 
-    def __post_init__(self) -> None:
-        dims = tuple(_dims(self.dims, "dimensions"))
-        maps = tuple(self.maps)
-        n = self.tau.n
+    def __init__(self, tau: Orientation, dims: Iterable[int], maps: Iterable[Matrix]) -> None:
+        n = _typed(tau, Orientation, "tau").n
+        dims = tuple(_dims(dims, "dimensions"))
+        maps = tuple(maps)
         if len(dims) != n:
             raise ValueError(f"expected {n} dimensions, got {len(dims)}")
         if len(maps) != n - 1:
@@ -154,12 +152,11 @@ class ZigzagModule:
                 raise ValueError(f"map {i + 1} is {type(M).__name__}, expected Matrix")
             if M.p != maps[0].p:
                 raise ValueError("structure maps must share one field")
-            s, t = _ends(self.tau.dirs, i)
+            s, t = _ends(tau.dirs, i)
             want = (dims[t], dims[s])
             if M.shape != want:
                 raise ValueError(f"map {i + 1} has shape {M.shape}, expected {want}")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "maps", maps)
+        self._set(tau=tau, dims=dims, maps=maps)
 
     @property
     def n(self) -> int:
@@ -220,29 +217,30 @@ def synthesize(tau: Orientation, points: Iterable[tuple[int, int]],
     return ZigzagModule(tau, dims, tuple(maps))
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(_Record):
     """A morphism of zigzag modules over one type: commuting components."""
 
     source: ZigzagModule
     target: ZigzagModule
     components: tuple[Matrix, ...]
 
-    def __post_init__(self) -> None:
-        comps = tuple(self.components)
-        if self.source.tau != self.target.tau:
+    def __init__(self, source: ZigzagModule, target: ZigzagModule,
+                 components: Iterable[Matrix]) -> None:
+        comps = tuple(components)
+        tau = _typed(source, ZigzagModule, "source").tau
+        if tau != _typed(target, ZigzagModule, "target").tau:
             raise ValueError("source and target must share an orientation type")
-        if self.source.p != self.target.p:
+        if source.p != target.p:
             raise ValueError("source and target must share a field")
-        if len(comps) != self.source.n:
-            raise ValueError(f"expected {self.source.n} components, got {len(comps)}")
+        if len(comps) != source.n:
+            raise ValueError(f"expected {source.n} components, got {len(comps)}")
         for i, c in enumerate(comps):
-            want = (self.target.dims[i], self.source.dims[i])
-            if not isinstance(c, Matrix) or c.p != self.source.p:
-                raise ValueError(f"component {i + 1} must be a Matrix over GF({self.source.p})")
+            want = (target.dims[i], source.dims[i])
+            if not isinstance(c, Matrix) or c.p != source.p:
+                raise ValueError(f"component {i + 1} must be a Matrix over GF({source.p})")
             if c.shape != want:
                 raise ValueError(f"component {i + 1} has shape {c.shape}, expected {want}")
-        object.__setattr__(self, "components", comps)
+        self._set(source=source, target=target, components=comps)
 
     @property
     def n(self) -> int:

@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+from pathlib import Path
 from typing import Sequence
+
+import zzdist
 
 from zzdist import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, LIMIT,
                     FiniteDiagram, Matrix, Orientation, PersistenceDiagram, ReflectionOp,
@@ -22,6 +26,13 @@ from zzdist import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, LIMIT,
 from zzdist.diagrams import _reflect, _state
 from zzdist.linalg import _combine, _kernel, _transpose
 from zzdist.zigzag_core import _embeds
+
+
+def subprocess_env() -> dict:
+    """The environment for a Python subprocess that imports this checkout."""
+    src = str(Path(zzdist.__file__).resolve().parent.parent)
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def random_dirs(rng: random.Random, n: int) -> tuple[str, ...]:

@@ -2,15 +2,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
-from helpers import count_calls
+from helpers import count_calls, subprocess_env
 
 import zzdist
 from zzdist import (Matrix, PersistenceDiagram, SymbolicModule, ZigzagModule,
@@ -267,15 +265,8 @@ def test_cmd_distance_large_p(tmp_path, capsys, p):
     assert capsys.readouterr().out.strip() == "3"
 
 
-def _env() -> dict:
-    """The environment for a ``python -m zzdist`` subprocess that imports this checkout."""
-    src = str(Path(zzdist.__file__).resolve().parent.parent)
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 def test_python_m_zzdist():
-    env = _env()
+    env = subprocess_env()
     run = subprocess.run([sys.executable, "-m", "zzdist", "--help"], env=env,
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0 and run.stdout.startswith("usage: zzdist")
@@ -292,7 +283,7 @@ def test_undecodable_files_exit_2_naming_the_file(tmp_path):
         path = tmp_path / name
         path.write_bytes(raw)
         run = subprocess.run([sys.executable, "-m", "zzdist", "decompose", str(path)],
-                             env=_env(), capture_output=True, text=True, timeout=60)
+                             env=subprocess_env(), capture_output=True, text=True, timeout=60)
         assert run.returncode == 2 and run.stdout == "", (name, run)
         assert run.stderr.startswith(f"error: {path}: ") and run.stderr.count("\n") == 1, name
         assert "Traceback" not in run.stderr
@@ -332,7 +323,7 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     assert main(["reflect", d, "--kind", "limit", "--index", "9"]) == 2
     capsys.readouterr()
     assert one_round() == first
-    env = _env()
+    env = subprocess_env()
     run = subprocess.run([sys.executable, "-m", "zzdist", *commands[7]], env=env,
                          capture_output=True, text=True, timeout=60)
     assert (run.returncode, run.stdout) == first[7]
@@ -358,7 +349,7 @@ run(out, "synthesize", dia)
 
 
 def test_zzdist_runs_without_numpy(tmp_path):
-    env = _env()
+    env = subprocess_env()
     argv = [str(tmp_path / "m.json"), write(tmp_path, "d.json", DIA), str(tmp_path / "out.json")]
     run = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *argv], env=env,
                          capture_output=True, text=True, timeout=120)
@@ -411,7 +402,7 @@ def test_matrices_file_entries_are_checked_once(tmp_path, monkeypatch):
     assert all(M.rows and M.cols for M in V.maps)
     path, D = write(tmp_path, "m.json", serialize_module(V)), decompose(V)
     index_calls = count_calls(monkeypatch, linalg, "_index")
-    init_calls = count_calls(monkeypatch, Matrix, "__post_init__")
+    init_calls = count_calls(monkeypatch, Matrix, "__init__")
     back = parse_module_file(path)
     W = synthesize(V.tau, D.points, 5)
     assert index_calls == init_calls == [0]

@@ -262,6 +262,14 @@ def test_symbolic_module_validation():
         SymbolicModule(tau(">>"), pd(4, []))
 
 
+def test_symbolic_module_refuses_wrong_typed_fields():
+    # these used to fail with an AttributeError on the missing ``n``
+    with pytest.raises(ValueError, match="^tau is str, expected Orientation$"):
+        SymbolicModule("><", pd(3, [(1, 3)]))
+    with pytest.raises(ValueError, match="^diagram is list, expected PersistenceDiagram$"):
+        SymbolicModule(tau("><"), [(1, 3)])
+
+
 def test_interval_image_matches_concrete_reflection():
     # the closed-form rule must not depend on the field
     for p, n in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)]:

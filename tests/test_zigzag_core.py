@@ -167,6 +167,14 @@ def test_zigzag_module_validation():
         ZigzagModule(tau(">>"), (1, 1, 1), (Matrix.identity(1, 2), Matrix.identity(1, 3)))
 
 
+def test_zigzag_module_refuses_wrong_typed_fields():
+    # a string type used to fail with an AttributeError on the missing ``n``
+    with pytest.raises(ValueError, match="^tau is str, expected Orientation$"):
+        ZigzagModule("><", (1, 1, 1), (Matrix.identity(1, 2),) * 2)
+    with pytest.raises(ValueError, match="^map 2 is list, expected Matrix$"):
+        ZigzagModule(tau("><"), (1, 1, 1), (Matrix.identity(1, 2), [[1]]))
+
+
 def test_identity_and_zero_morphisms():
     rng = random.Random(15)
     for _ in range(10):
@@ -194,6 +202,15 @@ def test_morphism_validation():
     for build, message in rows:
         with pytest.raises(ValueError, match=message):
             build()
+
+
+def test_morphism_refuses_wrong_typed_fields():
+    # these used to fail with an AttributeError on the missing ``tau``
+    V = interval_module(tau(">"), 1, 2)
+    with pytest.raises(ValueError, match="^source is int, expected ZigzagModule$"):
+        Morphism(1, 2, ())
+    with pytest.raises(ValueError, match="^target is Orientation, expected ZigzagModule$"):
+        Morphism(V, tau(">"), ())
 
 
 def test_non_morphism_detected():
