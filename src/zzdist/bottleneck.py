@@ -323,8 +323,6 @@ def _least_cost(copies: int, pen: float, row: Sequence[float], mult: Sequence[in
     every copy is matched, which needs points within the cost whose
     multiplicities add up to ``copies`` (Hall's condition on this one
     point).  The bound is ``pen`` or an entry of ``row``, so a candidate."""
-    if copies == 1:  # any one point will do
-        return min((pen, *row))
     for d, m in sorted([(d, m) for d, m in zip(row, mult) if d < pen]):
         copies -= m
         if copies <= 0:

@@ -11,7 +11,8 @@ file it also checks the field prime, once per file, and every map entry,
 once, with ``_residues`` as the map is read: plain ints pass one type
 pass, and the ``Matrix`` is built by ``Matrix._trusted``, which checks
 nothing again.  ``ZigzagModule`` then checks the maps' shapes and
-shared field, and the library constructors check every other value.
+shared field, ``PersistenceDiagram.from_counts`` each diagram entry,
+once, and the library constructors every other value.
 Every refusal is a ValueError, reported on one line with exit 2, and
 ``parse_module_file`` prefixes it with the path.
 
@@ -77,11 +78,6 @@ def parse_module_data(obj) -> ZigzagModule | SymbolicModule:
     if has_d:
         dg = obj["diagram"]
         _expect(isinstance(dg, list), "'diagram' must be a list of [b, d, multiplicity]")
-        # per-entry messages are built only for a refusal, not for every entry
-        for idx, row in enumerate(dg):
-            if not (isinstance(row, list) and len(row) == 3):
-                raise ValueError(f"diagram entry {idx} must be a list of three integers, "
-                                 f"got {row!r}")
         return SymbolicModule(tau, PersistenceDiagram.from_counts(n, dg))
     block = obj["matrices"]
     _expect(isinstance(block, dict), "'matrices' must be an object")

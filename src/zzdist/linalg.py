@@ -230,6 +230,7 @@ class Matrix(_Record):
 
     @classmethod
     def zero(cls, rows: int, cols: int, p: int = DEFAULT_PRIME) -> "Matrix":
+        [rows] = _dims([rows], "matrix height")
         return cls(p, ((0,) * cols,) * rows, cols)
 
     @classmethod

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import threading
-from typing import NamedTuple
 
 from .bottleneck import _check_p
 from .diagrams import SymbolicModule, _reflect, _state
@@ -47,7 +46,7 @@ _memo_lock = threading.Lock()
 _hits = _misses = _evictions = _held = 0
 
 
-class MemoInfo(NamedTuple):
+class MemoInfo(_Record):
     """Counters of the successor memo since it was last cleared: lookups
     answered from it, states expanded, lists dropped when a full memo was
     emptied, and the successor states its lists hold now."""
@@ -56,6 +55,9 @@ class MemoInfo(NamedTuple):
     misses: int
     evictions: int
     held: int
+
+    def __init__(self, hits, misses, evictions, held) -> None:
+        self._set(hits=hits, misses=misses, evictions=evictions, held=held)
 
 
 def cost(seq: ReflectionSequence, p: float = 1) -> float:

@@ -12,11 +12,13 @@ from .reflection_distance import reflection_distance
 from .zigzag_core import BACKWARD, FORWARD, Orientation, ZigzagModule, conjugate, synthesize
 
 
-def _check_sizes(n: int, max_points: int) -> None:
-    if n < 2:
-        raise ValueError(f"length must be >= 2, got {n}")
-    if max_points < 0:
-        raise ValueError(f"max_points must be >= 0, got {max_points}")
+def _check_sizes(n: int, max_points: int, trials: int = 0) -> None:
+    """Refuse a size that is not an integer, or a bool, or is below its least value."""
+    for name, x, least in (("trials", trials, 0), ("n", n, 2), ("max_points", max_points, 0)):
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"{name} must be an integer, got {x!r}")
+        if x < least:
+            raise ValueError(f"{name} must be >= {least}, got {x}")
 
 
 def random_symbolic_module(rng: random.Random, n: int, max_points: int) -> SymbolicModule:
@@ -85,9 +87,7 @@ def stability_experiment(trials: int, n: int, max_points: int, seed: int) -> Exp
     reflection value, the two bottleneck values sandwich each other, and
     same-orientation pairs respect the polynomial upper bound.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    _check_sizes(n, max_points)
+    _check_sizes(n, max_points, trials)
     rng = random.Random(seed)
     records: list[dict] = []
     violations: list[int] = []

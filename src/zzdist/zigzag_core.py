@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .linalg import (DEFAULT_PRIME, Matrix, _check_prime, _dims, _exact_ints, _Record, _typed,
-                     block_diag, solve)
+                     block_diag, inverse)
 
 FORWARD = ">"
 BACKWARD = "<"
@@ -148,9 +148,7 @@ class ZigzagModule(_Record):
         if len(maps) != n - 1:
             raise ValueError(f"expected {n - 1} structure maps, got {len(maps)}")
         for i, M in enumerate(maps):
-            if not isinstance(M, Matrix):
-                raise ValueError(f"map {i + 1} is {type(M).__name__}, expected Matrix")
-            if M.p != maps[0].p:
+            if _typed(M, Matrix, f"map {i + 1}").p != maps[0].p:
                 raise ValueError("structure maps must share one field")
             s, t = _ends(tau.dirs, i)
             want = (dims[t], dims[s])
@@ -283,9 +281,10 @@ def conjugate(V: ZigzagModule, bases: Iterable[Matrix]) -> tuple[ZigzagModule, M
     for i, M in enumerate(B):
         if M.p != V.p or M.shape != (V.dims[i], V.dims[i]):
             raise ValueError(f"base change {i + 1} must be {V.dims[i]}x{V.dims[i]} over GF({V.p})")
-        inv.append(solve(M, Matrix.identity(M.rows, M.p)))
-        if inv[-1] is None:
-            raise ValueError(f"base change {i + 1} is singular")
+        try:
+            inv.append(inverse(M))
+        except ValueError:
+            raise ValueError(f"base change {i + 1} is singular") from None
     maps = []
     for i, M in enumerate(V.maps):
         s, t = _ends(V.tau.dirs, i)
@@ -298,12 +297,11 @@ def arrow_reverse(V: ZigzagModule, k: int) -> ZigzagModule:
     """Reverse arrow k, which must be invertible, replacing it by its inverse."""
     if not 1 <= k <= V.n - 1:
         raise ValueError(f"arrow index {k} out of range 1..{V.n - 1}")
-    M = V.maps[k - 1]
-    inv = solve(M, Matrix.identity(M.rows, M.p)) if M.is_square() else None
-    if inv is None:
-        raise ValueError(f"arrow {k} is not invertible and cannot be reversed")
     maps = list(V.maps)
-    maps[k - 1] = inv
+    try:
+        maps[k - 1] = inverse(maps[k - 1])
+    except ValueError:
+        raise ValueError(f"arrow {k} is not invertible and cannot be reversed") from None
     return ZigzagModule(transform_type(V.tau, REVERSAL, k), V.dims, tuple(maps))
 
 

@@ -196,6 +196,19 @@ def test_least_cost_bound_never_exceeds_the_distance(monkeypatch):
     assert tight > 800  # 876 of the 900 calls
 
 
+def test_least_cost_of_one_copy_is_the_nearest_point_or_the_penalty():
+    # one copy is matched by any one point nearer than its penalty
+    rng = random.Random(37)
+    ties = 0
+    for _ in range(2000):
+        pen = float(rng.randint(0, 6))
+        row = [float(rng.randint(0, 8)) for _ in range(rng.randint(0, 5))]
+        mult = [rng.randint(1, 3) for _ in row]
+        ties += pen in row
+        assert bottleneck._least_cost(1, pen, row, mult) == min((pen, *row)), (pen, row, mult)
+    assert ties > 400  # 487 of the 2,000 rows hold pen
+
+
 def test_optimal_matching_checks_the_combined_matching(monkeypatch):
     # a merged matching that drops a point too expensive to drop must not
     # pass the check, and the message names p and both inputs' counts, a

@@ -420,6 +420,16 @@ def test_bad_matrix_entry_names_the_map_and_its_position(tmp_path, capsys):
                                            "map 2 must be integers\n")
 
 
+def test_bad_diagram_entry_names_the_file_and_the_entry(tmp_path, capsys):
+    # PersistenceDiagram.from_counts checks each entry, once
+    for bad, want in (([1, 2], "3 integers"), ("abc", "integers"), ({"b": 1}, "integers"),
+                      ([1, 2, 1, 4], "3 integers")):
+        path = write(tmp_path, "bad.json", {"n": 3, "type": "><", "diagram": [bad]})
+        assert main(["decompose", path]) == 2
+        assert capsys.readouterr().err == (f"error: {path}: entry 0 {bad!r}: birth, death "
+                                           f"and multiplicity must be {want}\n")
+
+
 def test_declared_dimension_past_the_bound_exits_2(tmp_path, capsys):
     # maps out of a zero space are empty lists, so this file once cost
     # 100 MB to parse and gigabytes to decompose
@@ -523,6 +533,20 @@ def test_random_symbolic_module_bounds():
         random_symbolic_module(rng, 5, -1)
     with pytest.raises(ValueError, match="trials must be >= 0, got -1"):
         stability_experiment(-1, 5, 3, 0)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2.5, 4, 1, 0), "trials must be an integer, got 2.5"),
+    ((True, 4, 1, 0), "trials must be an integer, got True"),
+    ((3, 2.5, 1, 0), "n must be an integer, got 2.5"),
+    ((3, True, 1, 0), "n must be an integer, got True"),
+    ((2, 4, 1.5, 0), "max_points must be an integer, got 1.5"),
+    ((2, 4, False, 0), "max_points must be an integer, got False")])
+def test_stability_sizes_must_be_integers(args, message):
+    # random would refuse the floats with messages of its own, and take a
+    # bool as 0 or 1
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        stability_experiment(*args)
 
 
 def test_generate_random_module_recovers_seeded_diagram():

@@ -53,6 +53,13 @@ def test_zero_and_identity_ranks():
     assert rank(Matrix.zero(3, 4, 2)) == 0
 
 
+def test_zero_refuses_a_negative_height_or_width():
+    with pytest.raises(ValueError, match="^entry 0 -1: matrix height must be nonnegative"):
+        Matrix.zero(-1, 2)
+    with pytest.raises(ValueError, match="^entry 0 -1: matrix width must be nonnegative"):
+        Matrix.zero(2, -1)
+
+
 def test_rank_of_product_bounded_by_factor():
     rng = random.Random(101)
     for p in (2, 5):

@@ -2,7 +2,7 @@
 by class and fields, a ``Name(field=value!r, ...)`` repr, no assignment
 or deletion after construction, copies and pickles that round-trip, and
 keyword construction.  The repr literals are those the records printed
-when they were frozen dataclasses."""
+when they were frozen dataclasses, or, for ``MemoInfo``, a named tuple."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from helpers import subprocess_env
 from zzdist import (ExperimentReport, FiniteDiagram, Matching, Matrix, Morphism, Orientation,
                     PersistenceDiagram, ReflectionDistance, ReflectionOp, ReflectionSequence,
                     SymbolicModule, ZigzagModule, identity_morphism)
+from zzdist.reflection_distance import MemoInfo
 
 
 def _samples() -> dict:
@@ -77,6 +78,8 @@ def _samples() -> dict:
                    "Matching(n_source=2, n_target=3, pairs=((0, 2), (1, 0)))"),
         ExperimentReport: (lambda: ExperimentReport(trials=({"d": 1},), violations=(0,)),
                            "ExperimentReport(trials=({'d': 1},), violations=(0,))"),
+        MemoInfo: (lambda: MemoInfo(hits=0, misses=0, evictions=0, held=0),
+                   "MemoInfo(hits=0, misses=0, evictions=0, held=0)"),
     }
 
 
@@ -172,3 +175,15 @@ def test_import_loads_no_code_generation_modules():
     new = _modules_loaded_by("import zzdist", env) - _modules_loaded_by("pass", env)
     assert "zzdist.cli" in new
     assert not new & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, sorted(new)
+
+
+def test_import_compiles_no_generated_source():
+    # a NamedTuple or dataclass would compile generated source, named
+    # "<string>", as its class is built
+    code = ("import sys\nseen = []\n"
+            "sys.addaudithook(lambda event, args: event == 'compile' and args[1] == '<string>'"
+            " and seen.append(args[0]))\n"
+            "import zzdist\nprint(len(seen))")
+    run = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert run.stdout == "0\n"
