@@ -5,31 +5,32 @@ other, at most once each; its cost is the largest of the matched
 distances and the penalties charged for leaving an interval unmatched.
 Every achievable cost is one of finitely many candidate values, and
 whether a matching within a value exists is monotone in the value, so
-the distance is found exactly by binary search over the sorted
-candidates (Efrat, Itai and Katz, 2001; Kerber, Morozov and Nigmetov,
-2017).  Points are counted: each test is a capacitated flow on the
-distinct points, whose supplies and capacities are multiplicities, and a
+the distance is the smallest feasible candidate (Efrat, Itai and Katz,
+2001; Kerber, Morozov and Nigmetov, 2017).  Only points whose penalty
+passes a lower bound can be required, so only they get distances, and
+only to points nearer than their penalty; the search gallops up from the
+bound, where the distance most often is, and bisects the last gap.
+Points are counted: each test is a capacitated flow on the distinct
+points, whose supplies and capacities are multiplicities, and a
 diagram's copies are indexed by one ``range``, so no cost grows with
 them.  Augmenting paths are searched with an explicit queue, so long
-paths cannot hit the recursion limit.  The table of distances between
-distinct points is built once per call, with one expression chosen per
-p, so at p = 1 and p = inf it makes no ``_point_dist`` call per pair;
-``_point_dist`` remains for general p and for the independent check of
-the realized cost.  Both entry points share one checked solve; only
-``optimal_matching`` expands its counted flows into an index-level
-witness, merging the two one-sided matchings (Mendelsohn and Dulmage, 1958).
+paths cannot hit the recursion limit.  ``_point_dist`` is called where
+powers overflow and for the independent check of the realized cost.
+Both entry points share one checked solve; only ``optimal_matching``
+expands its counted flows into an index-level witness, merging the two
+one-sided matchings (Mendelsohn and Dulmage, 1958).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from itertools import accumulate, chain, islice, repeat
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain, islice
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .diagrams import PersistenceDiagram
-from .linalg import _dims, _exact_ints, _Record, _transpose
+from .linalg import _dims, _exact_ints, _Record
 
 
 class Matching(_Record):
@@ -128,29 +129,31 @@ def _too_far(pts: Sequence[tuple[int, int]]) -> ValueError:
     return ValueError(f"interval {big}: endpoints too far apart for floating-point distances")
 
 
-def _table(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]],
-           p: float) -> tuple[list[list[float]], list[float], list[float]]:
-    """The distances ``dist[i][j]`` from ``a[i]`` to ``b[j]`` and the
-    penalties of ``a`` and ``b``, each equal to what ``_point_dist`` and
-    ``_penalty`` give, bit for bit.
-
-    The row expression is chosen once per call, so at p = 1 and p = inf
-    there is no ``_point_dist`` call per pair.  Those rows round the
-    integer differences to floats where ``_point_dist`` does: at p = 1
-    each difference is rounded before the two are added, as ``db ** 1.0 +
-    dd ** 1.0`` is (``float(db + dd)`` differs above 2**53), and at
-    p = inf the larger one is rounded.  Every other p takes ``_point_dist``.
+def _near(x: tuple[int, int], pen: float, ys: Sequence[tuple[int, int]],
+          p: float) -> list[tuple[float, int]]:
+    """(distance, index) for each point of ``ys`` nearer to ``x`` than
+    ``pen``, nearest first, each distance equal to what ``_point_dist``
+    gives, bit for bit, with one expression per p.  Integer differences
+    are rounded to floats where ``_point_dist`` rounds them: at p = 1 each
+    one before the two are added, as ``db ** 1.0 + dd ** 1.0`` is
+    (``float(db + dd)`` differs above 2**53), and at p = inf the larger one.
     """
-    scale = 2.0 ** (1.0 - (0.0 if math.isinf(p) else 1.0 / p))  # as in `_penalty`
+    xb, xd = x
     if p == 1.0:  # float + int rounds the int as float() does
-        dist = [[float(abs(xb - yb)) + abs(xd - yd) for (yb, yd) in b] for (xb, xd) in a]
+        near = [(d, j) for j, (yb, yd) in enumerate(ys)
+                if (d := float(abs(xb - yb)) + abs(xd - yd)) < pen]
     elif math.isinf(p):
-        dist = [[float(db if (db := abs(xb - yb)) > (dd := abs(xd - yd)) else dd)
-                 for (yb, yd) in b] for (xb, xd) in a]
+        near = [(d, j) for j, (yb, yd) in enumerate(ys)
+                if (d := float(db if (db := abs(xb - yb)) > (dd := abs(xd - yd)) else dd)) < pen]
     else:
-        dist = [[_point_dist(x, y, p) for y in b] for x in a]
-    return (dist, [(xd - xb) / scale for (xb, xd) in a],
-            [(yd - yb) / scale for (yb, yd) in b])
+        inv, inf = 1.0 / p, math.inf
+        try:
+            near = [(d, j) for j, (yb, yd) in enumerate(ys)
+                    if (d := t ** inv if (t := abs(xb - yb) ** p + abs(xd - yd) ** p) < inf
+                        else _point_dist(x, (yb, yd), p)) < pen]
+        except OverflowError:  # a power past the float range: scaled in `_point_dist`
+            near = [(d, j) for j, y in enumerate(ys) if (d := _point_dist(x, y, p)) < pen]
+    return sorted(near)
 
 
 def matching_cost(S, T, M: Matching, p: float = math.inf) -> float:
@@ -316,15 +319,17 @@ def _confirm(realized: float, eta: float, p: float, A: _Grouped, B: _Grouped) ->
                              f"(p={p}; counts {a} and {b})")
 
 
-def _least_cost(copies: int, pen: float, row: Sequence[float], mult: Sequence[int]) -> float:
+def _least_cost(copies: int, pen: float, near: Sequence[tuple[float, int]],
+                mult: Sequence[int]) -> float:
     """A lower bound on the cost of any matching, from one point of
-    ``copies`` copies and penalty ``pen`` at distances ``row`` from points
-    of multiplicities ``mult``: either a copy is dropped, at ``pen``, or
-    every copy is matched, which needs points within the cost whose
+    ``copies`` copies and penalty ``pen`` whose neighbours nearer than
+    ``pen`` are ``near``, (distance, index) pairs nearest first, with
+    multiplicities ``mult`` by index: either a copy is dropped, at ``pen``,
+    or every copy is matched, which needs points within the cost whose
     multiplicities add up to ``copies`` (Hall's condition on this one
-    point).  The bound is ``pen`` or an entry of ``row``, so a candidate."""
-    for d, m in sorted([(d, m) for d, m in zip(row, mult) if d < pen]):
-        copies -= m
+    point).  The bound is ``pen`` or a distance in ``near``, so a candidate."""
+    for d, j in near:
+        copies -= mult[j]
         if copies <= 0:
             return d
     return pen
@@ -337,50 +342,60 @@ def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
     gives them: f places every copy of a point of S whose penalty exceeds
     eta on T within eta, and g does the same for T.
 
-    Candidate costs are the pairwise distances and the penalties; the
-    smallest candidate at which both flows exist is the distance, found
-    by binary search over ``_table``'s values.  The flows' realized cost
-    is checked with ``_point_dist``, not with the table.
+    One walk visits the points of both sides by falling penalty, raising
+    ``lower``, the largest least cost, and stops at the first point whose
+    penalty is at most ``lower``, since no least cost passes its penalty.
+    Every probe is at some eta >= ``lower``, where only points of penalty
+    above eta are required, and the walk visited all of these.  Each walked
+    point keeps its neighbours nearer than its own penalty, nearest first:
+    an edge no shorter than both ends' penalties is never used, since at any
+    eta that admits it neither end is required.  That list gives the point's
+    least cost, its distances among the candidates (with every penalty),
+    and at each probe its neighbours, the prefix within eta.  If ``lower``
+    reaches ``upper``, the largest penalty, eta is ``upper``, where nothing
+    is required.  Else the candidate at ``lower`` is tried, then 1, 3, 7,
+    ... above it, and the last gap is bisected (Bentley and Yao, 1976).
+    The flows' realized cost is checked with ``_point_dist`` and ``_penalty``.
     """
     A, B = _grouped(S), _grouped(T)
     (a, mult_a, _), (b, mult_b, _) = A, B
-    try:  # later float work repeats the table's, so it cannot overflow
-        dist, pen_a, pen_b = _table(a, b, p)
+    pts, mults = (a, b), (mult_a, mult_b)
+    walked = []  # (penalty, side, index, near) by falling penalty
+    lower = 0.0
+    try:  # later float work repeats this, so it cannot overflow
+        pens = [_penalty(x, p) for x in a], [_penalty(y, p) for y in b]
+        for pen, side, i in sorted([(pen, side, i) for side in (0, 1)
+                                    for i, pen in enumerate(pens[side])],
+                                   key=itemgetter(0), reverse=True):
+            if pen <= lower:
+                break
+            near = _near(pts[side][i], pen, pts[1 - side], p)
+            walked.append((pen, side, i, near))
+            lower = max(lower, _least_cost(mults[side][i], pen, near, mults[1 - side]))
     except OverflowError:
         raise _too_far(a + b) from None
-    cols = _transpose(dist, len(b))
-    # no matching costs less than `lower`, the largest least cost of a
-    # point; no point's least cost passes its penalty, so the points are
-    # taken by falling penalty until one cannot raise `lower`.  Dropping
-    # every point costs `upper`
-    lower = 0.0
-    for pen, m, row, other in sorted(chain(zip(pen_a, mult_a, dist, repeat(mult_b)),
-                                           zip(pen_b, mult_b, cols, repeat(mult_a))),
-                                     key=itemgetter(0), reverse=True):
-        if pen <= lower:
-            break
-        lower = max(lower, _least_cost(m, pen, row, other))
-    upper = max(pen_a + pen_b, default=0.0)
-    candidates = sorted(set(chain(pen_a, pen_b, *dist))) or [0.0]
-    # nothing has to be matched at `upper`; `lower` is tried first, and in
-    # most calls it is the distance
-    lo, hi = bisect_left(candidates, lower), bisect_left(candidates, upper)
-    flows, mid = ({}, {}), lo
-    while lo < hi:
-        eta = candidates[mid]
-        req_a = {i: mult_a[i] for i, pen in enumerate(pen_a) if pen > eta}
-        f = _saturate(req_a, mult_b,
-                      {i: [j for j, d in enumerate(dist[i]) if d <= eta] for i in req_a})
-        req_b = {j: mult_b[j] for j, pen in enumerate(pen_b) if pen > eta}
-        g = None if f is None else _saturate(
-            req_b, mult_a,
-            {j: [i for i, d in enumerate(cols[j]) if d <= eta] for j in req_b})
-        if g is None:
-            lo = mid + 1
-        else:
-            hi, flows = mid, (f, g)
-        mid = (lo + hi) // 2
-    eta, (f, g) = candidates[hi], flows
+    upper = max(chain(*pens), default=0.0)
+    eta, flows = upper, ({}, {})
+    if lower < upper:
+        candidates = sorted({*pens[0], *pens[1], *(d for *_, near in walked for d, _ in near)})
+        lo, hi = bisect_left(candidates, lower), len(candidates) - 1  # `upper` is the last
+        start, mid = lo + 1, lo
+        while lo < hi:
+            eta, supply, neighbours = candidates[mid], ({}, {}), ({}, {})
+            for pen, side, i, near in walked:  # the points required at eta come first
+                if pen <= eta:
+                    break
+                supply[side][i] = mults[side][i]
+                neighbours[side][i] = [j for _, j in near[:bisect_right(near, (eta, math.inf))]]
+            f = _saturate(supply[0], mult_b, neighbours[0])
+            g = None if f is None else _saturate(supply[1], mult_a, neighbours[1])
+            if g is None:
+                lo = mid + 1
+            else:
+                hi, flows = mid, (f, g)
+            mid = min(2 * lo - start, (lo + hi) // 2)  # lower + 0, 1, 3, 7, ... or the middle
+        eta = candidates[hi]
+    f, g = flows
     sides = ((f, a, mult_a, b), (g, b, mult_b, a))
     realized = _largest(
         [(x[i], y[j]) for flow, x, _, y in sides for i, row in flow.items() for j in row],

@@ -230,11 +230,12 @@ class Matrix(_Record):
 
     @classmethod
     def zero(cls, rows: int, cols: int, p: int = DEFAULT_PRIME) -> "Matrix":
-        [rows] = _dims([rows], "matrix height")
+        [rows], [cols] = _dims([rows], "matrix height"), _dims([cols], "matrix width")
         return cls(p, ((0,) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, n: int, p: int = DEFAULT_PRIME) -> "Matrix":
+        [n] = _dims([n], "matrix size")
         return cls(p, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @property

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 import os
 import random
 from pathlib import Path
@@ -23,6 +24,8 @@ from zzdist import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, LIMIT,
                     canonical_type, check_applicable, decompose, diagram_colimit,
                     diagram_limit, is_invertible, is_summand_upto_equiv, ops_at, rank,
                     synthesize, transform_type)
+from zzdist import bottleneck
+from zzdist.bottleneck import _grouped, _penalty, _point_dist
 from zzdist.diagrams import _reflect, _state
 from zzdist.linalg import _combine, _kernel, _transpose
 from zzdist.zigzag_core import _embeds
@@ -545,6 +548,52 @@ def expanded_bottleneck(ps, qs, p) -> float:
                 and saturate_unit(req_t, allowed_t) is not None):
             return eta
     raise AssertionError("no feasible candidate; the largest penalty is always feasible")
+
+
+def table_threshold(S, T, p: float) -> tuple[float, dict, dict, float, list[float]]:
+    """``bottleneck._threshold`` as it was computed from the full table,
+    on checked inputs and a checked p.
+
+    Every distance between the distinct points of S and T is taken by
+    ``_point_dist``, and every distance and penalty is a candidate.  The
+    lower bound is the largest least cost of any point, and the candidates
+    from it up to the largest penalty are bisected, the one at the bound
+    first.  Flows are tested by ``bottleneck._saturate``, looked up at each
+    call.  Returns eta, the flows (f, g) found at it, the lower bound and
+    the sorted candidates.
+    """
+    (a, mult_a, _), (b, mult_b, _) = _grouped(S), _grouped(T)
+    dist = [[_point_dist(x, y, p) for y in b] for x in a]
+    cols = [[row[j] for row in dist] for j in range(len(b))]
+    pen_a, pen_b = [_penalty(x, p) for x in a], [_penalty(y, p) for y in b]
+    lower = 0.0
+    for pens, mults, rows, other in ((pen_a, mult_a, dist, mult_b), (pen_b, mult_b, cols, mult_a)):
+        for pen, copies, row in zip(pens, mults, rows):
+            least = pen  # a copy dropped, or every copy matched within the cost
+            for d, m in sorted((d, m) for d, m in zip(row, other) if d < pen):
+                copies -= m
+                if copies <= 0:
+                    least = d
+                    break
+            lower = max(lower, least)
+    candidates = sorted({*pen_a, *pen_b, *itertools.chain.from_iterable(dist)}) or [0.0]
+    lo = bisect_left(candidates, lower)
+    hi = bisect_left(candidates, max(pen_a + pen_b, default=0.0))
+    flows, mid = ({}, {}), lo
+    while lo < hi:
+        eta = candidates[mid]
+        req_a = {i: mult_a[i] for i, pen in enumerate(pen_a) if pen > eta}
+        f = bottleneck._saturate(req_a, mult_b, {i: [j for j, d in enumerate(dist[i]) if d <= eta]
+                                                 for i in req_a})
+        req_b = {j: mult_b[j] for j, pen in enumerate(pen_b) if pen > eta}
+        g = None if f is None else bottleneck._saturate(
+            req_b, mult_a, {j: [i for i, d in enumerate(cols[j]) if d <= eta] for j in req_b})
+        if g is None:
+            lo = mid + 1
+        else:
+            hi, flows = mid, (f, g)
+        mid = (lo + hi) // 2
+    return candidates[hi], *flows, lower, candidates
 
 
 def bfs_min_steps(source: SymbolicModule, target: SymbolicModule) -> int:

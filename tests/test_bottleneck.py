@@ -3,16 +3,18 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_left
 from collections import Counter
 
 import pytest
-from helpers import (brute_force_bottleneck, diagonal_penalty,
-                     expanded_bottleneck, point_dist, random_counted, random_diagram)
+from helpers import (brute_force_bottleneck, count_calls, diagonal_penalty,
+                     expanded_bottleneck, point_dist, random_counted, random_diagram,
+                     table_threshold)
 
 from zzdist import (Matching, PersistenceDiagram, bottleneck_distance,
                     combine_matchings, matching_cost, optimal_matching)
 from zzdist import bottleneck
-from zzdist.bottleneck import _check_p, _penalty, _point_dist, _saturate, _table
+from zzdist.bottleneck import _check_p, _near, _penalty, _point_dist, _saturate
 
 
 def pd(n, pts):
@@ -171,6 +173,51 @@ def test_bottleneck_distance_checks_the_counted_flows(monkeypatch):
             bottleneck_distance(S, S, math.inf)
 
 
+def test_threshold_matches_the_full_table_search(monkeypatch):
+    # the walk takes distances only from points that can be required and
+    # gallops up from the lower bound; the full-table search bisecting
+    # every candidate must give the same distance, both flows must be
+    # valid at it, and the gallop must test fewer flows in all
+    calls = count_calls(monkeypatch, bottleneck, "_saturate")
+    rng = random.Random(307)
+    sizes = [(rng.randint(2, 12), 8) for _ in range(150)] + [(24, 40)] * 30
+    pairs = [tuple(random_counted(rng, n, top, 5) for _ in range(2)) for n, top in sizes]
+    # raw points moved to 2**53, where not every integer is a float, and
+    # spread up to 2**1019, where squares overflow
+    for base, step in ((2 ** 53, 1), (2 ** 53, 2 ** 49), (2 ** 1020, 5), (0, 2 ** 1016)):
+        pairs += [tuple([(base + step * b, base + step * d)
+                         for (b, d) in _repeated_points(rng, 8, 6, 4)] for _ in range(2))
+                  for _ in range(6)]
+    pairs += [([], []), ([(1, 4)] * 3, []), ([], [(2, 2), (1, 6), (1, 6)])]
+    ours = theirs = same_bounds = 0
+    above = Counter()
+    for S, T in pairs:
+        S, T = bottleneck._checked(S, T)
+        for p in (1.0, 2.0, 3.5, 1000.0, math.inf):
+            before = calls[0]
+            eta, f, g, A, B = bottleneck._threshold(S, T, p)
+            ours += calls[0] - before
+            before = calls[0]
+            want, _, _, lower, candidates = table_threshold(S, T, p)
+            theirs += calls[0] - before
+            assert eta == want, (S, T, p)
+            for flow, (x, mult_x, _), (y, mult_y, _) in ((f, A, B), (g, B, A)):
+                supply = {i: m for i, (pt, m) in enumerate(zip(x, mult_x))
+                          if _penalty(pt, p) > eta}
+                _check_flow(flow, supply, mult_y,
+                            [[j for j, q in enumerate(y) if _point_dist(pt, q, p) <= eta]
+                             for pt in x])
+            if lower == candidates[-1]:
+                same_bounds += 1
+            else:
+                above[bisect_left(candidates, eta) - bisect_left(candidates, lower)] += 1
+    # 206 of the 900 searches have lower == upper; of the others, 700, 44 and
+    # 26 end 0, 1 and 2 candidates above the lower bound, and 30 five or more
+    assert same_bounds > 150 and min(above[0], above[1], above[2]) > 20, (same_bounds, above)
+    assert sum(n for k, n in above.items() if k >= 5) > 20, above
+    assert ours < theirs, (ours, theirs)  # 1,615 flow tests against 1,829
+
+
 def test_least_cost_bound_never_exceeds_the_distance(monkeypatch):
     # the copies of a point are all matched within a cost only if the
     # points that near hold as many copies, so the largest bound over the
@@ -205,7 +252,8 @@ def test_least_cost_of_one_copy_is_the_nearest_point_or_the_penalty():
         row = [float(rng.randint(0, 8)) for _ in range(rng.randint(0, 5))]
         mult = [rng.randint(1, 3) for _ in row]
         ties += pen in row
-        assert bottleneck._least_cost(1, pen, row, mult) == min((pen, *row)), (pen, row, mult)
+        near = sorted([(d, j) for j, d in enumerate(row) if d < pen])
+        assert bottleneck._least_cost(1, pen, near, mult) == min((pen, *row)), (pen, row, mult)
     assert ties > 400  # 487 of the 2,000 rows hold pen
 
 
@@ -239,9 +287,11 @@ def test_optimal_matching_checks_raw_inputs_once(monkeypatch):
     assert eta == bottleneck_distance(pd(9, S), pd(9, T), 1) == matching_cost(S, T, M, 1)
 
 
-def test_table_is_point_dist_and_penalty_bit_for_bit():
-    # the rows at p = 1 and inf and the general row must give what the
-    # pairwise functions give, for endpoints on both sides of 2**53
+def test_near_is_point_dist_bit_for_bit():
+    # the expressions at p = 1 and inf and the general one must give what
+    # the pairwise function gives, for endpoints on both sides of 2**53,
+    # and at general p also where the powers overflow a float; only the
+    # points nearer than the penalty are kept, nearest first
     rng = random.Random(193)
     tables = [([(1, 2 ** 53)], [(-2 ** 53, 2 ** 53 - 1)]),
               ([(0, 2 ** 53 + 2)], [(2 ** 53 + 1, 2 ** 53 + 1)]),
@@ -252,16 +302,23 @@ def test_table_is_point_dist_and_penalty_bit_for_bit():
                                  (rng.randint(-scale, scale) for _ in range(rng.randint(0, 8)))]
                                 for _ in range(2)))
     for a, b in tables:
-        for p in (1.0, 2.0, math.inf, 1000.0):
-            dist, pen_a, pen_b = _table(a, b, p)
-            want = [[_point_dist(x, y, p) for y in b] for x in a]
-            assert [[d.hex() for d in row] for row in dist] == [[d.hex() for d in row]
-                                                                 for row in want], (a, b, p)
-            assert [x.hex() for x in pen_a] == [_penalty(x, p).hex() for x in a]
-            assert [y.hex() for y in pen_b] == [_penalty(y, p).hex() for y in b]
-    # db = 2**53 + 1 and dd = 1: each difference is rounded before the sum
+        for p in (1.0, 2.0, 3.5, math.inf, 1000.0):
+            for xs, ys in ((a, b), (b, a)):
+                for x in xs:
+                    want = sorted((_point_dist(x, y, p), j) for j, y in enumerate(ys))
+                    for pen in (math.inf, _penalty(x, p)):
+                        assert [(d.hex(), j) for d, j in _near(x, pen, ys, p)] == [
+                            (d.hex(), j) for d, j in want if d < pen], (x, ys, p, pen)
+    # db = 2**53 + 1 and dd = 1: each difference is rounded before the sum,
+    # at p = 1 as at p = 2
     for a, b in tables[:2]:
-        assert _table(a, b, 1.0)[0][0][0] == 2.0 ** 53 != float(2 ** 53 + 2)
+        assert _near(a[0], math.inf, b, 1.0) == [(2.0 ** 53, 0)] != [(float(2 ** 53 + 2), 0)]
+        assert _near(a[0], math.inf, b, 2.0) == [(math.hypot(2.0 ** 53, 1.0), 0)]
+    # past 2**1020 the squares overflow, and the distance is scaled as
+    # `_point_dist` scales it
+    x, y = (0, 2 ** 1020), (2 ** 1019, 0)
+    assert _near(x, math.inf, [y], 2.0) == [(_point_dist(x, y, 2.0), 0)]
+    assert math.isfinite(_point_dist(x, y, 2.0))
 
 
 def test_raw_points_must_be_intervals():
@@ -292,6 +349,19 @@ def test_raw_points_must_be_intervals():
         with pytest.raises(ValueError, match=message):
             call()
     assert bottleneck_distance([(2, 2)], [], 1) == 0.0
+
+
+def test_a_point_never_required_gets_no_distance():
+    # the interval near 2**1100 costs 1 or less to drop, below the bound
+    # that [0, 100] sets, so it is never walked, and its distances, past
+    # the float range, are never taken; a full table of distances refused
+    # this pair
+    far = (2 ** 1100, 2 ** 1100 + 1)
+    for p, want in ((1, 99.0), (2, _penalty((0, 100), 2.0)), (math.inf, 50.0)):
+        assert bottleneck_distance([far, (0, 100)], [(0, 1)], p) == want
+        eta, M = optimal_matching([(0, 1)], [(0, 100), far], p)
+        assert eta == bottleneck_distance([(0, 1)], [(0, 100), far], p)
+        assert matching_cost([(0, 1)], [(0, 100), far], M, p) == eta
 
 
 def test_diagrams_of_different_lengths_are_refused():

@@ -60,6 +60,18 @@ def test_zero_refuses_a_negative_height_or_width():
         Matrix.zero(2, -1)
 
 
+def test_zero_and_identity_refuse_a_size_that_is_not_an_integer():
+    # these once raised Python's own TypeError while building the rows
+    ints = "must be integers"
+    for call, message in ((lambda: Matrix.zero(2, 1.5), "^entry 0 1.5: matrix width " + ints),
+                          (lambda: Matrix.zero(1.5, 2), "^entry 0 1.5: matrix height " + ints),
+                          (lambda: Matrix.identity(1.5), "^entry 0 1.5: matrix size " + ints),
+                          (lambda: Matrix.identity(-1),
+                           "^entry 0 -1: matrix size must be nonnegative")):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_rank_of_product_bounded_by_factor():
     rng = random.Random(101)
     for p in (2, 5):
