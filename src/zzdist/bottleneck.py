@@ -8,14 +8,17 @@ whether a matching within a value exists is monotone in the value, so
 the distance is the smallest feasible candidate (Efrat, Itai and Katz,
 2001; Kerber, Morozov and Nigmetov, 2017).  Only points whose penalty
 passes a lower bound can be required, so only they get distances, and
-only to points nearer than their penalty; the search gallops up from the
-bound, where the distance most often is, and bisects the last gap.
+only to points nearer than their penalty.  The bound, where the distance
+most often is, is tried first, and only if it fails are the candidates
+sorted; the search then gallops up from it and bisects the last gap.
 Points are counted: each test is a capacitated flow on the distinct
 points, whose supplies and capacities are multiplicities, and a
 diagram's copies are indexed by one ``range``, so no cost grows with
 them.  Augmenting paths are searched with an explicit queue, so long
-paths cannot hit the recursion limit.  ``_point_dist`` is called where
-powers overflow and for the independent check of the realized cost.
+paths cannot hit the recursion limit.  Each side's penalties are taken
+once.  ``_point_dist`` is called where powers overflow and for the
+independent check of the realized cost, which reads the penalty of each
+point not fully placed from those.
 Both entry points share one checked solve; only ``optimal_matching``
 expands its counted flows into an index-level witness, merging the two
 one-sided matchings (Mendelsohn and Dulmage, 1958).
@@ -24,9 +27,9 @@ one-sided matchings (Mendelsohn and Dulmage, 1958).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from itertools import accumulate, chain, islice
-from operator import itemgetter
+from bisect import bisect_right
+from itertools import accumulate, chain, compress, islice
+from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
 from .diagrams import PersistenceDiagram
@@ -82,8 +85,10 @@ def _checked(S, T) -> tuple:
     """S and T, each a diagram as it is or a raw sequence as a list of
     checked (b, d) tuples; every other function here takes inputs in this
     form.  Two diagrams must have one length; a raw sequence has none."""
-    if isinstance(S, PersistenceDiagram) and isinstance(T, PersistenceDiagram) and S.n != T.n:
-        raise ValueError(f"length mismatch: {S.n} vs {T.n}")
+    if isinstance(S, PersistenceDiagram) and isinstance(T, PersistenceDiagram):
+        if S.n != T.n:
+            raise ValueError(f"length mismatch: {S.n} vs {T.n}")
+        return S, T
     checked = []
     for D in (S, T):
         if not isinstance(D, PersistenceDiagram):
@@ -117,10 +122,17 @@ def _point_dist(a: tuple[int, int], b: tuple[int, int], p: float) -> float:
     return m * ((db / m) ** p + (dd / m) ** p) ** (1.0 / p)
 
 
-def _penalty(pt: tuple[int, int], p: float) -> float:
+def _penalties(pts: Iterable[tuple[int, int]], p: float) -> list[float]:
+    """The cost of leaving each point unmatched, (d - b) / 2 ** (1 - 1/p),
+    with the divisor taken once."""
     # 1/p reads as 0 at infinity, so the exponent runs from 0 up to 1
-    inv = 0.0 if math.isinf(p) else 1.0 / p
-    return (pt[1] - pt[0]) / 2.0 ** (1.0 - inv)
+    div = 2.0 ** (1.0 - (0.0 if math.isinf(p) else 1.0 / p))
+    return [(d - b) / div for (b, d) in pts]
+
+
+def _penalty(pt: tuple[int, int], p: float) -> float:
+    """One point's penalty, as ``_penalties`` gives it."""
+    return _penalties((pt,), p)[0]
 
 
 def _too_far(pts: Sequence[tuple[int, int]]) -> ValueError:
@@ -137,6 +149,11 @@ def _near(x: tuple[int, int], pen: float, ys: Sequence[tuple[int, int]],
     are rounded to floats where ``_point_dist`` rounds them: at p = 1 each
     one before the two are added, as ``db ** 1.0 + dd ** 1.0`` is
     (``float(db + dd)`` differs above 2**53), and at p = inf the larger one.
+
+    At general p a pair is skipped before any power is taken when its
+    larger difference reaches ``cut``, the penalty raised by 2**-40 of
+    itself: the computed distance is at least that difference less a few
+    roundings, 2**-51 of it, so no pair nearer than ``pen`` is lost.
     """
     xb, xd = x
     if p == 1.0:  # float + int rounds the int as float() does
@@ -146,11 +163,12 @@ def _near(x: tuple[int, int], pen: float, ys: Sequence[tuple[int, int]],
         near = [(d, j) for j, (yb, yd) in enumerate(ys)
                 if (d := float(db if (db := abs(xb - yb)) > (dd := abs(xd - yd)) else dd)) < pen]
     else:
-        inv, inf = 1.0 / p, math.inf
-        try:
+        inv, inf, cut = 1.0 / p, math.inf, pen * (1.0 + 2.0 ** -40)
+        try:  # `* 1.0` rounds an int, or refuses it past the float range, as `**` does
             near = [(d, j) for j, (yb, yd) in enumerate(ys)
-                    if (d := t ** inv if (t := abs(xb - yb) ** p + abs(xd - yd) ** p) < inf
-                        else _point_dist(x, (yb, yd), p)) < pen]
+                    if (db if (db := abs(xb - yb) * 1.0) > (dd := abs(xd - yd) * 1.0) else dd) < cut
+                    and (d := t ** inv if (t := db ** p + dd ** p) < inf
+                         else _point_dist(x, (yb, yd), p)) < pen]
         except OverflowError:  # a power past the float range: scaled in `_point_dist`
             near = [(d, j) for j, y in enumerate(ys) if (d := _point_dist(x, y, p)) < pen]
     return sorted(near)
@@ -172,17 +190,16 @@ def _cost(s: Sequence[tuple[int, int]], t: Sequence[tuple[int, int]], M: Matchin
     coimage, image = M.coimage, M.image
     try:
         return _largest([(s[i], t[j]) for (i, j) in M.pairs],
-                        chain((x for i, x in enumerate(s) if i not in coimage),
-                              (y for j, y in enumerate(t) if j not in image)), p)
+                        _penalties(chain((x for i, x in enumerate(s) if i not in coimage),
+                                         (y for j, y in enumerate(t) if j not in image)), p), p)
     except OverflowError:
         raise _too_far([*s, *t]) from None
 
 
 def _largest(pairs: Iterable[tuple[tuple[int, int], tuple[int, int]]],
-             dropped: Iterable[tuple[int, int]], p: float) -> float:
-    """Largest distance of a pair or penalty of a dropped point; 0 if none."""
-    return max([_point_dist(x, y, p) for (x, y) in pairs]
-               + [_penalty(z, p) for z in dropped], default=0.0)
+             penalties: list[float], p: float) -> float:
+    """Largest distance of a pair or of the dropped points' penalties; 0 if none."""
+    return max([_point_dist(x, y, p) for (x, y) in pairs] + penalties, default=0.0)
 
 
 def _saturate(supply: dict[int, int], capacity: Sequence[int],
@@ -261,8 +278,8 @@ def _grouped(D) -> _Grouped:
     the indices are one ``range``; a raw sequence is grouped in input order."""
     if isinstance(D, PersistenceDiagram):
         counts = D.counts()
-        mult = [m for (_, _, m) in counts]
-        return [(b, d) for (b, d, _) in counts], mult, range(sum(mult))
+        mult = list(map(itemgetter(2), counts))
+        return list(map(itemgetter(0, 1), counts)), mult, range(sum(mult))
     groups: dict[tuple[int, int], list[int]] = {}
     for i, pt in enumerate(D):
         groups.setdefault(pt, []).append(i)
@@ -335,6 +352,24 @@ def _least_cost(copies: int, pen: float, near: Sequence[tuple[float, int]],
     return pen
 
 
+def _placed(eta: float, walked: Sequence[tuple[float, int, int, list[tuple[float, int]]]],
+            mults: tuple[Sequence[int], Sequence[int]]) -> tuple[dict, dict] | None:
+    """Counted flows (f, g) that place every copy of each walked point of
+    penalty above eta on the other side within eta, or None if none do.
+    ``walked`` holds (penalty, side, index, near) by falling penalty, and
+    ``mults`` both sides' multiplicities."""
+    supply, neighbours = ({}, {}), ({}, {})
+    for pen, side, i, near in walked:  # the points required at eta come first
+        if pen <= eta:
+            break
+        supply[side][i] = mults[side][i]
+        neighbours[side][i] = list(map(itemgetter(1),
+                                       islice(near, bisect_right(near, (eta, math.inf)))))
+    f = _saturate(supply[0], mults[1], neighbours[0])
+    g = None if f is None else _saturate(supply[1], mults[0], neighbours[1])
+    return None if g is None else (f, g)
+
+
 def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
                                         dict[int, dict[int, int]], _Grouped, _Grouped]:
     """The bottleneck distance eta between checked S and T for a checked p,
@@ -342,20 +377,23 @@ def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
     gives them: f places every copy of a point of S whose penalty exceeds
     eta on T within eta, and g does the same for T.
 
-    One walk visits the points of both sides by falling penalty, raising
-    ``lower``, the largest least cost, and stops at the first point whose
-    penalty is at most ``lower``, since no least cost passes its penalty.
-    Every probe is at some eta >= ``lower``, where only points of penalty
-    above eta are required, and the walk visited all of these.  Each walked
-    point keeps its neighbours nearer than its own penalty, nearest first:
-    an edge no shorter than both ends' penalties is never used, since at any
-    eta that admits it neither end is required.  That list gives the point's
-    least cost, its distances among the candidates (with every penalty),
-    and at each probe its neighbours, the prefix within eta.  If ``lower``
-    reaches ``upper``, the largest penalty, eta is ``upper``, where nothing
-    is required.  Else the candidate at ``lower`` is tried, then 1, 3, 7,
-    ... above it, and the last gap is bisected (Bentley and Yao, 1976).
-    The flows' realized cost is checked with ``_point_dist`` and ``_penalty``.
+    Each side's penalties are taken once.  One walk visits the points of
+    both sides by falling penalty, raising ``lower``, the largest least
+    cost, and stops at the first point whose penalty is at most ``lower``,
+    since no least cost passes its penalty.  Every probe is at some eta >=
+    ``lower``, where only points of penalty above eta are required, and the
+    walk visited all of these.  Each walked point keeps its neighbours
+    nearer than its own penalty, nearest first: an edge no shorter than
+    both ends' penalties is never used, since at any eta that admits it
+    neither end is required.  That list gives the point's least cost, its
+    distances among the candidates (with every penalty), and at each probe
+    its neighbours, the prefix within eta.  If ``lower`` reaches ``upper``,
+    the largest penalty, eta is ``upper``, where nothing is required.  Else
+    ``lower`` is tried first, and only if it fails are the candidates
+    sorted: then the one 1, 3, 7, ... above ``lower`` is tried, and the last
+    gap is bisected (Bentley and Yao, 1976).  The flows' realized cost is
+    checked with ``_point_dist`` on each matched pair and the penalty of
+    each point not fully placed.
     """
     A, B = _grouped(S), _grouped(T)
     (a, mult_a, _), (b, mult_b, _) = A, B
@@ -363,7 +401,7 @@ def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
     walked = []  # (penalty, side, index, near) by falling penalty
     lower = 0.0
     try:  # later float work repeats this, so it cannot overflow
-        pens = [_penalty(x, p) for x in a], [_penalty(y, p) for y in b]
+        pens = _penalties(a, p), _penalties(b, p)
         for pen, side, i in sorted([(pen, side, i) for side in (0, 1)
                                     for i, pen in enumerate(pens[side])],
                                    key=itemgetter(0), reverse=True):
@@ -377,31 +415,32 @@ def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
     upper = max(chain(*pens), default=0.0)
     eta, flows = upper, ({}, {})
     if lower < upper:
-        candidates = sorted({*pens[0], *pens[1], *(d for *_, near in walked for d, _ in near)})
-        lo, hi = bisect_left(candidates, lower), len(candidates) - 1  # `upper` is the last
-        start, mid = lo + 1, lo
-        while lo < hi:
-            eta, supply, neighbours = candidates[mid], ({}, {}), ({}, {})
-            for pen, side, i, near in walked:  # the points required at eta come first
-                if pen <= eta:
-                    break
-                supply[side][i] = mults[side][i]
-                neighbours[side][i] = [j for _, j in near[:bisect_right(near, (eta, math.inf))]]
-            f = _saturate(supply[0], mult_b, neighbours[0])
-            g = None if f is None else _saturate(supply[1], mult_a, neighbours[1])
-            if g is None:
-                lo = mid + 1
-            else:
-                hi, flows = mid, (f, g)
-            mid = min(2 * lo - start, (lo + hi) // 2)  # lower + 0, 1, 3, 7, ... or the middle
-        eta = candidates[hi]
+        found = _placed(lower, walked, mults)
+        if found is not None:
+            eta, flows = lower, found
+        else:
+            candidates = sorted({*pens[0], *pens[1], *map(itemgetter(0), chain.from_iterable(
+                map(itemgetter(3), walked)))})
+            # `lower` is a candidate, and `upper`, the last, needs no probe
+            lo = start = bisect_right(candidates, lower)
+            hi = len(candidates) - 1
+            while lo < hi:
+                mid = min(2 * lo - start, (lo + hi) // 2)  # lower + 1, 3, 7, ... or the middle
+                found = _placed(candidates[mid], walked, mults)
+                if found is None:
+                    lo = mid + 1
+                else:
+                    hi, flows = mid, found
+            eta = candidates[hi]
     f, g = flows
-    sides = ((f, a, mult_a, b), (g, b, mult_b, a))
-    realized = _largest(
-        [(x[i], y[j]) for flow, x, _, y in sides for i, row in flow.items() for j in row],
-        [pt for flow, x, mult, _ in sides for i, (pt, m) in enumerate(zip(x, mult))
-         if sum(flow.get(i, {}).values()) < m], p)
-    _confirm(realized, eta, p, A, B)
+    pairs, dropped = [], []
+    for flow, x, y, pens_x, mult_x in ((f, a, b, pens[0], mult_a), (g, b, a, pens[1], mult_b)):
+        placed = [0] * len(x)
+        for i, row in flow.items():
+            placed[i] = sum(row.values())
+            pairs += [(x[i], y[j]) for j in row]
+        dropped += compress(pens_x, map(lt, placed, mult_x))
+    _confirm(_largest(pairs, dropped, p), eta, p, A, B)
     return eta, f, g, A, B
 
 

@@ -20,12 +20,12 @@ Exit codes: 0 on success, 2 on bad input, 3 when a checked property is
 violated.
 
 The argument parser is built once per process, on the first call to
-``main``, and reused by every later call.
+``main``, and reused by every later call; ``argparse`` is loaded then, not
+when zzdist is imported.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -238,6 +238,8 @@ def _cmd_verify_stability(args) -> int:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
+    import argparse  # here, so that importing zzdist does not load it
+
     p = argparse.ArgumentParser(
         prog="zzdist",
         description="Interval decompositions, reflections, and distances "

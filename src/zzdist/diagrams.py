@@ -15,6 +15,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from itertools import accumulate
+from operator import le
 from typing import Iterable, Iterator
 
 from .linalg import _combine, _echelon, _exact_ints, _Record, _transpose, _typed, _unit
@@ -48,8 +49,15 @@ class PersistenceDiagram(_Record):
     def _store(self, n: int, triples: list[tuple[int, int, int]]) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 2:
             raise ValueError(f"ambient length must be an integer >= 2, got {n!r}")
+        triples = sorted(triples)  # equal intervals end up adjacent
+        if triples:  # distinct and in range, checked in C, they are stored as they are
+            bs, ds, ms = zip(*triples)
+            if (min(ms) >= 1 and min(bs) >= 1 and max(ds) <= n and all(map(le, bs, ds))
+                    and len(set(zip(bs, ds))) == len(triples)):
+                self._set(n=n, _counts=tuple(triples))
+                return
         counts: list[tuple[int, int, int]] = []
-        for (b, d, m) in sorted(triples):  # equal intervals end up adjacent
+        for (b, d, m) in triples:
             if m < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {m} for [{b}, {d}]")
             if not 1 <= b <= d <= n:

@@ -79,9 +79,11 @@ def _exact_ints(entries, what: str, tuples: bool = False, size: int | None = Non
     given) if ``tuples`` is set: 1.9 is refused rather than truncated to 1,
     and the ValueError names the first offending entry.
 
-    One type pass, run in C, accepts the plain ints; only what fails it
-    goes through ``_index``, so an int subclass such as an IntEnum is read
-    as its plain int and a bool is refused."""
+    One type pass, run in C, accepts the plain ints, and for tuples one
+    length pass their sizes; only what fails them goes through the loop
+    that names the first bad entry and reads the rest with ``_index``, so
+    an int subclass such as an IntEnum is read as its plain int and a bool
+    is refused.  The entries are read once, so a generator may be given."""
     if not tuples:
         out = list(entries)
         if not set(map(type, out)) <= {int}:
@@ -91,14 +93,24 @@ def _exact_ints(entries, what: str, tuples: bool = False, size: int | None = Non
                 except TypeError:
                     raise ValueError(f"entry {i} {e!r}: {what} must be integers") from None
         return out
+    rows = list(entries)
     out = []
-    for i, e in enumerate(entries):
+    try:  # stops at an entry that is not iterable, keeping the tuples made before it
+        out.extend(map(tuple, rows))
+    except TypeError:
+        pass
+    if (len(out) == len(rows) and set(map(type, chain.from_iterable(out))) <= {int}
+            and (size is None or set(map(len, out)) <= {size})):
+        return out
+    for i, e in enumerate(rows):
         try:
-            t = tuple(e)
-            out.append(t if set(map(type, t)) <= {int} else tuple(map(_index, t)))
+            if i == len(out):  # tuple() refused this entry in the pass above
+                raise TypeError
+            if not set(map(type, out[i])) <= {int}:
+                out[i] = tuple(map(_index, out[i]))
         except TypeError:
             raise ValueError(f"entry {i} {e!r}: {what} must be integers") from None
-        if size is not None and len(t) != size:
+        if size is not None and len(out[i]) != size:
             raise ValueError(f"entry {i} {e!r}: {what} must be {size} integers")
     return out
 

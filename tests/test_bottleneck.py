@@ -321,6 +321,51 @@ def test_near_is_point_dist_bit_for_bit():
     assert math.isfinite(_point_dist(x, y, 2.0))
 
 
+def test_near_skips_only_pairs_that_cannot_be_near():
+    # at p = 3.5 the distance from (0, 0) to (4, 0) rounds to just below 4,
+    # so a pair whose larger difference equals the penalty can still be near
+    x, y = (0, 0), (4, 0)
+    d = _point_dist(x, y, 3.5)
+    assert d < 4
+    assert _near(x, 4.0, [y], 3.5) == [(d, 0)]
+    assert _near(x, d, [y], 3.5) == []
+    # a difference past the float range is refused, skipped or not
+    for pen in (1.0, math.inf):
+        with pytest.raises(OverflowError):
+            _near(x, pen, [y, (2 ** 1100, 2 ** 1100 + 1)], 2.0)
+
+
+def test_threshold_penalties_are_penalty_bit_for_bit(monkeypatch):
+    # the search takes each side's penalties in one pass, with the divisor
+    # taken once; each must be what `_penalty` gives, and what the formula
+    # gives point by point, also for endpoints near 2**53 and 2**1020
+    seen = []
+    real = bottleneck._penalties
+
+    def recorded(pts, p):
+        pts = list(pts)
+        seen.append((pts, p, real(pts, p)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(bottleneck, "_penalties", recorded)
+    S = [(2 ** 53 - 3, 2 ** 53 + 5), (1, 2 ** 53 + 1), (0, 2 ** 53 - 1), (3, 3)]
+    T = [(2 ** 1020, 2 ** 1020 + 3 * 2 ** 969), (-2 ** 1020, 2 ** 1020), (5, 2 ** 1020 - 1)]
+    for p in (1.0, 2.0, 3.5, 1000.0, math.inf):
+        inv = 0.0 if math.isinf(p) else 1.0 / p
+        del seen[:]
+        eta = bottleneck_distance(S, T, p)
+        assert {tuple(pts) for pts, _, _ in seen} >= {tuple(S), tuple(T)}
+        for pts, q, pens in list(seen):  # `_penalty` adds to `seen`
+            assert q == p
+            assert [pen.hex() for pen in pens] == [_penalty(pt, p).hex() for pt in pts] == [
+                ((d - b) / 2.0 ** (1.0 - inv)).hex() for (b, d) in pts], (pts, p)
+        # nothing is matched against an empty side, so the distance is the
+        # largest penalty
+        for side in (S, T):
+            assert bottleneck_distance(side, [], p) == max(_penalty(pt, p) for pt in side)
+        assert eta <= max(_penalty(pt, p) for pt in S + T)
+
+
 def test_raw_points_must_be_intervals():
     # these once failed an internal assertion, gave a negative cost, read
     # (1, 2, 3) as (1, 2), or raised IndexError

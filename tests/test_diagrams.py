@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import enum
+import json
 import random
 import sys
 from collections import Counter
@@ -13,7 +15,7 @@ from zzdist import (BACKWARD, COLIMIT, LIMIT, FiniteDiagram, Matching, Matrix, O
                     PersistenceDiagram, ReflectionOp, SymbolicModule, ZigzagModule, act,
                     all_ops, annihilating_sequence, apply, bottleneck_distance, decompose,
                     diagram_contains, diagrams, generate_random_module, interval_module,
-                    linalg, optimal_matching, synthesize, transform_type, zero_module)
+                    linalg, main, optimal_matching, synthesize, transform_type, zero_module)
 
 
 def tau(s: str) -> Orientation:
@@ -108,6 +110,78 @@ def test_from_counts_merges_and_stores_counts_only():
     assert D == PersistenceDiagram.from_counts(5, D.counts())
     assert hash(D) == hash(PersistenceDiagram.from_counts(5, reversed(D.counts())))
     assert diagram_contains(D.remove_simple(), D) and not diagram_contains(D, pd(5, [(2, 4)]))
+
+
+class _Pos(enum.IntEnum):
+    ZERO, ONE, TWO, THREE = range(4)
+
+
+def _then(good, bad):
+    yield from good
+    yield bad
+
+
+def test_bad_diagram_entries_keep_their_messages(tmp_path, capsys):
+    # the entries that pass the checks made in C are stored as they are;
+    # everything else goes through the loop that names the first bad entry
+    # or interval, with these messages, through each way a diagram is built
+    what = "birth, death and multiplicity must be"
+    triples = [([(1, 2, 1), (1, 2, True)], f"entry 1 (1, 2, True): {what} integers"),
+               ([(1, 2.0, 1)], f"entry 0 (1, 2.0, 1): {what} integers"),
+               ([(1, 2, 1), "123"], f"entry 1 '123': {what} integers"),
+               ([{"b": 1, "d": 2, "m": 1}], f"entry 0 {{'b': 1, 'd': 2, 'm': 1}}: {what} integers"),
+               ([(1, 2, 1), 5], f"entry 1 5: {what} integers"),
+               ([(1, 2, 1), (1, 2)], f"entry 1 (1, 2): {what} 3 integers"),
+               ([(1, 2), (1, 2, 1.5)], f"entry 0 (1, 2): {what} 3 integers"),
+               ([(1, 3, 2), (1, 2, 0)], "multiplicity must be >= 1, got 0 for [1, 2]"),
+               ([(3, 2, 1)], "interval [3, 2] out of range 1..3"),
+               ([(1, 4, 1)], "interval [1, 4] out of range 1..3"),
+               ([(0, 2, 1)], "interval [0, 2] out of range 1..3"),
+               (_then([(1, 2, 1), (2, 3, 1)], (2, 3.5, 1)),
+                f"entry 2 (2, 3.5, 1): {what} integers"),
+               ([(_Pos.ZERO, _Pos.TWO, _Pos.ONE)], "interval [0, 2] out of range 1..3")]
+    points = [([(1, 2), (True, 2)], "entry 1 (True, 2): endpoints must be integers"),
+              ([(1, 2.5)], "entry 0 (1, 2.5): endpoints must be integers"),
+              ([(1, 2), "12"], "entry 1 '12': endpoints must be integers"),
+              ([{"b": 1, "d": 2}], "entry 0 {'b': 1, 'd': 2}: endpoints must be integers"),
+              ([(1, 2), 5], "entry 1 5: endpoints must be integers"),
+              ([(1, 2, 3)], "entry 0 (1, 2, 3): endpoints must be 2 integers"),
+              ([(3, 2)], "interval [3, 2] out of range 1..3"),
+              ([(1, 4)], "interval [1, 4] out of range 1..3"),
+              ([(0, 2)], "interval [0, 2] out of range 1..3"),
+              (_then([(1, 2), (2, 3)], (2.5, 3)), "entry 2 (2.5, 3): endpoints must be integers"),
+              ([(_Pos.THREE, _Pos.TWO)], "interval [3, 2] out of range 1..3")]
+    for build, table in ((PersistenceDiagram.from_counts, triples), (PersistenceDiagram, points)):
+        for entries, message in table:
+            with pytest.raises(ValueError) as refused:
+                build(3, entries)
+            assert str(refused.value) == message
+    # an IntEnum is read as its plain int, and repeated intervals merge
+    for D in (PersistenceDiagram.from_counts(3, [(_Pos.ONE, _Pos.TWO, _Pos.THREE), (1, 2, 1),
+                                                 (2, 3, 1)]),
+              PersistenceDiagram(3, [(2, 3)] + [(_Pos.ONE, _Pos.TWO)] * 2 + [(1, 2)] * 2)):
+        assert D.counts() == ((1, 2, 4), (2, 3, 1))
+        assert {type(x) for c in D.counts() for x in c} == {int}
+    # a diagram file gives the same messages, on JSON's lists
+    files = [([[1, 2, 1], [1, 2, True]], f"entry 1 [1, 2, True]: {what} integers"),
+             ([[1, 2.0, 1]], f"entry 0 [1, 2.0, 1]: {what} integers"),
+             ([[1, 2, 1], "123"], f"entry 1 '123': {what} integers"),
+             ([{"b": 1}], f"entry 0 {{'b': 1}}: {what} integers"),
+             ([[1, 2, 1], 5], f"entry 1 5: {what} integers"),
+             ([[1, 2, 1], [1, 2]], f"entry 1 [1, 2]: {what} 3 integers"),
+             ([[1, 3, 2], [1, 2, 0]], "multiplicity must be >= 1, got 0 for [1, 2]"),
+             ([[3, 2, 1]], "interval [3, 2] out of range 1..3"),
+             ([[1, 4, 1]], "interval [1, 4] out of range 1..3"),
+             ([[0, 2, 1]], "interval [0, 2] out of range 1..3")]
+    path = tmp_path / "bad.json"
+    for entries, message in files:
+        path.write_text(json.dumps({"n": 3, "type": "><", "diagram": entries}))
+        assert main(["decompose", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+    repeated = [[2, 3, 1], [1, 3, 2], [2, 3, 4]]
+    path.write_text(json.dumps({"n": 3, "type": "><", "diagram": repeated}))
+    assert main(["decompose", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["diagram"] == [[1, 3, 2], [2, 3, 5]]
 
 
 def test_len_past_sys_maxsize_raises_value_error():

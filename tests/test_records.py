@@ -170,11 +170,13 @@ def _modules_loaded_by(code: str, env: dict) -> set:
 
 def test_import_loads_no_code_generation_modules():
     # records are plain classes, so importing zzdist compiles no source at
-    # run time and loads neither dataclasses nor what it imports
+    # run time and loads neither dataclasses nor what it imports; the CLI
+    # module loads with the package, but argparse only when a parser is built
     env = subprocess_env()
     new = _modules_loaded_by("import zzdist", env) - _modules_loaded_by("pass", env)
     assert "zzdist.cli" in new
     assert not new & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, sorted(new)
+    assert "argparse" not in new, sorted(new)
 
 
 def test_import_compiles_no_generated_source():
