@@ -2,14 +2,15 @@
 
 Module files are JSON with fields ``n``, ``type`` (a string of ">" and
 "<" read left to right), and exactly one of ``matrices`` (concrete
-structure maps) or ``diagram`` (a list of [birth, death, multiplicity]
-triples).  The field prime may be overridden through the ZZ_FIELD_PRIME
-environment variable.
+structure maps, over the file's own ``field_prime``) or ``diagram`` (a
+list of [birth, death, multiplicity] triples).  ZZ_FIELD_PRIME sets only
+the field of the modules that ``synthesize`` and ``gen`` write.
 
 The front end checks the layout of files and arguments.  In a matrices
 file it also checks the field prime, once per file, and every map entry,
-once, with ``_residues`` as the map is read: plain ints pass one type
-pass, and the ``Matrix`` is built by ``Matrix._trusted``, which checks
+once: one type pass over all of them, in C, and only a file that fails it
+goes map by map through ``_residues``, which names the first bad entry.
+Each ``Matrix`` is built by ``Matrix._trusted``, which checks
 nothing again.  ``ZigzagModule`` then checks the maps' shapes and
 shared field, ``PersistenceDiagram.from_counts`` each diagram entry,
 once, and the library constructors every other value.
@@ -20,17 +21,17 @@ Exit codes: 0 on success, 2 on bad input, 3 when a checked property is
 violated.
 
 The argument parser is built once per process, on the first call to
-``main``, and reused by every later call; ``argparse`` is loaded then, not
-when zzdist is imported.
+``main``, and reused by every later call; ``argparse`` is loaded then,
+and ``json`` when a file is read or written, not when zzdist is imported.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import sys
+from itertools import chain
 from typing import Sequence
 
 from .bottleneck import _check_p, bottleneck_distance
@@ -44,6 +45,8 @@ from .zigzag_core import BACKWARD, FORWARD, Orientation, ZigzagModule, _ends, sy
 
 _BOUNDARY_WORDS = {FORWARD: "forward", BACKWARD: "backward"}
 _BOUNDARY_DIRS = {w: d for (d, w) in _BOUNDARY_WORDS.items()}
+_JSON_WORDS = {None: "null", True: "true", False: "false", "nan": "NaN", "inf": "Infinity",
+               "-inf": "-Infinity"}  # json's words for these values and float reprs
 
 
 def _field_prime() -> int:
@@ -89,6 +92,9 @@ def parse_module_data(obj) -> ZigzagModule | SymbolicModule:
             f"'maps' must list {n - 1} matrices")
     dims = _dims(dims, "dimensions", _MAX_DIM)  # bounded before the flat maps are cut
     p = _check_prime(block["field_prime"])
+    # one type pass over every entry, in C; _residues names a bad entry
+    ints = (set(map(type, raw_maps)) <= {list}
+            and set(map(type, chain.from_iterable(raw_maps))) <= {int})
     maps = []
     for i, flat in enumerate(raw_maps):
         s, t = _ends(tau.dirs, i)
@@ -98,7 +104,8 @@ def parse_module_data(obj) -> ZigzagModule | SymbolicModule:
         if len(flat) != rows * cols:
             raise ValueError(f"map {i + 1} has {len(flat)} entries, "
                              f"expected {rows}x{cols}={rows * cols}")
-        flat = tuple(_residues(flat, p, f"the entries of map {i + 1}"))
+        flat = tuple([x % p for x in flat] if ints
+                     else _residues(flat, p, f"the entries of map {i + 1}"))
         maps.append(Matrix._trusted(p, [flat[r * cols:(r + 1) * cols] for r in range(rows)],
                                     cols))
     return ZigzagModule(tau, tuple(dims), tuple(maps))
@@ -109,6 +116,7 @@ def parse_module_file(path: str) -> ZigzagModule | SymbolicModule:
     that starts with the path: a file that cannot be opened, is not UTF-8
     JSON, nests too deeply, holds an integer past Python's digit limit,
     or describes no module."""
+    import json
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_module_data(json.load(fh))
@@ -143,7 +151,29 @@ def serialize_symbolic(S: SymbolicModule) -> dict:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` for the objects the
+    CLI prints, whose keys are strings, without json's pure-Python encoder."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    def put(x, pad: str) -> str:
+        if isinstance(x, str):
+            return quote(x)
+        if x is None or x is True or x is False:
+            return _JSON_WORDS[x]
+        if isinstance(x, (int, float)):
+            text = (int if isinstance(x, int) else float).__repr__(x)
+            return _JSON_WORDS.get(text, text)
+        inner = pad + "  "
+        if isinstance(x, (list, tuple)):  # a list of plain ints is joined in C
+            ends, body = "[]", (map(str, x) if set(map(type, x)) == {int}
+                                else [put(v, inner) for v in x])
+        elif isinstance(x, dict):
+            ends, body = "{}", [quote(k) + ": " + put(v, inner) for k, v in sorted(x.items())]
+        else:
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        return ends[0] + inner + ("," + inner).join(body) + pad + ends[1] if x else ends
+
+    return put(obj, "\n") + "\n"
 
 
 def format_quantity(x: float) -> str:
@@ -229,6 +259,7 @@ def _cmd_verify_stability(args) -> int:
     report = stability_experiment(args.trials, args.n, args.max_points, args.seed)
     sys.stdout.write(_dump(report.to_dict()))
     if not report.passed:
+        import json
         for t in report.violations:
             sys.stderr.write("violation in trial "
                              f"{t}: {json.dumps(report.trials[t], sort_keys=True)}\n")

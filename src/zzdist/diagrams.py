@@ -13,6 +13,7 @@ reflection search and ``annihilating_sequence`` move through.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate
 from operator import le
@@ -169,20 +170,23 @@ def decompose(V: ZigzagModule) -> PersistenceDiagram:
             cols = _transpose(V.maps[k - 1].data, m)
             images = [_combine(v, cols, D) for v in basis]
             pivots, dead = _echelon([(f, ()) for f in images], p)
-            ended += [(tags[i], k) for i in dead]
-            kept = [i for i in range(m) if i not in dead]
-            born = [_unit(c, D) for c in sorted(set(range(D)).difference(pivots))]
-            basis = [[x % p for x in images[i]] for i in kept] + born
-            tags = [tags[i] for i in kept] + [k + 1] * len(born)
+            basis = [[x % p for x in f] for i, f in enumerate(images) if i not in dead]
+            if dead:
+                ended += [(tags[i], k) for i in dead]
+                tags = [t for i, t in enumerate(tags) if i not in dead]
+            born = sorted(set(range(D)).difference(pivots)) if len(pivots) < D else ()
+            basis += [_unit(c, D) for c in born]
+            tags += [k + 1] * len(born)
         else:
             g, zero = _transpose(V.maps[k - 1].data, D), [0] * D
             _, y = _echelon([*zip(g, (_unit(j, D, -1) for j in range(D))),
                              *((v, zero) for v in basis)], p)
-            ker = [c for j, c in y.items() if j < D]  # the keys ascend, so these come first
-            pre = {i - D: c for i, c in y.items() if i >= D}
-            ended += [(t, k) for i, t in enumerate(tags) if i not in pre]
-            basis = ker + list(pre.values())
-            tags = [k + 1] * len(ker) + [tags[i] for i in pre]
+            ker = bisect_left(list(y), D)  # the keys ascend, so ker g comes first
+            if len(y) - ker < m:
+                kept = [i - D for i in y if i >= D]
+                ended += [(tags[i], k) for i in set(range(m)).difference(kept)]
+                tags = [tags[i] for i in kept]
+            basis, tags = list(y.values()), [k + 1] * ker + tags
     ended += [(t, V.n) for t in tags]
     diagram = PersistenceDiagram.from_counts(V.n, [(*bd, m) for bd, m in Counter(ended).items()])
     for i, (covering, dim) in enumerate(zip(diagram.dims(), V.dims), 1):

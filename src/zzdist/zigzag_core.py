@@ -38,9 +38,10 @@ class Orientation(_Record):
         dirs = tuple(dirs)
         if len(dirs) < 1:
             raise ValueError("a zigzag needs at least two positions (one arrow)")
-        for i, d in enumerate(dirs):
-            if d not in (FORWARD, BACKWARD):
-                raise ValueError(f"entry {i + 1} must be {FORWARD!r} or {BACKWARD!r}, got {d!r}")
+        if not all(map((FORWARD, BACKWARD).__contains__, dirs)):  # in C; the loop names one
+            for i, d in enumerate(dirs, 1):
+                if d not in (FORWARD, BACKWARD):
+                    raise ValueError(f"entry {i} must be {FORWARD!r} or {BACKWARD!r}, got {d!r}")
         self._set(dirs=dirs)
 
     @classmethod

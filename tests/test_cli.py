@@ -16,8 +16,8 @@ from zzdist import (Matrix, PersistenceDiagram, SymbolicModule, ZigzagModule,
                     parse_module_data, random_symbolic_module,
                     serialize_module, serialize_symbolic, stability_experiment,
                     synthesize)
-from zzdist import linalg
-from zzdist.cli import _parser, parse_module_file
+from zzdist import act, all_ops, annihilating_sequence, apply, linalg
+from zzdist.cli import _op_to_dict, _parser, parse_module_file
 
 
 def write(tmp_path, name, obj):
@@ -582,6 +582,40 @@ def test_stability_experiment_lists_a_violation(monkeypatch):
     assert [t["main_ok"] for t in rep.trials] == [False] * 3
     d = rep.to_dict()
     assert d["passed"] is False and d["violations"] == [0, 1, 2] and d["count"] == 3
+
+
+def test_every_json_command_prints_what_json_dumps_prints(tmp_path, capsys, monkeypatch):
+    # stdout is json.dumps(obj, indent=2, sort_keys=True) + "\n" of the object
+    # the library gives, for every command that prints JSON, on seeded inputs
+    def expect(argv, obj):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == json.dumps(obj, indent=2, sort_keys=True) + "\n", argv
+
+    rng = random.Random(32)
+    for case in range(8):
+        n, p = rng.randint(2, 6), (2, 3, 5)[case % 3]
+        S = random_symbolic_module(rng, n, 4)
+        d = write(tmp_path, f"d{case}.json", serialize_symbolic(S))
+        monkeypatch.setenv("ZZ_FIELD_PRIME", str(p))
+        V = synthesize(S.tau, S.diagram.points, p)
+        expect(["synthesize", d], serialize_module(V))
+        expect(["gen", "--n", str(n + 2), "--max-points", "3", "--seed", str(case)],
+               serialize_module(generate_random_module(n + 2, 3, p, case)))
+        m = write(tmp_path, f"m{case}.json", serialize_module(V))
+        for path, module in ((d, S), (m, V)):
+            expect(["decompose", path], serialize_symbolic(zzdist.diagrams._symbolic(module)))
+            seq = annihilating_sequence(module)
+            expect(["annihilate", path],
+                   {"length": len(seq), "ops": [_op_to_dict(op) for op in seq]})
+        for op in all_ops(n):
+            argv = ["--kind", op.kind, "--index", str(op.k)]
+            if op.boundary_dir is not None:
+                argv += ["--boundary-dir", {">": "forward", "<": "backward"}[op.boundary_dir]]
+            expect(["reflect", d, *argv], serialize_symbolic(act(op, S)))
+            expect(["reflect", m, *argv], serialize_module(apply(op, V)))
+    for seed in range(3):
+        expect(["verify-stability", "--trials", "6", "--n", "5", "--max-points", "2",
+                "--seed", str(seed)], stability_experiment(6, 5, 2, seed).to_dict())
 
 
 def test_cmd_verify_stability(capsys):
