@@ -50,7 +50,7 @@ __all__ = [
     "flippable_positions", "format_quantity", "generate_random_module",
     "hstack", "identity_morphism", "interval_module", "inverse",
     "is_invertible", "is_morphism", "is_prime", "is_summand_upto_equiv",
-    "main", "matching_cost", "min_steps", "optimal_matching",
+    "main", "matching_cost", "min_steps", "ops_at", "optimal_matching",
     "parse_module_data", "parse_module_file", "random_symbolic_module", "rank",
     "reflection_distance", "serialize_module", "serialize_symbolic", "solve",
     "stability_experiment", "synthesize", "transform_type", "vstack",

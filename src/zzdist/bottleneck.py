@@ -130,11 +130,6 @@ def _penalties(pts: Iterable[tuple[int, int]], p: float) -> list[float]:
     return [(d - b) / div for (b, d) in pts]
 
 
-def _penalty(pt: tuple[int, int], p: float) -> float:
-    """One point's penalty, as ``_penalties`` gives it."""
-    return _penalties((pt,), p)[0]
-
-
 def _too_far(pts: Sequence[tuple[int, int]]) -> ValueError:
     """The refusal, naming the largest interval, of an OverflowError in float work."""
     big = max(pts, key=lambda pt: max(map(abs, pt)))

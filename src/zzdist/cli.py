@@ -37,7 +37,7 @@ from typing import Sequence
 from .bottleneck import _check_p, bottleneck_distance
 from .diagrams import (PersistenceDiagram, SymbolicModule, _symbolic, act,
                        annihilating_sequence)
-from .linalg import _MAX_DIM, DEFAULT_PRIME, Matrix, _check_prime, _dims, _residues
+from .linalg import _MAX_DIM, DEFAULT_PRIME, Matrix, _check_prime, _count, _dims, _residues
 from .reflection_distance import reflection_distance
 from .reflections import COLIMIT, LIMIT, ReflectionOp, apply
 from .stability import generate_random_module, stability_experiment
@@ -69,9 +69,7 @@ def parse_module_data(obj) -> ZigzagModule | SymbolicModule:
     value raises a ValueError naming the field or entry, not the file."""
     _expect(isinstance(obj, dict), "module file must be a JSON object")
     _expect("n" in obj, "missing field 'n'")
-    n = obj["n"]
-    _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 2,
-            f"'n' must be an integer >= 2, got {n!r}")
+    n = _count(obj["n"], 2, "'n'")
     ts = obj.get("type")
     _expect(isinstance(ts, str), "missing or non-string field 'type'")
     _expect(len(ts) == n - 1, f"'type' must have length n-1 = {n - 1}, got {len(ts)}")

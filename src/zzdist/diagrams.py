@@ -19,7 +19,7 @@ from itertools import accumulate
 from operator import le
 from typing import Iterable, Iterator
 
-from .linalg import _combine, _echelon, _exact_ints, _Record, _transpose, _typed, _unit
+from .linalg import _combine, _count, _echelon, _exact_ints, _Record, _transpose, _typed, _unit
 from .reflections import COLIMIT, LIMIT, ReflectionOp, ReflectionSequence, check_applicable
 from .zigzag_core import (BACKWARD, FORWARD, Orientation, ZigzagModule, _canonical_dirs,
                           _contains, _turn)
@@ -48,8 +48,7 @@ class PersistenceDiagram(_Record):
         return D
 
     def _store(self, n: int, triples: list[tuple[int, int, int]]) -> None:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-            raise ValueError(f"ambient length must be an integer >= 2, got {n!r}")
+        n = _count(n, 2, "ambient length")
         triples = sorted(triples)  # equal intervals end up adjacent
         if triples:  # distinct and in range, checked in C, they are stored as they are
             bs, ds, ms = zip(*triples)

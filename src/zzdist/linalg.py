@@ -74,6 +74,30 @@ def _index(x) -> int:
     return index(x)
 
 
+def _position(k, top: int, what: str) -> int:
+    """``k`` read as ``_exact_ints`` reads an entry, if it lies in
+    1..``top``; else a ValueError naming ``what``."""
+    try:
+        i = k if type(k) is int else _index(k)
+    except TypeError:
+        i = 0  # out of every range
+    if not 1 <= i <= top:
+        raise ValueError(f"{what} {k!r} out of range 1..{top}")
+    return i
+
+
+def _count(x, least: int, what: str) -> int:
+    """``x`` read as ``_exact_ints`` reads an entry, if it is at least
+    ``least``; else a ValueError naming ``what``."""
+    try:
+        i = x if type(x) is int else _index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+    if i < least:
+        raise ValueError(f"{what} must be >= {least}, got {i}")
+    return i
+
+
 def _exact_ints(entries, what: str, tuples: bool = False, size: int | None = None) -> list:
     """The entries as exact integers, or as tuples of them (``size`` long if
     given) if ``tuples`` is set: 1.9 is refused rather than truncated to 1,
@@ -193,6 +217,16 @@ def _typed(value, cls: type, what: str):
     if not isinstance(value, cls):
         raise ValueError(f"{what} is {type(value).__name__}, expected {cls.__name__}")
     return value
+
+
+def _map(M, p: int, shape: tuple[int, int], what: str) -> "Matrix":
+    """``M`` if it is a Matrix over GF(``p``) of this shape, else a
+    ValueError naming ``what``."""
+    if _typed(M, Matrix, what).p != p:
+        raise ValueError(f"{what} is over GF({M.p}), expected GF({p})")
+    if M.shape != shape:
+        raise ValueError(f"{what} has shape {M.shape}, expected {shape}")
+    return M
 
 
 class Matrix(_Record):
@@ -429,13 +463,7 @@ class FiniteDiagram(_Record):
         for idx, (s, t, M) in enumerate(arrows):
             if not (0 <= s < len(spaces)) or not (0 <= t < len(spaces)):
                 raise ValueError(f"arrow {idx} endpoints ({s}, {t}) out of range")
-            if not isinstance(M, Matrix):
-                raise ValueError(f"arrow {idx} carries {type(M).__name__}, expected Matrix")
-            if M.p != p:
-                raise ValueError(f"arrow {idx} is over GF({M.p}), diagram is over GF({p})")
-            if M.shape != (spaces[t], spaces[s]):
-                raise ValueError(
-                    f"arrow {idx} has shape {M.shape}, expected {(spaces[t], spaces[s])}")
+            _map(M, p, (spaces[t], spaces[s]), f"arrow {idx}")
         self._set(p=p, spaces=spaces, arrows=arrows)
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .linalg import (FiniteDiagram, Matrix, _Record, diagram_colimit, diagram_limit,
-                     hstack, solve, vstack)
+from .linalg import (FiniteDiagram, Matrix, _count, _position, _Record, _typed, diagram_colimit,
+                     diagram_limit, hstack, solve, vstack)
 from .zigzag_core import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION,
                           Morphism, ZigzagModule, _ends, is_morphism, transform_type)
 
@@ -41,8 +41,7 @@ class ReflectionOp(_Record):
     def __init__(self, kind: str, k: int, boundary_dir: str | None = None) -> None:
         if kind not in (LIMIT, COLIMIT):
             raise ValueError(f"kind must be {LIMIT!r} or {COLIMIT!r}, got {kind!r}")
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ValueError(f"position must be a positive integer, got {k!r}")
+        k = _count(k, 1, "position")
         if boundary_dir not in (None, FORWARD, BACKWARD):
             raise ValueError(f"boundary direction must be {FORWARD!r} or {BACKWARD!r}, "
                              f"got {boundary_dir!r}")
@@ -51,13 +50,12 @@ class ReflectionOp(_Record):
 
 def check_applicable(op: ReflectionOp, n: int) -> None:
     """Raise unless ``op`` makes sense for a module of length ``n``."""
-    if not 1 <= op.k <= n:
-        raise ValueError(f"position {op.k} out of range 1..{n}")
-    if op.k in (1, n):
+    k = _position(op.k, n, "position")
+    if k in (1, n):
         if op.boundary_dir is None:
-            raise ValueError(f"a reflection at end position {op.k} needs a boundary direction")
+            raise ValueError(f"a reflection at end position {k} needs a boundary direction")
     elif op.boundary_dir is not None:
-        raise ValueError(f"boundary direction given for interior position {op.k}")
+        raise ValueError(f"boundary direction given for interior position {k}")
 
 
 def ops_at(n: int, k: int) -> tuple[ReflectionOp, ...]:
@@ -66,8 +64,7 @@ def ops_at(n: int, k: int) -> tuple[ReflectionOp, ...]:
     Limits come before colimits; at the ends each kind appears with the
     rightward phantom arrow before the leftward one.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"position {k} out of range 1..{n}")
+    k = _position(k, n, "position")
     if k in (1, n):
         return (ReflectionOp(LIMIT, k, FORWARD), ReflectionOp(LIMIT, k, BACKWARD),
                 ReflectionOp(COLIMIT, k, FORWARD), ReflectionOp(COLIMIT, k, BACKWARD))
@@ -167,9 +164,9 @@ class ReflectionSequence(_Record):
 
     def __init__(self, ops: Iterable[ReflectionOp]) -> None:
         ops = tuple(ops)
-        for op in ops:
-            if not isinstance(op, ReflectionOp):
-                raise TypeError(f"sequence entries must be ReflectionOp, got {type(op).__name__}")
+        if not set(map(type, ops)) <= {ReflectionOp}:  # in C; the loop names one
+            for i, op in enumerate(ops):
+                _typed(op, ReflectionOp, f"sequence entry {i}")
         self._set(ops=ops)
 
     def __len__(self) -> int:

@@ -7,7 +7,7 @@ import random
 
 from .bottleneck import bottleneck_distance
 from .diagrams import PersistenceDiagram, SymbolicModule
-from .linalg import DEFAULT_PRIME, Matrix, _Record, is_invertible
+from .linalg import DEFAULT_PRIME, Matrix, _count, _Record, is_invertible
 from .reflection_distance import reflection_distance
 from .zigzag_core import BACKWARD, FORWARD, Orientation, ZigzagModule, conjugate, synthesize
 
@@ -15,10 +15,7 @@ from .zigzag_core import BACKWARD, FORWARD, Orientation, ZigzagModule, conjugate
 def _check_sizes(n: int, max_points: int, trials: int = 0) -> None:
     """Refuse a size that is not an integer, or a bool, or is below its least value."""
     for name, x, least in (("trials", trials, 0), ("n", n, 2), ("max_points", max_points, 0)):
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ValueError(f"{name} must be an integer, got {x!r}")
-        if x < least:
-            raise ValueError(f"{name} must be >= {least}, got {x}")
+        _count(x, least, name)
 
 
 def random_symbolic_module(rng: random.Random, n: int, max_points: int) -> SymbolicModule:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .linalg import (DEFAULT_PRIME, Matrix, _check_prime, _dims, _exact_ints, _Record, _typed,
-                     block_diag, inverse)
+from .linalg import (DEFAULT_PRIME, Matrix, _check_prime, _dims, _exact_ints, _map, _position,
+                     _Record, _typed, block_diag, inverse)
 
 FORWARD = ">"
 BACKWARD = "<"
@@ -58,9 +58,7 @@ class Orientation(_Record):
 
     def entry(self, k: int) -> str:
         """Direction of arrow k (1-based, joining positions k and k+1)."""
-        if not 1 <= k <= len(self.dirs):
-            raise ValueError(f"arrow index {k} out of range 1..{len(self.dirs)}")
-        return self.dirs[k - 1]
+        return self.dirs[_position(k, len(self.dirs), "arrow index") - 1]
 
     def __str__(self) -> str:
         return self.to_string()
@@ -77,13 +75,10 @@ def transform_type(tau: Orientation, kind: str, k: int) -> Orientation:
     n = tau.n
     dirs = list(tau.dirs)
     if kind == REVERSAL:
-        if not 1 <= k <= n - 1:
-            raise ValueError(f"reversal index {k} out of range 1..{n - 1}")
+        k = _position(k, n - 1, "reversal index")
         dirs[k - 1] = FORWARD if dirs[k - 1] == BACKWARD else BACKWARD
     elif kind in (EXTROVERSION, INTROVERSION):
-        if not 1 <= k <= n:
-            raise ValueError(f"index {k} out of range 1..{n}")
-        dirs = _turn(dirs, k, kind == EXTROVERSION)
+        dirs = _turn(dirs, _position(k, n, "index"), kind == EXTROVERSION)
     else:
         raise ValueError(f"unknown type transformation {kind!r}")
     return Orientation(tuple(dirs))
@@ -114,8 +109,7 @@ def classify_index(tau: Orientation, k: int) -> str:
     direction.
     """
     n = tau.n
-    if not 1 <= k <= n:
-        raise ValueError(f"index {k} out of range 1..{n}")
+    k = _position(k, n, "index")
     if k == 1:
         return SINK if tau.dirs[0] == BACKWARD else SOURCE
     if k == n:
@@ -148,13 +142,10 @@ class ZigzagModule(_Record):
             raise ValueError(f"expected {n} dimensions, got {len(dims)}")
         if len(maps) != n - 1:
             raise ValueError(f"expected {n - 1} structure maps, got {len(maps)}")
+        p = _typed(maps[0], Matrix, "map 1").p
         for i, M in enumerate(maps):
-            if _typed(M, Matrix, f"map {i + 1}").p != maps[0].p:
-                raise ValueError("structure maps must share one field")
             s, t = _ends(tau.dirs, i)
-            want = (dims[t], dims[s])
-            if M.shape != want:
-                raise ValueError(f"map {i + 1} has shape {M.shape}, expected {want}")
+            _map(M, p, (dims[t], dims[s]), f"map {i + 1}")
         self._set(tau=tau, dims=dims, maps=maps)
 
     @property
@@ -234,11 +225,7 @@ class Morphism(_Record):
         if len(comps) != source.n:
             raise ValueError(f"expected {source.n} components, got {len(comps)}")
         for i, c in enumerate(comps):
-            want = (target.dims[i], source.dims[i])
-            if not isinstance(c, Matrix) or c.p != source.p:
-                raise ValueError(f"component {i + 1} must be a Matrix over GF({source.p})")
-            if c.shape != want:
-                raise ValueError(f"component {i + 1} has shape {c.shape}, expected {want}")
+            _map(c, source.p, (target.dims[i], source.dims[i]), f"component {i + 1}")
         self._set(source=source, target=target, components=comps)
 
     @property
@@ -280,8 +267,7 @@ def conjugate(V: ZigzagModule, bases: Iterable[Matrix]) -> tuple[ZigzagModule, M
         raise ValueError(f"expected {V.n} base changes, got {len(B)}")
     inv = []
     for i, M in enumerate(B):
-        if M.p != V.p or M.shape != (V.dims[i], V.dims[i]):
-            raise ValueError(f"base change {i + 1} must be {V.dims[i]}x{V.dims[i]} over GF({V.p})")
+        _map(M, V.p, (V.dims[i], V.dims[i]), f"base change {i + 1}")
         try:
             inv.append(inverse(M))
         except ValueError:
@@ -296,8 +282,7 @@ def conjugate(V: ZigzagModule, bases: Iterable[Matrix]) -> tuple[ZigzagModule, M
 
 def arrow_reverse(V: ZigzagModule, k: int) -> ZigzagModule:
     """Reverse arrow k, which must be invertible, replacing it by its inverse."""
-    if not 1 <= k <= V.n - 1:
-        raise ValueError(f"arrow index {k} out of range 1..{V.n - 1}")
+    k = _position(k, V.n - 1, "arrow index")
     maps = list(V.maps)
     try:
         maps[k - 1] = inverse(maps[k - 1])

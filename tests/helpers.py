@@ -25,7 +25,7 @@ from zzdist import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, LIMIT,
                     diagram_limit, is_invertible, is_summand_upto_equiv, ops_at, rank,
                     synthesize, transform_type)
 from zzdist import bottleneck
-from zzdist.bottleneck import _grouped, _penalty, _point_dist
+from zzdist.bottleneck import _grouped, _penalties, _point_dist
 from zzdist.diagrams import _reflect, _state
 from zzdist.linalg import _combine, _kernel, _transpose
 from zzdist.zigzag_core import _embeds
@@ -565,7 +565,7 @@ def table_threshold(S, T, p: float) -> tuple[float, dict, dict, float, list[floa
     (a, mult_a, _), (b, mult_b, _) = _grouped(S), _grouped(T)
     dist = [[_point_dist(x, y, p) for y in b] for x in a]
     cols = [[row[j] for row in dist] for j in range(len(b))]
-    pen_a, pen_b = [_penalty(x, p) for x in a], [_penalty(y, p) for y in b]
+    pen_a, pen_b = _penalties(a, p), _penalties(b, p)
     lower = 0.0
     for pens, mults, rows, other in ((pen_a, mult_a, dist, mult_b), (pen_b, mult_b, cols, mult_a)):
         for pen, copies, row in zip(pens, mults, rows):

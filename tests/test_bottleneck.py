@@ -14,7 +14,7 @@ from helpers import (brute_force_bottleneck, count_calls, diagonal_penalty,
 from zzdist import (Matching, PersistenceDiagram, bottleneck_distance,
                     combine_matchings, matching_cost, optimal_matching)
 from zzdist import bottleneck
-from zzdist.bottleneck import _check_p, _near, _penalty, _point_dist, _saturate
+from zzdist.bottleneck import _check_p, _near, _penalties, _point_dist, _saturate
 
 
 def pd(n, pts):
@@ -202,8 +202,8 @@ def test_threshold_matches_the_full_table_search(monkeypatch):
             theirs += calls[0] - before
             assert eta == want, (S, T, p)
             for flow, (x, mult_x, _), (y, mult_y, _) in ((f, A, B), (g, B, A)):
-                supply = {i: m for i, (pt, m) in enumerate(zip(x, mult_x))
-                          if _penalty(pt, p) > eta}
+                supply = {i: m for i, (pen, m) in enumerate(zip(_penalties(x, p), mult_x))
+                          if pen > eta}
                 _check_flow(flow, supply, mult_y,
                             [[j for j, q in enumerate(y) if _point_dist(pt, q, p) <= eta]
                              for pt in x])
@@ -306,7 +306,7 @@ def test_near_is_point_dist_bit_for_bit():
             for xs, ys in ((a, b), (b, a)):
                 for x in xs:
                     want = sorted((_point_dist(x, y, p), j) for j, y in enumerate(ys))
-                    for pen in (math.inf, _penalty(x, p)):
+                    for pen in (math.inf, *_penalties([x], p)):
                         assert [(d.hex(), j) for d, j in _near(x, pen, ys, p)] == [
                             (d.hex(), j) for d, j in want if d < pen], (x, ys, p, pen)
     # db = 2**53 + 1 and dd = 1: each difference is rounded before the sum,
@@ -337,8 +337,9 @@ def test_near_skips_only_pairs_that_cannot_be_near():
 
 def test_threshold_penalties_are_penalty_bit_for_bit(monkeypatch):
     # the search takes each side's penalties in one pass, with the divisor
-    # taken once; each must be what `_penalty` gives, and what the formula
-    # gives point by point, also for endpoints near 2**53 and 2**1020
+    # taken once; each must be what `_penalties` gives for its point alone,
+    # and what the formula gives point by point, also for endpoints near
+    # 2**53 and 2**1020
     seen = []
     real = bottleneck._penalties
 
@@ -355,15 +356,16 @@ def test_threshold_penalties_are_penalty_bit_for_bit(monkeypatch):
         del seen[:]
         eta = bottleneck_distance(S, T, p)
         assert {tuple(pts) for pts, _, _ in seen} >= {tuple(S), tuple(T)}
-        for pts, q, pens in list(seen):  # `_penalty` adds to `seen`
+        for pts, q, pens in seen:
             assert q == p
-            assert [pen.hex() for pen in pens] == [_penalty(pt, p).hex() for pt in pts] == [
+            assert [pen.hex() for pen in pens] == [
+                _penalties([pt], p)[0].hex() for pt in pts] == [
                 ((d - b) / 2.0 ** (1.0 - inv)).hex() for (b, d) in pts], (pts, p)
         # nothing is matched against an empty side, so the distance is the
         # largest penalty
         for side in (S, T):
-            assert bottleneck_distance(side, [], p) == max(_penalty(pt, p) for pt in side)
-        assert eta <= max(_penalty(pt, p) for pt in S + T)
+            assert bottleneck_distance(side, [], p) == max(_penalties(side, p))
+        assert eta <= max(_penalties(S + T, p))
 
 
 def test_raw_points_must_be_intervals():
@@ -402,7 +404,7 @@ def test_a_point_never_required_gets_no_distance():
     # the float range, are never taken; a full table of distances refused
     # this pair
     far = (2 ** 1100, 2 ** 1100 + 1)
-    for p, want in ((1, 99.0), (2, _penalty((0, 100), 2.0)), (math.inf, 50.0)):
+    for p, want in ((1, 99.0), (2, _penalties([(0, 100)], 2.0)[0]), (math.inf, 50.0)):
         assert bottleneck_distance([far, (0, 100)], [(0, 1)], p) == want
         eta, M = optimal_matching([(0, 1)], [(0, 100), far], p)
         assert eta == bottleneck_distance([(0, 1)], [(0, 100), far], p)

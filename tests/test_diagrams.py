@@ -162,6 +162,8 @@ def test_bad_diagram_entries_keep_their_messages(tmp_path, capsys):
               PersistenceDiagram(3, [(2, 3)] + [(_Pos.ONE, _Pos.TWO)] * 2 + [(1, 2)] * 2)):
         assert D.counts() == ((1, 2, 4), (2, 3, 1))
         assert {type(x) for c in D.counts() for x in c} == {int}
+    # and so is an IntEnum length
+    assert repr(PersistenceDiagram(_Pos.THREE, [])) == "PersistenceDiagram(n=3, _counts=())"
     # a diagram file gives the same messages, on JSON's lists
     files = [([[1, 2, 1], [1, 2, True]], f"entry 1 [1, 2, True]: {what} integers"),
              ([[1, 2.0, 1]], f"entry 0 [1, 2.0, 1]: {what} integers"),

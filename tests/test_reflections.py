@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import enum
 import random
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from helpers import (all_dirs, all_intervals, interval_image, random_counted,
@@ -34,6 +36,9 @@ def test_reflection_op_validation():
         ReflectionOp(LIMIT, 0)
     with pytest.raises(ValueError):
         ReflectionOp(LIMIT, 2, "x")
+    # an IntEnum position is stored as its plain int
+    two = enum.IntEnum("Two", {"TWO": 2}).TWO
+    assert repr(ReflectionOp(LIMIT, two)) == "ReflectionOp(kind='limit', k=2, boundary_dir=None)"
     op = ReflectionOp(LIMIT, 1, F)
     check_applicable(op, 3)
     with pytest.raises(ValueError):
@@ -45,9 +50,12 @@ def test_reflection_op_validation():
 
 
 def test_ops_at_and_all_ops():
-    for k in (0, 5):
-        with pytest.raises(ValueError, match=f"position {k} out of range 1..4"):
+    # a bool or a float is no position, also in an op the constructor did not check
+    for k in (0, 5, True, 1.0, 1.5):
+        with pytest.raises(ValueError, match=f"^position {k!r} out of range 1..4$"):
             ops_at(4, k)
+        with pytest.raises(ValueError, match=f"^position {k!r} out of range 1..4$"):
+            check_applicable(SimpleNamespace(kind=LIMIT, k=k, boundary_dir=F), 4)
     assert ops_at(4, 2) == (ReflectionOp(LIMIT, 2), ReflectionOp(COLIMIT, 2))
     assert ops_at(4, 1) == (ReflectionOp(LIMIT, 1, F), ReflectionOp(LIMIT, 1, B),
                             ReflectionOp(COLIMIT, 1, F), ReflectionOp(COLIMIT, 1, B))
@@ -384,7 +392,7 @@ def test_act_preserves_summand_upto_equiv():
 def test_reflection_sequence_container():
     seq = ReflectionSequence((ReflectionOp(LIMIT, 2), ReflectionOp(COLIMIT, 1, F)))
     assert len(seq) == 2 and list(seq)[0].kind == LIMIT
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="^sequence entry 0 is str, expected ReflectionOp$"):
         ReflectionSequence((LIMIT,))
 
 

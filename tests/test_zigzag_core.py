@@ -29,8 +29,10 @@ def test_orientation_validation_and_round_trip():
     t = tau("><>")
     assert t.n == 4 and t.to_string() == "><>"
     assert t.entry(1) == F and t.entry(2) == B
-    for k in (0, 4):
-        with pytest.raises(ValueError, match=f"arrow index {k} out of range 1..3"):
+    # a bool or a float is no index: True once read as 1, and 1.0 raised a
+    # TypeError on the tuple index
+    for k in (0, 4, True, 1.0, 1.5):
+        with pytest.raises(ValueError, match=f"^arrow index {k!r} out of range 1..3$"):
             t.entry(k)
     with pytest.raises(ValueError):
         Orientation(())
@@ -41,8 +43,9 @@ def test_orientation_validation_and_round_trip():
 def test_transform_type_reversal():
     assert transform_type(tau("><>"), REVERSAL, 2) == tau(">>>")
     assert transform_type(tau(">>>"), REVERSAL, 2) == tau("><>")
-    with pytest.raises(ValueError):
-        transform_type(tau(">>"), REVERSAL, 3)
+    for k in (3, True, 1.0, 1.5):
+        with pytest.raises(ValueError, match=f"^reversal index {k!r} out of range 1..2$"):
+            transform_type(tau(">>"), REVERSAL, k)
     with pytest.raises(ValueError, match="unknown type transformation 'flip'"):
         transform_type(tau(">>"), "flip", 1)
 
@@ -52,10 +55,11 @@ def test_transform_type_extroversion():
     # a source sees both neighbours leave; boundary entries only where they exist
     assert transform_type(tau(">><"), EXTROVERSION, 1) == tau(">><")
     assert transform_type(tau(">>>"), EXTROVERSION, 4) == tau(">><")
-    with pytest.raises(ValueError):
-        transform_type(tau(">><"), EXTROVERSION, 5)
-    with pytest.raises(ValueError):
-        transform_type(tau(">><"), EXTROVERSION, 0)
+    for k in (5, 0, True, 1.0, 1.5):
+        with pytest.raises(ValueError, match=f"^index {k!r} out of range 1..4$"):
+            transform_type(tau(">><"), EXTROVERSION, k)
+        with pytest.raises(ValueError, match=f"^index {k!r} out of range 1..4$"):
+            classify_index(tau(">><"), k)
 
 
 def test_transform_type_introversion():
@@ -163,7 +167,7 @@ def test_zigzag_module_validation():
         ZigzagModule(tau(">"), (1,), ())
     with pytest.raises(ValueError, match="expected 2 structure maps, got 1"):
         ZigzagModule(tau(">>"), (1, 1, 1), (Matrix.identity(1, 2),))
-    with pytest.raises(ValueError, match="structure maps must share one field"):
+    with pytest.raises(ValueError, match=r"^map 2 is over GF\(3\), expected GF\(2\)$"):
         ZigzagModule(tau(">>"), (1, 1, 1), (Matrix.identity(1, 2), Matrix.identity(1, 3)))
 
 
@@ -193,8 +197,8 @@ def test_morphism_validation():
              "source and target must share a field"),
             (lambda: Morphism(V, V, (one,)), "expected 2 components, got 1"),
             (lambda: Morphism(V, V, (one, Matrix.identity(1, 3))),
-             r"component 2 must be a Matrix over GF\(5\)"),
-            (lambda: Morphism(V, V, (one, [[1]])), r"component 2 must be a Matrix over GF\(5\)"),
+             r"^component 2 is over GF\(3\), expected GF\(5\)$"),
+            (lambda: Morphism(V, V, (one, [[1]])), "^component 2 is list, expected Matrix$"),
             (lambda: Morphism(V, V, (Matrix.zero(1, 2, 5), one)),
              r"component 1 has shape \(1, 2\), expected \(1, 1\)"),
             (lambda: compose(identity_morphism(V), identity_morphism(interval_module(
@@ -260,9 +264,13 @@ def test_conjugate_preserves_decomposition():
         conjugate(V, [Matrix.zero(d, d, 5) for d in V.dims])
     with pytest.raises(ValueError, match=f"expected {V.n} base changes, got {V.n - 1}"):
         conjugate(V, [Matrix.identity(d, 5) for d in V.dims[1:]])
-    d = V.dims[0]
-    with pytest.raises(ValueError, match=rf"base change 1 must be {d}x{d} over GF\(5\)"):
+    d, rest = V.dims[0], [Matrix.identity(e, 5) for e in V.dims[1:]]
+    shape = rf"^base change 1 has shape \({d + 1}, {d + 1}\), expected \({d}, {d}\)$"
+    with pytest.raises(ValueError, match=shape):
         conjugate(V, [Matrix.identity(e + 1, 5) for e in V.dims])
+    # a list once failed with an AttributeError on the missing ``p``
+    with pytest.raises(ValueError, match="^base change 1 is list, expected Matrix$"):
+        conjugate(V, [Matrix.identity(d, 5).tolists(), *rest])
 
 
 def test_inverting_takes_one_elimination(monkeypatch):
@@ -314,8 +322,8 @@ def test_arrow_reverse_requires_invertible_map():
     V = interval_module(tau(">>"), 1, 2)
     with pytest.raises(ValueError):
         arrow_reverse(V, 2)
-    for k in (0, 3):
-        with pytest.raises(ValueError, match=f"arrow index {k} out of range 1..2"):
+    for k in (0, 3, True, 1.0, 1.5):
+        with pytest.raises(ValueError, match=f"^arrow index {k!r} out of range 1..2$"):
             arrow_reverse(V, k)
 
 
