@@ -16,9 +16,12 @@ points, whose supplies and capacities are multiplicities, and a
 diagram's copies are indexed by one ``range``, so no cost grows with
 them.  Augmenting paths are searched with an explicit queue, so long
 paths cannot hit the recursion limit.  Each side's penalties are taken
-once.  ``_point_dist`` is called where powers overflow and for the
-independent check of the realized cost, which reads the penalty of each
-point not fully placed from those.
+once.  Against a side with no points nothing can be matched, so the
+distance is the largest penalty, 0 if both are empty, given at once with
+no walk, distance or flow.  ``_point_dist`` is called where powers
+overflow and for the independent check of the realized cost, which
+reads the penalty of each point not fully placed from those; an empty
+flow leaves every point of its side unplaced.
 Both entry points share one checked solve; only ``optimal_matching``
 expands its counted flows into an index-level witness, merging the two
 one-sided matchings (Mendelsohn and Dulmage, 1958).
@@ -33,7 +36,7 @@ from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
 from .diagrams import PersistenceDiagram
-from .linalg import _dims, _exact_ints, _Record
+from .linalg import _count, _exact_ints, _Record
 
 
 class Matching(_Record):
@@ -48,7 +51,7 @@ class Matching(_Record):
     pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, n_source: int, n_target: int, pairs: Iterable[tuple[int, int]]) -> None:
-        n_source, n_target = _dims((n_source, n_target), "matching sizes")
+        n_source, n_target = (_count(n, 0, "matching sizes") for n in (n_source, n_target))
         pairs = tuple(sorted(_exact_ints(pairs, "indices", True, 2)))
         seen_s: set[int] = set()
         seen_t: set[int] = set()
@@ -84,14 +87,20 @@ def _check_p(p: float) -> float:
 def _checked(S, T) -> tuple:
     """S and T, each a diagram as it is or a raw sequence as a list of
     checked (b, d) tuples; every other function here takes inputs in this
-    form.  Two diagrams must have one length; a raw sequence has none."""
+    form.  Two diagrams must have one length; a raw sequence has none, and
+    anything else is refused naming its argument."""
     if isinstance(S, PersistenceDiagram) and isinstance(T, PersistenceDiagram):
         if S.n != T.n:
             raise ValueError(f"length mismatch: {S.n} vs {T.n}")
         return S, T
     checked = []
-    for D in (S, T):
+    for name, D in (("S", S), ("T", T)):
         if not isinstance(D, PersistenceDiagram):
+            try:
+                iter(D)
+            except TypeError:
+                raise ValueError(f"{name} is {type(D).__name__}, expected a PersistenceDiagram "
+                                 "or a sequence of (b, d) pairs") from None
             D = _exact_ints(D, "endpoints", True)
             for i, pt in enumerate(D):
                 if len(pt) != 2 or pt[0] > pt[1]:
@@ -372,7 +381,10 @@ def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
     gives them: f places every copy of a point of S whose penalty exceeds
     eta on T within eta, and g does the same for T.
 
-    Each side's penalties are taken once.  One walk visits the points of
+    Each side's penalties are taken once.  If a side has no points,
+    nothing can be matched: every point is dropped, eta is the largest
+    penalty (0.0 if both sides are empty) and both flows are empty, with
+    no walk, distance or flow test.  Otherwise one walk visits the points of
     both sides by falling penalty, raising ``lower``, the largest least
     cost, and stops at the first point whose penalty is at most ``lower``,
     since no least cost passes its penalty.  Every probe is at some eta >=
@@ -388,7 +400,8 @@ def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
     sorted: then the one 1, 3, 7, ... above ``lower`` is tried, and the last
     gap is bisected (Bentley and Yao, 1976).  The flows' realized cost is
     checked with ``_point_dist`` on each matched pair and the penalty of
-    each point not fully placed.
+    each point not fully placed; an empty flow places nothing, so its
+    side adds every penalty.
     """
     A, B = _grouped(S), _grouped(T)
     (a, mult_a, _), (b, mult_b, _) = A, B
@@ -397,6 +410,11 @@ def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
     lower = 0.0
     try:  # later float work repeats this, so it cannot overflow
         pens = _penalties(a, p), _penalties(b, p)
+        if not (a and b):  # nothing can be matched, so every point is dropped
+            dropped = pens[0] + pens[1]
+            eta = max(dropped, default=0.0)
+            _confirm(_largest((), dropped, p), eta, p, A, B)
+            return eta, {}, {}, A, B
         for pen, side, i in sorted([(pen, side, i) for side in (0, 1)
                                     for i, pen in enumerate(pens[side])],
                                    key=itemgetter(0), reverse=True):
@@ -404,7 +422,9 @@ def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
                 break
             near = _near(pts[side][i], pen, pts[1 - side], p)
             walked.append((pen, side, i, near))
-            lower = max(lower, _least_cost(mults[side][i], pen, near, mults[1 - side]))
+            least = _least_cost(mults[side][i], pen, near, mults[1 - side])
+            if least > lower:
+                lower = least
     except OverflowError:
         raise _too_far(a + b) from None
     upper = max(chain(*pens), default=0.0)
@@ -430,6 +450,9 @@ def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
     f, g = flows
     pairs, dropped = [], []
     for flow, x, y, pens_x, mult_x in ((f, a, b, pens[0], mult_a), (g, b, a, pens[1], mult_b)):
+        if not flow:  # nothing of this side is placed
+            dropped += pens_x
+            continue
         placed = [0] * len(x)
         for i, row in flow.items():
             placed[i] = sum(row.values())

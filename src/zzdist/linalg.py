@@ -246,7 +246,7 @@ class Matrix(_Record):
 
     def __init__(self, p: int, data: Sequence[Sequence[int]], cols: int) -> None:
         _check_prime(p)
-        [cols] = _dims([cols], "matrix width")
+        cols = _count(cols, 0, "matrix width")
         data = tuple(tuple([x % p for x in row])
                      for row in _exact_ints(data, "matrix row entries", True))
         if any(len(row) != cols for row in data):
@@ -276,12 +276,12 @@ class Matrix(_Record):
 
     @classmethod
     def zero(cls, rows: int, cols: int, p: int = DEFAULT_PRIME) -> "Matrix":
-        [rows], [cols] = _dims([rows], "matrix height"), _dims([cols], "matrix width")
+        rows, cols = _count(rows, 0, "matrix height"), _count(cols, 0, "matrix width")
         return cls(p, ((0,) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, n: int, p: int = DEFAULT_PRIME) -> "Matrix":
-        [n] = _dims([n], "matrix size")
+        n = _count(n, 0, "matrix size")
         return cls(p, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @property

@@ -23,7 +23,7 @@ import threading
 
 from .bottleneck import _check_p
 from .diagrams import SymbolicModule, _reflect, _state
-from .linalg import _Record
+from .linalg import _Record, _typed
 from .reflections import ReflectionOp, ReflectionSequence, ops_at
 from .zigzag_core import _embeds
 
@@ -140,8 +140,11 @@ def _lower_bound(counts: tuple[tuple[int, int, int], ...], target: tuple) -> int
     for (b, d, _) in counts:
         charge = d - b
         for (b2, d2, _) in target:
-            charge = min(charge, abs(b - b2) + abs(d - d2))
-        worst = max(worst, charge)
+            c = abs(b - b2) + abs(d - d2)
+            if c < charge:
+                charge = c
+        if charge > worst:
+            worst = charge
     return worst
 
 
@@ -190,7 +193,8 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> ReflectionSequenc
 def min_steps(source: SymbolicModule, target: SymbolicModule) -> int:
     """Fewest reflections after which the source sits inside the target
     as a summand up to reversing invertible arrows."""
-    return len(_search(source, target))
+    return len(_search(_typed(source, SymbolicModule, "source"),
+                       _typed(target, SymbolicModule, "target")))
 
 
 class ReflectionDistance(_Record):
@@ -217,7 +221,9 @@ def reflection_distance(V: SymbolicModule, W: SymbolicModule, p: float = 1) -> R
     the maximum of the two minimal lengths, raised to 1/p; zero stays
     exactly zero for every p.
     """
-    _check_p(p)  # reject a bad p before searching
+    _check_p(p)  # reject a bad p or module before searching
+    _typed(V, SymbolicModule, "V")
+    _typed(W, SymbolicModule, "W")
     run_vw, run_wv = _search(V, W), _search(W, V)
     longer = max(run_vw, run_wv, key=len)
     return ReflectionDistance(cost(longer, p), len(longer), run_vw, run_wv)

@@ -64,6 +64,7 @@ def ops_at(n: int, k: int) -> tuple[ReflectionOp, ...]:
     Limits come before colimits; at the ends each kind appears with the
     rightward phantom arrow before the leftward one.
     """
+    n = _count(n, 2, "n")
     k = _position(k, n, "position")
     if k in (1, n):
         return (ReflectionOp(LIMIT, k, FORWARD), ReflectionOp(LIMIT, k, BACKWARD),
@@ -73,6 +74,7 @@ def ops_at(n: int, k: int) -> tuple[ReflectionOp, ...]:
 
 def all_ops(n: int) -> tuple[ReflectionOp, ...]:
     """Every reflection available on length-n modules, position-major."""
+    n = _count(n, 2, "n")
     out: list[ReflectionOp] = []
     for k in range(1, n + 1):
         out.extend(ops_at(n, k))

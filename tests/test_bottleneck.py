@@ -12,7 +12,7 @@ from helpers import (brute_force_bottleneck, count_calls, diagonal_penalty,
                      table_threshold)
 
 from zzdist import (Matching, PersistenceDiagram, bottleneck_distance,
-                    combine_matchings, matching_cost, optimal_matching)
+                    combine_matchings, matching_cost, optimal_matching, random_symbolic_module)
 from zzdist import bottleneck
 from zzdist.bottleneck import _check_p, _near, _penalties, _point_dist, _saturate
 
@@ -36,6 +36,19 @@ def test_matching_validation():
     for args in ((-3, -2, ()), (True, 1, ((0, 0),)), (1.5, 2, ())):
         with pytest.raises(ValueError, match="matching sizes"):
             Matching(*args)
+
+
+def test_entry_points_refuse_what_is_no_diagram():
+    # these once raised TypeError: ... is not iterable out of `_exact_ints`
+    V = random_symbolic_module(random.Random(1), 4, 2)
+    expected = r" is {}, expected a PersistenceDiagram or a sequence of \(b, d\) pairs$"
+    rows = [(lambda: bottleneck_distance(V, V), "^S" + expected.format("SymbolicModule")),
+            (lambda: bottleneck_distance(None, []), "^S" + expected.format("NoneType")),
+            (lambda: optimal_matching([(1, 2)], 5), "^T" + expected.format("int")),
+            (lambda: matching_cost([], 2.5, Matching(0, 0, ())), "^T" + expected.format("float"))]
+    for call, message in rows:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_matching_cost_fixtures():
@@ -188,7 +201,14 @@ def test_threshold_matches_the_full_table_search(monkeypatch):
         pairs += [tuple([(base + step * b, base + step * d)
                          for (b, d) in _repeated_points(rng, 8, 6, 4)] for _ in range(2))
                   for _ in range(6)]
-    pairs += [([], []), ([(1, 4)] * 3, []), ([], [(2, 2), (1, 6), (1, 6)])]
+    # an empty side, raw and as diagrams, against points near 2**53 and 2**1020
+    empty = [([], []), ([(1, 4)] * 3, []), ([], [(2, 2), (1, 6), (1, 6)]),
+             ([(2 ** 53 - 3, 2 ** 53 + 5), (1, 2 ** 53 + 1)], []),
+             ([], [(2 ** 1020, 2 ** 1020 + 3 * 2 ** 969), (-2 ** 1020, 2 ** 1020)]),
+             (pd(6, []), pd(6, [])), (pd(9, [(2, 2)]), pd(9, []))]
+    empty += [(D, pd(9, []))[::side] for side in (1, -1)
+              for D in (random_counted(rng, 9, 5, 4) for _ in range(3))]
+    pairs += empty
     ours = theirs = same_bounds = 0
     above = Counter()
     for S, T in pairs:
@@ -197,6 +217,11 @@ def test_threshold_matches_the_full_table_search(monkeypatch):
             before = calls[0]
             eta, f, g, A, B = bottleneck._threshold(S, T, p)
             ours += calls[0] - before
+            if not (bottleneck._points(S) and bottleneck._points(T)):
+                # nothing can be matched: every point is dropped, and no flow is tested
+                assert (eta, f, g, calls[0]) == (
+                    max(_penalties([*bottleneck._points(S), *bottleneck._points(T)], p),
+                        default=0.0), {}, {}, before), (S, T, p)
             before = calls[0]
             want, _, _, lower, candidates = table_threshold(S, T, p)
             theirs += calls[0] - before
@@ -211,17 +236,25 @@ def test_threshold_matches_the_full_table_search(monkeypatch):
                 same_bounds += 1
             else:
                 above[bisect_left(candidates, eta) - bisect_left(candidates, lower)] += 1
-    # 206 of the 900 searches have lower == upper; of the others, 700, 44 and
+    # 256 of the 1,085 searches have lower == upper; of the others, 700, 44 and
     # 26 end 0, 1 and 2 candidates above the lower bound, and 30 five or more
     assert same_bounds > 150 and min(above[0], above[1], above[2]) > 20, (same_bounds, above)
     assert sum(n for k, n in above.items() if k >= 5) > 20, above
     assert ours < theirs, (ours, theirs)  # 1,615 flow tests against 1,829
+    # an interval 2**1100 wide against an empty side is still refused
+    far = rf"interval \((0|1), {2 ** 1100}\): endpoints too far apart for floating-point"
+    for S, T in (([(0, 2 ** 1100)], []), ([], pd(2 ** 1100, [(1, 2 ** 1100)]))):
+        for p in (1.0, 2.0, 3.5, math.inf):
+            with pytest.raises(ValueError, match=far):
+                bottleneck._threshold(*bottleneck._checked(S, T), p)
 
 
 def test_least_cost_bound_never_exceeds_the_distance(monkeypatch):
     # the copies of a point are all matched within a cost only if the
     # points that near hold as many copies, so the largest bound over the
-    # points of both sides is at most the distance, and often equal to it
+    # points of both sides is at most the distance, and often equal to it.
+    # Against an empty side nothing is matched: the distance is the
+    # largest penalty, given with no distance taken and no flow tested
     real, bounds = bottleneck._least_cost, []
 
     def recorded(*args):
@@ -229,18 +262,25 @@ def test_least_cost_bound_never_exceeds_the_distance(monkeypatch):
         return bounds[-1]
 
     monkeypatch.setattr(bottleneck, "_least_cost", recorded)
+    near, flows = (count_calls(monkeypatch, bottleneck, name) for name in ("_near", "_saturate"))
     rng = random.Random(211)
-    tight = 0
+    tight = both = 0
     for _ in range(300):
         n = rng.randint(2, 10)
         S, T = (random_counted(rng, n, 5, 4) for _ in range(2))
         for p in (1, 2, math.inf):
             bounds.clear()
+            before = near[0], flows[0]
             eta = expanded_bottleneck(S.points, T.points, p)
             assert bottleneck_distance(S, T, p) == eta
-            assert max(bounds, default=0.0) <= eta, (S.counts(), T.counts(), p)
-            tight += max(bounds, default=0.0) == eta
-    assert tight > 800  # 876 of the 900 calls
+            if S.points and T.points:
+                assert max(bounds, default=0.0) <= eta, (S.counts(), T.counts(), p)
+                both += 1
+                tight += max(bounds, default=0.0) == eta
+            else:
+                assert eta == max(_penalties(S.points + T.points, p), default=0.0)
+                assert (bounds, (near[0], flows[0])) == ([], before), (S.counts(), T.counts())
+    assert both == 612 and tight > 560  # 588 of the 612 calls where both sides hold a point
 
 
 def test_least_cost_of_one_copy_is_the_nearest_point_or_the_penalty():
@@ -362,10 +402,24 @@ def test_threshold_penalties_are_penalty_bit_for_bit(monkeypatch):
                 _penalties([pt], p)[0].hex() for pt in pts] == [
                 ((d - b) / 2.0 ** (1.0 - inv)).hex() for (b, d) in pts], (pts, p)
         # nothing is matched against an empty side, so the distance is the
-        # largest penalty
-        for side in (S, T):
-            assert bottleneck_distance(side, [], p) == max(_penalties(side, p))
+        # largest penalty, bit for bit, raw or as diagrams, on either side
+        for side in (S, T, [(1, 4), (2, 2), (1, 4)]):
+            want = max(_penalties(side, p)).hex()
+            n = max(map(max, side))
+            if min(map(min, side)) >= 1:
+                as_diagram = pd(n, side)
+                for args in ((as_diagram, pd(n, [])), (pd(n, []), as_diagram)):
+                    assert bottleneck_distance(*args, p).hex() == want, (side, p)
+            for args in ((side, []), ([], side)):
+                assert bottleneck_distance(*args, p).hex() == want, (side, p)
+        assert bottleneck_distance([], [], p) == bottleneck_distance(pd(3, []), pd(3, []), p) == 0.0
         assert eta <= max(_penalties(S + T, p))
+    # as before, an interval too wide for floating-point distances is refused
+    far = rf"interval \((0|1), {2 ** 1100}\): endpoints too far apart for floating-point"
+    for p in (1.0, 2.0, 3.5, math.inf):
+        for args in (([(0, 2 ** 1100)], []), ([], pd(2 ** 1100, [(1, 2 ** 1100)]))):
+            with pytest.raises(ValueError, match=far):
+                bottleneck_distance(*args, p)
 
 
 def test_raw_points_must_be_intervals():

@@ -54,20 +54,20 @@ def test_zero_and_identity_ranks():
 
 
 def test_zero_refuses_a_negative_height_or_width():
-    with pytest.raises(ValueError, match="^entry 0 -1: matrix height must be nonnegative"):
+    with pytest.raises(ValueError, match="^matrix height must be >= 0, got -1$"):
         Matrix.zero(-1, 2)
-    with pytest.raises(ValueError, match="^entry 0 -1: matrix width must be nonnegative"):
+    with pytest.raises(ValueError, match="^matrix width must be >= 0, got -1$"):
         Matrix.zero(2, -1)
 
 
 def test_zero_and_identity_refuse_a_size_that_is_not_an_integer():
-    # these once raised Python's own TypeError while building the rows
-    ints = "must be integers"
-    for call, message in ((lambda: Matrix.zero(2, 1.5), "^entry 0 1.5: matrix width " + ints),
-                          (lambda: Matrix.zero(1.5, 2), "^entry 0 1.5: matrix height " + ints),
-                          (lambda: Matrix.identity(1.5), "^entry 0 1.5: matrix size " + ints),
-                          (lambda: Matrix.identity(-1),
-                           "^entry 0 -1: matrix size must be nonnegative")):
+    # these once raised Python's own TypeError while building the rows,
+    # and then named an "entry 0" of a size that is no list
+    ints = " must be an integer, got 1.5$"
+    for call, message in ((lambda: Matrix.zero(2, 1.5), "^matrix width" + ints),
+                          (lambda: Matrix.zero(1.5, 2), "^matrix height" + ints),
+                          (lambda: Matrix.identity(1.5), "^matrix size" + ints),
+                          (lambda: Matrix.identity(-1), "^matrix size must be >= 0, got -1$")):
         with pytest.raises(ValueError, match=message):
             call()
 

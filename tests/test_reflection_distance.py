@@ -62,6 +62,19 @@ def test_p_validation():
         cost(ReflectionSequence(()), 0)
 
 
+def test_entry_points_refuse_what_is_no_symbolic_module():
+    # these once raised AttributeError: ... has no attribute 'n'
+    V = sym("<>", [(1, 3)])
+    rows = [(lambda: reflection_distance([], V), "^V is list, expected SymbolicModule$"),
+            (lambda: reflection_distance(V, V.diagram),
+             "^W is PersistenceDiagram, expected SymbolicModule$"),
+            (lambda: min_steps(V, None), "^target is NoneType, expected SymbolicModule$"),
+            (lambda: min_steps((), V), "^source is tuple, expected SymbolicModule$")]
+    for call, message in rows:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_single_interval_to_zero():
     V = sym("<>", [(1, 3)])
     O = sym("<>", [])

@@ -56,6 +56,14 @@ def test_ops_at_and_all_ops():
             ops_at(4, k)
         with pytest.raises(ValueError, match=f"^position {k!r} out of range 1..4$"):
             check_applicable(SimpleNamespace(kind=LIMIT, k=k, boundary_dir=F), 4)
+    # n is a length, an integer of at least 2, for both; these once raised
+    # Python's own TypeError or gave four end ops on a length no zigzag has
+    for n, message in ((2.5, "^n must be an integer, got 2.5$"),
+                       (True, "^n must be an integer, got True$"),
+                       (1, "^n must be >= 2, got 1$")):
+        for call in (lambda: all_ops(n), lambda: ops_at(n, 1)):
+            with pytest.raises(ValueError, match=message):
+                call()
     assert ops_at(4, 2) == (ReflectionOp(LIMIT, 2), ReflectionOp(COLIMIT, 2))
     assert ops_at(4, 1) == (ReflectionOp(LIMIT, 1, F), ReflectionOp(LIMIT, 1, B),
                             ReflectionOp(COLIMIT, 1, F), ReflectionOp(COLIMIT, 1, B))
