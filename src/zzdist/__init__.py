@@ -15,7 +15,8 @@ from .bottleneck import (Matching, bottleneck_distance, combine_matchings,
 from .cli import (format_quantity, main, parse_module_data, parse_module_file,
                   serialize_module, serialize_symbolic)
 from .diagrams import (PersistenceDiagram, SymbolicModule, act,
-                       annihilating_sequence, decompose, diagram_contains)
+                       annihilating_sequence, decompose, diagram_contains,
+                       interval_module, synthesize, zero_module)
 from .linalg import (DEFAULT_PRIME, FiniteDiagram, Matrix, block_diag,
                      diagram_colimit, diagram_limit, hstack, inverse,
                      is_invertible, is_prime, rank, solve, vstack)
@@ -31,8 +32,7 @@ from .zigzag_core import (BACKWARD, BACKWARD_FLOW, EXTROVERSION, FORWARD,
                           REVERSAL, SINK, SOURCE, ZigzagModule, arrow_reverse,
                           canonical_type, classify_index, compose, conjugate,
                           direct_sum, flippable_positions, identity_morphism,
-                          interval_module, is_morphism, is_summand_upto_equiv,
-                          synthesize, transform_type, zero_module)
+                          is_morphism, is_summand_upto_equiv, transform_type)
 
 __version__ = "0.1.0"
 

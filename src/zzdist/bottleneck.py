@@ -17,11 +17,9 @@ diagram's copies are indexed by one ``range``, so no cost grows with
 them.  Augmenting paths are searched with an explicit queue, so long
 paths cannot hit the recursion limit.  Each side's penalties are taken
 once.  Against a side with no points nothing can be matched, so the
-distance is the largest penalty, 0 if both are empty, given at once with
-no walk, distance or flow.  ``_point_dist`` is called where powers
-overflow and for the independent check of the realized cost, which
-reads the penalty of each point not fully placed from those; an empty
-flow leaves every point of its side unplaced.
+distance is the largest penalty, 0 if both are empty, with no walk,
+distance, flow or check.  ``_point_dist`` gives the distances at p other
+than 1 and infinity, and checks the realized cost of the flows found.
 Both entry points share one checked solve; only ``optimal_matching``
 expands its counted flows into an index-level witness, merging the two
 one-sided matchings (Mendelsohn and Dulmage, 1958).
@@ -148,16 +146,12 @@ def _too_far(pts: Sequence[tuple[int, int]]) -> ValueError:
 def _near(x: tuple[int, int], pen: float, ys: Sequence[tuple[int, int]],
           p: float) -> list[tuple[float, int]]:
     """(distance, index) for each point of ``ys`` nearer to ``x`` than
-    ``pen``, nearest first, each distance equal to what ``_point_dist``
-    gives, bit for bit, with one expression per p.  Integer differences
-    are rounded to floats where ``_point_dist`` rounds them: at p = 1 each
-    one before the two are added, as ``db ** 1.0 + dd ** 1.0`` is
-    (``float(db + dd)`` differs above 2**53), and at p = inf the larger one.
-
-    At general p a pair is skipped before any power is taken when its
-    larger difference reaches ``cut``, the penalty raised by 2**-40 of
-    itself: the computed distance is at least that difference less a few
-    roundings, 2**-51 of it, so no pair nearer than ``pen`` is lost.
+    ``pen``, nearest first, each distance what ``_point_dist`` gives, bit
+    for bit.  At p = 1 and p = inf the distance is written out inline,
+    with integer differences rounded to floats where ``_point_dist``
+    rounds them: at p = 1 each one before the two are added, as ``db **
+    1.0 + dd ** 1.0`` is (``float(db + dd)`` differs above 2**53), and at
+    p = inf the larger one.  Every other p calls ``_point_dist``.
     """
     xb, xd = x
     if p == 1.0:  # float + int rounds the int as float() does
@@ -167,14 +161,7 @@ def _near(x: tuple[int, int], pen: float, ys: Sequence[tuple[int, int]],
         near = [(d, j) for j, (yb, yd) in enumerate(ys)
                 if (d := float(db if (db := abs(xb - yb)) > (dd := abs(xd - yd)) else dd)) < pen]
     else:
-        inv, inf, cut = 1.0 / p, math.inf, pen * (1.0 + 2.0 ** -40)
-        try:  # `* 1.0` rounds an int, or refuses it past the float range, as `**` does
-            near = [(d, j) for j, (yb, yd) in enumerate(ys)
-                    if (db if (db := abs(xb - yb) * 1.0) > (dd := abs(xd - yd) * 1.0) else dd) < cut
-                    and (d := t ** inv if (t := db ** p + dd ** p) < inf
-                         else _point_dist(x, (yb, yd), p)) < pen]
-        except OverflowError:  # a power past the float range: scaled in `_point_dist`
-            near = [(d, j) for j, y in enumerate(ys) if (d := _point_dist(x, y, p)) < pen]
+        near = [(d, j) for j, y in enumerate(ys) if (d := _point_dist(x, y, p)) < pen]
     return sorted(near)
 
 
@@ -382,12 +369,12 @@ def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
     eta on T within eta, and g does the same for T.
 
     Each side's penalties are taken once.  If a side has no points,
-    nothing can be matched: every point is dropped, eta is the largest
-    penalty (0.0 if both sides are empty) and both flows are empty, with
-    no walk, distance or flow test.  Otherwise one walk visits the points of
-    both sides by falling penalty, raising ``lower``, the largest least
-    cost, and stops at the first point whose penalty is at most ``lower``,
-    since no least cost passes its penalty.  Every probe is at some eta >=
+    nothing can be matched: eta is the largest penalty (0.0 if both sides
+    are empty) and both flows are empty, with no walk, distance, flow test
+    or check.  Otherwise one walk visits the points of both sides by
+    falling penalty, raising ``lower``, the largest least cost, and stops
+    at the first point whose penalty is at most ``lower``, since no least
+    cost passes its penalty.  Every probe is at some eta >=
     ``lower``, where only points of penalty above eta are required, and the
     walk visited all of these.  Each walked point keeps its neighbours
     nearer than its own penalty, nearest first: an edge no shorter than
@@ -400,8 +387,7 @@ def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
     sorted: then the one 1, 3, 7, ... above ``lower`` is tried, and the last
     gap is bisected (Bentley and Yao, 1976).  The flows' realized cost is
     checked with ``_point_dist`` on each matched pair and the penalty of
-    each point not fully placed; an empty flow places nothing, so its
-    side adds every penalty.
+    each point not fully placed.
     """
     A, B = _grouped(S), _grouped(T)
     (a, mult_a, _), (b, mult_b, _) = A, B
@@ -411,10 +397,7 @@ def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
     try:  # later float work repeats this, so it cannot overflow
         pens = _penalties(a, p), _penalties(b, p)
         if not (a and b):  # nothing can be matched, so every point is dropped
-            dropped = pens[0] + pens[1]
-            eta = max(dropped, default=0.0)
-            _confirm(_largest((), dropped, p), eta, p, A, B)
-            return eta, {}, {}, A, B
+            return max(chain(*pens), default=0.0), {}, {}, A, B
         for pen, side, i in sorted([(pen, side, i) for side in (0, 1)
                                     for i, pen in enumerate(pens[side])],
                                    key=itemgetter(0), reverse=True):
@@ -450,9 +433,6 @@ def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
     f, g = flows
     pairs, dropped = [], []
     for flow, x, y, pens_x, mult_x in ((f, a, b, pens[0], mult_a), (g, b, a, pens[1], mult_b)):
-        if not flow:  # nothing of this side is placed
-            dropped += pens_x
-            continue
         placed = [0] * len(x)
         for i, row in flow.items():
             placed[i] = sum(row.values())

@@ -36,12 +36,12 @@ from typing import Sequence
 
 from .bottleneck import _check_p, bottleneck_distance
 from .diagrams import (PersistenceDiagram, SymbolicModule, _symbolic, act,
-                       annihilating_sequence)
+                       annihilating_sequence, synthesize)
 from .linalg import _MAX_DIM, DEFAULT_PRIME, Matrix, _check_prime, _count, _dims, _residues
 from .reflection_distance import reflection_distance
 from .reflections import COLIMIT, LIMIT, ReflectionOp, apply
 from .stability import generate_random_module, stability_experiment
-from .zigzag_core import BACKWARD, FORWARD, Orientation, ZigzagModule, _ends, synthesize
+from .zigzag_core import BACKWARD, FORWARD, Orientation, ZigzagModule, _ends
 
 _BOUNDARY_WORDS = {FORWARD: "forward", BACKWARD: "backward"}
 _BOUNDARY_DIRS = {w: d for (d, w) in _BOUNDARY_WORDS.items()}

@@ -3,7 +3,8 @@
 A persistence diagram is the multiset of interval supports in a
 module's decomposition into interval summands.  ``decompose`` reads it
 off a concrete module in one pass from left to right, one elimination
-per arrow (the right filtration of Carlsson and de Silva, 2010).
+per arrow (the right filtration of Carlsson and de Silva, 2010), and
+``synthesize`` builds one from intervals read by ``PersistenceDiagram``.
 ``_reflect`` moves (dirs, counts) tuples through a reflection without
 matrices, by a closed-form rule for where each interval goes; ``act``
 applies it to a module, and ``_state`` makes the search states that the
@@ -19,10 +20,11 @@ from itertools import accumulate
 from operator import le
 from typing import Iterable, Iterator
 
-from .linalg import _combine, _count, _echelon, _exact_ints, _Record, _transpose, _typed, _unit
+from .linalg import (DEFAULT_PRIME, Matrix, _check_prime, _combine, _count, _echelon,
+                     _exact_ints, _Record, _transpose, _typed, _unit)
 from .reflections import COLIMIT, LIMIT, ReflectionOp, ReflectionSequence, check_applicable
 from .zigzag_core import (BACKWARD, FORWARD, Orientation, ZigzagModule, _canonical_dirs,
-                          _contains, _turn)
+                          _contains, _ends, _turn)
 
 
 class PersistenceDiagram(_Record):
@@ -159,7 +161,7 @@ def decompose(V: ZigzagModule) -> PersistenceDiagram:
     the module.
     """
     # ended: (b, d) once for each copy of [b, d]; basis, tags: V_k's vectors and births
-    p, ended, basis, tags = V.p, [], [], []
+    p, ended, basis, tags = _typed(V, ZigzagModule, "V").p, [], [], []
     for k, D in enumerate(V.dims):  # D = dim V_{k+1}, positions and tags 1-based
         m = len(basis)
         if not (m and D):
@@ -194,6 +196,41 @@ def decompose(V: ZigzagModule) -> PersistenceDiagram:
                                  f"module has {dim} (type {V.tau.to_string()!r}, "
                                  f"dims {list(V.dims)}, p={V.p})")
     return diagram
+
+
+def synthesize(tau: Orientation, points: Iterable[tuple[int, int]],
+               p: int = DEFAULT_PRIME) -> ZigzagModule:
+    """Direct sum of interval modules, one per (birth, death) point, read
+    as ``PersistenceDiagram`` reads them: the inverse of ``decompose``.
+
+    Equal to folding ``direct_sum`` over the points in sorted order; built
+    directly so each summand occupies one fixed coordinate per position.
+    """
+    n, p = _typed(tau, Orientation, "tau").n, _check_prime(p)
+    pts = PersistenceDiagram(n, points).points
+    covers = [[j for j, (b, d) in enumerate(pts) if b <= i <= d] for i in range(1, n + 1)]
+    dims = tuple(len(c) for c in covers)
+    maps = []
+    for i in range(n - 1):
+        s, t = _ends(tau.dirs, i)
+        # summand j sits at column k of the source and row r of the target
+        column = {j: k for k, j in enumerate(covers[s])}
+        rows = [[0] * dims[s] for _ in covers[t]]
+        for r, j in enumerate(covers[t]):
+            if j in column:
+                rows[r][column[j]] = 1
+        maps.append(Matrix._trusted(p, rows, dims[s]))
+    return ZigzagModule(tau, dims, tuple(maps))
+
+
+def interval_module(tau: Orientation, b: int, d: int, p: int = DEFAULT_PRIME) -> ZigzagModule:
+    """The interval module on positions b..d: one-dimensional there, with
+    identity maps strictly inside the support, and zero elsewhere."""
+    return synthesize(tau, ((b, d),), p)
+
+
+def zero_module(tau: Orientation, p: int = DEFAULT_PRIME) -> ZigzagModule:
+    return synthesize(tau, (), p)
 
 
 def _reflect(op: ReflectionOp, dirs: tuple[str, ...], counts: tuple[tuple[int, int, int], ...]
@@ -247,7 +284,7 @@ def act(op: ReflectionOp, S: SymbolicModule) -> SymbolicModule:
     are costed, and equal images merge.  The type is left as the
     reflection makes it, not normalized.
     """
-    check_applicable(op, S.n)
+    check_applicable(_typed(op, ReflectionOp, "op"), _typed(S, SymbolicModule, "S").n)
     dirs, counts = _reflect(op, S.tau.dirs, S.diagram.counts())
     return SymbolicModule(Orientation(dirs),
                           PersistenceDiagram.from_counts(S.n, [c for c in counts if c[0] != c[1]]))
@@ -274,7 +311,9 @@ def _annihilating_run(dirs: tuple[str, ...],
 
 def _symbolic(V: ZigzagModule | SymbolicModule) -> SymbolicModule:
     """V as a symbolic module: a concrete one is decomposed first."""
-    return V if isinstance(V, SymbolicModule) else SymbolicModule(V.tau, decompose(V))
+    if isinstance(_typed(V, (ZigzagModule, SymbolicModule), "V"), SymbolicModule):
+        return V
+    return SymbolicModule(V.tau, decompose(V))
 
 
 def annihilating_sequence(V: ZigzagModule | SymbolicModule) -> ReflectionSequence:

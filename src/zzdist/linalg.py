@@ -60,11 +60,16 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _check_prime(p: int) -> int:
+def _check_prime(p) -> int:
+    """``p`` read as ``_count`` reads a size, if it is a prime <= ``_MAX_PRIME``."""
+    try:
+        q = p if type(p) is int else _index(p)
+    except TypeError:
+        q = 0  # no prime
     # the bound goes first: trial division of a huge p would not finish
-    if not isinstance(p, int) or isinstance(p, bool) or p > _MAX_PRIME or not is_prime(p):
+    if q > _MAX_PRIME or not is_prime(q):
         raise ValueError(f"field order must be a prime <= {_MAX_PRIME}, got {p!r}")
-    return p
+    return q
 
 
 def _index(x) -> int:
@@ -212,10 +217,11 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _typed(value, cls: type, what: str):
-    """``value`` if it is a ``cls``, else a ValueError naming ``what``."""
+def _typed(value, cls: type | tuple[type, ...], what: str):
+    """``value`` if it is a ``cls`` (or one of a tuple), else a ValueError naming ``what``."""
     if not isinstance(value, cls):
-        raise ValueError(f"{what} is {type(value).__name__}, expected {cls.__name__}")
+        names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise ValueError(f"{what} is {type(value).__name__}, expected {names}")
     return value
 
 
@@ -245,7 +251,7 @@ class Matrix(_Record):
     cols: int
 
     def __init__(self, p: int, data: Sequence[Sequence[int]], cols: int) -> None:
-        _check_prime(p)
+        p = _check_prime(p)
         cols = _count(cols, 0, "matrix width")
         data = tuple(tuple([x % p for x in row])
                      for row in _exact_ints(data, "matrix row entries", True))
@@ -455,7 +461,7 @@ class FiniteDiagram(_Record):
 
     def __init__(self, p: int, spaces: Sequence[int],
                  arrows: Iterable[tuple[int, int, Matrix]]) -> None:
-        _check_prime(p)
+        p = _check_prime(p)
         spaces = tuple(_dims(spaces, "space dimensions"))
         arrows = tuple(arrows)
         ends = _exact_ints(((s, t) for (s, t, _) in arrows), "arrow endpoints", True)

@@ -112,7 +112,7 @@ def apply(op: ReflectionOp, V: ZigzagModule) -> ZigzagModule:
 def _reflected(op: ReflectionOp, V: ZigzagModule) -> tuple[ZigzagModule, tuple[Matrix, ...]]:
     """``apply``, together with the three legs of the window's limit or
     colimit that built it."""
-    check_applicable(op, V.n)
+    check_applicable(_typed(op, ReflectionOp, "op"), _typed(V, ZigzagModule, "V").n)
     win = _window(V, op)
     dim_new, legs = (diagram_limit if op.kind == LIMIT else diagram_colimit)(win)
     new_tau = transform_type(V.tau, EXTROVERSION if op.kind == LIMIT else INTROVERSION, op.k)

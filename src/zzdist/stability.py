@@ -6,10 +6,10 @@ import math
 import random
 
 from .bottleneck import bottleneck_distance
-from .diagrams import PersistenceDiagram, SymbolicModule
+from .diagrams import PersistenceDiagram, SymbolicModule, synthesize
 from .linalg import DEFAULT_PRIME, Matrix, _count, _Record, is_invertible
 from .reflection_distance import reflection_distance
-from .zigzag_core import BACKWARD, FORWARD, Orientation, ZigzagModule, conjugate, synthesize
+from .zigzag_core import BACKWARD, FORWARD, Orientation, ZigzagModule, conjugate
 
 
 def _check_sizes(n: int, max_points: int, trials: int = 0) -> None:

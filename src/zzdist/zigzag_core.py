@@ -4,17 +4,18 @@ A zigzag module of length n is a row of n vector spaces joined by n-1
 linear maps, each pointing either forward (">") or backward ("<").  The
 tuple of arrow directions is the module's orientation type.  This module
 provides the type algebra (reversal and the source/sink placements used
-by reflections), interval modules, direct sums, morphisms, conjugation by
-base change, and reversal of invertible arrows together with the summand
-preorder it generates on decomposed modules.
+by reflections), direct sums, morphisms, conjugation by base change, and
+reversal of invertible arrows together with the summand preorder it
+generates on decomposed modules.  Modules built from a diagram of
+intervals (``synthesize``) live in ``diagrams``, which reads intervals.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .linalg import (DEFAULT_PRIME, Matrix, _check_prime, _dims, _exact_ints, _map, _position,
-                     _Record, _typed, block_diag, inverse)
+from .linalg import (Matrix, _count, _dims, _map, _position, _Record, _typed, block_diag,
+                     inverse)
 
 FORWARD = ">"
 BACKWARD = "<"
@@ -157,19 +158,6 @@ class ZigzagModule(_Record):
         return self.maps[0].p
 
 
-def zero_module(tau: Orientation, p: int = DEFAULT_PRIME) -> ZigzagModule:
-    return synthesize(tau, (), p)
-
-
-def interval_module(tau: Orientation, b: int, d: int, p: int = DEFAULT_PRIME) -> ZigzagModule:
-    """The interval module supported on positions b..d.
-
-    One-dimensional on the support with identity maps strictly inside it,
-    zero elsewhere.
-    """
-    return synthesize(tau, ((b, d),), p)
-
-
 def direct_sum(V: ZigzagModule, W: ZigzagModule) -> ZigzagModule:
     if V.tau != W.tau:
         raise ValueError(f"type mismatch: {V.tau} vs {W.tau}")
@@ -178,33 +166,6 @@ def direct_sum(V: ZigzagModule, W: ZigzagModule) -> ZigzagModule:
     dims = tuple(a + b for a, b in zip(V.dims, W.dims))
     maps = tuple(block_diag(a, b) for a, b in zip(V.maps, W.maps))
     return ZigzagModule(V.tau, dims, maps)
-
-
-def synthesize(tau: Orientation, points: Iterable[tuple[int, int]],
-               p: int = DEFAULT_PRIME) -> ZigzagModule:
-    """Direct sum of interval modules, one per (birth, death) point.
-
-    Equal to folding ``direct_sum`` over the points in sorted order; built
-    directly so each summand occupies one fixed coordinate per position.
-    """
-    n, p = tau.n, _check_prime(p)
-    pts = sorted(_exact_ints(points, "endpoints", True, 2))
-    for (b, d) in pts:
-        if not 1 <= b <= d <= n:
-            raise ValueError(f"interval [{b}, {d}] out of range 1..{n}")
-    covers = [[j for j, (b, d) in enumerate(pts) if b <= i <= d] for i in range(1, n + 1)]
-    dims = tuple(len(c) for c in covers)
-    maps = []
-    for i in range(n - 1):
-        s, t = _ends(tau.dirs, i)
-        # summand j sits at column k of the source and row r of the target
-        column = {j: k for k, j in enumerate(covers[s])}
-        rows = [[0] * dims[s] for _ in covers[t]]
-        for r, j in enumerate(covers[t]):
-            if j in column:
-                rows[r][column[j]] = 1
-        maps.append(Matrix._trusted(p, rows, dims[s]))
-    return ZigzagModule(tau, dims, tuple(maps))
 
 
 class Morphism(_Record):
@@ -304,6 +265,7 @@ def flippable_positions(points: Iterable[tuple[int, int]], n: int) -> frozenset[
     contains both of positions k, k+1 or neither of them, that is, when
     no interval ends at k or starts at k+1.
     """
+    n = _count(n, 2, "n")
     return frozenset(range(1, n)).difference(_blocked(points, n))
 
 

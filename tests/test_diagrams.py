@@ -14,8 +14,9 @@ from helpers import (all_dirs, all_intervals, count_calls, expanded_act, interva
 from zzdist import (BACKWARD, COLIMIT, LIMIT, FiniteDiagram, Matching, Matrix, Orientation,
                     PersistenceDiagram, ReflectionOp, SymbolicModule, ZigzagModule, act,
                     all_ops, annihilating_sequence, apply, bottleneck_distance, decompose,
-                    diagram_contains, diagrams, generate_random_module, interval_module,
-                    linalg, main, optimal_matching, synthesize, transform_type, zero_module)
+                    diagram_contains, diagrams, flippable_positions, generate_random_module,
+                    interval_module, linalg, main, optimal_matching, synthesize, transform_type,
+                    zero_module)
 
 
 def tau(s: str) -> Orientation:
@@ -102,6 +103,23 @@ def test_non_integer_counts_indices_and_dimensions_are_refused():
     assert FiniteDiagram(2, (0, 300), ()).spaces == (0, 300)
 
 
+def test_module_entry_points_refuse_wrong_types():
+    # these once raised AttributeError or, from flippable_positions, TypeError
+    S = SymbolicModule(tau(">>"), pd(3, [(1, 2)]))
+    op = ReflectionOp(LIMIT, 2)
+    rows = [(lambda: decompose(S), "^V is SymbolicModule, expected ZigzagModule$"),
+            (lambda: act(op, S.diagram), "^S is PersistenceDiagram, expected SymbolicModule$"),
+            (lambda: act(None, S), "^op is NoneType, expected ReflectionOp$"),
+            (lambda: apply(op, S), "^V is SymbolicModule, expected ZigzagModule$"),
+            (lambda: annihilating_sequence(S.diagram),
+             "^V is PersistenceDiagram, expected ZigzagModule or SymbolicModule$"),
+            (lambda: synthesize(">>", []), "^tau is str, expected Orientation$"),
+            (lambda: flippable_positions([], 2.5), "^n must be an integer, got 2.5$")]
+    for call, message in rows:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_from_counts_merges_and_stores_counts_only():
     D = PersistenceDiagram.from_counts(5, [(2, 4, 10 ** 18), (1, 5, 1), (2, 4, 2)])
     assert D.counts() == ((1, 5, 1), (2, 4, 10 ** 18 + 2))
@@ -151,7 +169,17 @@ def test_bad_diagram_entries_keep_their_messages(tmp_path, capsys):
               ([(0, 2)], "interval [0, 2] out of range 1..3"),
               (_then([(1, 2), (2, 3)], (2.5, 3)), "entry 2 (2.5, 3): endpoints must be integers"),
               ([(_Pos.THREE, _Pos.TWO)], "interval [3, 2] out of range 1..3")]
-    for build, table in ((PersistenceDiagram.from_counts, triples), (PersistenceDiagram, points)):
+    # synthesize reads its points through PersistenceDiagram, which names the first bad
+    # interval in sorted order
+    synthesized = [([(1, 2), (True, 2)], "entry 1 (True, 2): endpoints must be integers"),
+                   ([(1, 2), "12"], "entry 1 '12': endpoints must be integers"),
+                   ([(1, 2, 3)], "entry 0 (1, 2, 3): endpoints must be 2 integers"),
+                   ([(1, 4), (3, 2)], "interval [1, 4] out of range 1..3"),
+                   ([(2, 3), (0, 2)], "interval [0, 2] out of range 1..3"),
+                   (_then([(1, 2)], (2.5, 3)), "entry 1 (2.5, 3): endpoints must be integers"),
+                   ([(_Pos.THREE, _Pos.TWO)], "interval [3, 2] out of range 1..3")]
+    for build, table in ((PersistenceDiagram.from_counts, triples), (PersistenceDiagram, points),
+                         (lambda n, pts: synthesize(tau("><"), pts), synthesized)):
         for entries, message in table:
             with pytest.raises(ValueError) as refused:
                 build(3, entries)

@@ -230,6 +230,18 @@ def test_is_prime_and_field_validation():
     # 2^61 - 1 is prime but over the bound, which is checked before trial division
     with pytest.raises(ValueError, match="prime <="):
         Matrix.zero(1, 1, 2 ** 61 - 1)
+    for p in (True, 2.0, 4, 1, 0, "x", None):
+        with pytest.raises(ValueError) as refused:
+            Matrix(p, [], 0)
+        assert str(refused.value) == f"field order must be a prime <= 1048576, got {p!r}"
+
+    # an IntEnum prime is read as its plain int, which every constructor stores
+    class Field(enum.IntEnum):
+        THREE = 3
+
+    assert repr(Matrix(Field.THREE, [[1, 2]], 2)) == "Matrix(p=3, data=((1, 2),), cols=2)"
+    assert repr(FiniteDiagram(Field.THREE, (1,), ())) == "FiniteDiagram(p=3, spaces=(1,), arrows=())"
+    assert type(linalg._check_prime(Field.THREE)) is int
 
 
 def test_limit_fixed_diagrams():
