@@ -16,13 +16,14 @@ points, whose supplies and capacities are multiplicities, and a
 diagram's copies are indexed by one ``range``, so no cost grows with
 them.  Augmenting paths are searched with an explicit queue, so long
 paths cannot hit the recursion limit.  Each side's penalties are taken
-once.  Against a side with no points nothing can be matched, so the
-distance is the largest penalty, 0 if both are empty, with no walk,
-distance, flow or check.  ``_point_dist`` gives the distances at p other
-than 1 and infinity, and checks the realized cost of the flows found.
-Both entry points share one checked solve; only ``optimal_matching``
-expands its counted flows into an index-level witness, merging the two
-one-sided matchings (Mendelsohn and Dulmage, 1958).
+once.  ``_point_dist`` gives the distances at p other than 1 and
+infinity, and checks the realized cost of the flows found.  Both entry
+points share one checked solve; only ``optimal_matching`` expands its
+counted flows into an index-level witness, merging the two one-sided
+matchings (Mendelsohn and Dulmage, 1958).  Against a side with no points
+nothing can be matched, so the distance is the largest penalty (0 if
+both are empty), which ``bottleneck_distance`` reads off before the
+solve builds anything; ``optimal_matching`` gets it from the solve.
 """
 
 from __future__ import annotations
@@ -368,26 +369,25 @@ def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
     gives them: f places every copy of a point of S whose penalty exceeds
     eta on T within eta, and g does the same for T.
 
-    Each side's penalties are taken once.  If a side has no points,
-    nothing can be matched: eta is the largest penalty (0.0 if both sides
-    are empty) and both flows are empty, with no walk, distance, flow test
-    or check.  Otherwise one walk visits the points of both sides by
-    falling penalty, raising ``lower``, the largest least cost, and stops
-    at the first point whose penalty is at most ``lower``, since no least
-    cost passes its penalty.  Every probe is at some eta >=
-    ``lower``, where only points of penalty above eta are required, and the
-    walk visited all of these.  Each walked point keeps its neighbours
-    nearer than its own penalty, nearest first: an edge no shorter than
-    both ends' penalties is never used, since at any eta that admits it
-    neither end is required.  That list gives the point's least cost, its
-    distances among the candidates (with every penalty), and at each probe
-    its neighbours, the prefix within eta.  If ``lower`` reaches ``upper``,
-    the largest penalty, eta is ``upper``, where nothing is required.  Else
-    ``lower`` is tried first, and only if it fails are the candidates
-    sorted: then the one 1, 3, 7, ... above ``lower`` is tried, and the last
-    gap is bisected (Bentley and Yao, 1976).  The flows' realized cost is
-    checked with ``_point_dist`` on each matched pair and the penalty of
-    each point not fully placed.
+    Each side's penalties are taken once.  One walk visits the points of
+    both sides by falling penalty, raising ``lower``, the largest least
+    cost, and stops at the first point whose penalty is at most
+    ``lower``, since no least cost passes its penalty.  Every probe is at
+    some eta >= ``lower``, where only points of penalty above eta are
+    required, and the walk visited all of these.  Each walked point keeps
+    its neighbours nearer than its own penalty, nearest first: an edge no
+    shorter than both ends' penalties is never used, since at any eta
+    that admits it neither end is required.  That list gives the point's
+    least cost, its distances among the candidates (with every penalty),
+    and at each probe its neighbours, the prefix within eta.  If
+    ``lower`` reaches ``upper``, the largest penalty, eta is ``upper``,
+    where nothing is required; so it is against a side with no points,
+    where every least cost is a penalty, and no flow is tested there.
+    Else ``lower`` is tried first, and only if it fails are the
+    candidates sorted: then the one 1, 3, 7, ... above ``lower`` is
+    tried, and the last gap is bisected (Bentley and Yao, 1976).  The
+    flows' realized cost is checked with ``_point_dist`` on each matched
+    pair and the penalty of each point not fully placed.
     """
     A, B = _grouped(S), _grouped(T)
     (a, mult_a, _), (b, mult_b, _) = A, B
@@ -396,8 +396,6 @@ def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
     lower = 0.0
     try:  # later float work repeats this, so it cannot overflow
         pens = _penalties(a, p), _penalties(b, p)
-        if not (a and b):  # nothing can be matched, so every point is dropped
-            return max(chain(*pens), default=0.0), {}, {}, A, B
         for pen, side, i in sorted([(pen, side, i) for side in (0, 1)
                                     for i, pen in enumerate(pens[side])],
                                    key=itemgetter(0), reverse=True):
@@ -466,7 +464,17 @@ def bottleneck_distance(S, T, p: float = math.inf) -> float:
     """Exact bottleneck distance between two diagrams for this p.
 
     Works on distinct points only: the threshold search's counted flows
-    are checked directly, and no index-level matching is built.
+    are checked directly, and no index-level matching is built.  Against
+    a side with no points nothing can be matched, so the distance is the
+    largest penalty (0.0 if both are empty), read off the points or a
+    diagram's counts before anything is grouped or searched.
     """
     p = _check_p(p)
-    return _threshold(*_checked(S, T), p)[0]
+    S, T = _checked(S, T)
+    sides = [D.counts() if isinstance(D, PersistenceDiagram) else D for D in (S, T)]
+    if all(sides):
+        return _threshold(S, T, p)[0]
+    try:
+        return max(_penalties(map(itemgetter(0, 1), chain(*sides)), p), default=0.0)
+    except OverflowError:
+        raise _too_far([pt[:2] for pt in chain(*sides)]) from None

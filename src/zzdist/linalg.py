@@ -103,6 +103,15 @@ def _count(x, least: int, what: str) -> int:
     return i
 
 
+def _iterable(entries, what: str):
+    """An iterator over the entries; a ValueError naming ``what`` if they
+    are not iterable.  Every constructor reads a sequence through it."""
+    try:
+        return iter(entries)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence, got {type(entries).__name__}") from None
+
+
 def _exact_ints(entries, what: str, tuples: bool = False, size: int | None = None) -> list:
     """The entries as exact integers, or as tuples of them (``size`` long if
     given) if ``tuples`` is set: 1.9 is refused rather than truncated to 1,
@@ -113,6 +122,7 @@ def _exact_ints(entries, what: str, tuples: bool = False, size: int | None = Non
     that names the first bad entry and reads the rest with ``_index``, so
     an int subclass such as an IntEnum is read as its plain int and a bool
     is refused.  The entries are read once, so a generator may be given."""
+    entries = _iterable(entries, what)
     if not tuples:
         out = list(entries)
         if not set(map(type, out)) <= {int}:

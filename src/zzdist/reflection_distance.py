@@ -3,17 +3,19 @@
 Two modules are close when short runs of reflections carry each into a
 summand of the other, up to reversing invertible arrows and ignoring
 one-position summands.  ``diagrams._state`` makes the search state,
-that normal form as a plain tuple, and a step moves it by
-``diagrams._reflect`` and back through ``_state``.  A* search (Hart,
-Nilsson and Raphael, 1968) finds the fewest steps with a witness run,
-testing a state for a goal when it is popped.  It needs no depth bound:
-its heuristic is consistent, and the empty module, where the source's
-annihilating run ends, is a goal, so a goal is popped before any
-state past the optimum.  Successor lists come from a memo shared across
-calls, a plain dict emptied whenever the next list would take it past a
-bound on the successor states it holds; it interns each state and op it
-holds through one table.  ``memo_info`` reads its counters and
-``clear_memo`` empties it.
+that normal form as a plain tuple, and a step moves it as
+``_state(*diagrams._reflect(op, *state))`` would, editing only what the
+op changes.  A* search (Hart, Nilsson and Raphael, 1968) finds the
+fewest steps with a witness run, testing a state for a goal when it is
+popped; a start that is a goal is answered before the search allocates
+anything.  It needs no depth bound: its heuristic is consistent, and the
+empty module, where the source's annihilating run ends, is a goal, so a
+goal is popped before any state past the optimum.  Successor lists come
+from a memo shared across calls, a plain dict emptied whenever the next
+list would take it past a bound on the successor states it holds; it
+interns each state and op it holds through one table.  A miss builds its
+list from ops a search makes once per position.  ``memo_info`` reads its
+counters and ``clear_memo`` empties it.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import heapq
 import threading
 
 from .bottleneck import _check_p
-from .diagrams import SymbolicModule, _reflect, _state
+from .diagrams import SymbolicModule, _state
 from .linalg import _Record, _typed
-from .reflections import ReflectionOp, ReflectionSequence, ops_at
-from .zigzag_core import _embeds
+from .reflections import LIMIT, ReflectionOp, ReflectionSequence, ops_at
+from .zigzag_core import BACKWARD, FORWARD, _embeds
 
 _State = tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]
 _Successors = tuple[tuple[ReflectionOp, _State], ...]
@@ -35,6 +37,7 @@ _Successors = tuple[tuple[ReflectionOp, _State], ...]
 # multiplicity <= 2 and no one-position interval, is 5,675 states with
 # 36,156 successors, which all fit; an n = 16 list holds 15-20
 # successors, so a deep n = 16 search empties the memo every ~2.5k lists.
+# A dropped list costs one miss to rebuild, by local edits (``_successors``).
 _MEMO_BOUND = 40_000
 # each expanded state -> its successor list
 _memo: dict[_State, _Successors] = {}
@@ -72,7 +75,8 @@ def cost(seq: ReflectionSequence, p: float = 1) -> float:
     return float(length) ** (1.0 / p)
 
 
-def _successors(state: _State) -> _Successors:
+def _successors(state: _State, table: dict[int, tuple[ReflectionOp, ...]] | None = None
+                ) -> _Successors:
     """Each other state one reflection away, with the first op reaching it.
 
     Lists are memoized across searches: the stability benchmark meets its
@@ -84,20 +88,75 @@ def _successors(state: _State) -> _Successors:
     returned unstored.  A hit costs one dict lookup.  Each state the memo
     holds, as a key or a successor, and each op is held as one object,
     through ``_canon``, which is emptied with the memo.
+
+    A miss tries ``ops_at(n, k)`` at each k next to an interval end, in
+    order of k, from ``table``, the search's map from k to them, filled
+    once per k, so no op is validated per expansion.  A reflection at k
+    turns arrows k-1 and k and moves only intervals with an end at k-1, k
+    or k+1: an op that rebuilds no blocked arrow gives the state itself
+    and is skipped, and the others apply ``_reflect``'s rule to those
+    intervals alone and restore the normal form on arrows k-2 .. k+1, the
+    only ones whose blocking can change.  Each successor is the state
+    ``_state(*_reflect(op, *state))`` gives.
     """
     global _hits, _misses, _evictions, _held
     out = _memo.get(state)
     if out is not None:
         _hits += 1
         return out
-    # a reflection at k moves nothing, and the arrows it sets stay
-    # flippable, unless an interval ends at k-1 or k or starts at k or k+1
-    n = len(state[0]) + 1
-    near = {k for (b, d, _) in state[1] for k in (d, d + 1, b - 1, b) if 1 <= k <= n}
+    table = {} if table is None else table
+    dirs, counts = state
+    n = len(dirs) + 1
     first: dict[_State, ReflectionOp] = {}
-    for k in sorted(near):
-        for op in ops_at(n, k):
-            first.setdefault(_state(*_reflect(op, *state)), op)
+    # the arrows the intervals block, d and b - 1 of each [b, d], counting 0 and n
+    ends = {a for (b, d, _) in counts for a in (d, b - 1)}
+    ds, bs = {d for (_, d, _) in counts}, {b for (b, _, _) in counts}
+    for k in sorted({k for a in ends for k in (a, a + 1) if 1 <= k <= n}):
+        moved, kept = [], []
+        for c in counts:
+            (moved if k - 2 < c[0] < k + 2 or k - 2 < c[1] < k + 2 else kept).append(c)
+        lo, hi = max(k - 2, 1), min(k + 1, n - 1)  # the arrows whose blocking can change
+        # of these, kept intervals block only k-2, by an end there, and k+1,
+        # by a start at k+2; an interval with either is kept
+        held_lo, held_hi = k - 2 in ds, k + 2 in bs
+        pre, post = dirs[:lo - 1], dirs[hi:]
+        for op in table.get(k) or table.setdefault(k, ops_at(n, k)):
+            limit = op.kind == LIMIT
+            left = ((dirs[k - 2] if k >= 2 else op.boundary_dir) == FORWARD) == limit
+            right = ((dirs[k - 1] if k < n else op.boundary_dir) == BACKWARD) == limit
+            # a rebuilt arrow moves the intervals that block it; if none does,
+            # each blocked arrow at k already points as the op turns it
+            if not (left and k - 1 in ends or right and k in ends):
+                continue
+            # _reflect's rule on these intervals alone; a state holds no [k, k]
+            images, blocked = [], set()
+            for (b, d, m) in moved:
+                if left and d == k - 1:
+                    d = k
+                elif left and b == k:
+                    b = k + 1
+                elif right and b == k + 1:
+                    b = k
+                elif right and d == k:
+                    d = k - 1
+                if b != d:
+                    images.append((b, d, m))
+                    blocked.add(d)
+                    blocked.add(b - 1)
+            counts_t = sorted(kept + images)  # no image is a kept interval
+            if len(images) > 1 and len({c[:2] for c in images}) < len(images):
+                merged: dict[tuple[int, int], int] = {}  # equal images merge
+                for (b, d, m) in counts_t:
+                    merged[b, d] = merged.get((b, d), 0) + m
+                counts_t = [(b, d, m) for (b, d), m in merged.items()]
+            # arrows k-2 .. k+1, cut to 1 .. n-1, each forward unless blocked;
+            # a limit turns k-1 back and k forward, a colimit k-1 forward, k back
+            mid = (dirs[k - 3] if k > 2 and (held_lo or k - 2 in blocked) else FORWARD,
+                   BACKWARD if limit and k - 1 in blocked else FORWARD,
+                   BACKWARD if not limit and k in blocked else FORWARD,
+                   dirs[k] if k + 1 < n and (held_hi or k + 1 in blocked) else FORWARD
+                   )[lo - k + 2:hi - k + 3]
+            first.setdefault((pre + mid + post, tuple(counts_t)), op)
     first.pop(state, None)
     with _memo_lock:
         _misses += 1
@@ -156,18 +215,23 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> ReflectionSequenc
     f never decreases, and every state with f below the optimum C* is
     popped before any with f above it.  A state is a goal when it is
     popped with h = 0 and embeds in the target; its run is read back from
-    the state and op each state came by.  No state past C* is expanded,
-    so the search needs no depth bound: C* is finite, as the source's
-    annihilating run ends at the empty module, a goal.  An empty heap is
-    an internal error.
+    the state and op each state came by.  The start is tested by that rule
+    before ``seen``, the heap or the ops table are made, so a start that
+    is a goal returns the empty run at once.  No state past C* is
+    expanded, so the search needs no depth bound: C* is finite, as the
+    source's annihilating run ends at the empty module, a goal.  An empty
+    heap is an internal error.
     """
     if source.n != target.n:
         raise ValueError(f"length mismatch: {source.n} vs {target.n}")
     start = _state(source.tau.dirs, source.diagram.counts())
     dirs_w, counts_w = target.tau.dirs, target.diagram.counts()
+    h = _lower_bound(start[1], counts_w)
+    if h == 0 and _embeds(*start, dirs_w, counts_w):  # the start is a goal
+        return ReflectionSequence(())
     # best known depth of each state, with the state and op it came by
     seen: dict[_State, tuple[int, _State | None, ReflectionOp | None]] = {start: (0, None, None)}
-    heap = [(_lower_bound(start[1], counts_w), 0, start)]
+    heap, table = [(h, 0, start)], {}
     while heap:
         f, g, S = heapq.heappop(heap)
         g = -g
@@ -181,7 +245,7 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> ReflectionSequenc
                 _, S, op = seen[S]
             return ReflectionSequence(tuple(reversed(ops)))
         g += 1
-        for op, T in _successors(S):
+        for op, T in _successors(S, table):
             if g < seen.get(T, (g + 1,))[0]:
                 seen[T] = (g, S, op)
                 heapq.heappush(heap, (g + _lower_bound(T[1], counts_w), -g, T))

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .linalg import (FiniteDiagram, Matrix, _count, _position, _Record, _typed, diagram_colimit,
-                     diagram_limit, hstack, solve, vstack)
+from .linalg import (FiniteDiagram, Matrix, _count, _iterable, _position, _Record, _typed,
+                     diagram_colimit, diagram_limit, hstack, solve, vstack)
 from .zigzag_core import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION,
                           Morphism, ZigzagModule, _ends, is_morphism, transform_type)
 
@@ -165,7 +165,7 @@ class ReflectionSequence(_Record):
     ops: tuple[ReflectionOp, ...]
 
     def __init__(self, ops: Iterable[ReflectionOp]) -> None:
-        ops = tuple(ops)
+        ops = tuple(_iterable(ops, "reflection ops"))
         if not set(map(type, ops)) <= {ReflectionOp}:  # in C; the loop names one
             for i, op in enumerate(ops):
                 _typed(op, ReflectionOp, f"sequence entry {i}")

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .linalg import (Matrix, _count, _dims, _map, _position, _Record, _typed, block_diag,
-                     inverse)
+from .linalg import (Matrix, _count, _dims, _iterable, _map, _position, _Record, _typed,
+                     block_diag, inverse)
 
 FORWARD = ">"
 BACKWARD = "<"
@@ -36,7 +36,7 @@ class Orientation(_Record):
     dirs: tuple[str, ...]
 
     def __init__(self, dirs: Iterable[str]) -> None:
-        dirs = tuple(dirs)
+        dirs = tuple(_iterable(dirs, "arrow directions"))
         if len(dirs) < 1:
             raise ValueError("a zigzag needs at least two positions (one arrow)")
         if not all(map((FORWARD, BACKWARD).__contains__, dirs)):  # in C; the loop names one
@@ -138,7 +138,7 @@ class ZigzagModule(_Record):
     def __init__(self, tau: Orientation, dims: Iterable[int], maps: Iterable[Matrix]) -> None:
         n = _typed(tau, Orientation, "tau").n
         dims = tuple(_dims(dims, "dimensions"))
-        maps = tuple(maps)
+        maps = tuple(_iterable(maps, "structure maps"))
         if len(dims) != n:
             raise ValueError(f"expected {n} dimensions, got {len(dims)}")
         if len(maps) != n - 1:
@@ -177,7 +177,7 @@ class Morphism(_Record):
 
     def __init__(self, source: ZigzagModule, target: ZigzagModule,
                  components: Iterable[Matrix]) -> None:
-        comps = tuple(components)
+        comps = tuple(_iterable(components, "components"))
         tau = _typed(source, ZigzagModule, "source").tau
         if tau != _typed(target, ZigzagModule, "target").tau:
             raise ValueError("source and target must share an orientation type")
@@ -223,7 +223,7 @@ def conjugate(V: ZigzagModule, bases: Iterable[Matrix]) -> tuple[ZigzagModule, M
     Returns the conjugated module and the isomorphism from V onto it whose
     components are the base changes themselves.
     """
-    B = tuple(bases)
+    B = tuple(_iterable(bases, "base changes"))
     if len(B) != V.n:
         raise ValueError(f"expected {V.n} base changes, got {len(B)}")
     inv = []

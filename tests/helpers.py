@@ -662,6 +662,35 @@ def bfs_search(source: SymbolicModule, target: SymbolicModule) -> tuple[int, Ref
     raise AssertionError("no goal reachable; the empty module always is one")
 
 
+def reference_successors(state) -> tuple:
+    """Each other state one reflection away, with the first op reaching it,
+    by the whole rule: every op ``ops_at`` gives, at every position in
+    order, moved by ``_state(*_reflect(op, *state))``; the first op to
+    each state is kept and the state itself dropped.  The reference for
+    ``reflection_distance._successors``, which tries only positions next
+    to an interval end and edits only what the op changes."""
+    n = len(state[0]) + 1
+    first: dict = {}
+    for k in range(1, n + 1):
+        for op in ops_at(n, k):
+            first.setdefault(_state(*_reflect(op, *state)), op)
+    first.pop(state, None)
+    return tuple((op, T) for T, op in first.items())
+
+
+def stability_states() -> set:
+    """Every search state the stability benchmark can reach: each length
+    2..8, each type, and each diagram of at most two intervals, none of
+    one position; the set is closed under reflection."""
+    states = set()
+    for n in range(2, 9):
+        pool = [(b, d) for (b, d) in all_intervals(n) if b < d]
+        for pts in [(), *((I,) for I in pool), *itertools.combinations_with_replacement(pool, 2)]:
+            counts = PersistenceDiagram(n, pts).counts()
+            states.update(_state(dirs, counts) for dirs in all_dirs(n))
+    return states
+
+
 def count_calls(monkeypatch, module, name):
     """Wrap ``module.name`` so that every call adds one to the returned list's entry."""
     real, calls = getattr(module, name), [0]

@@ -186,6 +186,44 @@ def test_bottleneck_distance_checks_the_counted_flows(monkeypatch):
             bottleneck_distance(S, S, math.inf)
 
 
+def test_an_empty_side_is_answered_before_anything_is_built(monkeypatch):
+    # against a side with no points, raw or as a diagram, mixed or both
+    # empty, the distance is the largest penalty, read off the points or
+    # the counts with no grouping, walk or flow; brute force agrees exactly
+    names = ("_grouped", "_penalties", "_threshold", "_saturate")
+    built = dict(zip(names, (count_calls(monkeypatch, bottleneck, name) for name in names)))
+    rng = random.Random(241)
+    cases = [([], []), (pd(5, []), pd(5, [])), ([], pd(5, [])), (pd(5, []), [])]
+    for _ in range(12):
+        D = random_counted(rng, 7, 3, 2)
+        for side in (D, list(D.points)):
+            for empty in ([], pd(7, [])):
+                cases += [(side, empty), (empty, side)]
+    for S, T in cases:
+        for p in (1, 2, 3.5, math.inf):
+            points = [list(bottleneck._points(X)) for X in (S, T)]
+            want = brute_force_bottleneck(*points, p)
+            penalties = built["_penalties"][0]
+            assert bottleneck_distance(S, T, p) == want, (S, T, p)
+            assert built["_penalties"][0] == penalties + 1
+            eta, M = optimal_matching(S, T, p)
+            assert (eta, M.pairs) == (want, ()), (S, T, p)
+    assert [built[name][0] for name in ("_grouped", "_threshold", "_saturate")] == [
+        2 * len(cases) * 4, len(cases) * 4, 0]  # all from optimal_matching
+    # an endpoint past the float range is still refused, naming the interval
+    far = rf"interval \((0|1), {2 ** 1100}\): endpoints too far apart for floating-point"
+    for S, T in (([(0, 2 ** 1100)], []), ([], pd(2 ** 1100, [(1, 2 ** 1100)])),
+                 (pd(2 ** 1100, [(1, 2 ** 1100)]), pd(2 ** 1100, []))):
+        for p in (1, 2, 3.5, math.inf):
+            for call in (bottleneck_distance, optimal_matching):
+                with pytest.raises(ValueError, match=far):
+                    call(S, T, p)
+    # optimal_matching still checks the cost of its empty witness
+    monkeypatch.setattr(bottleneck, "_cost", lambda *args: math.inf)
+    with pytest.raises(AssertionError, match="combined matching costs inf, above threshold 3.0"):
+        optimal_matching([(1, 4)], pd(4, []), 1)
+
+
 def test_threshold_matches_the_full_table_search(monkeypatch):
     # the walk takes distances only from points that can be required and
     # gallops up from the lower bound; the full-table search bisecting

@@ -14,6 +14,7 @@ from helpers import (cokernel, count_calls, enumerate_limit_dim, kernel_basis, m
 from zzdist import (FORWARD, FiniteDiagram, Matrix, block_diag,
                     diagram_colimit, diagram_limit, hstack, inverse, is_invertible,
                     is_prime, rank, solve, vstack)
+import zzdist
 from zzdist import linalg
 
 
@@ -70,6 +71,32 @@ def test_zero_and_identity_refuse_a_size_that_is_not_an_integer():
                           (lambda: Matrix.identity(-1), "^matrix size must be >= 0, got -1$")):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+_TAU = zzdist.Orientation(">>")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: zzdist.PersistenceDiagram(3, 5), "endpoints must be a sequence, got int"),
+    (lambda: zzdist.PersistenceDiagram.from_counts(3, 7),
+     "birth, death and multiplicity must be a sequence, got int"),
+    (lambda: zzdist.synthesize(_TAU, None), "endpoints must be a sequence, got NoneType"),
+    (lambda: Matrix(2, None, 0), "matrix row entries must be a sequence, got NoneType"),
+    (lambda: zzdist.Matching(1, 1, None), "indices must be a sequence, got NoneType"),
+    (lambda: zzdist.ZigzagModule(_TAU, None, ()), "dimensions must be a sequence, got NoneType"),
+    (lambda: zzdist.Orientation(5), "arrow directions must be a sequence, got int"),
+    (lambda: zzdist.ZigzagModule(_TAU, (1, 1, 1), None),
+     "structure maps must be a sequence, got NoneType"),
+    (lambda: zzdist.ReflectionSequence(3), "reflection ops must be a sequence, got int"),
+    (lambda: zzdist.Morphism(zzdist.zero_module(_TAU), zzdist.zero_module(_TAU), None),
+     "components must be a sequence, got NoneType"),
+    (lambda: zzdist.conjugate(zzdist.zero_module(_TAU), 2),
+     "base changes must be a sequence, got int"),
+])
+def test_a_value_that_is_no_sequence_is_refused_naming_what_was_wanted(call, message):
+    # each of these once raised Python's own TypeError: ... is not iterable
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_rank_of_product_bounded_by_factor():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import importlib
-import itertools
 import math
 import random
 import sys
@@ -9,15 +8,16 @@ import threading
 import time
 
 import pytest
-from helpers import (all_dirs, all_intervals, bfs_min_steps, bfs_search, random_counted,
-                     random_orientation, random_symbolic)
+from helpers import (all_dirs, all_intervals, bfs_min_steps, bfs_search, count_calls,
+                     random_counted, random_orientation, random_symbolic, reference_successors,
+                     stability_states)
 
 from zzdist import (COLIMIT, LIMIT, Orientation, PersistenceDiagram,
-                    ReflectionOp, ReflectionSequence, SymbolicModule, act, all_ops, apply,
+                    ReflectionOp, ReflectionSequence, SymbolicModule, act, apply,
                     bottleneck_distance, canonical_type, cost, decompose,
                     is_summand_upto_equiv, min_steps, random_symbolic_module,
                     reflection_distance, synthesize)
-from zzdist.diagrams import _reflect, _state
+from zzdist.diagrams import _state
 from zzdist.reflection_distance import _lower_bound, _search, _successors
 from zzdist.zigzag_core import _embeds
 
@@ -194,6 +194,31 @@ def test_min_steps_matches_memo_free_bfs():
         assert min_steps(W, V) == bfs_min_steps(W, V), (W, V)
 
 
+def test_a_start_that_is_a_goal_is_answered_before_the_search_builds_anything(monkeypatch):
+    # pairs rich in distance 0: the target holds the source's diagram, and
+    # most arrows of the two types agree; the depths still equal the
+    # breadth-first oracle's both ways, and a start that is a goal returns
+    # the empty run with no successor list asked for
+    rd = importlib.import_module("zzdist.reflection_distance")
+    calls = count_calls(monkeypatch, rd, "_successors")
+    rng = random.Random(191)
+    zero = 0
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        W = random_symbolic(rng, n, 3)
+        part = [c for c in W.diagram.counts() if rng.random() < 0.6]
+        dirs = [d if rng.random() < 0.8 else rng.choice("<>") for d in W.tau.dirs]
+        V = SymbolicModule(Orientation(dirs), PersistenceDiagram.from_counts(n, part))
+        for A, B in ((V, W), (W, V)):
+            before = calls[0]
+            run = _search(A, B)
+            assert len(run) == bfs_min_steps(A, B), (A, B)
+            if not run:
+                zero += 1
+                assert run == ReflectionSequence(()) and calls[0] == before, (A, B)
+    assert zero > 300, zero
+
+
 def test_search_is_independent_of_the_successor_memo(monkeypatch):
     rd = importlib.import_module("zzdist.reflection_distance")
     pairs = _seeded_pairs(139, 150, 6, 2)
@@ -252,9 +277,9 @@ def test_memo_never_holds_more_successors_than_its_bound(monkeypatch):
     rd = importlib.import_module("zzdist.reflection_distance")
     successors, seen, calls = rd._successors, [], []
 
-    def checked(state):
+    def checked(state, *table):
         misses = rd.memo_info().misses
-        out = successors(state)
+        out = successors(state, *table)
         calls.append(state)
         if rd.memo_info().misses > misses:
             seen.append(len(out))
@@ -317,12 +342,7 @@ def test_the_stability_state_space_fits_the_memo(monkeypatch):
     # every state it can reach, closed under reflection, fits the memo, so
     # the memo is never emptied there
     rd = importlib.import_module("zzdist.reflection_distance")
-    states = set()
-    for n in range(2, 9):
-        pool = [(b, d) for (b, d) in all_intervals(n) if b < d]
-        for pts in [(), *((I,) for I in pool), *itertools.combinations_with_replacement(pool, 2)]:
-            diagram = PersistenceDiagram(n, pts)
-            states.update(_state(dirs, diagram.counts()) for dirs in all_dirs(n))
+    states = stability_states()
     bound = rd._MEMO_BOUND
     monkeypatch.setattr(rd, "_MEMO_BOUND", 10 ** 9)
     rd.clear_memo()
@@ -357,18 +377,26 @@ def test_astar_matches_the_bfs_oracle_and_its_witnesses_reach_goals():
 
 
 def test_successors_keep_the_first_op_to_each_other_state():
-    # the memo skips reflections that cannot change the state and merges
-    # reflections that reach one state; long modules have many positions
-    # that no interval end is near
+    # a miss tries only positions next to an interval end and edits only
+    # what each op changes; the reference moves the whole state by every
+    # op.  Long modules have many positions that no interval end is near
+    rd = importlib.import_module("zzdist.reflection_distance")
+    rd.clear_memo()
+    states = sorted(stability_states())
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        n = rng.randint(2, 14)
+        states.append(_state(random_orientation(rng, n).dirs,
+                             random_counted(rng, n, 6, 3).counts()))
     rng = random.Random(167)
     for i in range(320):
         n = rng.randint(2, 9) if i < 300 else rng.randint(100, 400)
-        state = _state(random_orientation(rng, n).dirs, random_counted(rng, n, 4, 2).counts())
-        first = {}
-        for op in all_ops(n):
-            first.setdefault(_state(*_reflect(op, *state)), op)
-        first.pop(state, None)
-        assert _successors(state) == tuple((op, T) for T, op in first.items()), state
+        states.append(_state(random_orientation(rng, n).dirs,
+                             random_counted(rng, n, 4, 2).counts()))
+    tables: dict = {}  # ops by position, shared as one search shares them, one per length
+    for S in states:
+        assert _successors(S, tables.setdefault(len(S[0]), {})) == reference_successors(S), S
+    rd.clear_memo()
 
 
 def test_lower_bound_is_zero_on_goals_and_drops_at_most_one_a_step():
