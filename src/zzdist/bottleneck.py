@@ -1,28 +1,31 @@
-"""Bottleneck distance between persistence diagrams.
+"""Bottleneck distance between persistence diagrams of one length.
 
-A matching pairs up some intervals of one diagram with intervals of the
-other, at most once each; its cost is the largest of the matched
-distances and the penalties charged for leaving an interval unmatched.
-Every achievable cost is one of finitely many candidate values, and
-whether a matching within a value exists is monotone in the value, so
-the distance is the smallest feasible candidate (Efrat, Itai and Katz,
-2001; Kerber, Morozov and Nigmetov, 2017).  Only points whose penalty
-passes a lower bound can be required, so only they get distances, and
-only to points nearer than their penalty.  The bound, where the distance
-most often is, is tried first, and only if it fails are the candidates
-sorted; the search then gallops up from it and bisects the last gap.
-Points are counted: each test is a capacitated flow on the distinct
-points, whose supplies and capacities are multiplicities, and a
-diagram's copies are indexed by one ``range``, so no cost grows with
-them.  Augmenting paths are searched with an explicit queue, so long
-paths cannot hit the recursion limit.  Each side's penalties are taken
-once.  ``_point_dist`` gives the distances at p other than 1 and
+The inputs are ``PersistenceDiagram``s, whose intervals were read once,
+when each was built; a diagram of another length, or anything that is
+no diagram, is refused naming its argument.  A matching pairs up some
+intervals of one diagram with intervals of the other, at most once
+each; its cost is the largest of the matched distances and the
+penalties charged for leaving an interval unmatched.  Every achievable
+cost is one of finitely many candidate values, and whether a matching
+within a value exists is monotone in the value, so the distance is the
+smallest feasible candidate (Efrat, Itai and Katz, 2001; Kerber, Morozov
+and Nigmetov, 2017).  Only points whose penalty passes a lower bound can
+be required, so only they get distances, and only to points nearer than
+their penalty.  The bound, where the distance most often is, is tried
+first, and only if it fails are the candidates sorted; the search then
+gallops up from it and bisects the last gap.  Points are counted, as a
+diagram stores them: each test is a capacitated flow on the distinct
+points, whose supplies and capacities are multiplicities, and each
+point's copies are one ``range`` of positions in ``points``, so no cost
+grows with them.  Augmenting paths are searched with an explicit queue,
+so long paths cannot hit the recursion limit.  Each side's penalties are
+taken once.  ``_point_dist`` gives the distances at p other than 1 and
 infinity, and checks the realized cost of the flows found.  Both entry
-points share one checked solve; only ``optimal_matching`` expands its
-counted flows into an index-level witness, merging the two one-sided
-matchings (Mendelsohn and Dulmage, 1958).  Against a side with no points
-nothing can be matched, so the distance is the largest penalty (0 if
-both are empty), which ``bottleneck_distance`` reads off before the
+points share one solve; only ``optimal_matching`` expands its counted
+flows into an index-level witness, merging the two one-sided matchings
+(Mendelsohn and Dulmage, 1958).  Against a side with no points nothing
+can be matched, so the distance is the largest penalty (0 if both are
+empty), which ``bottleneck_distance`` reads off the counts before the
 solve builds anything; ``optimal_matching`` gets it from the solve.
 """
 
@@ -35,7 +38,7 @@ from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
 from .diagrams import PersistenceDiagram
-from .linalg import _count, _exact_ints, _Record
+from .linalg import _check_p, _count, _exact_ints, _Record, _typed
 
 
 class Matching(_Record):
@@ -74,44 +77,14 @@ class Matching(_Record):
         return frozenset(j for (_, j) in self.pairs)
 
 
-def _check_p(p: float) -> float:
-    if isinstance(p, (int, float)) and not isinstance(p, bool) and p >= 1:
-        try:
-            return float(p)
-        except OverflowError:  # an integer past the largest float
-            pass
-    raise ValueError(f"p must be a real number >= 1 or infinity, got {p!r}")
-
-
-def _checked(S, T) -> tuple:
-    """S and T, each a diagram as it is or a raw sequence as a list of
-    checked (b, d) tuples; every other function here takes inputs in this
-    form.  Two diagrams must have one length; a raw sequence has none, and
-    anything else is refused naming its argument."""
-    if isinstance(S, PersistenceDiagram) and isinstance(T, PersistenceDiagram):
-        if S.n != T.n:
-            raise ValueError(f"length mismatch: {S.n} vs {T.n}")
-        return S, T
-    checked = []
-    for name, D in (("S", S), ("T", T)):
-        if not isinstance(D, PersistenceDiagram):
-            try:
-                iter(D)
-            except TypeError:
-                raise ValueError(f"{name} is {type(D).__name__}, expected a PersistenceDiagram "
-                                 "or a sequence of (b, d) pairs") from None
-            D = _exact_ints(D, "endpoints", True)
-            for i, pt in enumerate(D):
-                if len(pt) != 2 or pt[0] > pt[1]:
-                    raise ValueError(f"entry {i} {pt!r}: an interval must be a pair (b, d) "
-                                     "with b <= d")
-        checked.append(D)
-    return tuple(checked)
-
-
-def _points(D) -> Sequence[tuple[int, int]]:
-    """One entry per copy of a checked input."""
-    return D.points if isinstance(D, PersistenceDiagram) else D
+def _checked(S, T) -> tuple[PersistenceDiagram, PersistenceDiagram]:
+    """S and T if both are diagrams of one length; anything else is
+    refused naming its argument.  A diagram's intervals were read once,
+    when it was built, so nothing here reads them again."""
+    S, T = _typed(S, PersistenceDiagram, "S"), _typed(T, PersistenceDiagram, "T")
+    if S.n != T.n:
+        raise ValueError(f"length mismatch: {S.n} vs {T.n}")
+    return S, T
 
 
 def _point_dist(a: tuple[int, int], b: tuple[int, int], p: float) -> float:
@@ -166,11 +139,13 @@ def _near(x: tuple[int, int], pen: float, ys: Sequence[tuple[int, int]],
     return sorted(near)
 
 
-def matching_cost(S, T, M: Matching, p: float = math.inf) -> float:
-    """Largest matched distance or unmatched penalty under M; 0 if empty."""
+def matching_cost(S: PersistenceDiagram, T: PersistenceDiagram, M: Matching,
+                  p: float = math.inf) -> float:
+    """Largest matched distance or unmatched penalty under M, whose
+    indices are positions in ``S.points`` and ``T.points``; 0 if empty."""
     p = _check_p(p)
     S, T = _checked(S, T)
-    return _cost(_points(S), _points(T), M, p)
+    return _cost(S.points, T.points, M, p)
 
 
 def _cost(s: Sequence[tuple[int, int]], t: Sequence[tuple[int, int]], M: Matching,
@@ -260,36 +235,30 @@ def _saturate(supply: dict[int, int], capacity: Sequence[int],
     return flow
 
 
-_Grouped = tuple[list[tuple[int, int]], list[int], Sequence[int]]
+_Grouped = tuple[list[tuple[int, int]], list[int]]
 
 
-def _grouped(D) -> _Grouped:
-    """Distinct points, their multiplicities, and the indices into
-    ``_points(D)`` of every copy, point by point, for a checked input.  A
-    diagram's come from ``counts()``, its copies already in that order, so
-    the indices are one ``range``; a raw sequence is grouped in input order."""
-    if isinstance(D, PersistenceDiagram):
-        counts = D.counts()
-        mult = list(map(itemgetter(2), counts))
-        return list(map(itemgetter(0, 1), counts)), mult, range(sum(mult))
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, pt in enumerate(D):
-        groups.setdefault(pt, []).append(i)
-    return list(groups), [len(c) for c in groups.values()], list(chain(*groups.values()))
+def _grouped(D: PersistenceDiagram) -> _Grouped:
+    """The distinct points of a diagram and their multiplicities, read off
+    ``counts()``, in the order ``points`` lists their copies."""
+    counts = D.counts()
+    return list(map(itemgetter(0, 1), counts)), list(map(itemgetter(2), counts))
 
 
 def _expand(flow: dict[int, dict[int, int]], source: _Grouped,
             target: _Grouped) -> list[tuple[int, int]]:
-    """Index pairs for a counted flow between grouped points; the copies of
-    each point are handed out in order."""
-    (_, mult_s, order_s), (_, mult_t, order_t) = source, target
+    """Index pairs, positions in ``points``, for a counted flow between
+    grouped points; each point's copies are one ``range`` of positions,
+    handed out in order."""
+    (_, mult_s), (_, mult_t) = source, target
     # where each source point's copies start, and each target point's next free one
     start, free = [0, *accumulate(mult_s)], [0, *accumulate(mult_t)]
     pairs: list[tuple[int, int]] = []
     for i, row in flow.items():
-        copies = iter(order_s[start[i]:start[i + 1]])
+        copy = start[i]
         for j, units in row.items():
-            pairs.extend(zip(islice(copies, units), order_t[free[j]:free[j] + units]))
+            pairs.extend(zip(range(copy, copy + units), range(free[j], free[j] + units)))
+            copy += units
             free[j] += units
     return pairs
 
@@ -320,12 +289,12 @@ def combine_matchings(f: Matching, g: Matching) -> Matching:
     return Matching(f.n_source, f.n_target, tuple(match.items()))
 
 
-def _confirm(realized: float, eta: float, p: float, A: _Grouped, B: _Grouped) -> None:
+def _confirm(realized: float, eta: float, p: float, S: PersistenceDiagram,
+             T: PersistenceDiagram) -> None:
     """Raise, naming p and both inputs' counts, if a witness costs more than eta."""
     if realized > eta:
-        a, b = ([(*pt, m) for pt, m in zip(pts, mult)] for (pts, mult, _) in (A, B))
         raise AssertionError(f"combined matching costs {realized}, above threshold {eta} "
-                             f"(p={p}; counts {a} and {b})")
+                             f"(p={p}; counts {list(S.counts())} and {list(T.counts())})")
 
 
 def _least_cost(copies: int, pen: float, near: Sequence[tuple[float, int]],
@@ -362,8 +331,9 @@ def _placed(eta: float, walked: Sequence[tuple[float, int, int, list[tuple[float
     return None if g is None else (f, g)
 
 
-def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
-                                        dict[int, dict[int, int]], _Grouped, _Grouped]:
+def _threshold(S: PersistenceDiagram, T: PersistenceDiagram, p: float
+               ) -> tuple[float, dict[int, dict[int, int]], dict[int, dict[int, int]],
+                          _Grouped, _Grouped]:
     """The bottleneck distance eta between checked S and T for a checked p,
     the counted flows (f, g) found at eta, and both inputs as ``_grouped``
     gives them: f places every copy of a point of S whose penalty exceeds
@@ -390,7 +360,7 @@ def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
     pair and the penalty of each point not fully placed.
     """
     A, B = _grouped(S), _grouped(T)
-    (a, mult_a, _), (b, mult_b, _) = A, B
+    (a, mult_a), (b, mult_b) = A, B
     pts, mults = (a, b), (mult_a, mult_b)
     walked = []  # (penalty, side, index, near) by falling penalty
     lower = 0.0
@@ -436,45 +406,45 @@ def _threshold(S, T, p: float) -> tuple[float, dict[int, dict[int, int]],
             placed[i] = sum(row.values())
             pairs += [(x[i], y[j]) for j in row]
         dropped += compress(pens_x, map(lt, placed, mult_x))
-    _confirm(_largest(pairs, dropped, p), eta, p, A, B)
+    _confirm(_largest(pairs, dropped, p), eta, p, S, T)
     return eta, f, g, A, B
 
 
-def optimal_matching(S, T, p: float = math.inf) -> tuple[float, Matching]:
+def optimal_matching(S: PersistenceDiagram, T: PersistenceDiagram,
+                     p: float = math.inf) -> tuple[float, Matching]:
     """The bottleneck distance together with a matching realizing it.
 
     The counted flows of the threshold search are expanded to one index
     pair per matched copy, merged by ``combine_matchings`` and checked as
-    ``matching_cost`` checks them, on the inputs as checked once here.
-    ``Matching`` indices refer to positions in the inputs as given, which
-    need not be sorted.
+    ``matching_cost`` checks them.  ``Matching`` indices are positions in
+    ``S.points`` and ``T.points``.
     """
     p = _check_p(p)
-    # each input is checked once, and a total past sys.maxsize is refused here
     S, T = _checked(S, T)
-    s, t = _points(S), _points(T)
+    s, t = S.points, T.points  # a total past sys.maxsize is refused here
     eta, f, g, A, B = _threshold(S, T, p)
     M = combine_matchings(Matching(len(s), len(t), tuple(_expand(f, A, B))),
                           Matching(len(t), len(s), tuple(_expand(g, B, A))))
-    _confirm(_cost(s, t, M, p), eta, p, A, B)
+    _confirm(_cost(s, t, M, p), eta, p, S, T)
     return eta, M
 
 
-def bottleneck_distance(S, T, p: float = math.inf) -> float:
-    """Exact bottleneck distance between two diagrams for this p.
+def bottleneck_distance(S: PersistenceDiagram, T: PersistenceDiagram,
+                        p: float = math.inf) -> float:
+    """Exact bottleneck distance between two diagrams of one length for this p.
 
     Works on distinct points only: the threshold search's counted flows
     are checked directly, and no index-level matching is built.  Against
     a side with no points nothing can be matched, so the distance is the
-    largest penalty (0.0 if both are empty), read off the points or a
-    diagram's counts before anything is grouped or searched.
+    largest penalty (0.0 if both are empty), read off the counts before
+    anything is grouped or searched.
     """
     p = _check_p(p)
     S, T = _checked(S, T)
-    sides = [D.counts() if isinstance(D, PersistenceDiagram) else D for D in (S, T)]
-    if all(sides):
+    if S.counts() and T.counts():
         return _threshold(S, T, p)[0]
+    counts = S.counts() + T.counts()
     try:
-        return max(_penalties(map(itemgetter(0, 1), chain(*sides)), p), default=0.0)
+        return max(_penalties(map(itemgetter(0, 1), counts), p), default=0.0)
     except OverflowError:
-        raise _too_far([pt[:2] for pt in chain(*sides)]) from None
+        raise _too_far([pt[:2] for pt in counts]) from None

@@ -34,10 +34,11 @@ import sys
 from itertools import chain
 from typing import Sequence
 
-from .bottleneck import _check_p, bottleneck_distance
+from .bottleneck import bottleneck_distance
 from .diagrams import (PersistenceDiagram, SymbolicModule, _symbolic, act,
                        annihilating_sequence, synthesize)
-from .linalg import _MAX_DIM, DEFAULT_PRIME, Matrix, _check_prime, _count, _dims, _residues
+from .linalg import (_MAX_DIM, DEFAULT_PRIME, Matrix, _check_p, _check_prime, _count, _dims,
+                     _residues)
 from .reflection_distance import reflection_distance
 from .reflections import COLIMIT, LIMIT, ReflectionOp, apply
 from .stability import generate_random_module, stability_experiment

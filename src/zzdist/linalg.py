@@ -103,6 +103,16 @@ def _count(x, least: int, what: str) -> int:
     return i
 
 
+def _check_p(p: float) -> float:
+    """``p`` as a float, if it is a real number >= 1 or infinity."""
+    if isinstance(p, (int, float)) and not isinstance(p, bool) and p >= 1:
+        try:
+            return float(p)
+        except OverflowError:  # an integer past the largest float
+            pass
+    raise ValueError(f"p must be a real number >= 1 or infinity, got {p!r}")
+
+
 def _iterable(entries, what: str):
     """An iterator over the entries; a ValueError naming ``what`` if they
     are not iterable.  Every constructor reads a sequence through it."""
@@ -245,6 +255,17 @@ def _map(M, p: int, shape: tuple[int, int], what: str) -> "Matrix":
     return M
 
 
+def _matrices(mats, what: str) -> list["Matrix"]:
+    """The entries of ``mats`` as a list of matrices over one field; a
+    ValueError naming ``what`` if they are no sequence, and naming the
+    first entry that is no Matrix or is over another field."""
+    mats = list(_iterable(mats, what))
+    for i, M in enumerate(mats):
+        if _typed(M, Matrix, f"entry {i} of {what}").p != mats[0].p:
+            raise ValueError(f"field mismatch: GF({mats[0].p}) vs GF({M.p})")
+    return mats
+
+
 class Matrix(_Record):
     """Immutable dense matrix over GF(p).
 
@@ -325,14 +346,8 @@ class Matrix(_Record):
     def transpose(self) -> "Matrix":
         return Matrix._trusted(self.p, _transpose(self.data, self.cols), self.rows)
 
-    def _require_same_field(self, other: "Matrix") -> None:
-        if not isinstance(other, Matrix):
-            raise TypeError(f"expected Matrix, got {type(other).__name__}")
-        if self.p != other.p:
-            raise ValueError(f"field mismatch: GF({self.p}) vs GF({other.p})")
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        self._require_same_field(other)
+        _matrices((self, other), "a product")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch for product: {self.shape} @ {other.shape}")
         return Matrix(self.p, [_combine(row, other.data, other.cols) for row in self.data],
@@ -341,7 +356,7 @@ class Matrix(_Record):
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
     """Block-diagonal sum of two matrices over the same field."""
-    a._require_same_field(b)
+    a, b = _matrices((a, b), "a block sum")
     right, left = (0,) * b.cols, (0,) * a.cols
     return Matrix._trusted(a.p, [row + right for row in a.data] + [left + row for row in b.data],
                            a.cols + b.cols)
@@ -349,11 +364,11 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
     """Stack matrices vertically; all must share a field and column count."""
+    mats = _matrices(mats, "a stack")
     if len(mats) == 0:
         raise ValueError("stacking needs at least one matrix")
     first = mats[0]
     for m in mats[1:]:
-        first._require_same_field(m)
         if m.cols != first.cols:
             raise ValueError(f"stacked matrices disagree along the join: {first.cols} vs {m.cols}")
     return Matrix._trusted(first.p, [row for m in mats for row in m.data], first.cols)
@@ -361,7 +376,7 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
     """Stack matrices horizontally; all must share a field and row count."""
-    return vstack([m.transpose() for m in mats]).transpose()
+    return vstack([m.transpose() for m in _matrices(mats, "a stack")]).transpose()
 
 
 def _unit(i: int, size: int, x: int = 1) -> list[int]:
@@ -419,6 +434,7 @@ def _kernel(a: Sequence[Sequence[int]], cols: int, p: int) -> list[list[int]]:
 
 
 def rank(M: Matrix) -> int:
+    M = _typed(M, Matrix, "M")
     return len(_echelon(((row, ()) for row in M.data), M.p)[0])
 
 
@@ -432,7 +448,7 @@ def solve(A: Matrix, B: Matrix) -> Matrix | None:
     supported on the pivot columns: free variables are zero, and the
     answer is deterministic, the unique one when A has full column rank.
     """
-    A._require_same_field(B)
+    A, B = _matrices((A, B), "a solve")
     if A.rows != B.rows:
         raise ValueError(f"shape mismatch for solve: {A.shape} vs {B.shape}")
     n, zero = A.cols, [0] * A.cols
@@ -445,11 +461,11 @@ def solve(A: Matrix, B: Matrix) -> Matrix | None:
 
 
 def is_invertible(M: Matrix) -> bool:
-    return M.is_square() and rank(M) == M.rows
+    return _typed(M, Matrix, "M").is_square() and rank(M) == M.rows
 
 
 def inverse(M: Matrix) -> Matrix:
-    if not M.is_square():
+    if not _typed(M, Matrix, "M").is_square():
         raise ValueError(f"only square matrices can be inverted, got {M.shape}")
     X = solve(M, Matrix.identity(M.rows, M.p))
     if X is None:

@@ -562,7 +562,7 @@ def table_threshold(S, T, p: float) -> tuple[float, dict, dict, float, list[floa
     call.  Returns eta, the flows (f, g) found at it, the lower bound and
     the sorted candidates.
     """
-    (a, mult_a, _), (b, mult_b, _) = _grouped(S), _grouped(T)
+    (a, mult_a), (b, mult_b) = _grouped(S), _grouped(T)
     dist = [[_point_dist(x, y, p) for y in b] for x in a]
     cols = [[row[j] for row in dist] for j in range(len(b))]
     pen_a, pen_b = _penalties(a, p), _penalties(b, p)

@@ -14,11 +14,20 @@ from helpers import (brute_force_bottleneck, count_calls, diagonal_penalty,
 from zzdist import (Matching, PersistenceDiagram, bottleneck_distance,
                     combine_matchings, matching_cost, optimal_matching, random_symbolic_module)
 from zzdist import bottleneck
-from zzdist.bottleneck import _check_p, _near, _penalties, _point_dist, _saturate
+from zzdist.bottleneck import _near, _penalties, _point_dist, _saturate
+from zzdist.linalg import _check_p
 
 
 def pd(n, pts):
     return PersistenceDiagram(n, tuple(pts))
+
+
+# an interval 2**1100 wide, one position from the end of its diagram, and
+# the refusal of its distances, which no float holds
+_FAR = 2 ** 1100 + 1
+_WIDE = pd(_FAR, [(1, _FAR)])
+_TOO_FAR = (rf"interval \(1, ({2 ** 1100}|{_FAR})\): "
+            "endpoints too far apart for floating-point")
 
 
 def test_matching_validation():
@@ -39,13 +48,23 @@ def test_matching_validation():
 
 
 def test_entry_points_refuse_what_is_no_diagram():
-    # these once raised TypeError: ... is not iterable out of `_exact_ints`
+    # the first rows once raised TypeError: ... is not iterable out of
+    # `_exact_ints`; a list or tuple of points is refused as anything else
+    # that is no diagram, naming its side
     V = random_symbolic_module(random.Random(1), 4, 2)
-    expected = r" is {}, expected a PersistenceDiagram or a sequence of \(b, d\) pairs$"
+    expected = " is {}, expected PersistenceDiagram$"
     rows = [(lambda: bottleneck_distance(V, V), "^S" + expected.format("SymbolicModule")),
             (lambda: bottleneck_distance(None, []), "^S" + expected.format("NoneType")),
-            (lambda: optimal_matching([(1, 2)], 5), "^T" + expected.format("int")),
-            (lambda: matching_cost([], 2.5, Matching(0, 0, ())), "^T" + expected.format("float"))]
+            (lambda: optimal_matching([(1, 2)], 5), "^S" + expected.format("list")),
+            (lambda: matching_cost(V.diagram, 2.5, Matching(0, 0, ())),
+             "^T" + expected.format("float"))]
+    for bad in ([(1, 2)], ((1, 2),), [], None, V):
+        for call in (bottleneck_distance, optimal_matching,
+                     lambda S, T: matching_cost(S, T, Matching(0, 0, ()))):
+            rows += [(lambda call=call, bad=bad: call(bad, V.diagram),
+                      "^S" + expected.format(type(bad).__name__)),
+                     (lambda call=call, bad=bad: call(V.diagram, bad),
+                      "^T" + expected.format(type(bad).__name__))]
     for call, message in rows:
         with pytest.raises(ValueError, match=message):
             call()
@@ -146,19 +165,21 @@ def test_optimal_matching_witness_realizes_threshold():
 
 def test_optimal_matching_matches_expanded_scan():
     # counted flow plus binary search against one vertex per copy and a
-    # linear scan; raw sequences in shuffled order check that the witness
-    # indexes the caller's input order, and the value path, which checks
-    # counted flows and never expands copies, must give the same value.
+    # linear scan; the witness indexes ``points``, and the value path,
+    # which checks counted flows and never expands copies, must give the
+    # same value.  A list of the points, in shuffled order, is refused.
     # Lengths up to 24 and p = 1000 take every row expression of the table.
     rng = random.Random(173)
     for trials, n_range, max_distinct, max_mult in ((500, (2, 7), 4, 5), (120, (8, 24), 6, 4)):
         for trial in range(trials):
             n = rng.randint(*n_range)
-            S, T = (_repeated_points(rng, n, max_distinct, max_mult) for _ in range(2))
-            if trial % 2:
-                S, T = pd(n, S), pd(n, T)
-            s = S.points if trial % 2 else S
-            t = T.points if trial % 2 else T
+            raw_s, raw_t = (_repeated_points(rng, n, max_distinct, max_mult) for _ in range(2))
+            S, T = pd(n, raw_s), pd(n, raw_t)
+            if not trial % 2:
+                for args, name in (((raw_s, T), "S"), ((S, raw_t), "T")):
+                    with pytest.raises(ValueError, match=f"^{name} is list"):
+                        optimal_matching(*args)
+            s, t = S.points, T.points
             for p in (1, 2, math.inf, 1000):
                 eta, M = optimal_matching(S, T, p)
                 assert bottleneck_distance(S, T, p) == eta == expanded_bottleneck(s, t, p), \
@@ -187,22 +208,29 @@ def test_bottleneck_distance_checks_the_counted_flows(monkeypatch):
 
 
 def test_an_empty_side_is_answered_before_anything_is_built(monkeypatch):
-    # against a side with no points, raw or as a diagram, mixed or both
-    # empty, the distance is the largest penalty, read off the points or
-    # the counts with no grouping, walk or flow; brute force agrees exactly
+    # against a side with no points, or both empty, the distance is the
+    # largest penalty, read off the counts with no grouping, walk or flow;
+    # brute force agrees exactly.  A list on either side, empty or not,
+    # is refused before anything is read
     names = ("_grouped", "_penalties", "_threshold", "_saturate")
     built = dict(zip(names, (count_calls(monkeypatch, bottleneck, name) for name in names)))
     rng = random.Random(241)
-    cases = [([], []), (pd(5, []), pd(5, [])), ([], pd(5, [])), (pd(5, []), [])]
+    cases, lists = [(pd(5, []), pd(5, []))], [([], []), ([], pd(5, [])), (pd(5, []), [])]
     for _ in range(12):
         D = random_counted(rng, 7, 3, 2)
         for side in (D, list(D.points)):
             for empty in ([], pd(7, [])):
-                cases += [(side, empty), (empty, side)]
+                both = all(isinstance(X, PersistenceDiagram) for X in (side, empty))
+                (cases if both else lists).extend([(side, empty), (empty, side)])
+    for S, T in lists:
+        name = "S" if isinstance(S, list) else "T"
+        for call in (bottleneck_distance, optimal_matching):
+            with pytest.raises(ValueError, match=f"^{name} is list, expected PersistenceDiagram$"):
+                call(S, T, 1)
+    assert [built[name][0] for name in names] == [0, 0, 0, 0]
     for S, T in cases:
         for p in (1, 2, 3.5, math.inf):
-            points = [list(bottleneck._points(X)) for X in (S, T)]
-            want = brute_force_bottleneck(*points, p)
+            want = brute_force_bottleneck(S.points, T.points, p)
             penalties = built["_penalties"][0]
             assert bottleneck_distance(S, T, p) == want, (S, T, p)
             assert built["_penalties"][0] == penalties + 1
@@ -211,17 +239,16 @@ def test_an_empty_side_is_answered_before_anything_is_built(monkeypatch):
     assert [built[name][0] for name in ("_grouped", "_threshold", "_saturate")] == [
         2 * len(cases) * 4, len(cases) * 4, 0]  # all from optimal_matching
     # an endpoint past the float range is still refused, naming the interval
-    far = rf"interval \((0|1), {2 ** 1100}\): endpoints too far apart for floating-point"
-    for S, T in (([(0, 2 ** 1100)], []), ([], pd(2 ** 1100, [(1, 2 ** 1100)])),
+    for S, T in ((_WIDE, pd(_FAR, [])), (pd(2 ** 1100, []), pd(2 ** 1100, [(1, 2 ** 1100)])),
                  (pd(2 ** 1100, [(1, 2 ** 1100)]), pd(2 ** 1100, []))):
         for p in (1, 2, 3.5, math.inf):
             for call in (bottleneck_distance, optimal_matching):
-                with pytest.raises(ValueError, match=far):
+                with pytest.raises(ValueError, match=_TOO_FAR):
                     call(S, T, p)
     # optimal_matching still checks the cost of its empty witness
     monkeypatch.setattr(bottleneck, "_cost", lambda *args: math.inf)
     with pytest.raises(AssertionError, match="combined matching costs inf, above threshold 3.0"):
-        optimal_matching([(1, 4)], pd(4, []), 1)
+        optimal_matching(pd(4, [(1, 4)]), pd(4, []), 1)
 
 
 def test_threshold_matches_the_full_table_search(monkeypatch):
@@ -233,16 +260,22 @@ def test_threshold_matches_the_full_table_search(monkeypatch):
     rng = random.Random(307)
     sizes = [(rng.randint(2, 12), 8) for _ in range(150)] + [(24, 40)] * 30
     pairs = [tuple(random_counted(rng, n, top, 5) for _ in range(2)) for n, top in sizes]
-    # raw points moved to 2**53, where not every integer is a float, and
+    # points moved to 2**53, where not every integer is a float, and
     # spread up to 2**1019, where squares overflow
     for base, step in ((2 ** 53, 1), (2 ** 53, 2 ** 49), (2 ** 1020, 5), (0, 2 ** 1016)):
-        pairs += [tuple([(base + step * b, base + step * d)
-                         for (b, d) in _repeated_points(rng, 8, 6, 4)] for _ in range(2))
+        pairs += [tuple(pd(base + step * 8, [(base + step * b, base + step * d)
+                                             for (b, d) in _repeated_points(rng, 8, 6, 4)])
+                        for _ in range(2))
                   for _ in range(6)]
-    # an empty side, raw and as diagrams, against points near 2**53 and 2**1020
-    empty = [([], []), ([(1, 4)] * 3, []), ([], [(2, 2), (1, 6), (1, 6)]),
-             ([(2 ** 53 - 3, 2 ** 53 + 5), (1, 2 ** 53 + 1)], []),
-             ([], [(2 ** 1020, 2 ** 1020 + 3 * 2 ** 969), (-2 ** 1020, 2 ** 1020)]),
+    # an empty side against points near 2**53 and 2**1020; the point at
+    # -2**1020 and its side are moved right by 2**1020 + 1, which keeps
+    # every penalty
+    shift, top = 2 ** 1020 + 1, 2 ** 1021 + 3 * 2 ** 969 + 1
+    empty = [(pd(6, []), pd(6, [])), (pd(4, [(1, 4)] * 3), pd(4, [])),
+             (pd(6, []), pd(6, [(2, 2), (1, 6), (1, 6)])),
+             (pd(2 ** 53 + 5, [(2 ** 53 - 3, 2 ** 53 + 5), (1, 2 ** 53 + 1)]),
+              pd(2 ** 53 + 5, [])),
+             (pd(top, []), pd(top, [(2 ** 1020 + shift, top), (1, 2 ** 1020 + shift)])),
              (pd(6, []), pd(6, [])), (pd(9, [(2, 2)]), pd(9, []))]
     empty += [(D, pd(9, []))[::side] for side in (1, -1)
               for D in (random_counted(rng, 9, 5, 4) for _ in range(3))]
@@ -250,21 +283,20 @@ def test_threshold_matches_the_full_table_search(monkeypatch):
     ours = theirs = same_bounds = 0
     above = Counter()
     for S, T in pairs:
-        S, T = bottleneck._checked(S, T)
         for p in (1.0, 2.0, 3.5, 1000.0, math.inf):
             before = calls[0]
             eta, f, g, A, B = bottleneck._threshold(S, T, p)
             ours += calls[0] - before
-            if not (bottleneck._points(S) and bottleneck._points(T)):
+            if not (S.counts() and T.counts()):
                 # nothing can be matched: every point is dropped, and no flow is tested
                 assert (eta, f, g, calls[0]) == (
-                    max(_penalties([*bottleneck._points(S), *bottleneck._points(T)], p),
-                        default=0.0), {}, {}, before), (S, T, p)
+                    max(_penalties(S.points + T.points, p), default=0.0), {}, {}, before), \
+                    (S, T, p)
             before = calls[0]
             want, _, _, lower, candidates = table_threshold(S, T, p)
             theirs += calls[0] - before
             assert eta == want, (S, T, p)
-            for flow, (x, mult_x, _), (y, mult_y, _) in ((f, A, B), (g, B, A)):
+            for flow, (x, mult_x), (y, mult_y) in ((f, A, B), (g, B, A)):
                 supply = {i: m for i, (pen, m) in enumerate(zip(_penalties(x, p), mult_x))
                           if pen > eta}
                 _check_flow(flow, supply, mult_y,
@@ -280,11 +312,10 @@ def test_threshold_matches_the_full_table_search(monkeypatch):
     assert sum(n for k, n in above.items() if k >= 5) > 20, above
     assert ours < theirs, (ours, theirs)  # 1,615 flow tests against 1,829
     # an interval 2**1100 wide against an empty side is still refused
-    far = rf"interval \((0|1), {2 ** 1100}\): endpoints too far apart for floating-point"
-    for S, T in (([(0, 2 ** 1100)], []), ([], pd(2 ** 1100, [(1, 2 ** 1100)]))):
+    for S, T in ((_WIDE, pd(_FAR, [])), (pd(2 ** 1100, []), pd(2 ** 1100, [(1, 2 ** 1100)]))):
         for p in (1.0, 2.0, 3.5, math.inf):
-            with pytest.raises(ValueError, match=far):
-                bottleneck._threshold(*bottleneck._checked(S, T), p)
+            with pytest.raises(ValueError, match=_TOO_FAR):
+                bottleneck._threshold(S, T, p)
 
 
 def test_least_cost_bound_never_exceeds_the_distance(monkeypatch):
@@ -337,8 +368,8 @@ def test_least_cost_of_one_copy_is_the_nearest_point_or_the_penalty():
 
 def test_optimal_matching_checks_the_combined_matching(monkeypatch):
     # a merged matching that drops a point too expensive to drop must not
-    # pass the check, and the message names p and both inputs' counts, a
-    # raw input's in input order
+    # pass the check, and the message names p and both inputs' counts; a
+    # list is refused
     monkeypatch.setattr(bottleneck, "combine_matchings",
                         lambda f, g: Matching(f.n_source, f.n_target, ()))
     S = pd(9, [(1, 5), (2, 9)])
@@ -348,21 +379,30 @@ def test_optimal_matching_checks_the_combined_matching(monkeypatch):
         optimal_matching(S, S, math.inf)
     raw = [(2, 9), (1, 5), (2, 9)]
     with pytest.raises(AssertionError, match=r"combined matching costs 7\.0, above threshold "
-                       r"0\.0 \(p=1\.0; counts \[\(2, 9, 2\), \(1, 5, 1\)\] and "
+                       r"0\.0 \(p=1\.0; counts \[\(1, 5, 1\), \(2, 9, 2\)\] and "
                        r"\[\(1, 5, 1\), \(2, 9, 2\)\]\)"):
+        optimal_matching(pd(9, raw), pd(9, raw), 1)
+    with pytest.raises(ValueError, match="^S is list, expected PersistenceDiagram$"):
         optimal_matching(raw, pd(9, raw), 1)
 
 
 def test_optimal_matching_checks_raw_inputs_once(monkeypatch):
-    # one check per input and one per Matching built: f, g and their merge
+    # a diagram's intervals were read when it was built, so the only
+    # checks here are one per Matching built: f, g and their merge; a list
+    # is refused before any check
     calls = []
     real = bottleneck._exact_ints
     monkeypatch.setattr(bottleneck, "_exact_ints",
                         lambda *args: calls.append(args[1]) or real(*args))
     S, T = [(2, 9), (1, 5), (2, 9)], [(1, 4), (2, 2), (3, 5)]
+    for args, name in (((S, pd(9, T)), "S"), ((pd(9, S), T), "T")):
+        with pytest.raises(ValueError, match=f"^{name} is list"):
+            optimal_matching(*args, 1)
+    assert calls == []
+    S, T = pd(9, S), pd(9, T)
     eta, M = optimal_matching(S, T, 1)
-    assert calls == ["endpoints", "endpoints", "indices", "indices", "indices"]
-    assert eta == bottleneck_distance(pd(9, S), pd(9, T), 1) == matching_cost(S, T, M, 1)
+    assert calls == ["indices", "indices", "indices"]
+    assert eta == bottleneck_distance(S, T, 1) == matching_cost(S, T, M, 1)
 
 
 def test_near_is_point_dist_bit_for_bit():
@@ -427,67 +467,70 @@ def test_threshold_penalties_are_penalty_bit_for_bit(monkeypatch):
         return seen[-1][2]
 
     monkeypatch.setattr(bottleneck, "_penalties", recorded)
+    # the points at 0 and -2**1020 and their sides are moved right by
+    # 2**1020 + 1, which keeps every penalty and every distance
+    shift = 2 ** 1020 + 1
     S = [(2 ** 53 - 3, 2 ** 53 + 5), (1, 2 ** 53 + 1), (0, 2 ** 53 - 1), (3, 3)]
     T = [(2 ** 1020, 2 ** 1020 + 3 * 2 ** 969), (-2 ** 1020, 2 ** 1020), (5, 2 ** 1020 - 1)]
+    S, T = ([(b + shift, d + shift) for (b, d) in X] for X in (S, T))
+    n = max(map(max, S + T))
     for p in (1.0, 2.0, 3.5, 1000.0, math.inf):
         inv = 0.0 if math.isinf(p) else 1.0 / p
         del seen[:]
-        eta = bottleneck_distance(S, T, p)
-        assert {tuple(pts) for pts, _, _ in seen} >= {tuple(S), tuple(T)}
+        eta = bottleneck_distance(pd(n, S), pd(n, T), p)
+        assert {tuple(pts) for pts, _, _ in seen} >= {tuple(sorted(S)), tuple(sorted(T))}
         for pts, q, pens in seen:
             assert q == p
             assert [pen.hex() for pen in pens] == [
                 _penalties([pt], p)[0].hex() for pt in pts] == [
                 ((d - b) / 2.0 ** (1.0 - inv)).hex() for (b, d) in pts], (pts, p)
         # nothing is matched against an empty side, so the distance is the
-        # largest penalty, bit for bit, raw or as diagrams, on either side
+        # largest penalty, bit for bit, on either side
         for side in (S, T, [(1, 4), (2, 2), (1, 4)]):
             want = max(_penalties(side, p)).hex()
-            n = max(map(max, side))
-            if min(map(min, side)) >= 1:
-                as_diagram = pd(n, side)
-                for args in ((as_diagram, pd(n, [])), (pd(n, []), as_diagram)):
-                    assert bottleneck_distance(*args, p).hex() == want, (side, p)
-            for args in ((side, []), ([], side)):
+            m = max(map(max, side))
+            for args in ((pd(m, side), pd(m, [])), (pd(m, []), pd(m, side))):
                 assert bottleneck_distance(*args, p).hex() == want, (side, p)
-        assert bottleneck_distance([], [], p) == bottleneck_distance(pd(3, []), pd(3, []), p) == 0.0
+        assert bottleneck_distance(pd(3, []), pd(3, []), p) == 0.0
         assert eta <= max(_penalties(S + T, p))
     # as before, an interval too wide for floating-point distances is refused
-    far = rf"interval \((0|1), {2 ** 1100}\): endpoints too far apart for floating-point"
     for p in (1.0, 2.0, 3.5, math.inf):
-        for args in (([(0, 2 ** 1100)], []), ([], pd(2 ** 1100, [(1, 2 ** 1100)]))):
-            with pytest.raises(ValueError, match=far):
+        for args in ((_WIDE, pd(_FAR, [])), (pd(2 ** 1100, []), pd(2 ** 1100, [(1, 2 ** 1100)]))):
+            with pytest.raises(ValueError, match=_TOO_FAR):
                 bottleneck_distance(*args, p)
 
 
 def test_raw_points_must_be_intervals():
-    # these once failed an internal assertion, gave a negative cost, read
-    # (1, 2, 3) as (1, 2), or raised IndexError
-    pair = ": an interval must be a pair"
-    rows = [(lambda: bottleneck_distance([(3, 1)], [], 1), r"entry 0 \(3, 1\)" + pair),
-            (lambda: bottleneck_distance([(1, 3)], [(3, 1)], 1), r"entry 0 \(3, 1\)" + pair),
-            (lambda: matching_cost([(3, 1)], [], Matching(1, 0, ()), 1),
-             r"entry 0 \(3, 1\)" + pair),
-            (lambda: optimal_matching([(1, 2), (1, 2, 3)], [], 1), r"entry 1 \(1, 2, 3\)" + pair),
-            (lambda: bottleneck_distance([(1,)], [], 1), r"entry 0 \(1,\)" + pair)]
+    # these lists once failed an internal assertion, gave a negative cost,
+    # read (1, 2, 3) as (1, 2), or raised IndexError; each is refused,
+    # naming its side, and a diagram refuses their points
+    listed = " is list, expected PersistenceDiagram$"
+    rows = [(lambda: bottleneck_distance([(3, 1)], pd(3, []), 1), "^S" + listed),
+            (lambda: bottleneck_distance(pd(3, [(1, 3)]), [(3, 1)], 1), "^T" + listed),
+            (lambda: matching_cost([(3, 1)], pd(3, []), Matching(1, 0, ()), 1), "^S" + listed),
+            (lambda: optimal_matching([(1, 2), (1, 2, 3)], pd(3, []), 1), "^S" + listed),
+            (lambda: bottleneck_distance([(1,)], pd(3, []), 1), "^S" + listed),
+            (lambda: pd(3, [(3, 1)]), r"interval \[3, 1\] out of range 1\.\.3"),
+            (lambda: pd(3, [(1, 2), (1, 2, 3)]), r"entry 1 \(1, 2, 3\): endpoints must be 2 "),
+            (lambda: pd(3, [(1,)]), r"entry 0 \(1,\): endpoints must be 2 integers")]
     # endpoints past the float range once raised a bare OverflowError
-    far = rf"interval \((0|1), {2 ** 1100}\): endpoints too far apart for floating-point"
     huge = PersistenceDiagram.from_counts(2 ** 1100, [(1, 2 ** 1100, 1)])
     for p in (1, 2, math.inf):
-        rows += [(lambda p=p: bottleneck_distance([(0, 2 ** 1100)], [], p), far),
-                 (lambda p=p: optimal_matching([(0, 2 ** 1100)], [(1, 1)], p), far),
-                 (lambda p=p: matching_cost([(0, 2 ** 1100)], [], Matching(1, 0, ()), p), far),
-                 (lambda p=p: bottleneck_distance(huge, [], p), far),
-                 (lambda p=p: optimal_matching([], huge, p), far)]
+        rows += [(lambda p=p: bottleneck_distance(_WIDE, pd(_FAR, []), p), _TOO_FAR),
+                 (lambda p=p: optimal_matching(_WIDE, pd(_FAR, [(2, 2)]), p), _TOO_FAR),
+                 (lambda p=p: matching_cost(_WIDE, pd(_FAR, []), Matching(1, 0, ()), p),
+                  _TOO_FAR),
+                 (lambda p=p: bottleneck_distance(huge, pd(2 ** 1100, []), p), _TOO_FAR),
+                 (lambda p=p: optimal_matching(pd(2 ** 1100, []), huge, p), _TOO_FAR)]
     # a total past sys.maxsize once raised a bare OverflowError while expanding
     many = PersistenceDiagram.from_counts(3, [(1, 2, 10 ** 19)])
-    rows += [(lambda: optimal_matching(many, [], 1), "copies exceed the largest length"),
-             (lambda: matching_cost(many, [], Matching(0, 0, ()), 1),
+    rows += [(lambda: optimal_matching(many, pd(3, []), 1), "copies exceed the largest length"),
+             (lambda: matching_cost(many, pd(3, []), Matching(0, 0, ()), 1),
               "copies exceed the largest length")]
     for call, message in rows:
         with pytest.raises(ValueError, match=message):
             call()
-    assert bottleneck_distance([(2, 2)], [], 1) == 0.0
+    assert bottleneck_distance(pd(2, [(2, 2)]), pd(2, []), 1) == 0.0
 
 
 def test_a_point_never_required_gets_no_distance():
@@ -495,12 +538,15 @@ def test_a_point_never_required_gets_no_distance():
     # that [0, 100] sets, so it is never walked, and its distances, past
     # the float range, are never taken; a full table of distances refused
     # this pair
-    far = (2 ** 1100, 2 ** 1100 + 1)
+    # [1, 101] against [1, 2]: every point once 0-based is moved right by 1
+    far = (2 ** 1100 + 1, 2 ** 1100 + 2)
+    n = far[1]
+    near, wide = pd(n, [(1, 2)]), pd(n, [far, (1, 101)])
     for p, want in ((1, 99.0), (2, _penalties([(0, 100)], 2.0)[0]), (math.inf, 50.0)):
-        assert bottleneck_distance([far, (0, 100)], [(0, 1)], p) == want
-        eta, M = optimal_matching([(0, 1)], [(0, 100), far], p)
-        assert eta == bottleneck_distance([(0, 1)], [(0, 100), far], p)
-        assert matching_cost([(0, 1)], [(0, 100), far], M, p) == eta
+        assert bottleneck_distance(wide, near, p) == want
+        eta, M = optimal_matching(near, wide, p)
+        assert eta == bottleneck_distance(near, wide, p)
+        assert matching_cost(near, wide, M, p) == eta
 
 
 def test_diagrams_of_different_lengths_are_refused():
@@ -510,12 +556,14 @@ def test_diagrams_of_different_lengths_are_refused():
                  lambda: matching_cost(S, T, Matching(1, 2, ()), math.inf)):
         with pytest.raises(ValueError, match="length mismatch: 3 vs 5"):
             call()
-    # a raw sequence has no length, so it is compared with either
-    assert bottleneck_distance([(1, 2)], T, 1) == bottleneck_distance(S, [(1, 2), (2, 5)], 1)
+    # a list, which has no length, is refused
+    for args, name in ((([(1, 2)], T), "S"), ((S, [(1, 2), (2, 5)]), "T")):
+        with pytest.raises(ValueError, match=f"^{name} is list, expected PersistenceDiagram$"):
+            bottleneck_distance(*args, 1)
 
 
 def test_huge_integer_p_is_refused():
-    S, T = [(1, 3)], [(1, 2)]
+    S, T = pd(3, [(1, 3)]), pd(3, [(1, 2)])
     for call in (lambda p: _check_p(p), lambda p: bottleneck_distance(S, T, p),
                  lambda p: optimal_matching(S, T, p)):
         with pytest.raises(ValueError, match="p must be a real number >= 1 or infinity"):

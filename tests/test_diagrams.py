@@ -51,10 +51,13 @@ def test_non_integer_endpoints_are_refused():
     # truncating would silently turn (1.9, 3.7) into (1, 3), at bottleneck
     # distance 0 from [1, 3]
     bad = [(1, 4), (1.9, 3.7)]
-    for build in (lambda: pd(4, bad), lambda: synthesize(tau(">>>"), bad),
-                  lambda: bottleneck_distance(bad, [(1, 3)]),
-                  lambda: optimal_matching([(1, 3)], bad)):
+    for build in (lambda: pd(4, bad), lambda: synthesize(tau(">>>"), bad)):
         with pytest.raises(ValueError, match=r"entry 1 \(1\.9, 3\.7\)"):
+            build()
+    # the distances read intervals only through a diagram, so a list is refused
+    for build, name in ((lambda: bottleneck_distance(bad, pd(4, [(1, 3)])), "S"),
+                        (lambda: optimal_matching(pd(4, [(1, 3)]), bad), "T")):
+        with pytest.raises(ValueError, match=f"^{name} is list, expected PersistenceDiagram$"):
             build()
     with pytest.raises(ValueError, match="entry 0"):
         pd(4, [(2.0, 3)])

@@ -45,7 +45,7 @@ def test_matmul_respects_field():
         A @ Matrix.from_rows([[1, 2], [3, 4]], 7)
     with pytest.raises(ValueError, match=r"shape mismatch for product: \(2, 2\) @ \(1, 2\)"):
         A @ Matrix.from_rows([[1, 2]], 5)
-    with pytest.raises(TypeError, match="expected Matrix, got list"):
+    with pytest.raises(ValueError, match="^entry 1 of a product is list, expected Matrix$"):
         A @ [[1, 0], [0, 1]]
 
 
@@ -95,6 +95,28 @@ _TAU = zzdist.Orientation(">>")
 ])
 def test_a_value_that_is_no_sequence_is_refused_naming_what_was_wanted(call, message):
     # each of these once raised Python's own TypeError: ... is not iterable
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+_M = Matrix.identity(2, 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _M @ 3, "entry 1 of a product is int, expected Matrix"),
+    (lambda: vstack([_M, None]), "entry 1 of a stack is NoneType, expected Matrix"),
+    (lambda: vstack(None), "a stack must be a sequence, got NoneType"),
+    (lambda: solve(_M, None), "entry 1 of a solve is NoneType, expected Matrix"),
+    (lambda: block_diag(None, _M), "entry 0 of a block sum is NoneType, expected Matrix"),
+    (lambda: solve(None, _M), "entry 0 of a solve is NoneType, expected Matrix"),
+    (lambda: hstack([_M, None]), "entry 1 of a stack is NoneType, expected Matrix"),
+    (lambda: rank(None), "M is NoneType, expected Matrix"),
+    (lambda: inverse(None), "M is NoneType, expected Matrix"),
+    (lambda: is_invertible(None), "M is NoneType, expected Matrix"),
+])
+def test_an_operand_that_is_no_matrix_is_refused(call, message):
+    # the first four once raised a TypeError of their own, the others an
+    # AttributeError on the missing field or shape
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
 
