@@ -251,15 +251,15 @@ def _expand(flow: dict[int, dict[int, int]], source: _Grouped,
     grouped points; each point's copies are one ``range`` of positions,
     handed out in order."""
     (_, mult_s), (_, mult_t) = source, target
-    # where each source point's copies start, and each target point's next free one
-    start, free = [0, *accumulate(mult_s)], [0, *accumulate(mult_t)]
+    # the position of each point's next free copy, on either side
+    free_s, free_t = [0, *accumulate(mult_s)], [0, *accumulate(mult_t)]
     pairs: list[tuple[int, int]] = []
     for i, row in flow.items():
-        copy = start[i]
         for j, units in row.items():
-            pairs.extend(zip(range(copy, copy + units), range(free[j], free[j] + units)))
-            copy += units
-            free[j] += units
+            pairs.extend(zip(range(free_s[i], free_s[i] + units),
+                             range(free_t[j], free_t[j] + units)))
+            free_s[i] += units
+            free_t[j] += units
     return pairs
 
 
