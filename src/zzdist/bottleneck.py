@@ -27,6 +27,9 @@ flows into an index-level witness, merging the two one-sided matchings
 can be matched, so the distance is the largest penalty (0 if both are
 empty), which ``bottleneck_distance`` reads off the counts before the
 solve builds anything; ``optimal_matching`` gets it from the solve.
+The solve's walk returns as soon as its bound reaches the largest
+penalty, where nothing is required: no flow is tested there, and no
+cost is checked, as each side is dropped whole.
 """
 
 from __future__ import annotations
@@ -145,7 +148,7 @@ def matching_cost(S: PersistenceDiagram, T: PersistenceDiagram, M: Matching,
     indices are positions in ``S.points`` and ``T.points``; 0 if empty."""
     p = _check_p(p)
     S, T = _checked(S, T)
-    return _cost(S.points, T.points, M, p)
+    return _cost(S.points, T.points, _typed(M, Matching, "M"), p)
 
 
 def _cost(s: Sequence[tuple[int, int]], t: Sequence[tuple[int, int]], M: Matching,
@@ -351,9 +354,12 @@ def _threshold(S: PersistenceDiagram, T: PersistenceDiagram, p: float
     least cost, its distances among the candidates (with every penalty),
     and at each probe its neighbours, the prefix within eta.  If
     ``lower`` reaches ``upper``, the largest penalty, eta is ``upper``,
-    where nothing is required; so it is against a side with no points,
-    where every least cost is a penalty, and no flow is tested there.
-    Else ``lower`` is tried first, and only if it fails are the
+    where nothing is required, and both flows are empty: the walk
+    returns there, with no flow tested and no cost to check, since every
+    point is dropped and no penalty passes ``upper``.  This happens
+    whenever no point of the other side lies nearer than the penalty of
+    the point with the largest penalty, a side with no points among
+    them.  Else ``lower`` is tried first, and only if it fails are the
     candidates sorted: then the one 1, 3, 7, ... above ``lower`` is
     tried, and the last gap is bisected (Bentley and Yao, 1976).  The
     flows' realized cost is checked with ``_point_dist`` on each matched
@@ -379,25 +385,24 @@ def _threshold(S: PersistenceDiagram, T: PersistenceDiagram, p: float
     except OverflowError:
         raise _too_far(a + b) from None
     upper = max(chain(*pens), default=0.0)
-    eta, flows = upper, ({}, {})
-    if lower < upper:
-        found = _placed(lower, walked, mults)
-        if found is not None:
-            eta, flows = lower, found
-        else:
-            candidates = sorted({*pens[0], *pens[1], *map(itemgetter(0), chain.from_iterable(
-                map(itemgetter(3), walked)))})
-            # `lower` is a candidate, and `upper`, the last, needs no probe
-            lo = start = bisect_right(candidates, lower)
-            hi = len(candidates) - 1
-            while lo < hi:
-                mid = min(2 * lo - start, (lo + hi) // 2)  # lower + 1, 3, 7, ... or the middle
-                found = _placed(candidates[mid], walked, mults)
-                if found is None:
-                    lo = mid + 1
-                else:
-                    hi, flows = mid, found
-            eta = candidates[hi]
+    if lower >= upper:  # nothing is required at upper, so nothing is placed
+        return upper, {}, {}, A, B
+    eta, flows = lower, _placed(lower, walked, mults)
+    if flows is None:
+        candidates = sorted({*pens[0], *pens[1], *map(itemgetter(0), chain.from_iterable(
+            map(itemgetter(3), walked)))})
+        # `lower` is a candidate, and `upper`, the last, needs no probe
+        lo = start = bisect_right(candidates, lower)
+        hi = len(candidates) - 1
+        flows = ({}, {})
+        while lo < hi:
+            mid = min(2 * lo - start, (lo + hi) // 2)  # lower + 1, 3, 7, ... or the middle
+            found = _placed(candidates[mid], walked, mults)
+            if found is None:
+                lo = mid + 1
+            else:
+                hi, flows = mid, found
+        eta = candidates[hi]
     f, g = flows
     pairs, dropped = [], []
     for flow, x, y, pens_x, mult_x in ((f, a, b, pens[0], mult_a), (g, b, a, pens[1], mult_b)):

@@ -107,6 +107,8 @@ class PersistenceDiagram(_Record):
 
 def diagram_contains(inner: PersistenceDiagram, outer: PersistenceDiagram) -> bool:
     """Whether every interval of ``inner`` occurs in ``outer`` at least as often."""
+    inner = _typed(inner, PersistenceDiagram, "inner")
+    outer = _typed(outer, PersistenceDiagram, "outer")
     if inner.n != outer.n:
         raise ValueError(f"length mismatch: {inner.n} vs {outer.n}")
     return _contains(inner.counts(), outer.counts())

@@ -8,9 +8,10 @@ that normal form as a plain tuple, and a step moves it as
 op changes.  A* search (Hart, Nilsson and Raphael, 1968) finds the
 fewest steps with a witness run, testing a state for a goal when it is
 popped; a start that is a goal is answered before the search allocates
-anything.  It needs no depth bound: its heuristic is consistent, and the
-empty module, where the source's annihilating run ends, is a goal, so a
-goal is popped before any state past the optimum.  Successor lists come
+anything, by one empty run made once at import and shared, as records
+are immutable.  It needs no depth bound: its heuristic is consistent,
+and the empty module, where the source's annihilating run ends, is a
+goal, so a goal is popped before any state past the optimum.  Successor lists come
 from a memo shared across calls, a plain dict emptied whenever the next
 list would take it past a bound on the successor states it holds; it
 interns each state and op it holds through one table.  A miss builds its
@@ -54,6 +55,8 @@ _canon: dict[_State | ReflectionOp, _State | ReflectionOp] = {}
 # every thread shares the memo; the lock guards its stores and empties
 _memo_lock = threading.Lock()
 _hits = _misses = _evictions = _held = 0
+# the run every search whose start is a goal returns; records are immutable
+_EMPTY_RUN = ReflectionSequence(())
 
 
 class MemoInfo(_Record):
@@ -76,7 +79,7 @@ def cost(seq: ReflectionSequence, p: float = 1) -> float:
     The empty run costs 0 for every p, including infinity.
     """
     p = _check_p(p)
-    length = len(seq)
+    length = len(_typed(seq, ReflectionSequence, "seq"))
     if length == 0:
         return 0.0
     return float(length) ** (1.0 / p)
@@ -224,7 +227,7 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> ReflectionSequenc
     popped with h = 0 and embeds in the target; its run is read back from
     the state and op each state came by.  The start is tested by that rule
     before ``seen``, the heap or the ops table are made, so a start that
-    is a goal returns the empty run at once.  No state past C* is
+    is a goal returns the shared empty run at once.  No state past C* is
     expanded, so the search needs no depth bound: C* is finite, as the
     source's annihilating run ends at the empty module, a goal.  An empty
     heap is an internal error.
@@ -235,7 +238,7 @@ def _search(source: SymbolicModule, target: SymbolicModule) -> ReflectionSequenc
     dirs_w, counts_w = target.tau.dirs, target.diagram.counts()
     h = _lower_bound(start[1], counts_w)
     if h == 0 and _embeds(*start, dirs_w, counts_w):  # the start is a goal
-        return ReflectionSequence(())
+        return _EMPTY_RUN
     # best known depth of each state, with the state and op it came by
     seen: dict[_State, tuple[int, _State | None, ReflectionOp | None]] = {start: (0, None, None)}
     heap, table = [(h, 0, start)], {}

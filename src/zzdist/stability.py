@@ -7,7 +7,7 @@ import random
 
 from .bottleneck import bottleneck_distance
 from .diagrams import PersistenceDiagram, SymbolicModule, synthesize
-from .linalg import DEFAULT_PRIME, Matrix, _count, _Record, is_invertible
+from .linalg import DEFAULT_PRIME, Matrix, _count, _Record, _typed, is_invertible
 from .reflection_distance import reflection_distance
 from .zigzag_core import BACKWARD, FORWARD, Orientation, ZigzagModule, conjugate
 
@@ -20,6 +20,7 @@ def _check_sizes(n: int, max_points: int, trials: int = 0) -> None:
 
 def random_symbolic_module(rng: random.Random, n: int, max_points: int) -> SymbolicModule:
     """A random orientation and diagram, drawn entirely from ``rng``."""
+    _typed(rng, random.Random, "rng")
     _check_sizes(n, max_points)
     dirs = tuple(rng.choice((FORWARD, BACKWARD)) for _ in range(n - 1))
     pts = []

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .linalg import (Matrix, _count, _dims, _iterable, _map, _position, _Record, _typed,
-                     block_diag, inverse)
+from .linalg import (Matrix, _count, _dims, _exact_ints, _iterable, _map, _position, _Record,
+                     _typed, block_diag, inverse)
 
 FORWARD = ">"
 BACKWARD = "<"
@@ -263,10 +263,12 @@ def flippable_positions(points: Iterable[tuple[int, int]], n: int) -> frozenset[
 
     Arrow k is an isomorphism exactly when every interval of the diagram
     contains both of positions k, k+1 or neither of them, that is, when
-    no interval ends at k or starts at k+1.
+    no interval ends at k or starts at k+1.  The points are read as
+    ``PersistenceDiagram`` reads them.
     """
     n = _count(n, 2, "n")
-    return frozenset(range(1, n)).difference(_blocked(points, n))
+    blocked = _blocked(_exact_ints(points, "endpoints", True, 2), n)
+    return frozenset(range(1, n)).difference(blocked)
 
 
 def _canonical_dirs(dirs: Sequence[str], intervals: Iterable[Sequence[int]]) -> tuple[str, ...]:
@@ -281,9 +283,11 @@ def canonical_type(tau: Orientation, points: Iterable[tuple[int, int]]) -> Orien
     """Normal form of a type up to reversing arrows the diagram makes invertible.
 
     Every flippable arrow is set forward; two modules reachable from each
-    other by such reversals share this normal form.
+    other by such reversals share this normal form.  The points are read
+    as ``PersistenceDiagram`` reads them.
     """
-    return Orientation(_canonical_dirs(tau.dirs, points))
+    return Orientation(_canonical_dirs(_typed(tau, Orientation, "tau").dirs,
+                                       _exact_ints(points, "endpoints", True, 2)))
 
 
 def is_summand_upto_equiv(tau_v: Orientation, diagram_v, tau_w: Orientation, diagram_w) -> bool:

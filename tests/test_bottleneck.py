@@ -255,8 +255,12 @@ def test_threshold_matches_the_full_table_search(monkeypatch):
     # the walk takes distances only from points that can be required and
     # gallops up from the lower bound; the full-table search bisecting
     # every candidate must give the same distance, both flows must be
-    # valid at it, and the gallop must test fewer flows in all
-    calls = count_calls(monkeypatch, bottleneck, "_saturate")
+    # valid at it, and the gallop must test fewer flows in all.  Where the
+    # lower bound is the largest penalty, nothing is required there: the
+    # walk returns it with no flow tested and no witness checked
+    counters = [count_calls(monkeypatch, bottleneck, name)
+                for name in ("_saturate", "_largest", "_confirm")]
+    calls = counters[0]
     rng = random.Random(307)
     sizes = [(rng.randint(2, 12), 8) for _ in range(150)] + [(24, 40)] * 30
     pairs = [tuple(random_counted(rng, n, top, 5) for _ in range(2)) for n, top in sizes]
@@ -281,21 +285,19 @@ def test_threshold_matches_the_full_table_search(monkeypatch):
               for D in (random_counted(rng, 9, 5, 4) for _ in range(3))]
     pairs += empty
     ours = theirs = same_bounds = 0
-    above = Counter()
+    above, decided = Counter(), Counter()
     for S, T in pairs:
         for p in (1.0, 2.0, 3.5, 1000.0, math.inf):
-            before = calls[0]
+            before = [c[0] for c in counters]
             eta, f, g, A, B = bottleneck._threshold(S, T, p)
-            ours += calls[0] - before
-            if not (S.counts() and T.counts()):
-                # nothing can be matched: every point is dropped, and no flow is tested
-                assert (eta, f, g, calls[0]) == (
-                    max(_penalties(S.points + T.points, p), default=0.0), {}, {}, before), \
-                    (S, T, p)
-            before = calls[0]
+            after = [c[0] for c in counters]
+            ours += after[0] - before[0]
             want, _, _, lower, candidates = table_threshold(S, T, p)
-            theirs += calls[0] - before
+            theirs += calls[0] - after[0]
             assert eta == want, (S, T, p)
+            if lower == max(_penalties(S.points + T.points, p), default=0.0):
+                assert (eta, f, g, after) == (lower, {}, {}, before), (S, T, p)
+                decided["both sides" if S.counts() and T.counts() else "an empty side"] += 1
             for flow, (x, mult_x), (y, mult_y) in ((f, A, B), (g, B, A)):
                 supply = {i: m for i, (pen, m) in enumerate(zip(_penalties(x, p), mult_x))
                           if pen > eta}
@@ -311,6 +313,9 @@ def test_threshold_matches_the_full_table_search(monkeypatch):
     assert same_bounds > 150 and min(above[0], above[1], above[2]) > 20, (same_bounds, above)
     assert sum(n for k, n in above.items() if k >= 5) > 20, above
     assert ours < theirs, (ours, theirs)  # 1,615 flow tests against 1,829
+    # 581 searches have a lower bound equal to the largest penalty: 225 against
+    # an empty side and 356 with points on both sides
+    assert min(decided.values()) > 50, decided
     # an interval 2**1100 wide against an empty side is still refused
     for S, T in ((_WIDE, pd(_FAR, [])), (pd(2 ** 1100, []), pd(2 ** 1100, [(1, 2 ** 1100)]))):
         for p in (1.0, 2.0, 3.5, math.inf):

@@ -92,10 +92,34 @@ _TAU = zzdist.Orientation(">>")
      "components must be a sequence, got NoneType"),
     (lambda: zzdist.conjugate(zzdist.zero_module(_TAU), 2),
      "base changes must be a sequence, got int"),
+    (lambda: zzdist.canonical_type(_TAU, None), "endpoints must be a sequence, got NoneType"),
+    (lambda: zzdist.flippable_positions(None, 3), "endpoints must be a sequence, got NoneType"),
 ])
 def test_a_value_that_is_no_sequence_is_refused_naming_what_was_wanted(call, message):
     # each of these once raised Python's own TypeError: ... is not iterable
     with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+_D = zzdist.PersistenceDiagram(3, [(1, 2)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: zzdist.matching_cost(_D, _D, None), "M is NoneType, expected Matching"),
+    (lambda: zzdist.cost(None), "seq is NoneType, expected ReflectionSequence"),
+    (lambda: zzdist.cost(3), "seq is int, expected ReflectionSequence"),
+    (lambda: zzdist.diagram_contains(None, _D), "inner is NoneType, expected PersistenceDiagram"),
+    (lambda: zzdist.canonical_type(None, [(1, 2)]), "tau is NoneType, expected Orientation"),
+    (lambda: zzdist.canonical_type(_TAU, "x"), "entry 0 'x': endpoints must be integers"),
+    (lambda: zzdist.canonical_type(_TAU, [1]), "entry 0 1: endpoints must be integers"),
+    (lambda: zzdist.flippable_positions("x", 3), "entry 0 'x': endpoints must be integers"),
+    (lambda: zzdist.flippable_positions([1], 3), "entry 0 1: endpoints must be integers"),
+    (lambda: zzdist.random_symbolic_module(None, 3, 2), "rng is NoneType, expected Random"),
+])
+def test_an_argument_of_the_wrong_kind_is_refused(call, message):
+    # each of these once raised Python's own AttributeError on a missing
+    # field, TypeError (no len(), not subscriptable) or IndexError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 

@@ -198,9 +198,10 @@ def test_a_start_that_is_a_goal_is_answered_before_the_search_builds_anything(mo
     # pairs rich in distance 0: the target holds the source's diagram, and
     # most arrows of the two types agree; the depths still equal the
     # breadth-first oracle's both ways, and a start that is a goal returns
-    # the empty run with no successor list asked for
+    # the empty run with no successor list asked for and no run built
     rd = importlib.import_module("zzdist.reflection_distance")
     calls = count_calls(monkeypatch, rd, "_successors")
+    inits = count_calls(monkeypatch, ReflectionSequence, "__init__")
     rng = random.Random(191)
     zero = 0
     for _ in range(300):
@@ -210,12 +211,13 @@ def test_a_start_that_is_a_goal_is_answered_before_the_search_builds_anything(mo
         dirs = [d if rng.random() < 0.8 else rng.choice("<>") for d in W.tau.dirs]
         V = SymbolicModule(Orientation(dirs), PersistenceDiagram.from_counts(n, part))
         for A, B in ((V, W), (W, V)):
-            before = calls[0]
+            before = calls[0], inits[0]
             run = _search(A, B)
+            after = calls[0], inits[0]
             assert len(run) == bfs_min_steps(A, B), (A, B)
             if not run:
                 zero += 1
-                assert run == ReflectionSequence(()) and calls[0] == before, (A, B)
+                assert run == ReflectionSequence(()) and after == before, (A, B)
     assert zero > 300, zero
 
 
