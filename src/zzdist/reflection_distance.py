@@ -11,12 +11,13 @@ popped; a start that is a goal is answered before the search allocates
 anything, by one empty run made once at import and shared, as records
 are immutable.  It needs no depth bound: its heuristic is consistent,
 and the empty module, where the source's annihilating run ends, is a
-goal, so a goal is popped before any state past the optimum.  Successor lists come
-from a memo shared across calls, a plain dict emptied whenever the next
-list would take it past a bound on the successor states it holds; it
-interns each state and op it holds through one table.  A miss builds its
-list from ops a search makes once per position.  ``memo_info`` reads its
-counters and ``clear_memo`` empties it.
+goal, so a goal is popped before any state past the optimum.  Successor
+lists come from a memo shared across calls, a plain dict emptied
+whenever the next list would take it past a bound on the successor
+states it holds; it interns each state and op it holds through one
+table.  A miss builds its list from ops a search makes once per
+position.  ``memo_info`` reads its counters and ``clear_memo`` empties
+it.
 """
 
 from __future__ import annotations

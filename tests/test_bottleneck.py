@@ -295,8 +295,10 @@ def test_threshold_matches_the_full_table_search(monkeypatch):
             want, _, _, lower, candidates = table_threshold(S, T, p)
             theirs += calls[0] - after[0]
             assert eta == want, (S, T, p)
-            if lower == max(_penalties(S.points + T.points, p), default=0.0):
-                assert (eta, f, g, after) == (lower, {}, {}, before), (S, T, p)
+            upper = max(_penalties(S.points + T.points, p), default=0.0)
+            if lower == upper or not (S.counts() and T.counts()):
+                # an empty side always gives lower == upper: every least cost is a penalty
+                assert (lower, eta, f, g, after) == (upper, upper, {}, {}, before), (S, T, p)
                 decided["both sides" if S.counts() and T.counts() else "an empty side"] += 1
             for flow, (x, mult_x), (y, mult_y) in ((f, A, B), (g, B, A)):
                 supply = {i: m for i, (pen, m) in enumerate(zip(_penalties(x, p), mult_x))
