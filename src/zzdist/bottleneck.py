@@ -13,23 +13,22 @@ and Nigmetov, 2017).  Only points whose penalty passes a lower bound can
 be required, so only they get distances, and only to points nearer than
 their penalty.  The bound, where the distance most often is, is tried
 first, and only if it fails are the candidates sorted; the search then
-gallops up from it and bisects the last gap.  Points are counted, as a
-diagram stores them: each test is a capacitated flow on the distinct
-points, whose supplies and capacities are multiplicities, and each
-point's copies are one ``range`` of positions in ``points``, so no cost
-grows with them.  Augmenting paths are searched with an explicit queue,
-so long paths cannot hit the recursion limit.  Each side's penalties are
-taken once.  ``_point_dist`` gives the distances at p other than 1 and
-infinity, and checks the realized cost of the flows found.  Both entry
-points share one solve; only ``optimal_matching`` expands its counted
-flows into an index-level witness, merging the two one-sided matchings
-(Mendelsohn and Dulmage, 1958).  Against a side with no points nothing
-can be matched, so the distance is the largest penalty (0 if both are
-empty), which ``bottleneck_distance`` reads off the counts before the
-solve builds anything; ``optimal_matching`` gets it from the solve.
-The solve's walk returns as soon as its bound reaches the largest
-penalty, where nothing is required: no flow is tested there, and no
-cost is checked, as each side is dropped whole.
+gallops up from it and bisects the last gap.  The solve reads each
+diagram's ``counts()``, its distinct points with their multiplicities:
+each test is a capacitated flow on the distinct points, whose supplies
+and capacities are multiplicities, and each point's copies are one
+``range`` of positions in ``points``, so no cost grows with them.
+Augmenting paths are searched with an explicit queue, so long paths
+cannot hit the recursion limit.  Each side's penalties are taken once.
+``_point_dist`` gives the distances at p other than 1 and infinity, and
+checks the realized cost of the flows found.  Both entry points share
+the one solve, which answers a side with no points first, by the
+largest penalty (0 if both are empty), as nothing can be matched; only
+``optimal_matching`` expands the counted flows into an index-level
+witness, merging the two one-sided matchings (Mendelsohn and Dulmage,
+1958).  The solve's walk returns as soon as its bound reaches the
+largest penalty, where nothing is required: no flow is tested there,
+and no cost is checked, as each side is dropped whole.
 """
 
 from __future__ import annotations
@@ -42,6 +41,8 @@ from typing import Iterable, Sequence
 
 from .diagrams import PersistenceDiagram
 from .linalg import _check_p, _count, _exact_ints, _Record, _typed
+
+_Counts = tuple[tuple[int, int, int], ...]  # a diagram's counts(): (b, d, multiplicity) rows
 
 
 class Matching(_Record):
@@ -90,7 +91,7 @@ def _checked(S, T) -> tuple[PersistenceDiagram, PersistenceDiagram]:
     return S, T
 
 
-def _point_dist(a: tuple[int, int], b: tuple[int, int], p: float) -> float:
+def _point_dist(a: Sequence[int], b: Sequence[int], p: float) -> float:
     db, dd = abs(a[0] - b[0]), abs(a[1] - b[1])
     if math.isinf(p):
         return float(max(db, dd))
@@ -106,37 +107,37 @@ def _point_dist(a: tuple[int, int], b: tuple[int, int], p: float) -> float:
     return m * ((db / m) ** p + (dd / m) ** p) ** (1.0 / p)
 
 
-def _penalties(pts: Iterable[tuple[int, int]], p: float) -> list[float]:
-    """The cost of leaving each point unmatched, (d - b) / 2 ** (1 - 1/p),
-    with the divisor taken once."""
+def _penalties(pts: Iterable[Sequence[int]], p: float) -> list[float]:
+    """The cost of leaving each (b, d, ...) point unmatched,
+    (d - b) / 2 ** (1 - 1/p), with the divisor taken once."""
     # 1/p reads as 0 at infinity, so the exponent runs from 0 up to 1
     div = 2.0 ** (1.0 - (0.0 if math.isinf(p) else 1.0 / p))
-    return [(d - b) / div for (b, d) in pts]
+    return [(pt[1] - pt[0]) / div for pt in pts]
 
 
-def _too_far(pts: Sequence[tuple[int, int]]) -> ValueError:
-    """The refusal, naming the largest interval, of an OverflowError in float work."""
-    big = max(pts, key=lambda pt: max(map(abs, pt)))
-    return ValueError(f"interval {big}: endpoints too far apart for floating-point distances")
+def _too_far(pts: Sequence[Sequence[int]]) -> ValueError:
+    """The refusal, naming the largest (b, d, ...) interval, of an OverflowError in float work."""
+    b, d = max(pts, key=lambda pt: max(abs(pt[0]), abs(pt[1])))[:2]
+    return ValueError(f"interval {(b, d)}: endpoints too far apart for floating-point distances")
 
 
-def _near(x: tuple[int, int], pen: float, ys: Sequence[tuple[int, int]],
+def _near(x: Sequence[int], pen: float, ys: Sequence[Sequence[int]],
           p: float) -> list[tuple[float, int]]:
-    """(distance, index) for each point of ``ys`` nearer to ``x`` than
-    ``pen``, nearest first, each distance what ``_point_dist`` gives, bit
-    for bit.  At p = 1 and p = inf the distance is written out inline,
+    """(distance, index) for each (b, d, ...) point of ``ys`` nearer to
+    ``x`` than ``pen``, nearest first, each distance what ``_point_dist``
+    gives, bit for bit.  At p = 1 and p = inf it is written out inline,
     with integer differences rounded to floats where ``_point_dist``
     rounds them: at p = 1 each one before the two are added, as ``db **
     1.0 + dd ** 1.0`` is (``float(db + dd)`` differs above 2**53), and at
     p = inf the larger one.  Every other p calls ``_point_dist``.
     """
-    xb, xd = x
+    xb, xd = x[0], x[1]
     if p == 1.0:  # float + int rounds the int as float() does
-        near = [(d, j) for j, (yb, yd) in enumerate(ys)
-                if (d := float(abs(xb - yb)) + abs(xd - yd)) < pen]
+        near = [(d, j) for j, y in enumerate(ys)
+                if (d := float(abs(xb - y[0])) + abs(xd - y[1])) < pen]
     elif math.isinf(p):
-        near = [(d, j) for j, (yb, yd) in enumerate(ys)
-                if (d := float(db if (db := abs(xb - yb)) > (dd := abs(xd - yd)) else dd)) < pen]
+        near = [(d, j) for j, y in enumerate(ys)
+                if (d := float(db if (db := abs(xb - y[0])) > (dd := abs(xd - y[1])) else dd)) < pen]
     else:
         near = [(d, j) for j, y in enumerate(ys) if (d := _point_dist(x, y, p)) < pen]
     return sorted(near)
@@ -238,24 +239,14 @@ def _saturate(supply: dict[int, int], capacity: Sequence[int],
     return flow
 
 
-_Grouped = tuple[list[tuple[int, int]], list[int]]
-
-
-def _grouped(D: PersistenceDiagram) -> _Grouped:
-    """The distinct points of a diagram and their multiplicities, read off
-    ``counts()``, in the order ``points`` lists their copies."""
-    counts = D.counts()
-    return list(map(itemgetter(0, 1), counts)), list(map(itemgetter(2), counts))
-
-
-def _expand(flow: dict[int, dict[int, int]], source: _Grouped,
-            target: _Grouped) -> list[tuple[int, int]]:
-    """Index pairs, positions in ``points``, for a counted flow between
-    grouped points; each point's copies are one ``range`` of positions,
-    handed out in order."""
-    (_, mult_s), (_, mult_t) = source, target
+def _expand(flow: dict[int, dict[int, int]], source: _Counts,
+            target: _Counts) -> list[tuple[int, int]]:
+    """Index pairs, positions in ``points``, for a counted flow of the
+    solve, which reads both ``counts()`` and answers a side with no
+    points first, with empty flows; each point's copies are one ``range``
+    of positions, as long as its multiplicity, handed out in order."""
     # the position of each point's next free copy, on either side
-    free_s, free_t = [0, *accumulate(mult_s)], [0, *accumulate(mult_t)]
+    free_s, free_t = ([0, *accumulate(map(itemgetter(2), x))] for x in (source, target))
     pairs: list[tuple[int, int]] = []
     for i, row in flow.items():
         for j, units in row.items():
@@ -276,6 +267,7 @@ def combine_matchings(f: Matching, g: Matching) -> Matching:
     lies in the coimage of g.  Since f and g are injective the walk
     follows one path of f and g, and each source is moved at most once.
     """
+    f, g = _typed(f, Matching, "f"), _typed(g, Matching, "g")
     if f.n_target != g.n_source or f.n_source != g.n_target:
         raise ValueError(f"shape mismatch: f is {f.n_source}x{f.n_target}, "
                          f"g is {g.n_source}x{g.n_target}")
@@ -292,63 +284,64 @@ def combine_matchings(f: Matching, g: Matching) -> Matching:
     return Matching(f.n_source, f.n_target, tuple(match.items()))
 
 
-def _confirm(realized: float, eta: float, p: float, S: PersistenceDiagram,
-             T: PersistenceDiagram) -> None:
+def _confirm(realized: float, eta: float, p: float, a: _Counts, b: _Counts) -> None:
     """Raise, naming p and both inputs' counts, if a witness costs more than eta."""
     if realized > eta:
         raise AssertionError(f"combined matching costs {realized}, above threshold {eta} "
-                             f"(p={p}; counts {list(S.counts())} and {list(T.counts())})")
+                             f"(p={p}; counts {list(a)} and {list(b)})")
 
 
 def _least_cost(copies: int, pen: float, near: Sequence[tuple[float, int]],
-                mult: Sequence[int]) -> float:
+                ys: _Counts) -> float:
     """A lower bound on the cost of any matching, from one point of
     ``copies`` copies and penalty ``pen`` whose neighbours nearer than
-    ``pen`` are ``near``, (distance, index) pairs nearest first, with
-    multiplicities ``mult`` by index: either a copy is dropped, at ``pen``,
-    or every copy is matched, which needs points within the cost whose
-    multiplicities add up to ``copies`` (Hall's condition on this one
-    point).  The bound is ``pen`` or a distance in ``near``, so a candidate."""
+    ``pen`` are ``near``, (distance, index) pairs nearest first, into the
+    counts ``ys``: either a copy is dropped, at ``pen``, or every copy is
+    matched, which needs points within the cost whose multiplicities add
+    up to ``copies`` (Hall's condition on this one point).  The bound is
+    ``pen`` or a distance in ``near``, so a candidate."""
     for d, j in near:
-        copies -= mult[j]
+        copies -= ys[j][2]
         if copies <= 0:
             return d
     return pen
 
 
 def _placed(eta: float, walked: Sequence[tuple[float, int, int, list[tuple[float, int]]]],
-            mults: tuple[Sequence[int], Sequence[int]]) -> tuple[dict, dict] | None:
+            pts: tuple[_Counts, _Counts]) -> tuple[dict, dict] | None:
     """Counted flows (f, g) that place every copy of each walked point of
     penalty above eta on the other side within eta, or None if none do.
     ``walked`` holds (penalty, side, index, near) by falling penalty, and
-    ``mults`` both sides' multiplicities."""
+    ``pts`` both sides' counts."""
     supply, neighbours = ({}, {}), ({}, {})
     for pen, side, i, near in walked:  # the points required at eta come first
         if pen <= eta:
             break
-        supply[side][i] = mults[side][i]
+        supply[side][i] = pts[side][i][2]
         neighbours[side][i] = list(map(itemgetter(1),
                                        islice(near, bisect_right(near, (eta, math.inf)))))
-    f = _saturate(supply[0], mults[1], neighbours[0])
-    g = None if f is None else _saturate(supply[1], mults[0], neighbours[1])
+    caps = [[m for (_, _, m) in x] for x in pts]
+    f = _saturate(supply[0], caps[1], neighbours[0])
+    g = None if f is None else _saturate(supply[1], caps[0], neighbours[1])
     return None if g is None else (f, g)
 
 
-def _threshold(S: PersistenceDiagram, T: PersistenceDiagram, p: float
-               ) -> tuple[float, dict[int, dict[int, int]], dict[int, dict[int, int]],
-                          _Grouped, _Grouped]:
-    """The bottleneck distance eta between checked S and T for a checked p,
-    the counted flows (f, g) found at eta, and both inputs as ``_grouped``
-    gives them: f places every copy of a point of S whose penalty exceeds
-    eta on T within eta, and g does the same for T.
+def _threshold(a: _Counts, b: _Counts, p: float
+               ) -> tuple[float, dict[int, dict[int, int]], dict[int, dict[int, int]]]:
+    """The bottleneck distance eta between two diagrams' ``counts()`` a
+    and b for a checked p, and the counted flows (f, g) found at eta: f
+    places every copy of a point of a whose penalty exceeds eta on b
+    within eta, and g does the same for b.
 
-    Each side's penalties are taken once.  One walk visits the points of
-    both sides by falling penalty, raising ``lower``, the largest least
-    cost, and stops at the first point whose penalty is at most
-    ``lower``, since no least cost passes its penalty.  Every probe is at
-    some eta >= ``lower``, where only points of penalty above eta are
-    required, and the walk visited all of these.  Each walked point keeps
-    its neighbours nearer than its own penalty, nearest first: an edge no
+    Each side's penalties are taken once.  Against a side with no points
+    nothing can be matched, so eta is the largest penalty (0.0 if both
+    are empty), answered first.  Else one walk visits the points of both
+    sides by falling penalty, raising ``lower``, the largest least cost,
+    and stops at the first point whose penalty is at most ``lower``,
+    since no least cost passes its penalty.  Every probe is at some eta
+    >= ``lower``, where only points of penalty above eta are required,
+    and the walk visited all of these.  Each walked point keeps its
+    neighbours nearer than its own penalty, nearest first: an edge no
     shorter than both ends' penalties is never used, since at any eta
     that admits it neither end is required.  That list gives the point's
     least cost, its distances among the candidates (with every penalty),
@@ -358,19 +351,19 @@ def _threshold(S: PersistenceDiagram, T: PersistenceDiagram, p: float
     returns there, with no flow tested and no cost to check, since every
     point is dropped and no penalty passes ``upper``.  This happens
     whenever no point of the other side lies nearer than the penalty of
-    the point with the largest penalty, a side with no points among
-    them.  Else ``lower`` is tried first, and only if it fails are the
-    candidates sorted: then the one 1, 3, 7, ... above ``lower`` is
-    tried, and the last gap is bisected (Bentley and Yao, 1976).  The
-    flows' realized cost is checked with ``_point_dist`` on each matched
-    pair and the penalty of each point not fully placed.
+    the point with the largest penalty.  Else ``lower`` is tried first,
+    and only if it fails are the candidates sorted: then the one 1, 3,
+    7, ... above ``lower`` is tried, and the last gap is bisected
+    (Bentley and Yao, 1976).  The flows' realized cost is checked with
+    ``_point_dist`` on each matched pair and the penalty of each point
+    not fully placed.
     """
-    A, B = _grouped(S), _grouped(T)
-    (a, mult_a), (b, mult_b) = A, B
-    pts, mults = (a, b), (mult_a, mult_b)
+    pts = a, b
     walked = []  # (penalty, side, index, near) by falling penalty
     lower = 0.0
     try:  # later float work repeats this, so it cannot overflow
+        if not (a and b):  # nothing can be matched, so every point is dropped
+            return max(_penalties(a + b, p), default=0.0), {}, {}
         pens = _penalties(a, p), _penalties(b, p)
         for pen, side, i in sorted([(pen, side, i) for side in (0, 1)
                                     for i, pen in enumerate(pens[side])],
@@ -379,15 +372,15 @@ def _threshold(S: PersistenceDiagram, T: PersistenceDiagram, p: float
                 break
             near = _near(pts[side][i], pen, pts[1 - side], p)
             walked.append((pen, side, i, near))
-            least = _least_cost(mults[side][i], pen, near, mults[1 - side])
+            least = _least_cost(pts[side][i][2], pen, near, pts[1 - side])
             if least > lower:
                 lower = least
     except OverflowError:
         raise _too_far(a + b) from None
-    upper = max(chain(*pens), default=0.0)
+    upper = max(chain(*pens))
     if lower >= upper:  # nothing is required at upper, so nothing is placed
-        return upper, {}, {}, A, B
-    eta, flows = lower, _placed(lower, walked, mults)
+        return upper, {}, {}
+    eta, flows = lower, _placed(lower, walked, pts)
     if flows is None:
         candidates = sorted({*pens[0], *pens[1], *map(itemgetter(0), chain.from_iterable(
             map(itemgetter(3), walked)))})
@@ -397,7 +390,7 @@ def _threshold(S: PersistenceDiagram, T: PersistenceDiagram, p: float
         flows = ({}, {})
         while lo < hi:
             mid = min(2 * lo - start, (lo + hi) // 2)  # lower + 1, 3, 7, ... or the middle
-            found = _placed(candidates[mid], walked, mults)
+            found = _placed(candidates[mid], walked, pts)
             if found is None:
                 lo = mid + 1
             else:
@@ -405,14 +398,14 @@ def _threshold(S: PersistenceDiagram, T: PersistenceDiagram, p: float
         eta = candidates[hi]
     f, g = flows
     pairs, dropped = [], []
-    for flow, x, y, pens_x, mult_x in ((f, a, b, pens[0], mult_a), (g, b, a, pens[1], mult_b)):
+    for flow, x, y, pens_x in ((f, a, b, pens[0]), (g, b, a, pens[1])):
         placed = [0] * len(x)
         for i, row in flow.items():
             placed[i] = sum(row.values())
             pairs += [(x[i], y[j]) for j in row]
-        dropped += compress(pens_x, map(lt, placed, mult_x))
-    _confirm(_largest(pairs, dropped, p), eta, p, S, T)
-    return eta, f, g, A, B
+        dropped += compress(pens_x, map(lt, placed, map(itemgetter(2), x)))
+    _confirm(_largest(pairs, dropped, p), eta, p, a, b)
+    return eta, f, g
 
 
 def optimal_matching(S: PersistenceDiagram, T: PersistenceDiagram,
@@ -427,10 +420,11 @@ def optimal_matching(S: PersistenceDiagram, T: PersistenceDiagram,
     p = _check_p(p)
     S, T = _checked(S, T)
     s, t = S.points, T.points  # a total past sys.maxsize is refused here
-    eta, f, g, A, B = _threshold(S, T, p)
-    M = combine_matchings(Matching(len(s), len(t), tuple(_expand(f, A, B))),
-                          Matching(len(t), len(s), tuple(_expand(g, B, A))))
-    _confirm(_cost(s, t, M, p), eta, p, S, T)
+    a, b = S.counts(), T.counts()
+    eta, f, g = _threshold(a, b, p)
+    M = combine_matchings(Matching(len(s), len(t), tuple(_expand(f, a, b))),
+                          Matching(len(t), len(s), tuple(_expand(g, b, a))))
+    _confirm(_cost(s, t, M, p), eta, p, a, b)
     return eta, M
 
 
@@ -438,18 +432,10 @@ def bottleneck_distance(S: PersistenceDiagram, T: PersistenceDiagram,
                         p: float = math.inf) -> float:
     """Exact bottleneck distance between two diagrams of one length for this p.
 
-    Works on distinct points only: the threshold search's counted flows
-    are checked directly, and no index-level matching is built.  Against
-    a side with no points nothing can be matched, so the distance is the
-    largest penalty (0.0 if both are empty), read off the counts before
-    anything is grouped or searched.
+    Works on the diagrams' ``counts()``, as ``_threshold`` reads them,
+    with a side of no points answered first; its counted flows are
+    checked directly, and no index-level matching is built.
     """
     p = _check_p(p)
     S, T = _checked(S, T)
-    if S.counts() and T.counts():
-        return _threshold(S, T, p)[0]
-    counts = S.counts() + T.counts()
-    try:
-        return max(_penalties(map(itemgetter(0, 1), counts), p), default=0.0)
-    except OverflowError:
-        raise _too_far([pt[:2] for pt in counts]) from None
+    return _threshold(S.counts(), T.counts(), p)[0]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .linalg import (Matrix, _count, _dims, _exact_ints, _iterable, _map, _position, _Record,
+from .linalg import (Matrix, _count, _dims, _iterable, _map, _position, _Record,
                      _typed, block_diag, inverse)
 
 FORWARD = ">"
@@ -263,12 +263,12 @@ def flippable_positions(points: Iterable[tuple[int, int]], n: int) -> frozenset[
 
     Arrow k is an isomorphism exactly when every interval of the diagram
     contains both of positions k, k+1 or neither of them, that is, when
-    no interval ends at k or starts at k+1.  The points are read as
-    ``PersistenceDiagram`` reads them.
+    no interval ends at k or starts at k+1.  The points are read by
+    ``PersistenceDiagram``, so an interval it refuses is refused here.
     """
+    from .diagrams import PersistenceDiagram  # diagrams imports this module
     n = _count(n, 2, "n")
-    blocked = _blocked(_exact_ints(points, "endpoints", True, 2), n)
-    return frozenset(range(1, n)).difference(blocked)
+    return frozenset(range(1, n)).difference(_blocked(PersistenceDiagram(n, points).counts(), n))
 
 
 def _canonical_dirs(dirs: Sequence[str], intervals: Iterable[Sequence[int]]) -> tuple[str, ...]:
@@ -284,10 +284,11 @@ def canonical_type(tau: Orientation, points: Iterable[tuple[int, int]]) -> Orien
 
     Every flippable arrow is set forward; two modules reachable from each
     other by such reversals share this normal form.  The points are read
-    as ``PersistenceDiagram`` reads them.
+    by ``PersistenceDiagram``, so an interval it refuses is refused here.
     """
-    return Orientation(_canonical_dirs(_typed(tau, Orientation, "tau").dirs,
-                                       _exact_ints(points, "endpoints", True, 2)))
+    from .diagrams import PersistenceDiagram  # diagrams imports this module
+    tau = _typed(tau, Orientation, "tau")
+    return Orientation(_canonical_dirs(tau.dirs, PersistenceDiagram(tau.n, points).counts()))
 
 
 def is_summand_upto_equiv(tau_v: Orientation, diagram_v, tau_w: Orientation, diagram_w) -> bool:
@@ -299,6 +300,10 @@ def is_summand_upto_equiv(tau_v: Orientation, diagram_v, tau_w: Orientation, dia
     first diagram.  The diagrams are ``PersistenceDiagram`` values, whose
     sorted ``counts()`` are compared one distinct interval at a time.
     """
+    from .diagrams import PersistenceDiagram  # diagrams imports this module
+    tau_v, tau_w = _typed(tau_v, Orientation, "tau_v"), _typed(tau_w, Orientation, "tau_w")
+    diagram_v = _typed(diagram_v, PersistenceDiagram, "diagram_v")
+    diagram_w = _typed(diagram_w, PersistenceDiagram, "diagram_w")
     if tau_v.n != tau_w.n:
         raise ValueError(f"length mismatch: {tau_v.n} vs {tau_w.n}")
     if diagram_v.n != tau_v.n or diagram_w.n != tau_w.n:

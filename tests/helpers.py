@@ -25,7 +25,7 @@ from zzdist import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, LIMIT,
                     diagram_limit, is_invertible, is_summand_upto_equiv, ops_at, rank,
                     synthesize, transform_type)
 from zzdist import bottleneck
-from zzdist.bottleneck import _grouped, _penalties, _point_dist
+from zzdist.bottleneck import _penalties, _point_dist
 from zzdist.diagrams import _reflect, _state
 from zzdist.linalg import _combine, _kernel, _transpose
 from zzdist.zigzag_core import _embeds
@@ -554,15 +554,17 @@ def table_threshold(S, T, p: float) -> tuple[float, dict, dict, float, list[floa
     """``bottleneck._threshold`` as it was computed from the full table,
     on checked inputs and a checked p.
 
-    Every distance between the distinct points of S and T is taken by
-    ``_point_dist``, and every distance and penalty is a candidate.  The
-    lower bound is the largest least cost of any point, and the candidates
-    from it up to the largest penalty are bisected, the one at the bound
-    first.  Flows are tested by ``bottleneck._saturate``, looked up at each
-    call.  Returns eta, the flows (f, g) found at it, the lower bound and
-    the sorted candidates.
+    Every distance between the distinct points of S and T, read off
+    their ``counts()``, is taken by ``_point_dist``, and every distance
+    and penalty is a candidate.  The lower bound is the largest least
+    cost of any point, and the candidates from it up to the largest
+    penalty are bisected, the one at the bound first.  Flows are tested
+    by ``bottleneck._saturate``, looked up at each call.  Returns eta,
+    the flows (f, g) found at it, the lower bound and the sorted
+    candidates.
     """
-    (a, mult_a), (b, mult_b) = _grouped(S), _grouped(T)
+    a, b = S.counts(), T.counts()
+    mult_a, mult_b = [m for (_, _, m) in a], [m for (_, _, m) in b]
     dist = [[_point_dist(x, y, p) for y in b] for x in a]
     cols = [[row[j] for row in dist] for j in range(len(b))]
     pen_a, pen_b = _penalties(a, p), _penalties(b, p)

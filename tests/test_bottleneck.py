@@ -11,10 +11,11 @@ from helpers import (brute_force_bottleneck, count_calls, diagonal_penalty,
                      expanded_bottleneck, point_dist, random_counted, random_diagram,
                      table_threshold)
 
-from zzdist import (Matching, PersistenceDiagram, bottleneck_distance,
+from zzdist import (Matching, PersistenceDiagram, all_ops, bottleneck_distance,
                     combine_matchings, matching_cost, optimal_matching, random_symbolic_module)
 from zzdist import bottleneck
 from zzdist.bottleneck import _near, _penalties, _point_dist, _saturate
+from zzdist.diagrams import _reflect, _state
 from zzdist.linalg import _check_p
 
 
@@ -209,10 +210,11 @@ def test_bottleneck_distance_checks_the_counted_flows(monkeypatch):
 
 def test_an_empty_side_is_answered_before_anything_is_built(monkeypatch):
     # against a side with no points, or both empty, the distance is the
-    # largest penalty, read off the counts with no grouping, walk or flow;
-    # brute force agrees exactly.  A list on either side, empty or not,
-    # is refused before anything is read
-    names = ("_grouped", "_penalties", "_threshold", "_saturate")
+    # largest penalty: both entry points enter the solve, which takes the
+    # penalties once and answers with no walk, distance or flow; brute
+    # force agrees exactly.  A list on either side, empty or not, is
+    # refused before anything is read
+    names = ("_threshold", "_penalties", "_near", "_least_cost", "_saturate")
     built = dict(zip(names, (count_calls(monkeypatch, bottleneck, name) for name in names)))
     rng = random.Random(241)
     cases, lists = [(pd(5, []), pd(5, []))], [([], []), ([], pd(5, [])), (pd(5, []), [])]
@@ -227,7 +229,7 @@ def test_an_empty_side_is_answered_before_anything_is_built(monkeypatch):
         for call in (bottleneck_distance, optimal_matching):
             with pytest.raises(ValueError, match=f"^{name} is list, expected PersistenceDiagram$"):
                 call(S, T, 1)
-    assert [built[name][0] for name in names] == [0, 0, 0, 0]
+    assert [built[name][0] for name in names] == [0, 0, 0, 0, 0]
     for S, T in cases:
         for p in (1, 2, 3.5, math.inf):
             want = brute_force_bottleneck(S.points, T.points, p)
@@ -236,8 +238,9 @@ def test_an_empty_side_is_answered_before_anything_is_built(monkeypatch):
             assert built["_penalties"][0] == penalties + 1
             eta, M = optimal_matching(S, T, p)
             assert (eta, M.pairs) == (want, ()), (S, T, p)
-    assert [built[name][0] for name in ("_grouped", "_threshold", "_saturate")] == [
-        2 * len(cases) * 4, len(cases) * 4, 0]  # all from optimal_matching
+    # one penalty pass per solve, and one in optimal_matching's witness check
+    assert [built[name][0] for name in names] == [
+        2 * len(cases) * 4, 3 * len(cases) * 4, 0, 0, 0]
     # an endpoint past the float range is still refused, naming the interval
     for S, T in ((_WIDE, pd(_FAR, [])), (pd(2 ** 1100, []), pd(2 ** 1100, [(1, 2 ** 1100)])),
                  (pd(2 ** 1100, [(1, 2 ** 1100)]), pd(2 ** 1100, []))):
@@ -289,21 +292,22 @@ def test_threshold_matches_the_full_table_search(monkeypatch):
     for S, T in pairs:
         for p in (1.0, 2.0, 3.5, 1000.0, math.inf):
             before = [c[0] for c in counters]
-            eta, f, g, A, B = bottleneck._threshold(S, T, p)
+            A, B = S.counts(), T.counts()
+            eta, f, g = bottleneck._threshold(A, B, p)
             after = [c[0] for c in counters]
             ours += after[0] - before[0]
             want, _, _, lower, candidates = table_threshold(S, T, p)
             theirs += calls[0] - after[0]
             assert eta == want, (S, T, p)
             upper = max(_penalties(S.points + T.points, p), default=0.0)
-            if lower == upper or not (S.counts() and T.counts()):
+            if lower == upper or not (A and B):
                 # an empty side always gives lower == upper: every least cost is a penalty
                 assert (lower, eta, f, g, after) == (upper, upper, {}, {}, before), (S, T, p)
-                decided["both sides" if S.counts() and T.counts() else "an empty side"] += 1
-            for flow, (x, mult_x), (y, mult_y) in ((f, A, B), (g, B, A)):
-                supply = {i: m for i, (pen, m) in enumerate(zip(_penalties(x, p), mult_x))
+                decided["both sides" if A and B else "an empty side"] += 1
+            for flow, x, y in ((f, A, B), (g, B, A)):
+                supply = {i: m for i, (pen, (_, _, m)) in enumerate(zip(_penalties(x, p), x))
                           if pen > eta}
-                _check_flow(flow, supply, mult_y,
+                _check_flow(flow, supply, [m for (_, _, m) in y],
                             [[j for j, q in enumerate(y) if _point_dist(pt, q, p) <= eta]
                              for pt in x])
             if lower == candidates[-1]:
@@ -322,7 +326,26 @@ def test_threshold_matches_the_full_table_search(monkeypatch):
     for S, T in ((_WIDE, pd(_FAR, [])), (pd(2 ** 1100, []), pd(2 ** 1100, [(1, 2 ** 1100)]))):
         for p in (1.0, 2.0, 3.5, math.inf):
             with pytest.raises(ValueError, match=_TOO_FAR):
-                bottleneck._threshold(S, T, p)
+                bottleneck._threshold(S.counts(), T.counts(), p)
+
+
+def test_threshold_reads_counts_never_wrapped_in_a_diagram():
+    # the solve takes (b, d, multiplicity) tuples, as a search state holds
+    # them: on the counts of reflected search states, which no diagram
+    # ever read, it gives what the entry point gives on their diagrams
+    rng = random.Random(59)
+    both = 0
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        V, W = (random_symbolic_module(rng, n, 4) for _ in range(2))
+        for op in rng.sample(all_ops(n), 3):
+            a, b = (_state(*_reflect(op, X.tau.dirs, X.diagram.counts()))[1] for X in (V, W))
+            both += bool(a and b)
+            S, T = (PersistenceDiagram.from_counts(n, x) for x in (a, b))
+            for p in (1, 2, 3.5, math.inf):
+                eta = bottleneck._threshold(a, b, _check_p(p))[0]
+                assert eta.hex() == bottleneck_distance(S, T, p).hex(), (a, b, p)
+    assert both > 150, both  # 187 of the 450 pairs hold points on both sides
 
 
 def test_least_cost_bound_never_exceeds_the_distance(monkeypatch):
@@ -369,7 +392,8 @@ def test_least_cost_of_one_copy_is_the_nearest_point_or_the_penalty():
         mult = [rng.randint(1, 3) for _ in row]
         ties += pen in row
         near = sorted([(d, j) for j, d in enumerate(row) if d < pen])
-        assert bottleneck._least_cost(1, pen, near, mult) == min((pen, *row)), (pen, row, mult)
+        ys = [(0, 0, m) for m in mult]
+        assert bottleneck._least_cost(1, pen, near, ys) == min((pen, *row)), (pen, row, mult)
     assert ties > 400  # 487 of the 2,000 rows hold pen
 
 
@@ -485,12 +509,13 @@ def test_threshold_penalties_are_penalty_bit_for_bit(monkeypatch):
         inv = 0.0 if math.isinf(p) else 1.0 / p
         del seen[:]
         eta = bottleneck_distance(pd(n, S), pd(n, T), p)
-        assert {tuple(pts) for pts, _, _ in seen} >= {tuple(sorted(S)), tuple(sorted(T))}
+        # the search reads each diagram's (b, d, multiplicity) counts
+        assert {tuple(pts) for pts, _, _ in seen} >= {pd(n, X).counts() for X in (S, T)}
         for pts, q, pens in seen:
             assert q == p
             assert [pen.hex() for pen in pens] == [
                 _penalties([pt], p)[0].hex() for pt in pts] == [
-                ((d - b) / 2.0 ** (1.0 - inv)).hex() for (b, d) in pts], (pts, p)
+                ((d - b) / 2.0 ** (1.0 - inv)).hex() for (b, d, _) in pts], (pts, p)
         # nothing is matched against an empty side, so the distance is the
         # largest penalty, bit for bit, on either side
         for side in (S, T, [(1, 4), (2, 2), (1, 4)]):

@@ -102,6 +102,7 @@ def test_a_value_that_is_no_sequence_is_refused_naming_what_was_wanted(call, mes
 
 
 _D = zzdist.PersistenceDiagram(3, [(1, 2)])
+_MATCH = zzdist.Matching(1, 1, [(0, 0)])
 
 
 @pytest.mark.parametrize("call, message", [
@@ -115,10 +116,24 @@ _D = zzdist.PersistenceDiagram(3, [(1, 2)])
     (lambda: zzdist.flippable_positions("x", 3), "entry 0 'x': endpoints must be integers"),
     (lambda: zzdist.flippable_positions([1], 3), "entry 0 1: endpoints must be integers"),
     (lambda: zzdist.random_symbolic_module(None, 3, 2), "rng is NoneType, expected Random"),
+    (lambda: zzdist.flippable_positions([(3, 1)], 3), "interval [3, 1] out of range 1..3"),
+    (lambda: zzdist.canonical_type(zzdist.Orientation.from_string("<<"), [(0, 9)]),
+     "interval [0, 9] out of range 1..3"),
+    (lambda: zzdist.combine_matchings(None, _MATCH), "f is NoneType, expected Matching"),
+    (lambda: zzdist.combine_matchings(_MATCH, None), "g is NoneType, expected Matching"),
+    (lambda: zzdist.is_summand_upto_equiv(None, _D, _TAU, _D),
+     "tau_v is NoneType, expected Orientation"),
+    (lambda: zzdist.is_summand_upto_equiv(_TAU, [(1, 2)], _TAU, _D),
+     "diagram_v is list, expected PersistenceDiagram"),
+    (lambda: zzdist.is_summand_upto_equiv(_TAU, _D, ">>", _D),
+     "tau_w is str, expected Orientation"),
+    (lambda: zzdist.is_summand_upto_equiv(_TAU, _D, _TAU, 3),
+     "diagram_w is int, expected PersistenceDiagram"),
 ])
 def test_an_argument_of_the_wrong_kind_is_refused(call, message):
     # each of these once raised Python's own AttributeError on a missing
-    # field, TypeError (no len(), not subscriptable) or IndexError
+    # field, TypeError (no len(), not subscriptable) or IndexError, or, for
+    # an interval out of range, gave an answer that ignored or half-read it
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
