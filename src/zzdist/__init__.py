@@ -14,8 +14,7 @@ from .bottleneck import (Matching, bottleneck_distance, combine_matchings,
                          matching_cost, optimal_matching)
 from .cli import (format_quantity, main, parse_module_data, parse_module_file,
                   serialize_module, serialize_symbolic)
-from .diagrams import (PersistenceDiagram, SymbolicModule, act,
-                       annihilating_sequence, decompose, diagram_contains,
+from .diagrams import (SymbolicModule, act, annihilating_sequence, decompose,
                        interval_module, synthesize, zero_module)
 from .linalg import (DEFAULT_PRIME, FiniteDiagram, Matrix, block_diag,
                      diagram_colimit, diagram_limit, hstack, inverse,
@@ -29,8 +28,9 @@ from .stability import (ExperimentReport, generate_random_module,
                         random_symbolic_module, stability_experiment)
 from .zigzag_core import (BACKWARD, BACKWARD_FLOW, EXTROVERSION, FORWARD,
                           FORWARD_FLOW, INTROVERSION, Morphism, Orientation,
-                          REVERSAL, SINK, SOURCE, ZigzagModule, arrow_reverse,
-                          canonical_type, classify_index, compose, conjugate,
+                          PersistenceDiagram, REVERSAL, SINK, SOURCE,
+                          ZigzagModule, arrow_reverse, canonical_type,
+                          classify_index, compose, conjugate, diagram_contains,
                           direct_sum, flippable_positions, identity_morphism,
                           is_morphism, is_summand_upto_equiv, transform_type)
 

@@ -39,8 +39,8 @@ from itertools import accumulate, chain, compress, islice
 from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
-from .diagrams import PersistenceDiagram
 from .linalg import _check_p, _count, _exact_ints, _Record, _typed
+from .zigzag_core import PersistenceDiagram
 
 _Counts = tuple[tuple[int, int, int], ...]  # a diagram's counts(): (b, d, multiplicity) rows
 

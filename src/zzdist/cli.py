@@ -35,14 +35,14 @@ from itertools import chain
 from typing import Sequence
 
 from .bottleneck import bottleneck_distance
-from .diagrams import (PersistenceDiagram, SymbolicModule, _symbolic, act,
-                       annihilating_sequence, synthesize)
+from .diagrams import SymbolicModule, _symbolic, act, annihilating_sequence, synthesize
 from .linalg import (_MAX_DIM, DEFAULT_PRIME, Matrix, _check_p, _check_prime, _count, _dims,
                      _residues)
 from .reflection_distance import reflection_distance
 from .reflections import COLIMIT, LIMIT, ReflectionOp, apply
 from .stability import generate_random_module, stability_experiment
-from .zigzag_core import BACKWARD, FORWARD, Orientation, ZigzagModule, _ends
+from .zigzag_core import (BACKWARD, FORWARD, Orientation, PersistenceDiagram, ZigzagModule,
+                          _ends)
 
 _BOUNDARY_WORDS = {FORWARD: "forward", BACKWARD: "backward"}
 _BOUNDARY_DIRS = {w: d for (d, w) in _BOUNDARY_WORDS.items()}

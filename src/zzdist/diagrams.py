@@ -1,10 +1,12 @@
-"""Persistence diagrams and the symbolic side of reflections.
+"""Decomposition into diagrams, and the symbolic side of reflections.
 
-A persistence diagram is the multiset of interval supports in a
-module's decomposition into interval summands.  ``decompose`` reads it
-off a concrete module in one pass from left to right, one elimination
-per arrow (the right filtration of Carlsson and de Silva, 2010), and
-``synthesize`` builds one from intervals read by ``PersistenceDiagram``.
+A persistence diagram (``PersistenceDiagram``, defined in
+``zigzag_core`` beside the relations that read it) is the multiset of
+interval supports in a module's decomposition into interval summands.
+``decompose`` reads it off a concrete module in one pass from left to
+right, one elimination per arrow (the right filtration of Carlsson and
+de Silva, 2010), and ``synthesize`` builds one from intervals read by
+``PersistenceDiagram``.
 ``_reflect`` moves (dirs, counts) tuples through a reflection without
 matrices, by a closed-form rule for where each interval goes; ``act``
 applies it to a module, and ``_state`` makes the search states that the
@@ -13,105 +15,15 @@ reflection search and ``annihilating_sequence`` move through.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate
-from operator import le
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .linalg import (DEFAULT_PRIME, Matrix, _check_prime, _combine, _count, _echelon,
-                     _exact_ints, _Record, _transpose, _typed, _unit)
+from .linalg import (DEFAULT_PRIME, Matrix, _check_prime, _combine, _echelon, _Record,
+                     _transpose, _typed, _unit)
 from .reflections import COLIMIT, LIMIT, ReflectionOp, ReflectionSequence, check_applicable
-from .zigzag_core import (BACKWARD, FORWARD, Orientation, ZigzagModule, _canonical_dirs,
-                          _contains, _ends, _turn)
-
-
-class PersistenceDiagram(_Record):
-    """A multiset of intervals [b, d] inside positions 1..n.
-
-    The stored form is ``counts()``: sorted (b, d, multiplicity) triples,
-    one per distinct interval, so equal diagrams compare and hash equal
-    and no multiplicity adds cost.  ``points`` expands them, one entry per
-    copy, for callers that index copies (``synthesize``, ``optimal_matching``).
-    """
-
-    n: int
-    _counts: tuple[tuple[int, int, int], ...]
-
-    def __init__(self, n: int, points: Iterable[tuple[int, int]]) -> None:
-        self._store(n, [(*pt, 1) for pt in _exact_ints(points, "endpoints", True, 2)])
-
-    @classmethod
-    def from_counts(cls, n: int, counts: Iterable[tuple[int, int, int]]) -> "PersistenceDiagram":
-        """Build from (b, d, multiplicity) triples; repeated intervals merge."""
-        D = object.__new__(cls)
-        D._store(n, _exact_ints(counts, "birth, death and multiplicity", True, 3))
-        return D
-
-    def _store(self, n: int, triples: list[tuple[int, int, int]]) -> None:
-        n = _count(n, 2, "ambient length")
-        triples = sorted(triples)  # equal intervals end up adjacent
-        if triples:  # distinct and in range, checked in C, they are stored as they are
-            bs, ds, ms = zip(*triples)
-            if (min(ms) >= 1 and min(bs) >= 1 and max(ds) <= n and all(map(le, bs, ds))
-                    and len(set(zip(bs, ds))) == len(triples)):
-                self._set(n=n, _counts=tuple(triples))
-                return
-        counts: list[tuple[int, int, int]] = []
-        for (b, d, m) in triples:
-            if m < 1:
-                raise ValueError(f"multiplicity must be >= 1, got {m} for [{b}, {d}]")
-            if not 1 <= b <= d <= n:
-                raise ValueError(f"interval [{b}, {d}] out of range 1..{n}")
-            if counts and counts[-1][:2] == (b, d):
-                m += counts.pop()[2]
-            counts.append((b, d, m))
-        self._set(n=n, _counts=tuple(counts))
-
-    def counts(self) -> tuple[tuple[int, int, int], ...]:
-        """Sorted (b, d, multiplicity) triples, one per distinct interval."""
-        return self._counts
-
-    @property
-    def points(self) -> tuple[tuple[int, int], ...]:
-        """One sorted (b, d) entry per copy; a total past ``sys.maxsize``
-        is refused as ``len`` refuses it, and a smaller one too large to
-        hold fails at once, when its run is allocated."""
-        len(self)
-        return tuple(pt for (b, d, m) in self._counts for pt in [(b, d)] * m)
-
-    def dims(self) -> tuple[int, ...]:
-        """Dimension at each position 1..n of a module with this diagram:
-        the total multiplicity of the intervals covering the position."""
-        steps = [0] * (self.n + 1)  # dims()[i] is the sum of steps[:i + 1]
-        for (b, d, m) in self._counts:
-            steps[b - 1] += m
-            steps[d] -= m
-        return tuple(accumulate(steps[:-1]))
-
-    def remove_simple(self) -> "PersistenceDiagram":
-        """Drop every one-position interval; idempotent."""
-        return PersistenceDiagram.from_counts(self.n, (c for c in self._counts if c[0] != c[1]))
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.points)
-
-    def __len__(self) -> int:
-        total = sum(m for (_, _, m) in self._counts)
-        if total > sys.maxsize:
-            raise ValueError(f"{total} copies exceed the largest length Python allows; "
-                             "count them with counts()")
-        return total
-
-
-def diagram_contains(inner: PersistenceDiagram, outer: PersistenceDiagram) -> bool:
-    """Whether every interval of ``inner`` occurs in ``outer`` at least as often."""
-    inner = _typed(inner, PersistenceDiagram, "inner")
-    outer = _typed(outer, PersistenceDiagram, "outer")
-    if inner.n != outer.n:
-        raise ValueError(f"length mismatch: {inner.n} vs {outer.n}")
-    return _contains(inner.counts(), outer.counts())
+from .zigzag_core import (BACKWARD, FORWARD, Orientation, PersistenceDiagram, ZigzagModule,
+                          _canonical_dirs, _ends, _turn)
 
 
 class SymbolicModule(_Record):

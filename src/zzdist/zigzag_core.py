@@ -6,15 +6,21 @@ tuple of arrow directions is the module's orientation type.  This module
 provides the type algebra (reversal and the source/sink placements used
 by reflections), direct sums, morphisms, conjugation by base change, and
 reversal of invertible arrows together with the summand preorder it
-generates on decomposed modules.  Modules built from a diagram of
-intervals (``synthesize``) live in ``diagrams``, which reads intervals.
+generates on decomposed modules.  That preorder reads intervals, so
+``PersistenceDiagram``, the one reading of them, lives here too, with
+the relations on diagrams; every module that reads a diagram imports it
+from here.  The algorithms that make or move diagrams (``decompose``,
+``synthesize``, ``act``) live in ``diagrams``, above this module.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import sys
+from itertools import accumulate
+from operator import le
+from typing import Iterable, Iterator, Sequence
 
-from .linalg import (Matrix, _count, _dims, _iterable, _map, _position, _Record,
+from .linalg import (Matrix, _count, _dims, _exact_ints, _iterable, _map, _position, _Record,
                      _typed, block_diag, inverse)
 
 FORWARD = ">"
@@ -73,7 +79,7 @@ def transform_type(tau: Orientation, kind: str, k: int) -> Orientation:
     sink (both adjacent arrows enter k).  At the ends only the one existing
     adjacent arrow is set.
     """
-    n = tau.n
+    n = _typed(tau, Orientation, "tau").n
     dirs = list(tau.dirs)
     if kind == REVERSAL:
         k = _position(k, n - 1, "reversal index")
@@ -109,7 +115,7 @@ def classify_index(tau: Orientation, k: int) -> str:
     whose two adjacent arrows agree are flows, named by the shared
     direction.
     """
-    n = tau.n
+    n = _typed(tau, Orientation, "tau").n
     k = _position(k, n, "index")
     if k == 1:
         return SINK if tau.dirs[0] == BACKWARD else SOURCE
@@ -159,7 +165,7 @@ class ZigzagModule(_Record):
 
 
 def direct_sum(V: ZigzagModule, W: ZigzagModule) -> ZigzagModule:
-    if V.tau != W.tau:
+    if _typed(V, ZigzagModule, "V").tau != _typed(W, ZigzagModule, "W").tau:
         raise ValueError(f"type mismatch: {V.tau} vs {W.tau}")
     if V.p != W.p:
         raise ValueError(f"field mismatch: GF({V.p}) vs GF({W.p})")
@@ -195,12 +201,13 @@ class Morphism(_Record):
 
 
 def identity_morphism(V: ZigzagModule) -> Morphism:
-    comps = tuple(Matrix.identity(d, V.p) for d in V.dims)
+    comps = tuple(Matrix.identity(d, V.p) for d in _typed(V, ZigzagModule, "V").dims)
     return Morphism(V, V, comps)
 
 
 def compose(outer: Morphism, inner: Morphism) -> Morphism:
     """The composite outer after inner."""
+    outer, inner = _typed(outer, Morphism, "outer"), _typed(inner, Morphism, "inner")
     if inner.target is not outer.source and inner.target != outer.source:
         raise ValueError("morphisms are not composable")
     comps = tuple(a @ b for a, b in zip(outer.components, inner.components))
@@ -209,7 +216,7 @@ def compose(outer: Morphism, inner: Morphism) -> Morphism:
 
 def is_morphism(phi: Morphism) -> bool:
     """True when every square of phi commutes."""
-    V, W, c = phi.source, phi.target, phi.components
+    V, W, c = _typed(phi, Morphism, "phi").source, phi.target, phi.components
     for i, M in enumerate(V.maps):
         s, t = _ends(V.tau.dirs, i)
         if c[t] @ M != W.maps[i] @ c[s]:
@@ -224,7 +231,7 @@ def conjugate(V: ZigzagModule, bases: Iterable[Matrix]) -> tuple[ZigzagModule, M
     components are the base changes themselves.
     """
     B = tuple(_iterable(bases, "base changes"))
-    if len(B) != V.n:
+    if len(B) != _typed(V, ZigzagModule, "V").n:
         raise ValueError(f"expected {V.n} base changes, got {len(B)}")
     inv = []
     for i, M in enumerate(B):
@@ -243,13 +250,101 @@ def conjugate(V: ZigzagModule, bases: Iterable[Matrix]) -> tuple[ZigzagModule, M
 
 def arrow_reverse(V: ZigzagModule, k: int) -> ZigzagModule:
     """Reverse arrow k, which must be invertible, replacing it by its inverse."""
-    k = _position(k, V.n - 1, "arrow index")
+    k = _position(k, _typed(V, ZigzagModule, "V").n - 1, "arrow index")
     maps = list(V.maps)
     try:
         maps[k - 1] = inverse(maps[k - 1])
     except ValueError:
         raise ValueError(f"arrow {k} is not invertible and cannot be reversed") from None
     return ZigzagModule(transform_type(V.tau, REVERSAL, k), V.dims, tuple(maps))
+
+
+class PersistenceDiagram(_Record):
+    """A multiset of intervals [b, d] inside positions 1..n.
+
+    The stored form is ``counts()``: sorted (b, d, multiplicity) triples,
+    one per distinct interval, so equal diagrams compare and hash equal
+    and no multiplicity adds cost.  ``points`` expands them, one entry per
+    copy, for callers that index copies (``synthesize``, ``optimal_matching``).
+    """
+
+    n: int
+    _counts: tuple[tuple[int, int, int], ...]
+
+    def __init__(self, n: int, points: Iterable[tuple[int, int]]) -> None:
+        self._store(n, [(*pt, 1) for pt in _exact_ints(points, "endpoints", True, 2)])
+
+    @classmethod
+    def from_counts(cls, n: int, counts: Iterable[tuple[int, int, int]]) -> "PersistenceDiagram":
+        """Build from (b, d, multiplicity) triples; repeated intervals merge."""
+        D = object.__new__(cls)
+        D._store(n, _exact_ints(counts, "birth, death and multiplicity", True, 3))
+        return D
+
+    def _store(self, n: int, triples: list[tuple[int, int, int]]) -> None:
+        n = _count(n, 2, "ambient length")
+        triples = sorted(triples)  # equal intervals end up adjacent
+        if triples:  # distinct and in range, checked in C, they are stored as they are
+            bs, ds, ms = zip(*triples)
+            if (min(ms) >= 1 and min(bs) >= 1 and max(ds) <= n and all(map(le, bs, ds))
+                    and len(set(zip(bs, ds))) == len(triples)):
+                self._set(n=n, _counts=tuple(triples))
+                return
+        counts: list[tuple[int, int, int]] = []
+        for (b, d, m) in triples:
+            if m < 1:
+                raise ValueError(f"multiplicity must be >= 1, got {m} for [{b}, {d}]")
+            if not 1 <= b <= d <= n:
+                raise ValueError(f"interval [{b}, {d}] out of range 1..{n}")
+            if counts and counts[-1][:2] == (b, d):
+                m += counts.pop()[2]
+            counts.append((b, d, m))
+        self._set(n=n, _counts=tuple(counts))
+
+    def counts(self) -> tuple[tuple[int, int, int], ...]:
+        """Sorted (b, d, multiplicity) triples, one per distinct interval."""
+        return self._counts
+
+    @property
+    def points(self) -> tuple[tuple[int, int], ...]:
+        """One sorted (b, d) entry per copy; a total past ``sys.maxsize``
+        is refused as ``len`` refuses it, and a smaller one too large to
+        hold fails at once, when its run is allocated."""
+        len(self)
+        return tuple(pt for (b, d, m) in self._counts for pt in [(b, d)] * m)
+
+    def dims(self) -> tuple[int, ...]:
+        """Dimension at each position 1..n of a module with this diagram:
+        the total multiplicity of the intervals covering the position."""
+        n = _allocatable(self.n)
+        steps = [0] * n  # dims()[i] is the sum of steps[:i + 1]
+        for (b, d, m) in self._counts:
+            steps[b - 1] += m
+            if d < n:
+                steps[d] -= m
+        return tuple(accumulate(steps))
+
+    def remove_simple(self) -> "PersistenceDiagram":
+        """Drop every one-position interval; idempotent."""
+        return PersistenceDiagram.from_counts(self.n, (c for c in self._counts if c[0] != c[1]))
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self.points)
+
+    def __len__(self) -> int:
+        total = sum(m for (_, _, m) in self._counts)
+        if total > sys.maxsize:
+            raise ValueError(f"{total} copies exceed the largest length Python allows; "
+                             "count them with counts()")
+        return total
+
+
+def _allocatable(n: int) -> int:
+    """``n``, if a list can hold one entry per position; a length past
+    ``sys.maxsize`` is refused, as ``len`` refuses a total past it."""
+    if n > sys.maxsize:
+        raise ValueError(f"{n} positions exceed the largest length Python allows")
+    return n
 
 
 def _blocked(intervals: Iterable[Sequence[int]], n: int) -> set[int]:
@@ -264,10 +359,12 @@ def flippable_positions(points: Iterable[tuple[int, int]], n: int) -> frozenset[
     Arrow k is an isomorphism exactly when every interval of the diagram
     contains both of positions k, k+1 or neither of them, that is, when
     no interval ends at k or starts at k+1.  The points are read by
-    ``PersistenceDiagram``, so an interval it refuses is refused here.
+    ``PersistenceDiagram``, defined above, so an interval it refuses is
+    refused here, as is an n past ``sys.maxsize``.  This relation stays in
+    this module, below ``diagrams``: the per-layer tracer names it, with
+    ``canonical_type`` and ``is_summand_upto_equiv``, by module path.
     """
-    from .diagrams import PersistenceDiagram  # diagrams imports this module
-    n = _count(n, 2, "n")
+    n = _allocatable(_count(n, 2, "n"))
     return frozenset(range(1, n)).difference(_blocked(PersistenceDiagram(n, points).counts(), n))
 
 
@@ -284,9 +381,10 @@ def canonical_type(tau: Orientation, points: Iterable[tuple[int, int]]) -> Orien
 
     Every flippable arrow is set forward; two modules reachable from each
     other by such reversals share this normal form.  The points are read
-    by ``PersistenceDiagram``, so an interval it refuses is refused here.
+    by ``PersistenceDiagram``, defined above, so an interval it refuses
+    is refused here.  Like ``flippable_positions`` it stays below
+    ``diagrams``, where the per-layer tracer finds it by module path.
     """
-    from .diagrams import PersistenceDiagram  # diagrams imports this module
     tau = _typed(tau, Orientation, "tau")
     return Orientation(_canonical_dirs(tau.dirs, PersistenceDiagram(tau.n, points).counts()))
 
@@ -300,7 +398,6 @@ def is_summand_upto_equiv(tau_v: Orientation, diagram_v, tau_w: Orientation, dia
     first diagram.  The diagrams are ``PersistenceDiagram`` values, whose
     sorted ``counts()`` are compared one distinct interval at a time.
     """
-    from .diagrams import PersistenceDiagram  # diagrams imports this module
     tau_v, tau_w = _typed(tau_v, Orientation, "tau_v"), _typed(tau_w, Orientation, "tau_w")
     diagram_v = _typed(diagram_v, PersistenceDiagram, "diagram_v")
     diagram_w = _typed(diagram_w, PersistenceDiagram, "diagram_w")
@@ -309,6 +406,15 @@ def is_summand_upto_equiv(tau_v: Orientation, diagram_v, tau_w: Orientation, dia
     if diagram_v.n != tau_v.n or diagram_w.n != tau_w.n:
         raise ValueError("diagram length does not match orientation length")
     return _embeds(tau_v.dirs, diagram_v.counts(), tau_w.dirs, diagram_w.counts())
+
+
+def diagram_contains(inner: PersistenceDiagram, outer: PersistenceDiagram) -> bool:
+    """Whether every interval of ``inner`` occurs in ``outer`` at least as often."""
+    inner = _typed(inner, PersistenceDiagram, "inner")
+    outer = _typed(outer, PersistenceDiagram, "outer")
+    if inner.n != outer.n:
+        raise ValueError(f"length mismatch: {inner.n} vs {outer.n}")
+    return _contains(inner.counts(), outer.counts())
 
 
 def _contains(inner: tuple, outer: tuple) -> bool:

@@ -224,6 +224,15 @@ def test_len_past_sys_maxsize_raises_value_error():
     assert len(PersistenceDiagram.from_counts(3, [(1, 2, sys.maxsize)])) == sys.maxsize
 
 
+@pytest.mark.parametrize("call", [lambda: PersistenceDiagram(2 ** 1100, [(1, 2)]).dims(),
+                                  lambda: flippable_positions([(1, 2)], 2 ** 1100)])
+def test_a_length_past_sys_maxsize_is_refused(call):
+    # the first once raised OverflowError allocating one entry per position,
+    # the second built range(1, n) until memory ran out
+    with pytest.raises(ValueError, match=f"^{2 ** 1100} positions exceed the largest length"):
+        call()
+
+
 def test_from_counts_round_trip():
     rng = random.Random(61)
     for _ in range(30):

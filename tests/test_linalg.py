@@ -103,6 +103,8 @@ def test_a_value_that_is_no_sequence_is_refused_naming_what_was_wanted(call, mes
 
 _D = zzdist.PersistenceDiagram(3, [(1, 2)])
 _MATCH = zzdist.Matching(1, 1, [(0, 0)])
+_V = zzdist.zero_module(_TAU)
+_PHI = zzdist.identity_morphism(_V)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -129,6 +131,27 @@ _MATCH = zzdist.Matching(1, 1, [(0, 0)])
      "tau_w is str, expected Orientation"),
     (lambda: zzdist.is_summand_upto_equiv(_TAU, _D, _TAU, 3),
      "diagram_w is int, expected PersistenceDiagram"),
+    # named, so that the rows above keep their ids
+    pytest.param(lambda: zzdist.transform_type(None, zzdist.REVERSAL, 1),
+                 "tau is NoneType, expected Orientation", id="transform_type-tau"),
+    pytest.param(lambda: zzdist.classify_index(None, 1),
+                 "tau is NoneType, expected Orientation", id="classify_index-tau"),
+    pytest.param(lambda: zzdist.arrow_reverse(None, 1),
+                 "V is NoneType, expected ZigzagModule", id="arrow_reverse-V"),
+    pytest.param(lambda: zzdist.conjugate(None, []),
+                 "V is NoneType, expected ZigzagModule", id="conjugate-V"),
+    pytest.param(lambda: zzdist.identity_morphism(None),
+                 "V is NoneType, expected ZigzagModule", id="identity_morphism-V"),
+    pytest.param(lambda: zzdist.direct_sum(None, _V),
+                 "V is NoneType, expected ZigzagModule", id="direct_sum-V"),
+    pytest.param(lambda: zzdist.direct_sum(_V, None),
+                 "W is NoneType, expected ZigzagModule", id="direct_sum-W"),
+    pytest.param(lambda: zzdist.compose(None, _PHI),
+                 "outer is NoneType, expected Morphism", id="compose-outer"),
+    pytest.param(lambda: zzdist.compose(_PHI, None),
+                 "inner is NoneType, expected Morphism", id="compose-inner"),
+    pytest.param(lambda: zzdist.is_morphism(None),
+                 "phi is NoneType, expected Morphism", id="is_morphism-phi"),
 ])
 def test_an_argument_of_the_wrong_kind_is_refused(call, message):
     # each of these once raised Python's own AttributeError on a missing

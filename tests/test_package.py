@@ -55,3 +55,32 @@ def test_readme_library_block_prints_what_its_comments_state():
     assert names["decompose"](names["V"]).dims() == names["V"].dims
     act_counts = stated['act(ReflectionOp("limit", 2), S).diagram.counts()']
     assert names["decompose"](names["W"]).remove_simple().counts() == act_counts
+
+
+# each module imports only from modules before it; a pair on one line
+# imports neither of the other, and the package's own files come last
+_LAYERS = (("linalg",), ("zigzag_core",), ("reflections",), ("diagrams",),
+           ("reflection_distance", "bottleneck"), ("stability",), ("cli",),
+           ("__main__", "__init__"))
+_RANK = {name: i for i, line in enumerate(_LAYERS) for name in line}
+
+
+def test_modules_import_only_from_layers_below_and_only_at_the_top():
+    source = Path(zzdist.__file__).parent
+    files = sorted(source.glob("*.py"))
+    assert sorted(f.stem for f in files) == sorted(_RANK)
+    wrong = []
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        top = set(map(id, tree.body))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level == 0:
+                continue
+            where = f"{path.name}:{node.lineno}"
+            if id(node) not in top:
+                wrong.append(f"{where}: a relative import below module level")
+            names = [node.module] if node.module else [a.name for a in node.names]
+            for name in names:
+                if _RANK[name.split(".")[0]] >= _RANK[path.stem]:
+                    wrong.append(f"{where}: {path.stem} imports {name}, not below it")
+    assert wrong == []
