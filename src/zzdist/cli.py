@@ -37,7 +37,7 @@ from typing import Sequence
 from .bottleneck import bottleneck_distance
 from .diagrams import SymbolicModule, _symbolic, act, annihilating_sequence, synthesize
 from .linalg import (_MAX_DIM, DEFAULT_PRIME, Matrix, _check_p, _check_prime, _count, _dims,
-                     _residues)
+                     _residues, _typed)
 from .reflection_distance import reflection_distance
 from .reflections import COLIMIT, LIMIT, ReflectionOp, apply
 from .stability import generate_random_module, stability_experiment
@@ -131,7 +131,7 @@ def parse_module_file(path: str) -> ZigzagModule | SymbolicModule:
 
 def serialize_module(V: ZigzagModule) -> dict:
     return {
-        "n": V.n,
+        "n": _typed(V, ZigzagModule, "V").n,
         "type": V.tau.to_string(),
         "matrices": {
             "field_prime": V.p,
@@ -143,7 +143,7 @@ def serialize_module(V: ZigzagModule) -> dict:
 
 def serialize_symbolic(S: SymbolicModule) -> dict:
     return {
-        "n": S.n,
+        "n": _typed(S, SymbolicModule, "S").n,
         "type": S.tau.to_string(),
         "diagram": [[b, d, m] for (b, d, m) in S.diagram.counts()],
     }
@@ -177,7 +177,7 @@ def _dump(obj) -> str:
 
 def format_quantity(x: float) -> str:
     """Render a distance: integers exactly, otherwise 12 significant digits."""
-    if math.isinf(x):
+    if math.isinf(_typed(x, (int, float), "x")):
         return "inf"
     if float(x).is_integer():
         return str(int(x))

@@ -47,7 +47,11 @@ _MAX_DIM = 256
 
 
 def is_prime(p: int) -> bool:
-    """True when ``p`` is a prime number."""
+    """True when ``p``, read as ``_check_prime`` reads it, is a prime number."""
+    try:
+        p = p if type(p) is int else _index(p)
+    except TypeError:
+        raise ValueError(f"p must be an integer, got {p!r}") from None
     if p < 2:
         return False
     if p % 2 == 0:
@@ -307,8 +311,9 @@ class Matrix(_Record):
 
         ``cols`` disambiguates the width when ``rows`` is empty.
         """
+        rows = _exact_ints(rows, "matrix row entries", True)
         if cols is None:
-            cols = len(rows[0]) if len(rows) else 0
+            cols = len(rows[0]) if rows else 0
         return cls(p, rows, cols)
 
     @classmethod
@@ -333,12 +338,6 @@ class Matrix(_Record):
     def entries(self) -> tuple[int, ...]:
         """Row-major flat tuple of entries."""
         return tuple(chain.from_iterable(self.data))
-
-    def tolists(self) -> list[list[int]]:
-        return [list(row) for row in self.data]
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.data))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -507,7 +506,7 @@ def diagram_limit(D: FiniteDiagram) -> tuple[int, tuple[Matrix, ...]]:
     ``legs[j]`` maps the limit into space j (the coordinate projection
     onto slot j); the legs commute with every arrow of the diagram.
     """
-    dims, p = D.spaces, D.p
+    dims, p = _typed(D, FiniteDiagram, "D").spaces, D.p
     off = [0, *accumulate(dims)]
     constraints = []
     for (s, t, M) in D.arrows:
@@ -533,6 +532,7 @@ def diagram_colimit(D: FiniteDiagram) -> tuple[int, tuple[Matrix, ...]]:
     f: A -> B and generator e of A, whose relation matrix is the
     transpose of D*'s constraint matrix.
     """
+    D = _typed(D, FiniteDiagram, "D")
     dual = FiniteDiagram(D.p, D.spaces, tuple((t, s, M.transpose()) for (s, t, M) in D.arrows))
     dim, legs = diagram_limit(dual)
     return dim, tuple(leg.transpose() for leg in legs)

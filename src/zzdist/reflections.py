@@ -72,15 +72,6 @@ def ops_at(n: int, k: int) -> tuple[ReflectionOp, ...]:
     return (ReflectionOp(LIMIT, k), ReflectionOp(COLIMIT, k))
 
 
-def all_ops(n: int) -> tuple[ReflectionOp, ...]:
-    """Every reflection available on length-n modules, position-major."""
-    n = _count(n, 2, "n")
-    out: list[ReflectionOp] = []
-    for k in range(1, n + 1):
-        out.extend(ops_at(n, k))
-    return tuple(out)
-
-
 def _window(V: ZigzagModule, op: ReflectionOp) -> FiniteDiagram:
     """The three-slot diagram around position k, slots (k-1, k, k+1).
 
@@ -180,6 +171,6 @@ class ReflectionSequence(_Record):
 
 def apply_sequence(seq: ReflectionSequence, V: ZigzagModule) -> ZigzagModule:
     """Fold ``apply`` over the sequence, left to right."""
-    for op in seq:
+    for op in _iterable(seq, "reflection ops"):
         V = apply(op, V)
     return V

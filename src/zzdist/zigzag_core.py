@@ -6,11 +6,12 @@ tuple of arrow directions is the module's orientation type.  This module
 provides the type algebra (reversal and the source/sink placements used
 by reflections), direct sums, morphisms, conjugation by base change, and
 reversal of invertible arrows together with the summand preorder it
-generates on decomposed modules.  That preorder reads intervals, so
-``PersistenceDiagram``, the one reading of them, lives here too, with
-the relations on diagrams; every module that reads a diagram imports it
-from here.  The algorithms that make or move diagrams (``decompose``,
-``synthesize``, ``act``) live in ``diagrams``, above this module.
+generates on decomposed modules (``canonical_type`` and
+``is_summand_upto_equiv``).  That preorder reads intervals, so
+``PersistenceDiagram``, the one reading of them, lives here too; every
+module that reads a diagram imports it from here.  The algorithms that
+make or move diagrams (``decompose``, ``synthesize``, ``act``) live in
+``diagrams``, above this module.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class Orientation(_Record):
 
     @classmethod
     def from_string(cls, s: str) -> "Orientation":
-        return cls(tuple(s))
+        return cls(s)
 
     def to_string(self) -> str:
         return "".join(self.dirs)
@@ -353,21 +354,6 @@ def _blocked(intervals: Iterable[Sequence[int]], n: int) -> set[int]:
     return {k for iv in intervals for k in (iv[1], iv[0] - 1) if 0 < k < n}
 
 
-def flippable_positions(points: Iterable[tuple[int, int]], n: int) -> frozenset[int]:
-    """Arrow indices that are isomorphisms for a module with this diagram.
-
-    Arrow k is an isomorphism exactly when every interval of the diagram
-    contains both of positions k, k+1 or neither of them, that is, when
-    no interval ends at k or starts at k+1.  The points are read by
-    ``PersistenceDiagram``, defined above, so an interval it refuses is
-    refused here, as is an n past ``sys.maxsize``.  This relation stays in
-    this module, below ``diagrams``: the per-layer tracer names it, with
-    ``canonical_type`` and ``is_summand_upto_equiv``, by module path.
-    """
-    n = _allocatable(_count(n, 2, "n"))
-    return frozenset(range(1, n)).difference(_blocked(PersistenceDiagram(n, points).counts(), n))
-
-
 def _canonical_dirs(dirs: Sequence[str], intervals: Iterable[Sequence[int]]) -> tuple[str, ...]:
     """``canonical_type`` on a tuple of directions, unvalidated."""
     out = [FORWARD] * len(dirs)
@@ -382,8 +368,7 @@ def canonical_type(tau: Orientation, points: Iterable[tuple[int, int]]) -> Orien
     Every flippable arrow is set forward; two modules reachable from each
     other by such reversals share this normal form.  The points are read
     by ``PersistenceDiagram``, defined above, so an interval it refuses
-    is refused here.  Like ``flippable_positions`` it stays below
-    ``diagrams``, where the per-layer tracer finds it by module path.
+    is refused here.  The per-layer tracer finds it by module path.
     """
     tau = _typed(tau, Orientation, "tau")
     return Orientation(_canonical_dirs(tau.dirs, PersistenceDiagram(tau.n, points).counts()))
@@ -406,15 +391,6 @@ def is_summand_upto_equiv(tau_v: Orientation, diagram_v, tau_w: Orientation, dia
     if diagram_v.n != tau_v.n or diagram_w.n != tau_w.n:
         raise ValueError("diagram length does not match orientation length")
     return _embeds(tau_v.dirs, diagram_v.counts(), tau_w.dirs, diagram_w.counts())
-
-
-def diagram_contains(inner: PersistenceDiagram, outer: PersistenceDiagram) -> bool:
-    """Whether every interval of ``inner`` occurs in ``outer`` at least as often."""
-    inner = _typed(inner, PersistenceDiagram, "inner")
-    outer = _typed(outer, PersistenceDiagram, "outer")
-    if inner.n != outer.n:
-        raise ValueError(f"length mismatch: {inner.n} vs {outer.n}")
-    return _contains(inner.counts(), outer.counts())
 
 
 def _contains(inner: tuple, outer: tuple) -> bool:

@@ -3,7 +3,9 @@
 Everything here is deliberately naive or retired: oracles recompute
 answers by enumeration, first-principles formulas or an algorithm the
 library no longer runs, so that library results are checked against a
-second, unrelated route.
+second, unrelated route.  The first section holds the relations and
+conveniences that once were public names of ``zzdist`` and that only
+tests call; each reads and refuses its arguments as the library did.
 """
 
 from __future__ import annotations
@@ -14,21 +16,60 @@ from bisect import bisect_left
 import os
 import random
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import zzdist
 
 from zzdist import (BACKWARD, EXTROVERSION, FORWARD, INTROVERSION, LIMIT,
                     FiniteDiagram, Matrix, Orientation, PersistenceDiagram, ReflectionOp,
-                    ReflectionSequence, SymbolicModule, ZigzagModule, act, all_ops,
+                    ReflectionSequence, SymbolicModule, ZigzagModule, act,
                     canonical_type, check_applicable, decompose, diagram_colimit,
                     diagram_limit, is_invertible, is_summand_upto_equiv, ops_at, rank,
                     synthesize, transform_type)
 from zzdist import bottleneck
 from zzdist.bottleneck import _penalties, _point_dist
 from zzdist.diagrams import _reflect, _state
-from zzdist.linalg import _combine, _kernel, _transpose
-from zzdist.zigzag_core import _embeds
+from zzdist.linalg import _combine, _count, _kernel, _transpose, _typed
+from zzdist.zigzag_core import _allocatable, _blocked, _contains, _embeds
+
+
+def flippable_positions(points: Iterable[tuple[int, int]], n: int) -> frozenset[int]:
+    """Arrow indices that are isomorphisms for a module with this diagram.
+
+    Arrow k is an isomorphism exactly when every interval of the diagram
+    contains both of positions k, k+1 or neither of them, that is, when
+    no interval ends at k or starts at k+1.  The points are read by
+    ``PersistenceDiagram``, so an interval it refuses is refused here, as
+    is an n past ``sys.maxsize``.
+    """
+    n = _allocatable(_count(n, 2, "n"))
+    return frozenset(range(1, n)).difference(_blocked(PersistenceDiagram(n, points).counts(), n))
+
+
+def diagram_contains(inner: PersistenceDiagram, outer: PersistenceDiagram) -> bool:
+    """Whether every interval of ``inner`` occurs in ``outer`` at least as often."""
+    inner = _typed(inner, PersistenceDiagram, "inner")
+    outer = _typed(outer, PersistenceDiagram, "outer")
+    if inner.n != outer.n:
+        raise ValueError(f"length mismatch: {inner.n} vs {outer.n}")
+    return _contains(inner.counts(), outer.counts())
+
+
+def all_ops(n: int) -> tuple[ReflectionOp, ...]:
+    """Every reflection available on length-n modules, position-major."""
+    n = _count(n, 2, "n")
+    out: list[ReflectionOp] = []
+    for k in range(1, n + 1):
+        out.extend(ops_at(n, k))
+    return tuple(out)
+
+
+def tolists(M: Matrix) -> list[list[int]]:
+    return [list(row) for row in M.data]
+
+
+def is_zero(M: Matrix) -> bool:
+    return not any(map(any, M.data))
 
 
 def subprocess_env() -> dict:
@@ -368,7 +409,7 @@ def minor_rank(M: Matrix) -> int:
 
     Exponential; callers keep shapes at 4x4 or below.
     """
-    rows = M.tolists()
+    rows = tolists(M)
     p = M.p
 
     def det(sub: list[list[int]]) -> int:
@@ -405,7 +446,7 @@ def enumerate_limit_dim(spaces: list[int], arrows, p: int) -> int:
         for (src, tgt, M) in arrows:
             x = vec[offs[src]:offs[src + 1]]
             y = vec[offs[tgt]:offs[tgt + 1]]
-            rows = M.tolists()
+            rows = tolists(M)
             for r in range(M.rows):
                 if sum(rows[r][c] * x[c] for c in range(M.cols)) % p != y[r]:
                     ok = False
@@ -434,7 +475,7 @@ def relations_colimit(D: FiniteDiagram) -> tuple[int, tuple[Matrix, ...]]:
         offs.append(offs[-1] + d)
     relations = []
     for (src, tgt, M) in D.arrows:
-        rows = M.tolists()
+        rows = tolists(M)
         for e in range(D.spaces[src]):
             r = [0] * offs[-1]
             r[offs[src] + e] += 1
@@ -442,7 +483,7 @@ def relations_colimit(D: FiniteDiagram) -> tuple[int, tuple[Matrix, ...]]:
                 r[offs[tgt] + i] -= rows[i][e]
             relations.append(r)
     dim, proj = cokernel(Matrix.from_rows(relations, D.p, cols=offs[-1]).transpose())
-    rows = proj.tolists()
+    rows = tolists(proj)
     return dim, tuple(Matrix.from_rows([row[offs[j]:offs[j + 1]] for row in rows], D.p,
                                        cols=D.spaces[j])
                       for j in range(len(D.spaces)))

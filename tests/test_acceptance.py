@@ -18,12 +18,12 @@ import time
 import pytest
 
 from zzdist import (COLIMIT, LIMIT, Matching, Orientation, PersistenceDiagram,
-                    ReflectionOp, SymbolicModule, ZigzagModule, act, all_ops,
+                    ReflectionOp, SymbolicModule, ZigzagModule, act,
                     apply, bottleneck_distance, classify_index,
                     combine_matchings, conjugate, decompose, is_invertible,
                     is_summand_upto_equiv, reflection_distance,
                     stability_experiment, synthesize)
-from helpers import (all_dirs, all_intervals, brute_force_bottleneck,
+from helpers import (all_dirs, all_intervals, all_ops, brute_force_bottleneck,
                      interval_image, random_diagram, random_matrix,
                      random_orientation, random_symbolic, synthesized_pair)
 

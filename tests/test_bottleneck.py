@@ -7,12 +7,12 @@ from bisect import bisect_left
 from collections import Counter
 
 import pytest
-from helpers import (brute_force_bottleneck, count_calls, diagonal_penalty,
+from helpers import (all_ops, brute_force_bottleneck, count_calls, diagonal_penalty,
                      expanded_bottleneck, point_dist, random_counted, random_diagram,
                      table_threshold)
 
-from zzdist import (Matching, PersistenceDiagram, all_ops, bottleneck_distance,
-                    combine_matchings, matching_cost, optimal_matching, random_symbolic_module)
+from zzdist import (Matching, PersistenceDiagram, bottleneck_distance, combine_matchings,
+                    matching_cost, optimal_matching, random_symbolic_module)
 from zzdist import bottleneck
 from zzdist.bottleneck import _near, _penalties, _point_dist, _saturate
 from zzdist.diagrams import _reflect, _state

@@ -8,7 +8,7 @@ import sys
 import time
 
 import pytest
-from helpers import count_calls, subprocess_env
+from helpers import all_ops, count_calls, subprocess_env
 
 import zzdist
 from zzdist import (Matrix, PersistenceDiagram, SymbolicModule, ZigzagModule,
@@ -16,7 +16,7 @@ from zzdist import (Matrix, PersistenceDiagram, SymbolicModule, ZigzagModule,
                     parse_module_data, random_symbolic_module,
                     serialize_module, serialize_symbolic, stability_experiment,
                     synthesize)
-from zzdist import act, all_ops, annihilating_sequence, apply, linalg
+from zzdist import act, annihilating_sequence, apply, linalg
 from zzdist.cli import _op_to_dict, _parser, parse_module_file
 
 

@@ -7,16 +7,16 @@ import sys
 from collections import Counter
 
 import pytest
-from helpers import (all_dirs, all_intervals, count_calls, expanded_act, interval_image,
-                     random_counted, random_orientation, random_symbolic,
-                     section_sweep_decompose, segment_rank_decompose, synthesized_pair)
+from helpers import (all_dirs, all_intervals, all_ops, count_calls, diagram_contains,
+                     expanded_act, flippable_positions, interval_image, random_counted,
+                     random_orientation, random_symbolic, section_sweep_decompose,
+                     segment_rank_decompose, synthesized_pair)
 
 from zzdist import (BACKWARD, COLIMIT, LIMIT, FiniteDiagram, Matching, Matrix, Orientation,
                     PersistenceDiagram, ReflectionOp, SymbolicModule, ZigzagModule, act,
-                    all_ops, annihilating_sequence, apply, bottleneck_distance, decompose,
-                    diagram_contains, diagrams, flippable_positions, generate_random_module,
-                    interval_module, linalg, main, optimal_matching, synthesize, transform_type,
-                    zero_module)
+                    annihilating_sequence, apply, bottleneck_distance, decompose, diagrams,
+                    generate_random_module, interval_module, linalg, main, optimal_matching,
+                    synthesize, transform_type, zero_module)
 
 
 def tau(s: str) -> Orientation:

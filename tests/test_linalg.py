@@ -7,9 +7,10 @@ import re
 
 import helpers
 import pytest
-from helpers import (cokernel, count_calls, enumerate_limit_dim, kernel_basis, minor_rank,
-                     random_matrix, random_module, relations_colimit, rref_kernel, rref_rank,
-                     rref_solve, segment_rank, segment_ranks)
+from helpers import (cokernel, count_calls, diagram_contains, enumerate_limit_dim,
+                     flippable_positions, is_zero, kernel_basis, minor_rank, random_matrix,
+                     random_module, relations_colimit, rref_kernel, rref_rank, rref_solve,
+                     segment_rank, segment_ranks, tolists)
 
 from zzdist import (FORWARD, FiniteDiagram, Matrix, block_diag,
                     diagram_colimit, diagram_limit, hstack, inverse, is_invertible,
@@ -20,7 +21,7 @@ from zzdist import linalg
 
 def test_matrix_construction_and_reduction():
     M = Matrix.from_rows([[3, 7], [-1, 10]], 5)
-    assert M.tolists() == [[3, 2], [4, 0]]
+    assert tolists(M) == [[3, 2], [4, 0]]
     assert M.shape == (2, 2)
     with pytest.raises(ValueError):
         Matrix.from_rows([[1], [1, 2]], 2)
@@ -40,7 +41,7 @@ def test_matrix_is_immutable_value():
 def test_matmul_respects_field():
     A = Matrix.from_rows([[1, 2], [3, 4]], 5)
     B = Matrix.from_rows([[2, 0], [1, 3]], 5)
-    assert (A @ B).tolists() == [[4, 1], [0, 2]]
+    assert tolists(A @ B) == [[4, 1], [0, 2]]
     with pytest.raises(ValueError):
         A @ Matrix.from_rows([[1, 2], [3, 4]], 7)
     with pytest.raises(ValueError, match=r"shape mismatch for product: \(2, 2\) @ \(1, 2\)"):
@@ -93,10 +94,22 @@ _TAU = zzdist.Orientation(">>")
     (lambda: zzdist.conjugate(zzdist.zero_module(_TAU), 2),
      "base changes must be a sequence, got int"),
     (lambda: zzdist.canonical_type(_TAU, None), "endpoints must be a sequence, got NoneType"),
-    (lambda: zzdist.flippable_positions(None, 3), "endpoints must be a sequence, got NoneType"),
+    (lambda: flippable_positions(None, 3), "endpoints must be a sequence, got NoneType"),
+    # named, so that the rows above keep their ids
+    pytest.param(lambda: zzdist.apply_sequence(None, _V),
+                 "reflection ops must be a sequence, got NoneType", id="apply_sequence-seq"),
+    pytest.param(lambda: zzdist.Orientation.from_string(None),
+                 "arrow directions must be a sequence, got NoneType", id="from_string-None"),
+    pytest.param(lambda: zzdist.Orientation.from_string(5),
+                 "arrow directions must be a sequence, got int", id="from_string-int"),
+    pytest.param(lambda: Matrix.from_rows(None),
+                 "matrix row entries must be a sequence, got NoneType", id="from_rows-None"),
+    pytest.param(lambda: Matrix.from_rows(5),
+                 "matrix row entries must be a sequence, got int", id="from_rows-int"),
 ])
 def test_a_value_that_is_no_sequence_is_refused_naming_what_was_wanted(call, message):
-    # each of these once raised Python's own TypeError: ... is not iterable
+    # each of these once raised Python's own TypeError: ... is not iterable,
+    # or, from the two classmethods, ... has no len()
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
 
@@ -111,14 +124,14 @@ _PHI = zzdist.identity_morphism(_V)
     (lambda: zzdist.matching_cost(_D, _D, None), "M is NoneType, expected Matching"),
     (lambda: zzdist.cost(None), "seq is NoneType, expected ReflectionSequence"),
     (lambda: zzdist.cost(3), "seq is int, expected ReflectionSequence"),
-    (lambda: zzdist.diagram_contains(None, _D), "inner is NoneType, expected PersistenceDiagram"),
+    (lambda: diagram_contains(None, _D), "inner is NoneType, expected PersistenceDiagram"),
     (lambda: zzdist.canonical_type(None, [(1, 2)]), "tau is NoneType, expected Orientation"),
     (lambda: zzdist.canonical_type(_TAU, "x"), "entry 0 'x': endpoints must be integers"),
     (lambda: zzdist.canonical_type(_TAU, [1]), "entry 0 1: endpoints must be integers"),
-    (lambda: zzdist.flippable_positions("x", 3), "entry 0 'x': endpoints must be integers"),
-    (lambda: zzdist.flippable_positions([1], 3), "entry 0 1: endpoints must be integers"),
+    (lambda: flippable_positions("x", 3), "entry 0 'x': endpoints must be integers"),
+    (lambda: flippable_positions([1], 3), "entry 0 1: endpoints must be integers"),
     (lambda: zzdist.random_symbolic_module(None, 3, 2), "rng is NoneType, expected Random"),
-    (lambda: zzdist.flippable_positions([(3, 1)], 3), "interval [3, 1] out of range 1..3"),
+    (lambda: flippable_positions([(3, 1)], 3), "interval [3, 1] out of range 1..3"),
     (lambda: zzdist.canonical_type(zzdist.Orientation.from_string("<<"), [(0, 9)]),
      "interval [0, 9] out of range 1..3"),
     (lambda: zzdist.combine_matchings(None, _MATCH), "f is NoneType, expected Matching"),
@@ -152,11 +165,29 @@ _PHI = zzdist.identity_morphism(_V)
                  "inner is NoneType, expected Morphism", id="compose-inner"),
     pytest.param(lambda: zzdist.is_morphism(None),
                  "phi is NoneType, expected Morphism", id="is_morphism-phi"),
+    pytest.param(lambda: diagram_limit(None),
+                 "D is NoneType, expected FiniteDiagram", id="diagram_limit-D"),
+    pytest.param(lambda: diagram_colimit(None),
+                 "D is NoneType, expected FiniteDiagram", id="diagram_colimit-D"),
+    pytest.param(lambda: zzdist.serialize_module(None),
+                 "V is NoneType, expected ZigzagModule", id="serialize_module-V"),
+    pytest.param(lambda: zzdist.serialize_symbolic(None),
+                 "S is NoneType, expected SymbolicModule", id="serialize_symbolic-S"),
+    pytest.param(lambda: zzdist.format_quantity(None),
+                 "x is NoneType, expected int or float", id="format_quantity-None"),
+    pytest.param(lambda: zzdist.format_quantity("x"),
+                 "x is str, expected int or float", id="format_quantity-str"),
+    pytest.param(lambda: is_prime(None), "p must be an integer, got None", id="is_prime-None"),
+    pytest.param(lambda: is_prime(True), "p must be an integer, got True", id="is_prime-bool"),
+    pytest.param(lambda: is_prime(2.0), "p must be an integer, got 2.0", id="is_prime-float"),
+    pytest.param(lambda: Matrix.from_rows([5]),
+                 "entry 0 5: matrix row entries must be integers", id="from_rows-row"),
 ])
 def test_an_argument_of_the_wrong_kind_is_refused(call, message):
     # each of these once raised Python's own AttributeError on a missing
-    # field, TypeError (no len(), not subscriptable) or IndexError, or, for
-    # an interval out of range, gave an answer that ignored or half-read it
+    # field, TypeError (no len(), not subscriptable, not iterable) or
+    # IndexError, or, for an interval out of range or a bool or float
+    # read as an int, gave an answer that ignored or half-read it
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
@@ -214,7 +245,7 @@ def test_kernel_basis_fixed_cases():
     K = kernel_basis(Matrix.zero(2, 3, 2))
     assert K.cols == 3 and rank(K) == 3
     K = kernel_basis(Matrix.from_rows([[1, 1]], 2))
-    assert K.tolists() == [[1], [1]]
+    assert tolists(K) == [[1], [1]]
     # exhaustive: (1,1) is the only nonzero vector killed by [1 1] over GF(2)
     killed = [v for v in itertools.product(range(2), repeat=2) if (v[0] + v[1]) % 2 == 0]
     assert killed == [(0, 0), (1, 1)]
@@ -227,7 +258,7 @@ def test_kernel_rank_nullity():
             M = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), p)
             K = kernel_basis(M)
             assert K.cols == M.cols - rank(M)
-            assert (M @ K).is_zero()
+            assert is_zero(M @ K)
             assert rank(K) == K.cols
 
 
@@ -237,7 +268,7 @@ def test_cokernel_fixed_cases():
     assert dim == 2 and is_invertible(proj)
     dim, proj = cokernel(Matrix.from_rows([[1], [1]], 2))
     assert dim == 1
-    assert (proj @ Matrix.from_rows([[1], [1]], 2)).is_zero()
+    assert is_zero(proj @ Matrix.from_rows([[1], [1]], 2))
 
 
 def test_cokernel_properties_random():
@@ -249,7 +280,7 @@ def test_cokernel_properties_random():
             assert dim == M.rows - rank(M)
             assert proj.shape == (dim, M.rows)
             assert rank(proj) == dim
-            assert (proj @ M).is_zero()
+            assert is_zero(proj @ M)
 
 
 def test_solve_and_inverse():
@@ -322,10 +353,10 @@ def test_is_invertible_matches_determinant_oracle():
 def test_stacking_helpers():
     A = Matrix.from_rows([[1, 0]], 2)
     B = Matrix.from_rows([[0, 1], [1, 1]], 2)
-    assert vstack([A, B]).tolists() == [[1, 0], [0, 1], [1, 1]]
-    assert hstack([A.transpose(), B]).tolists() == [[1, 0, 1], [0, 1, 1]]
+    assert tolists(vstack([A, B])) == [[1, 0], [0, 1], [1, 1]]
+    assert tolists(hstack([A.transpose(), B])) == [[1, 0, 1], [0, 1, 1]]
     D = block_diag(Matrix.identity(1, 2), Matrix.zero(1, 2, 2))
-    assert D.tolists() == [[1, 0, 0], [0, 0, 0]]
+    assert tolists(D) == [[1, 0, 0], [0, 0, 0]]
     with pytest.raises(ValueError):
         vstack([A, Matrix.from_rows([[1]], 2)])
     with pytest.raises(ValueError, match="along the join: 1 vs 2"):
@@ -353,6 +384,8 @@ def test_is_prime_and_field_validation():
     assert repr(Matrix(Field.THREE, [[1, 2]], 2)) == "Matrix(p=3, data=((1, 2),), cols=2)"
     assert repr(FiniteDiagram(Field.THREE, (1,), ())) == "FiniteDiagram(p=3, spaces=(1,), arrows=())"
     assert type(linalg._check_prime(Field.THREE)) is int
+    # is_prime reads its argument as the field check does: every int keeps its answer
+    assert is_prime(Field.THREE) and not is_prime(-3) and is_prime(2 ** 31 - 1)
 
 
 def test_limit_fixed_diagrams():

@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import ast
 import re
+import sys
 from pathlib import Path
 from types import ModuleType
 
 import zzdist
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PERFBENCH = README.parent / "perfbench"
 
 
 def test_all_lists_every_public_name():
@@ -84,3 +86,43 @@ def test_modules_import_only_from_layers_below_and_only_at_the_top():
                 if _RANK[name.split(".")[0]] >= _RANK[path.stem]:
                     wrong.append(f"{where}: {path.stem} imports {name}, not below it")
     assert wrong == []
+
+
+def test_every_name_the_benchmark_reaches_resolves():
+    # the workloads reach the library through ``zz.<name>`` chains on the
+    # package and ``sys.modules["zzdist.<module>"]``, the witness replay
+    # calls ``remove_simple`` on a diagram, and the tracer finds each
+    # target by module path; none of them imports a name, so a name taken
+    # out of the package would otherwise fail only in the benchmark
+    reached, missing = set(), set()
+    for node in ast.walk(ast.parse((PERFBENCH / "workloads.py").read_text())):
+        names, base = [], node
+        while isinstance(base, ast.Attribute):
+            names.insert(0, base.attr)
+            base = base.value
+        if isinstance(base, ast.Name) and base.id == "zz":
+            obj, path = zzdist, "zz"
+        elif isinstance(base, ast.Subscript) and ast.unparse(base.value) == "sys.modules":
+            key = ast.literal_eval(base.slice)
+            obj, path = sys.modules.get(key), f"sys.modules[{key!r}]"
+        else:
+            continue
+        for name in names:
+            path += "." + name
+            if not hasattr(obj, name):
+                missing.add(path)
+                break
+            obj = getattr(obj, name)
+        reached.add(path)
+    assert {"zz.canonical_type", "sys.modules['zzdist.cli'].main"} <= reached
+    if not hasattr(zzdist.PersistenceDiagram, "remove_simple"):
+        missing.add("zz.PersistenceDiagram.remove_simple")
+    [targets] = [ast.literal_eval(node.value)
+                 for node in ast.parse((PERFBENCH / "tracer.py").read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and [ast.unparse(t) for t in node.targets] == ["TARGETS"]]
+    assert targets
+    for module, name in targets:
+        if not hasattr(sys.modules.get(f"zzdist.{module}"), name):
+            missing.add(f"zzdist.{module}.{name}")
+    assert sorted(missing) == []

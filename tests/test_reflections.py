@@ -7,17 +7,17 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from helpers import (all_dirs, all_intervals, interval_image, random_counted,
-                     random_matrix, random_module, random_orientation, random_symbolic,
-                     synthesized_pair, trial_annihilating_sequence)
+from helpers import (all_dirs, all_intervals, all_ops, diagram_contains, flippable_positions,
+                     interval_image, random_counted, random_matrix, random_module,
+                     random_orientation, random_symbolic, synthesized_pair,
+                     trial_annihilating_sequence)
 
 from zzdist import (BACKWARD, COLIMIT, EXTROVERSION, FORWARD, INTROVERSION,
-                    LIMIT, Matrix, Morphism, Orientation, PersistenceDiagram,
+                    LIMIT, REVERSAL, Matrix, Morphism, Orientation, PersistenceDiagram,
                     ReflectionOp, ReflectionSequence, SymbolicModule, act,
-                    all_ops, annihilating_sequence, apply, apply_sequence,
+                    annihilating_sequence, apply, apply_sequence,
                     apply_to_morphism, check_applicable, classify_index,
-                    compose, conjugate, decompose, diagram_contains,
-                    direct_sum, identity_morphism, interval_module,
+                    compose, conjugate, decompose, direct_sum, identity_morphism, interval_module,
                     is_invertible, is_morphism, is_summand_upto_equiv, ops_at,
                     rank, reflections, synthesize, transform_type, zero_module)
 from zzdist.diagrams import _annihilating_run, _state
@@ -386,7 +386,6 @@ def test_act_preserves_summand_upto_equiv():
         rng.shuffle(pts)
         keep = tuple(pts[:rng.randint(0, len(pts))])
         t = SW.tau
-        from zzdist import REVERSAL, flippable_positions
         for k in sorted(flippable_positions(keep, n)):
             if rng.random() < 0.5:
                 t = transform_type(t, REVERSAL, k)

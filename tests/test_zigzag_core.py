@@ -5,15 +5,15 @@ import random
 from collections import Counter
 
 import pytest
-from helpers import (all_dirs, all_intervals, count_calls, iso_positions, random_matrix,
-                     random_points, random_symbolic, synthesized_pair)
+from helpers import (all_dirs, all_intervals, count_calls, flippable_positions, iso_positions,
+                     random_matrix, random_points, random_symbolic, synthesized_pair, tolists)
 
 from zzdist import (BACKWARD, BACKWARD_FLOW, EXTROVERSION, FORWARD,
                     FORWARD_FLOW, INTROVERSION, Matrix, Morphism, Orientation,
                     REVERSAL, SINK, SOURCE, ZigzagModule, arrow_reverse,
                     canonical_type, classify_index, compose, conjugate,
-                    decompose, direct_sum, flippable_positions,
-                    identity_morphism, interval_module, inverse, is_invertible,
+                    decompose, direct_sum, identity_morphism,
+                    interval_module, inverse, is_invertible,
                     is_morphism, is_summand_upto_equiv, rank, synthesize,
                     transform_type, zero_module)
 from zzdist import linalg
@@ -270,7 +270,7 @@ def test_conjugate_preserves_decomposition():
         conjugate(V, [Matrix.identity(e + 1, 5) for e in V.dims])
     # a list once failed with an AttributeError on the missing ``p``
     with pytest.raises(ValueError, match="^base change 1 is list, expected Matrix$"):
-        conjugate(V, [Matrix.identity(d, 5).tolists(), *rest])
+        conjugate(V, [tolists(Matrix.identity(d, 5)), *rest])
 
 
 def test_inverting_takes_one_elimination(monkeypatch):
